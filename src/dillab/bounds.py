@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosures import (
-    LogEnclosure,
     RatInterval,
     decimal_str,
     log_enclosure,
@@ -24,7 +23,6 @@ from .families import CoverBoundReport, cover_upper_bound
 
 __all__ = [
     "BoundRow",
-    "LogEnclosure",
     "OmegaConstants",
     "KappaReport",
     "SandwichReport",

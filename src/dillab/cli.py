@@ -95,7 +95,7 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {text!r} ({exc})") from None
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r} ({exc})") from None
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -122,6 +122,8 @@ def _load_graph(path: str):
 
 
 def _cmd_pf(ns: argparse.Namespace) -> int:
+    if ns.rel_width <= 0 or ns.max_iters < 1:
+        raise UsageError("need --rel-width > 0 and --max-iters >= 1")
     matrix = load_matrix(ns.matrix)
     payload = {
         "k": matrix.k,
@@ -166,6 +168,8 @@ def _cmd_hk_root(ns: argparse.Namespace) -> int:
         raise UsageError("need --m, or both --s and --t")
     if ns.m is not None and (ns.s is not None or ns.t is not None):
         raise UsageError("--m conflicts with --s/--t")
+    if ns.rel_width <= 0:
+        raise UsageError("need --rel-width > 0")
     payload: dict = {}
     if ns.m is not None:
         poly = build_Tm(ns.m)

@@ -1,14 +1,19 @@
 """Integer polynomials, certified largest-root enclosures, and the
 stretch-factor bound family T.
 
-Two independent root routes live here on purpose:
+Every root bracket comes out of one bisection step, `_bisect`, which probes
+at a rational where p does not vanish and keeps the half that holds the
+largest real root. What decides the half is a proof, never a sample:
 
-* `largest_root` is the production path: rightmost-sign-change bisection with
-  a 64-point positivity mesh above the bracket as the maximality certificate.
+* `largest_root` is the production path. Its preconditions leave an odd
+  number of roots above 1; when p's coefficients show at most two sign
+  variations, Descartes' rule of signs leaves exactly one, and the sign of p
+  at the probe decides. Every T(s, t) is of this kind. Any other polynomial
+  is bisected on the exact Sturm count of roots above the probe.
 * The Sturm-chain machinery (`char_poly`, `count_real_roots_above`,
   `isolate_largest_real_root`, `compare_largest_roots`) is the exact oracle
   route, used to cross-check spectral enclosures and to decide mu(A) <= mu(B)
-  with no floating point and no mesh caveat.
+  with no floating point.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_ROOT_REL_WIDTH = Fraction(1, 10**10)
-MESH_POINTS = 64
+_ISOLATE_WIDTH = Fraction(1, 2**80)
 
 
 @dataclass(frozen=True)
@@ -77,23 +82,20 @@ class IntPoly:
     def leading_coefficient(self) -> int:
         return self.coeffs[-1][1] if self.coeffs else 0
 
+    def _homogenised(self, x: Fraction) -> int:
+        """q**d * p(n/q) for x = n/q in lowest terms and d the degree: an
+        integer with the sign of p(x)."""
+        n, q = x.numerator, x.denominator
+        d = self.degree
+        return sum(c * n**e * q ** (d - e) for e, c in self.coeffs)
+
     def __call__(self, x) -> Fraction:
         x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        d = self.degree
-        if d < 0:
-            return Fraction(0)
-        num = sum(c * p**e * q ** (d - e) for e, c in self.coeffs)
-        return Fraction(num, q**d)
+        return Fraction(self._homogenised(x), x.denominator ** max(self.degree, 0))
 
     def sign_at(self, x) -> int:
         """Exact sign of p(x) at a rational point, via integer arithmetic."""
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        d = self.degree
-        if d < 0:
-            return 0
-        num = sum(c * p**e * q ** (d - e) for e, c in self.coeffs)
+        num = self._homogenised(Fraction(x))
         return (num > 0) - (num < 0)
 
     def to_json_dict(self) -> dict:
@@ -102,8 +104,8 @@ class IntPoly:
 
 @dataclass(frozen=True)
 class RootEnclosure:
-    """Bracket lo < root < hi with recorded endpoint signs, plus the mesh
-    certificate that p > 0 between hi and the search bound."""
+    """Bracket lo < root < hi around the largest real root, with the exact
+    signs of p at both endpoints."""
 
     lo: Fraction
     hi: Fraction
@@ -177,51 +179,57 @@ def _nonroot_point(p: IntPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, in
     raise NoSignChange("could not find a non-root sample point; interval saturated with roots")
 
 
+def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, roots_above):
+    """One bisection step that keeps the largest real root of p in (lo, hi).
+
+    Probes at a point where p does not vanish and returns (lo, hi, n): the
+    half holding the largest root, and the number n of distinct roots above
+    the probe, which is the new lo when n > 0. roots_above(x) counts them
+    exactly; when it is None, p must have exactly one root above lo, a simple
+    one, so that p < 0 at the probe exactly when the root lies above it.
+    """
+    mid, s = _nonroot_point(p, lo, hi)
+    n = int(s < 0) if roots_above is None else roots_above(mid)
+    return (mid, hi, n) if n else (lo, mid, n)
+
+
 def largest_root(
     p: IntPoly,
     search_hi,
     rel_width: Fraction = DEFAULT_ROOT_REL_WIDTH,
 ) -> RootEnclosure:
-    """Rightmost sign-change bracket for p on [1, search_hi].
+    """Bracket for the largest real root of p, which lies in (1, search_hi).
 
-    Preconditions: positive leading coefficient, p(1) < 0, p(search_hi) > 0
-    (else NoSignChange, the caller must enlarge). Bisection keeps the bracket
-    with p(lo) < 0 < p(hi); once the width target is met, p is evaluated on a
-    64-point mesh between hi and search_hi. A nonpositive mesh value exposes a
-    sign change further right, in which case bisection restarts there, so the
-    returned bracket is the rightmost one the mesh can distinguish.
+    Preconditions: rel_width > 0, a positive leading coefficient and p(1) < 0
+    (else DomainError), p(search_hi) > 0 with no root above search_hi (else
+    NoSignChange, the caller must enlarge). p then has an odd number of roots
+    above 1. If p's coefficients show at most two sign variations, Descartes'
+    rule leaves exactly one, and sign-change bisection keeps it. Otherwise
+    each step bisects on the exact Sturm count of roots above the probe.
+    Either way the bracket is proved to hold the largest root; bisection
+    stops once hi - lo <= rel_width * lo.
     """
     search_hi = Fraction(search_hi)
     rel_width = Fraction(rel_width)
+    if rel_width <= 0:
+        raise DomainError("largest_root requires rel_width > 0")
     if p.leading_coefficient <= 0:
         raise DomainError("largest_root requires a positive leading coefficient")
     if p.sign_at(1) >= 0:
         raise DomainError("largest_root requires p(1) < 0")
     if p.sign_at(search_hi) <= 0:
         raise NoSignChange(f"p(search_hi) <= 0 at search_hi={search_hi}; enlarge search_hi")
+    roots_above = None
+    if _sign_changes([c for _, c in p.coeffs]) > 2:
+        roots_above = _sturm_counter(_squarefree(_dense(p)))
+        if roots_above(search_hi) != 0:
+            raise NoSignChange(f"p has a root above search_hi={search_hi}; enlarge search_hi")
     lo, hi = Fraction(1), search_hi
-    for _restart in range(128):
-        while hi - lo > rel_width * lo:
-            mid, s = _nonroot_point(p, lo, hi)
-            if s < 0:
-                lo = mid
-            else:
-                hi = mid
-        # maximality mesh between hi and search_hi
-        dirty = None
-        if search_hi > hi:
-            step = (search_hi - hi) / MESH_POINTS
-            for t in range(1, MESH_POINTS):
-                x = hi + step * t
-                if p.sign_at(x) <= 0:
-                    dirty = x
-                    break
-        if dirty is None:
-            return RootEnclosure(lo=lo, hi=hi, sign_lo=-1, sign_hi=1)
-        if p.sign_at(dirty) == 0:
-            raise NoSignChange("mesh hit an exact rational root; bracket not isolable")
-        lo, hi = dirty, search_hi
-    raise NoSignChange("mesh kept exposing sign changes; polynomial too oscillatory")
+    while hi - lo > rel_width * lo:
+        lo, hi, _ = _bisect(p, lo, hi, roots_above)
+    # no root lies above hi and the leading coefficient is positive: p(hi) > 0
+    sign_lo = -1 if roots_above is None else p.sign_at(lo)
+    return RootEnclosure(lo=lo, hi=hi, sign_lo=sign_lo, sign_hi=1)
 
 
 def m_cubed_root_enclosure(m: int, bits: int = 48) -> RatInterval:
@@ -385,63 +393,65 @@ def _sign_changes(values: list[Fraction]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _sturm_counter(sq: list[Fraction]):
+    """Counter of the distinct real roots of the squarefree sq above a
+    rational a with sq(a) != 0. The Sturm chain is built once, here, and
+    compared against the signs at +infinity (leading coefficients)."""
+    chain = _sturm_chain(sq)
+    at_inf = _sign_changes([c[-1] for c in chain])
+
+    def roots_above(a: Fraction) -> int:
+        values = [_eval_dense(c, a) for c in chain]
+        if not values or values[0] == 0:
+            raise ValueError("count_real_roots_above requires p(a) != 0")
+        return _sign_changes(values) - at_inf
+
+    return roots_above
+
+
 def count_real_roots_above(p: IntPoly, a: Fraction) -> int:
     """Number of distinct real roots of p strictly above the rational a.
 
-    Requires p(a) != 0. Sturm chain of the squarefree part, compared against
-    the signs at +infinity (leading coefficients).
+    Requires p(a) != 0. Sturm chain of the squarefree part.
     """
-    a = Fraction(a)
-    sq = _squarefree(_dense(p))
-    if _eval_dense(sq, a) == 0:
-        raise ValueError("count_real_roots_above requires p(a) != 0")
-    chain = _sturm_chain(sq)
-    at_a = _sign_changes([_eval_dense(c, a) for c in chain])
-    at_inf = _sign_changes([c[-1] for c in chain])
-    return at_a - at_inf
+    return _sturm_counter(_squarefree(_dense(p)))(Fraction(a))
+
+
+def _isolate(p: IntPoly, sq: list[Fraction], hi_bound, max_width):
+    """Isolating (lo, hi) for the largest real root of p, whose squarefree
+    part is sq, and the Sturm counter it was bisected on."""
+    hi_bound, max_width = Fraction(hi_bound), Fraction(max_width)
+    if max_width <= 0:
+        raise DomainError("isolate_largest_real_root requires max_width > 0")
+    roots_above = _sturm_counter(sq)
+    if roots_above(hi_bound) != 0:
+        raise DomainError("hi_bound does not dominate all real roots")
+    lo, hi = -abs(hi_bound) - 1, hi_bound
+    above_lo = roots_above(lo)
+    if above_lo < 1:
+        raise DomainError("polynomial has no real root in range")
+    while hi - lo > max_width or above_lo != 1:
+        lo, hi, n = _bisect(p, lo, hi, roots_above)
+        above_lo = n or above_lo
+        if hi - lo < Fraction(1, 2**4000):
+            raise AssertionError("failed to isolate largest real root")
+    return lo, hi, roots_above
 
 
 def isolate_largest_real_root(
     p: IntPoly,
     hi_bound,
-    max_width=Fraction(1, 2**80),
+    max_width=_ISOLATE_WIDTH,
 ) -> RatInterval:
     """Isolating interval for the largest real root of p.
 
-    Requires p to have at least one real root and none above hi_bound.
-    Bisection on the predicate `count_real_roots_above(c) >= 1`, refined until
-    the interval contains exactly one distinct root of the squarefree part.
+    Requires max_width > 0 and p to have at least one real root and none
+    above hi_bound. Bisection on the exact Sturm count of roots above the
+    probe, refined until the interval is no wider than max_width and holds
+    exactly one distinct root.
     """
-    hi_bound = Fraction(hi_bound)
-    if count_real_roots_above(p, hi_bound) != 0:
-        raise DomainError("hi_bound does not dominate all real roots")
-    lo = -abs(hi_bound) - 1
-    total = count_real_roots_above(p, lo)
-    if total < 1:
-        raise DomainError("polynomial has no real root in range")
-    hi = hi_bound
-    n_above_lo = total
-    while hi - lo > max_width or n_above_lo != 1:
-        mid, _ = _nonroot_point_dense(p, lo, hi)
-        n = count_real_roots_above(p, mid)
-        if n >= 1:
-            lo = mid
-            n_above_lo = n
-        else:
-            hi = mid
-        if hi - lo < Fraction(1, 2**4000):
-            raise AssertionError("failed to isolate largest real root")
+    lo, hi, _ = _isolate(p, _squarefree(_dense(p)), hi_bound, max_width)
     return RatInterval(lo, hi)
-
-
-def _nonroot_point_dense(p: IntPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
-    span = hi - lo
-    for num, den in ((1, 2), (3, 7), (5, 9), (4, 13), (9, 17), (11, 23), (13, 31)):
-        x = lo + span * Fraction(num, den)
-        s = p.sign_at(x)
-        if s != 0:
-            return x, s
-    raise AssertionError("no non-root point found")
 
 
 def compare_largest_roots(pa: IntPoly, pb: IntPoly, hi_a, hi_b) -> int:
@@ -452,43 +462,25 @@ def compare_largest_roots(pa: IntPoly, pb: IntPoly, hi_a, hi_b) -> int:
     isolating intervals (each isolates exactly one root, so a shared root in
     the overlap is necessarily both largest roots).
     """
-    ia = isolate_largest_real_root(pa, hi_a)
-    ib = isolate_largest_real_root(pb, hi_b)
+    sq_a, sq_b = _squarefree(_dense(pa)), _squarefree(_dense(pb))
+    a_lo, a_hi, above_a = _isolate(pa, sq_a, hi_a, _ISOLATE_WIDTH)
+    b_lo, b_hi, above_b = _isolate(pb, sq_b, hi_b, _ISOLATE_WIDTH)
+    g = _poly_gcd(sq_a, sq_b)
+    above_g = _sturm_counter(g) if len(g) > 1 else None
     for _ in range(200):
-        if ia.hi < ib.lo:
+        if a_hi < b_lo:
             return -1
-        if ib.hi < ia.lo:
+        if b_hi < a_lo:
             return 1
-        g = _poly_gcd(_squarefree(_dense(pa)), _squarefree(_dense(pb)))
-        if len(g) > 1:
-            o_lo = max(ia.lo, ib.lo)
-            o_hi = min(ia.hi, ib.hi)
-            gp = IntPoly.from_dict(
-                {e: int(c * _common_den(g)) for e, c in enumerate(g) if c != 0}
-            )
-            if gp.sign_at(o_lo) == 0 or gp.sign_at(o_hi) == 0:
+        if above_g is not None:
+            o_lo, o_hi = max(a_lo, b_lo), min(a_hi, b_hi)
+            if _eval_dense(g, o_lo) == 0 or _eval_dense(g, o_hi) == 0:
                 return 0
-            if count_real_roots_above(gp, o_lo) - count_real_roots_above(gp, o_hi) >= 1:
+            if above_g(o_lo) - above_g(o_hi) >= 1:
                 return 0
-        ia = _halve(pa, ia)
-        ib = _halve(pb, ib)
+        a_lo, a_hi, _ = _bisect(pa, a_lo, a_hi, above_a)
+        b_lo, b_hi, _ = _bisect(pb, b_lo, b_hi, above_b)
     raise AssertionError("compare_largest_roots failed to separate or certify equality")
-
-
-def _common_den(g: list[Fraction]) -> int:
-    from math import lcm
-
-    d = 1
-    for c in g:
-        d = lcm(d, c.denominator)
-    return d
-
-
-def _halve(p: IntPoly, iv: RatInterval) -> RatInterval:
-    mid, _ = _nonroot_point_dense(p, iv.lo, iv.hi)
-    if count_real_roots_above(p, mid) >= 1:
-        return RatInterval(mid, iv.hi)
-    return RatInterval(iv.lo, mid)
 
 
 def mu_compare(a: IntMatrix, b: IntMatrix) -> int:

@@ -11,8 +11,6 @@ those constraints on every instance rather than trusting the generator.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -342,12 +340,3 @@ def penner_hk_reference_bounds(g: int, n: int) -> ReferenceBoundsReport:
 
     return ReferenceBoundsReport(g=g, n=n, bounds=tuple(bounds), omitted=tuple(omitted))
 
-
-def cover_csv_text(reports) -> str:
-    """CSV text (header + rows) for a sequence of CoverBoundReport."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COVER_CSV_HEADER)
-    for rep in reports:
-        writer.writerow(rep.csv_row())
-    return buf.getvalue()

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoDiagonalEntry, NotIrreducible
+from .errors import DomainError, NoDiagonalEntry, NotIrreducible
 
 __all__ = [
     "IntMatrix",
@@ -199,15 +199,19 @@ def pf_enclosure(
     and the bounds are exact for whatever positive vector is current, so
     truncation costs a little convergence speed and no soundness. Stops when
     (hi - lo)/lo <= rel_width or after max_iters; either way the returned
-    enclosure is valid, the caller inspects the width.
+    enclosure is valid, the caller inspects the width. rel_width <= 0 or
+    max_iters < 1 raises DomainError: the first never stops, the second
+    certifies nothing.
 
     hi_target, when given, stops the iteration the moment the certified
     upper bound reaches it, useful when only a one-sided threshold matters
     and a tight enclosure would be wasted work.
     """
+    rel_width = Fraction(rel_width)
+    if rel_width <= 0 or max_iters < 1:
+        raise DomainError("pf_enclosure requires rel_width > 0 and max_iters >= 1")
     if not is_irreducible(matrix):
         raise NotIrreducible("pf_enclosure requires an irreducible matrix")
-    rel_width = Fraction(rel_width)
     k = matrix.k
     sparse = [
         [(j, m) for j, m in enumerate(row) if m] for row in matrix.entries

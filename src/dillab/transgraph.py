@@ -125,14 +125,7 @@ def path_count(graph: TransGraph, i: int, d: int) -> int:
     This is the i-th row sum of the d-th matrix power; the empty path counts,
     so d = 0 gives 1.
     """
-    graph._check_vertex(i)
-    if d < 0:
-        raise DomainError("path length must be >= 0")
-    rows = _sparse_rows(graph)
-    v = [1] * graph.vertex_count
-    for _ in range(d):
-        v = [sum(m * v[j] for j, m in row) for row in rows]
-    return v[i - 1]
+    return path_count_series(graph, i, d)[-1]
 
 
 def path_count_series(graph: TransGraph, i: int, d_max: int) -> tuple[int, ...]:

@@ -2,10 +2,16 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import dillab
 from dillab.cli import main
+from dillab.errors import DomainError
+from dillab.intmatrix import IntMatrix, pf_enclosure
 
 
 @pytest.fixture
@@ -68,6 +74,19 @@ def test_pf_malformed_matrix_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+def test_pf_rejects_placeholder_enclosures(capsys, tmp_path):
+    # mu = 5; a run of zero iterations would report the placeholder [1, 1]
+    m = IntMatrix(((0, 5), (5, 0)))
+    for kwargs in ({"max_iters": 0}, {"rel_width": 0}, {"rel_width": Fraction(-1, 2)}):
+        with pytest.raises(DomainError):
+            pf_enclosure(m, **kwargs)
+    path = tmp_path / "swap.txt"
+    path.write_text("2\n0 5\n5 0\n")
+    for flags in (["--max-iters", "0"], ["--rel-width", "0"], ["--rel-width=-1/2"]):
+        code, out, _ = run(capsys, "pf", str(path), *flags)
+        assert code == 2 and out == "", flags
+
+
 def test_paths_counts_and_check(capsys, fib_file):
     code, out, _ = run(capsys, "paths", fib_file, "--vertex", "1", "--d-max", "7")
     assert code == 0
@@ -126,6 +145,23 @@ def test_hk_root_st_mode(capsys):
     payload = json.loads(out)
     # largest root of the quartic is (3 + sqrt 5)/2 = 2.6180339...
     assert payload["root"]["lo_decimal"].startswith("2.6180339")
+
+
+def test_hk_root_rejects_nonpositive_width():
+    # a subprocess with a timeout, because a width of 0 once bisected forever
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(dillab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    for flags in (["--rel-width", "0"], ["--rel-width=-1/2"], ["--rel-width", "abc"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dillab", "hk-root", "--s", "1", "--t", "1", *flags],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert proc.returncode == 2, (flags, proc.stderr)
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
 def test_hk_root_flag_conflicts(capsys):

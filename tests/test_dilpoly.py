@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import dillab
 from dillab.dilpoly import (
     IntPoly,
     build_T,
@@ -76,6 +80,53 @@ def test_largest_root_preconditions():
     # no sign change below the cap
     with pytest.raises(NoSignChange):
         largest_root(IntPoly.from_dict({2: 1, 0: -2}), search_hi=Fraction(6, 5))
+    # (x-2)(x-5)(x-6) is positive at the cap but has two roots above it
+    with pytest.raises(NoSignChange):
+        largest_root(IntPoly.from_dict({3: 1, 2: -13, 1: 52, 0: -60}), search_hi=3)
+
+
+_WIDTH_CHECK = """
+from fractions import Fraction
+from dillab.dilpoly import IntPoly, build_T, isolate_largest_real_root, largest_root
+from dillab.errors import DomainError
+
+for width in (0, Fraction(-1, 2)):
+    for call in (
+        lambda: largest_root(build_T(1, 1), 4, rel_width=width),
+        lambda: isolate_largest_real_root(IntPoly.from_dict({2: 1, 0: -2}), 2, max_width=width),
+    ):
+        try:
+            call()
+        except DomainError:
+            continue
+        raise SystemExit(f"width {width} accepted")
+"""
+
+
+def test_nonpositive_widths_raise_domain_error():
+    # in a child with a timeout, because such a width once bisected forever
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(dillab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WIDTH_CHECK], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_largest_root_proves_maximality_beyond_a_sign_change():
+    # (x-2)(100x-301)(50x-151): three sign variations, so the Sturm route;
+    # p > 0 on (2, 3.01), which once hid the largest root 151/50 from a
+    # sampling check above the first sign change
+    p = IntPoly.from_dict({0: -90902, 1: 105751, 2: -40150, 3: 5000})
+    enc = largest_root(p, search_hi=4)
+    assert enc.lo < Fraction(151, 50) < enc.hi
+    assert (enc.sign_lo, enc.sign_hi) == (p.sign_at(enc.lo), p.sign_at(enc.hi)) == (-1, 1)
+    # (x-2)(x-3)^2: the largest root is double, p keeps its sign across it
+    p = IntPoly.from_dict({3: 1, 2: -8, 1: 21, 0: -18})
+    enc = largest_root(p, search_hi=4)
+    assert enc.lo < 3 < enc.hi
+    assert (enc.sign_lo, enc.sign_hi) == (p.sign_at(enc.lo), p.sign_at(enc.hi)) == (1, 1)
 
 
 def test_sturm_count_known_roots():

@@ -1,15 +1,11 @@
-import csv
-import io
 from fractions import Fraction
 
 import pytest
 
 from dillab.errors import DomainError, ValidationFailed
 from dillab.families import (
-    COVER_CSV_HEADER,
     CoverFamilySpec,
     TorusMatrixSpec,
-    cover_csv_text,
     cover_upper_bound,
     penner_hk_reference_bounds,
     torus_matrix,
@@ -108,18 +104,6 @@ def test_cover_upper_bound_shrinks_with_n():
     u101 = cover_upper_bound(2, 101).upper
     u1001 = cover_upper_bound(2, 1001).upper
     assert u31 > u101 > u1001
-
-
-def test_cover_csv_text_round_trip():
-    reports = [cover_upper_bound(2, n) for n in (31, 32, 45)]
-    text = cover_csv_text(reports)
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == list(COVER_CSV_HEADER)
-    assert len(rows) == 4
-    assert [r[1] for r in rows[1:]] == ["31", "32", "45"]
-    # bound column parses as a decimal and respects the closed form
-    for r in rows[1:]:
-        assert float(r[4]) <= float(r[5])
 
 
 def test_reference_bounds_closed_surface():
