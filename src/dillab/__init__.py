@@ -52,7 +52,6 @@ from .intmatrix import (
     verify_diagonal_bound,
 )
 from .transgraph import (
-    TransGraph,
     dilatation_limit_check,
     from_matrix,
     path_count,
@@ -78,7 +77,6 @@ from .families import (
     CoverFamilySpec,
     TorusMatrixSpec,
     cover_upper_bound,
-    penner_hk_reference_bounds,
     torus_matrix,
     verify_torus_bounds,
 )

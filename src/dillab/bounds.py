@@ -19,7 +19,7 @@ from .enclosures import (
     nth_root_enclosure,
 )
 from .errors import AlphaOutOfRange, DomainError, RangeError
-from .families import CoverBoundReport, cover_upper_bound
+from .families import CoverBoundReport, cover_index, cover_threshold, cover_upper_bound
 
 __all__ = [
     "BoundRow",
@@ -167,7 +167,7 @@ def kappa_upper_constant(g: int, n_range: tuple[int, int]) -> KappaReport:
     if g < 2:
         raise DomainError("kappa_upper_constant requires g >= 2")
     n_lo, n_hi = n_range
-    threshold = 6 * (2 * g + 1) + 1
+    threshold = cover_threshold(g)
     if n_lo < threshold:
         raise RangeError(f"n_range must start at or above {threshold} for g={g}")
     if n_hi < n_lo:
@@ -176,7 +176,7 @@ def kappa_upper_constant(g: int, n_range: tuple[int, int]) -> KappaReport:
     best = Fraction(0)
     best_n = n_lo
     for n in range(n_lo, n_hi + 1):
-        m = (n - 1) // (2 * g + 1) - 1
+        m = cover_index(g, n)
         hi_3logm_over_m = log_m_cache.get(m)
         if hi_3logm_over_m is None:
             hi_3logm_over_m = log_enclosure(m).hi * 3 / m
@@ -290,7 +290,7 @@ def sandwich_table(
     if n_lo < 3 or n_hi < n_lo:
         raise DomainError("need 3 <= n_lo <= n_hi")
     alpha = theta(g)
-    threshold = 6 * (2 * g + 1) + 1
+    threshold = cover_threshold(g)
     ns = (
         tuple(range(n_lo, n_hi + 1))
         if sample is None
@@ -312,7 +312,7 @@ def sandwich_table(
             if n >= threshold:
                 # the certified upper value depends on n only through m,
                 # so one root isolation per distinct m serves every row
-                m = (n - 1) // (2 * g + 1) - 1
+                m = cover_index(g, n)
                 rep = cover_cache.get(m)
                 if rep is None:
                     rep = cover_upper_bound(g, n)

@@ -4,7 +4,7 @@ One binary, subcommand style, sharing the exact-arithmetic core. Output is
 canonical JSON (sorted keys, compact separators, trailing newline) unless a
 command is a matrix/CSV emitter; every decimal field in a report sits next
 to its exact rational form so certificates survive copy-paste. File writes
-go through a temp file and os.replace.
+go through a temp file and os.replace; CSV appends take an exclusive lock.
 
 Exit status: 0 success, 1 failed assertion or domain error, 2 usage error,
 3 IO error.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import fcntl
 import io
 import json
 import os
@@ -37,13 +38,7 @@ from .intmatrix import (
 )
 from .lefschetz import HomologyClass, multitwist_action
 from .suites import SUITES, run_suite
-from .transgraph import (
-    dilatation_limit_check,
-    from_matrix,
-    path_count_series,
-    subdivide_out_edge,
-    to_matrix,
-)
+from .transgraph import dilatation_limit_check, path_count_series, subdivide_out_edge
 
 __all__ = ["main"]
 
@@ -85,12 +80,6 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _csv_row_text(row) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(row)
-    return buf.getvalue()
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -110,10 +99,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     except ValueError:
         pass
     raise UsageError(f"expected LO:HI or a single integer, got {text!r}")
-
-
-def _load_graph(path: str):
-    return from_matrix(load_matrix(path))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +123,7 @@ def _cmd_pf(ns: argparse.Namespace) -> int:
 
 
 def _cmd_paths(ns: argparse.Namespace) -> int:
-    graph = _load_graph(ns.graph)
+    graph = load_matrix(ns.graph)
     counts = path_count_series(graph, ns.vertex, ns.d_max)
     payload = {
         "vertex": ns.vertex,
@@ -153,13 +138,11 @@ def _cmd_paths(ns: argparse.Namespace) -> int:
 
 
 def _cmd_subdivide(ns: argparse.Namespace) -> int:
-    graph = _load_graph(ns.graph)
-    sub = subdivide_out_edge(graph, ns.vertex)
-    matrix = to_matrix(sub)
+    sub = subdivide_out_edge(load_matrix(ns.graph), ns.vertex)
     if ns.format == "json":
-        _emit(ns, _canonical_json(render_matrix_json(matrix)))
+        _emit(ns, _canonical_json(render_matrix_json(sub)))
     else:
-        _emit(ns, render_matrix_text(matrix))
+        _emit(ns, render_matrix_text(sub))
     return 0
 
 
@@ -225,19 +208,27 @@ def _cmd_cover_bound(ns: argparse.Namespace) -> int:
 
 
 def _append_csv_row(path: str, header, row) -> None:
-    """Read-modify-write append with an atomic replace, creating the file
-    (header first) when missing."""
+    """Append one row, writing the header first when the file is empty.
+
+    The header check and the single O_APPEND write both run under an
+    exclusive flock, so concurrent appenders neither lose rows nor repeat
+    the header. Closing the descriptor releases the lock."""
     header_line = _csv_text(header, [])
-    if os.path.exists(path):
-        with open(path, "r") as fh:
-            existing = fh.read()
-        if not existing.startswith(header_line.rstrip("\n")):
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        existing = os.read(fd, os.fstat(fd).st_size).decode()
+        if not existing:
+            prefix = header_line
+        elif existing.startswith(header_line.rstrip("\n")):
+            prefix = "" if existing.endswith("\n") else "\n"
+        else:
             raise DillabError(f"{path} exists with a different header")
-        if existing and not existing.endswith("\n"):
-            existing += "\n"
-    else:
-        existing = header_line
-    _write_atomic(path, existing + _csv_row_text(row))
+        data = (prefix + _csv_text(row, [])).encode()
+        if os.write(fd, data) != len(data):
+            raise OSError(f"short write appending to {path}")
+    finally:
+        os.close(fd)
 
 
 def _cmd_bounds_table(ns: argparse.Namespace) -> int:

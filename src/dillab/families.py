@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dilpoly import RootEnclosure, build_Tm, largest_root, m_cubed_root_enclosure
-from .enclosures import (
-    RatInterval,
-    decimal_str,
-    log_enclosure,
-    log_interval,
-    nth_root_enclosure,
-)
+from .enclosures import RatInterval, decimal_str, log_enclosure, log_interval
 from .errors import DomainError, ValidationFailed
 from .intmatrix import IntMatrix, is_irreducible
 
@@ -30,16 +24,27 @@ __all__ = [
     "CoverBoundReport",
     "TorusMatrixSpec",
     "TorusBoundsReport",
-    "ReferenceBound",
-    "ReferenceBoundsReport",
+    "cover_index",
+    "cover_threshold",
     "cover_upper_bound",
     "torus_matrix",
     "verify_torus_bounds",
-    "penner_hk_reference_bounds",
     "COVER_CSV_HEADER",
 ]
 
 COVER_CSV_HEADER = ("g", "n", "m", "c", "certified_log_root_hi", "closed_form_bound")
+
+
+def cover_threshold(g: int) -> int:
+    """Smallest n the branched-cover family accepts at genus g: the n whose
+    index m is 5, the first m with a certified m^(3/m) ceiling."""
+    return 6 * (2 * g + 1) + 1
+
+
+def cover_index(g: int, n: int) -> int:
+    """Index m of the balanced polynomial T_m certifying (g, n); the bound
+    depends on n only through m."""
+    return (n - 1) // (2 * g + 1) - 1
 
 
 @dataclass(frozen=True)
@@ -57,14 +62,14 @@ class CoverFamilySpec:
     def __post_init__(self) -> None:
         if self.g < 2:
             raise DomainError("cover family requires genus >= 2")
-        if self.n < 6 * (2 * self.g + 1) + 1:
+        if self.n < cover_threshold(self.g):
             raise DomainError(
-                f"cover family requires n >= {6 * (2 * self.g + 1) + 1} for g={self.g}"
+                f"cover family requires n >= {cover_threshold(self.g)} for g={self.g}"
             )
 
     @property
     def m(self) -> int:
-        return (self.n - 1) // (2 * self.g + 1) - 1
+        return cover_index(self.g, self.n)
 
     @property
     def c(self) -> int:
@@ -264,79 +269,3 @@ def verify_torus_bounds(spec: TorusMatrixSpec) -> TorusBoundsReport:
         log_dil_bound=log_enclosure(11).hi / spec.n,
         sharper_log_bound=log_enclosure(9).hi / spec.n,
     )
-
-
-@dataclass(frozen=True)
-class ReferenceBound:
-    name: str
-    kind: str  # "lower" or "upper"
-    lo: Fraction
-    hi: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "lo": decimal_str(self.lo, rounding="floor"),
-            "hi": decimal_str(self.hi, rounding="ceil"),
-        }
-
-
-@dataclass(frozen=True)
-class ReferenceBoundsReport:
-    g: int
-    n: int
-    bounds: tuple[ReferenceBound, ...]
-    omitted: tuple[tuple[str, str], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "n": self.n,
-            "bounds": [b.to_json_dict() for b in self.bounds],
-            "omitted": [{"name": name, "reason": reason} for name, reason in self.omitted],
-        }
-
-
-def penner_hk_reference_bounds(g: int, n: int) -> ReferenceBoundsReport:
-    """Every applicable classical reference bound at (g, n), as certified
-    enclosures; inapplicable ones are listed with the reason instead of
-    being silently dropped."""
-    if g < 0 or n < 0:
-        raise DomainError("g and n must be >= 0")
-    bounds: list[ReferenceBound] = []
-    omitted: list[tuple[str, str]] = []
-
-    den = 12 * g - 12 + 4 * n
-    if den > 0:
-        iv = log_enclosure(2).interval.scale(Fraction(1, den))
-        bounds.append(ReferenceBound("penner-lower", "lower", iv.lo, iv.hi))
-    else:
-        omitted.append(("penner-lower", "needs 12g - 12 + 4n > 0"))
-
-    if n == 0 and g >= 2:
-        lo_iv = log_enclosure(2).interval.scale(Fraction(1, 12 * g - 12))
-        hi_iv = log_enclosure(11).interval.scale(Fraction(1, g))
-        bounds.append(ReferenceBound("closed-surface-lower", "lower", lo_iv.lo, lo_iv.hi))
-        bounds.append(ReferenceBound("closed-surface-upper", "upper", hi_iv.lo, hi_iv.hi))
-    else:
-        omitted.append(("closed-surface-band", "needs n = 0 and g >= 2"))
-
-    if g == 0 and n >= 4:
-        s3 = nth_root_enclosure(3, 2)
-        log_arg = log_interval(RatInterval(2 + s3.lo, 2 + s3.hi))
-        strong = log_arg.scale(Fraction(1, (n - 2) // 2))
-        bounds.append(ReferenceBound("sphere-upper", "upper", strong.lo, strong.hi))
-        weak = log_arg.scale(Fraction(2, n - 3))
-        bounds.append(ReferenceBound("sphere-upper-weak", "upper", weak.lo, weak.hi))
-    else:
-        omitted.append(("sphere-upper", "needs g = 0 and n >= 4"))
-
-    if g == 1 and n >= 2 and n % 2 == 0:
-        iv = log_enclosure(11).interval.scale(Fraction(2, n))
-        bounds.append(ReferenceBound("marked-torus-upper", "upper", iv.lo, iv.hi))
-    else:
-        omitted.append(("marked-torus-upper", "needs g = 1 and an even n >= 2"))
-
-    return ReferenceBoundsReport(g=g, n=n, bounds=tuple(bounds), omitted=tuple(omitted))
-

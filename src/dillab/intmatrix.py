@@ -65,6 +65,15 @@ class IntMatrix:
     def k(self) -> int:
         return len(self.entries)
 
+    # The digraph view: vertices 1..k, and an edge i -> j of multiplicity
+    # entries[i-1][j-1] wherever that entry is nonzero.
+    vertex_count = k
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """Sorted 1-based (i, j, multiplicity) for every nonzero entry."""
+        return tuple((i + 1, j + 1, m) for i, row in enumerate(_sparse_rows(self)) for j, m in row)
+
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
         return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
@@ -143,6 +152,11 @@ def mat_power(matrix: IntMatrix, r: int) -> IntMatrix:
     return result
 
 
+def _sparse_rows(matrix: IntMatrix) -> list[list[tuple[int, int]]]:
+    """Per row, the (column, entry) pairs of its nonzero entries, 0-based."""
+    return [[(j, m) for j, m in enumerate(row) if m] for row in matrix.entries]
+
+
 def _reach(adj: list[list[int]], start: int) -> int:
     seen = [False] * len(adj)
     seen[start] = True
@@ -167,7 +181,7 @@ def is_irreducible(matrix: IntMatrix) -> bool:
     k = matrix.k
     if k == 1:
         return matrix.entries[0][0] > 0
-    fwd = [[j for j in range(k) if matrix.entries[i][j] > 0] for i in range(k)]
+    fwd = [[j for j, _ in row] for row in _sparse_rows(matrix)]
     rev = [[] for _ in range(k)]
     for i in range(k):
         for j in fwd[i]:
@@ -213,9 +227,7 @@ def pf_enclosure(
     if not is_irreducible(matrix):
         raise NotIrreducible("pf_enclosure requires an irreducible matrix")
     k = matrix.k
-    sparse = [
-        [(j, m) for j, m in enumerate(row) if m] for row in matrix.entries
-    ]
+    sparse = _sparse_rows(matrix)
     u = [1] * k
     lo_n = lo_d = hi_n = hi_d = 1
     iterations = 0

@@ -44,13 +44,7 @@ from .lefschetz import (
     multitwist_lefschetz,
     transvection,
 )
-from .transgraph import (
-    dilatation_limit_check,
-    from_matrix,
-    path_count,
-    subdivide_out_edge,
-    to_matrix,
-)
+from .transgraph import dilatation_limit_check, path_count, subdivide_out_edge
 
 MAX_FAILURE_DETAILS = 25
 
@@ -160,7 +154,7 @@ def _path_growth_case(arg: tuple) -> tuple:
     # d = 200 checkpoint meaningful; sparse heavy graphs converge too slowly
     # for the checkpoint while still satisfying the limit statement
     rows = random_irreducible_rows(rng, k, 2, extra_prob=0.7)
-    graph = from_matrix(IntMatrix.from_rows(rows))
+    graph = IntMatrix.from_rows(rows)
     fails = []
     worst = Fraction(0)
     for i in range(1, k + 1):
@@ -433,7 +427,7 @@ def _subdivision_case(arg: tuple) -> dict:
     grid = [row + [0] for row in rows] + [[0] * k]
     grid[u][k - 1] = 1
     grid[k - 1][w] = 1
-    graph = from_matrix(IntMatrix.from_rows(grid))
+    graph = IntMatrix.from_rows(grid)
     i = k
     sub = subdivide_out_edge(graph, i)
 
@@ -448,8 +442,8 @@ def _subdivision_case(arg: tuple) -> dict:
             )
             break
 
-    mu = pf_enclosure(to_matrix(graph), max_iters=50000)
-    mu1 = pf_enclosure(to_matrix(sub), max_iters=50000)
+    mu = pf_enclosure(graph, max_iters=50000)
+    mu1 = pf_enclosure(sub, max_iters=50000)
     if mu1.hi > mu.hi:
         out["fails"].append(
             f"case {idx}: hi(mu) rose after subdivision ({_frs(mu1.hi)} > {_frs(mu.hi)})"
@@ -457,7 +451,7 @@ def _subdivision_case(arg: tuple) -> dict:
     if mu1.lo > mu.hi:
         out["fails"].append(f"case {idx}: intervals ordered the wrong way around")
     if k <= 6:
-        cmp = mu_compare(to_matrix(sub), to_matrix(graph))
+        cmp = mu_compare(sub, graph)
         if cmp > 0:
             out["fails"].append(f"case {idx}: exact spectral comparison says mu grew")
     return out

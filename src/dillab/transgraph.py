@@ -1,9 +1,10 @@
-"""Directed-multigraph view of a transition matrix.
+"""Path counting, growth-rate checks and out-edge subdivision on IntMatrix.
 
-Vertices are labeled 1..vertex_count (the matrix row/column index plus one);
-every operation that takes a vertex uses that labeling. The graph carries no
-data beyond the adjacency multiplicities, so serialization is simply the
-matrix formats of intmatrix.
+A transition matrix is read as a directed multigraph: vertices are labeled
+1..k (the row/column index plus one), and entry [i-1][j-1] is the
+multiplicity of the edge i -> j. Every operation that takes a vertex uses
+that labeling. The graph carries no data beyond the matrix, so
+serialization is simply the matrix formats of intmatrix.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from fractions import Fraction
 
 from .enclosures import RatInterval, interval_gap, nth_root_enclosure
 from .errors import DegreePreconditionViolated, DomainError, NotIrreducible, VertexOutOfRange
-from .intmatrix import IntMatrix, is_irreducible, pf_enclosure
+from .intmatrix import IntMatrix, _sparse_rows, is_irreducible, pf_enclosure
 
 __all__ = [
-    "TransGraph",
     "LimitCheckReport",
     "from_matrix",
     "to_matrix",
@@ -25,52 +25,6 @@ __all__ = [
     "dilatation_limit_check",
     "subdivide_out_edge",
 ]
-
-
-@dataclass(frozen=True)
-class TransGraph:
-    """Multigraph as a canonical sorted edge table: (i, j, multiplicity)."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.vertex_count < 1:
-            raise ValueError("vertex_count must be >= 1")
-        seen = set()
-        cleaned = []
-        for i, j, m in self.edges:
-            if not (1 <= i <= self.vertex_count and 1 <= j <= self.vertex_count):
-                raise VertexOutOfRange(f"edge ({i}, {j}) outside 1..{self.vertex_count}")
-            if m < 0:
-                raise ValueError("edge multiplicity must be >= 0")
-            if m == 0:
-                continue
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge entry ({i}, {j})")
-            seen.add((i, j))
-            cleaned.append((i, j, m))
-        object.__setattr__(self, "edges", tuple(sorted(cleaned)))
-
-    def multiplicity(self, i: int, j: int) -> int:
-        self._check_vertex(i)
-        self._check_vertex(j)
-        for a, b, m in self.edges:
-            if a == i and b == j:
-                return m
-        return 0
-
-    def out_multiplicity(self, i: int) -> int:
-        self._check_vertex(i)
-        return sum(m for a, _, m in self.edges if a == i)
-
-    def in_multiplicity(self, j: int) -> int:
-        self._check_vertex(j)
-        return sum(m for _, b, m in self.edges if b == j)
-
-    def _check_vertex(self, i: int) -> None:
-        if not (1 <= i <= self.vertex_count):
-            raise VertexOutOfRange(f"vertex {i} outside 1..{self.vertex_count}")
 
 
 @dataclass(frozen=True)
@@ -95,55 +49,47 @@ class LimitCheckReport:
         }
 
 
-def from_matrix(matrix: IntMatrix) -> TransGraph:
-    edges = []
-    for r, row in enumerate(matrix.entries):
-        for c, m in enumerate(row):
-            if m:
-                edges.append((r + 1, c + 1, m))
-    return TransGraph(vertex_count=matrix.k, edges=tuple(edges))
+def from_matrix(matrix: IntMatrix) -> IntMatrix:
+    """Compatibility name: a matrix is already its own transition graph."""
+    return matrix
 
 
-def to_matrix(graph: TransGraph) -> IntMatrix:
-    k = graph.vertex_count
-    rows = [[0] * k for _ in range(k)]
-    for i, j, m in graph.edges:
-        rows[i - 1][j - 1] = m
-    return IntMatrix.from_rows(rows)
+def to_matrix(graph: IntMatrix) -> IntMatrix:
+    """Compatibility name: a transition graph is already its own matrix."""
+    return graph
 
 
-def _sparse_rows(graph: TransGraph) -> list[list[tuple[int, int]]]:
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
-    for i, j, m in graph.edges:
-        rows[i - 1].append((j - 1, m))
-    return rows
+def _check_vertex(matrix: IntMatrix, i: int) -> None:
+    if not (1 <= i <= matrix.k):
+        raise VertexOutOfRange(f"vertex {i} outside 1..{matrix.k}")
 
 
-def path_count(graph: TransGraph, i: int, d: int) -> int:
+def path_count(matrix: IntMatrix, i: int, d: int) -> int:
     """Number of directed paths of length d starting at vertex i, exactly.
 
     This is the i-th row sum of the d-th matrix power; the empty path counts,
     so d = 0 gives 1.
     """
-    return path_count_series(graph, i, d)[-1]
+    return path_count_series(matrix, i, d)[-1]
 
 
-def path_count_series(graph: TransGraph, i: int, d_max: int) -> tuple[int, ...]:
-    """path_count(graph, i, d) for every d = 0..d_max, in one sweep."""
-    graph._check_vertex(i)
+def path_count_series(matrix: IntMatrix, i: int, d_max: int) -> tuple[int, ...]:
+    """path_count(matrix, i, d) for every d = 0..d_max, in one sweep."""
+    _check_vertex(matrix, i)
     if d_max < 0:
         raise DomainError("path length must be >= 0")
-    rows = _sparse_rows(graph)
-    v = [1] * graph.vertex_count
+    rows = _sparse_rows(matrix)
+    v = [1] * matrix.k
     out = [v[i - 1]]
     for _ in range(d_max):
-        v = [sum(m * v[j] for j, m in row) for row in rows]
+        # a list in sum() beats a generator on rows this short
+        v = [sum([m * v[j] for j, m in row]) for row in rows]
         out.append(v[i - 1])
     return tuple(out)
 
 
 def dilatation_limit_check(
-    graph: TransGraph,
+    matrix: IntMatrix,
     i: int,
     d_max: int,
     tol,
@@ -158,14 +104,13 @@ def dilatation_limit_check(
     spectral enclosure widened by tol on each side. last_gap is the distance
     between the two unwidened intervals, 0 when they already overlap.
     """
-    graph._check_vertex(i)
+    _check_vertex(matrix, i)
     if d_max < 1:
         raise DomainError("d_max must be >= 1")
     tol = Fraction(tol)
-    matrix = to_matrix(graph)
     if not is_irreducible(matrix):
         raise NotIrreducible("dilatation_limit_check requires an irreducible graph")
-    p = path_count(graph, i, d_max)
+    p = path_count(matrix, i, d_max)
     root_iv = nth_root_enclosure(p, d_max)
     pf_kwargs = {}
     if rel_width is not None:
@@ -186,23 +131,26 @@ def dilatation_limit_check(
     )
 
 
-def subdivide_out_edge(graph: TransGraph, i: int) -> TransGraph:
+def subdivide_out_edge(matrix: IntMatrix, i: int) -> IntMatrix:
     """Replace the unique out-edge i -> j by i -> w -> j through a fresh
     vertex w, appended with the next index.
 
-    Requires vertex i to have total in-multiplicity 1 and total
-    out-multiplicity 1. A self-loop at i qualifies and becomes the 2-cycle
-    i -> w -> i.
+    Requires vertex i to have total in-multiplicity 1 (column sum) and total
+    out-multiplicity 1 (row sum). A self-loop at i qualifies and becomes the
+    2-cycle i -> w -> i.
     """
-    graph._check_vertex(i)
-    if graph.in_multiplicity(i) != 1 or graph.out_multiplicity(i) != 1:
+    _check_vertex(matrix, i)
+    row = matrix.entries[i - 1]
+    in_mult = sum(r[i - 1] for r in matrix.entries)
+    out_mult = sum(row)
+    if in_mult != 1 or out_mult != 1:
         raise DegreePreconditionViolated(
             f"vertex {i} needs in-multiplicity 1 and out-multiplicity 1, "
-            f"got in={graph.in_multiplicity(i)} out={graph.out_multiplicity(i)}"
+            f"got in={in_mult} out={out_mult}"
         )
-    (j,) = [b for a, b, _ in graph.edges if a == i]
-    w = graph.vertex_count + 1
-    edges = [(a, b, m) for a, b, m in graph.edges if a != i]
-    edges.append((i, w, 1))
-    edges.append((w, j, 1))
-    return TransGraph(vertex_count=w, edges=tuple(edges))
+    k = matrix.k
+    rows = [list(r) + [0] for r in matrix.entries]
+    rows.append([0] * (k + 1))
+    rows[k][row.index(1)] = 1
+    rows[i - 1] = [0] * k + [1]
+    return IntMatrix.from_rows(rows)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,55 @@ def test_cover_bound_csv_append_header_once(capsys, tmp_path):
     assert rows[0] == ["g", "n", "m", "c", "certified_log_root_hi", "closed_form_bound"]
     assert len(rows) == 3
     assert [r[1] for r in rows[1:]] == ["31", "32"]
+
+
+_APPENDER = """
+import os, sys, time
+from dillab.cli import main
+go, csv_path, n = sys.argv[1:]
+open(go + "." + n, "w").close()
+while not os.path.exists(go):
+    time.sleep(0.001)
+sys.exit(main(["cover-bound", "--g", "2", "--n", n, "--csv", csv_path]))
+"""
+
+
+def test_cover_bound_csv_concurrent_appends_keep_every_row(tmp_path):
+    # more appenders than cores, released together once each has imported
+    # dillab, so that their appends overlap
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(dillab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    csv_path = tmp_path / "race.csv"
+    go = tmp_path / "go"
+    ns = [str(31 + i) for i in range(8)]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _APPENDER, str(go), str(csv_path), n],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        for n in ns
+    ]
+    try:
+        deadline = time.monotonic() + 60
+        while not all((tmp_path / f"go.{n}").exists() for n in ns):
+            assert time.monotonic() < deadline, "appenders did not start"
+            time.sleep(0.01)
+        go.touch()
+        for proc in procs:
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+    rows = list(csv.reader(io.StringIO(csv_path.read_text())))
+    assert rows[0] == ["g", "n", "m", "c", "certified_log_root_hi", "closed_form_bound"]
+    assert sorted(r[1] for r in rows[1:]) == ns
 
 
 def test_cover_bound_csv_header_mismatch_exit_1(capsys, tmp_path):

@@ -6,8 +6,9 @@ from dillab.errors import DomainError, ValidationFailed
 from dillab.families import (
     CoverFamilySpec,
     TorusMatrixSpec,
+    cover_index,
+    cover_threshold,
     cover_upper_bound,
-    penner_hk_reference_bounds,
     torus_matrix,
     verify_torus_bounds,
 )
@@ -86,6 +87,11 @@ def test_cover_spec_parameter_split():
         CoverFamilySpec(g=1, n=100)
     with pytest.raises(DomainError):
         CoverFamilySpec(g=2, n=30)
+    # the threshold is the first n with index 5, for every genus
+    for g in (2, 3, 4):
+        assert cover_index(g, cover_threshold(g)) == 5
+        assert cover_index(g, cover_threshold(g) - 1) == 4
+        assert CoverFamilySpec(g=g, n=cover_threshold(g)).m == 5
 
 
 def test_cover_upper_bound_certificate_chain():
@@ -104,39 +110,3 @@ def test_cover_upper_bound_shrinks_with_n():
     u101 = cover_upper_bound(2, 101).upper
     u1001 = cover_upper_bound(2, 1001).upper
     assert u31 > u101 > u1001
-
-
-def test_reference_bounds_closed_surface():
-    rep = penner_hk_reference_bounds(2, 0)
-    names = [b.name for b in rep.bounds]
-    assert names == ["penner-lower", "closed-surface-lower", "closed-surface-upper"]
-    by_name = {b.name: b for b in rep.bounds}
-    # log 2 / 12 = 0.0577...
-    pl = by_name["penner-lower"]
-    assert pl.lo < Fraction(578, 10 ** 4) and pl.hi > Fraction(577, 10 ** 4)
-    assert by_name["closed-surface-lower"].hi < by_name["closed-surface-upper"].lo
-    omitted_names = [name for name, _ in rep.omitted]
-    assert "sphere-upper" in omitted_names
-    assert "marked-torus-upper" in omitted_names
-
-
-def test_reference_bounds_sphere_and_torus():
-    sphere = penner_hk_reference_bounds(0, 6)
-    names = [b.name for b in sphere.bounds]
-    assert "sphere-upper" in names and "sphere-upper-weak" in names
-    torus = penner_hk_reference_bounds(1, 4)
-    by_name = {b.name: b for b in torus.bounds}
-    # 2 log(11) / 4 = 1.1989...
-    mt = by_name["marked-torus-upper"]
-    assert mt.lo < Fraction(1199, 10 ** 3) and mt.hi > Fraction(1198, 10 ** 3)
-    # odd n has no torus bound
-    odd = penner_hk_reference_bounds(1, 5)
-    assert "marked-torus-upper" in [name for name, _ in odd.omitted]
-
-
-def test_reference_bounds_degenerate_cases():
-    rep = penner_hk_reference_bounds(0, 0)
-    assert rep.bounds == ()
-    assert len(rep.omitted) == 4
-    with pytest.raises(DomainError):
-        penner_hk_reference_bounds(-1, 0)

@@ -64,9 +64,10 @@ def test_same_seed_same_report():
 
 
 def test_jobs_do_not_change_report():
-    a = run_suite("diag-power", seed=7, cases=12, jobs=1)
-    b = run_suite("diag-power", seed=7, cases=12, jobs=2)
-    assert a == b
+    for name, cases in (("diag-power", 12), ("path-growth", 4), ("subdivision", 6)):
+        a = run_suite(name, seed=7, cases=cases, jobs=1)
+        b = run_suite(name, seed=7, cases=cases, jobs=2)
+        assert a == b, name
 
 
 def test_quartic_root_suite_fields():

@@ -11,7 +11,6 @@ from dillab.errors import (
 )
 from dillab.intmatrix import IntMatrix, mat_power
 from dillab.transgraph import (
-    TransGraph,
     dilatation_limit_check,
     from_matrix,
     path_count,
@@ -20,38 +19,19 @@ from dillab.transgraph import (
     to_matrix,
 )
 
-FIB = TransGraph(2, ((1, 2, 1), (2, 1, 1), (2, 2, 1)))
-
-
-def test_graph_validation():
-    with pytest.raises(VertexOutOfRange):
-        TransGraph(2, ((1, 3, 1),))
-    with pytest.raises(ValueError):
-        TransGraph(2, ((1, 2, -1),))
-    with pytest.raises(ValueError):
-        TransGraph(2, ((1, 2, 1), (1, 2, 2)))
-    with pytest.raises(ValueError):
-        TransGraph(0, ())
-    # zero-multiplicity entries are dropped
-    g = TransGraph(2, ((1, 2, 0), (2, 1, 3)))
-    assert g.edges == ((2, 1, 3),)
-
-
-def test_multiplicity_queries():
-    assert FIB.multiplicity(1, 2) == 1
-    assert FIB.multiplicity(1, 1) == 0
-    assert FIB.out_multiplicity(2) == 2
-    assert FIB.in_multiplicity(2) == 2
-    with pytest.raises(VertexOutOfRange):
-        FIB.multiplicity(1, 5)
+FIB = IntMatrix(((0, 1), (1, 1)))
 
 
 def test_matrix_round_trip():
-    m = to_matrix(FIB)
-    assert m == IntMatrix(((0, 1), (1, 1)))
-    assert from_matrix(m) == FIB
+    # the compatibility names hand back the matrix itself
+    assert from_matrix(FIB) is FIB
+    assert to_matrix(FIB) is FIB
+    assert from_matrix is not to_matrix
+    # the digraph view: sorted 1-based (i, j, multiplicity), zeros left out
     wide = IntMatrix(((0, 3, 0), (0, 0, 2), (1, 0, 1)))
-    assert to_matrix(from_matrix(wide)) == wide
+    assert wide.vertex_count == 3
+    assert wide.edges == ((1, 2, 3), (2, 3, 2), (3, 1, 1), (3, 3, 1))
+    assert FIB.edges == ((1, 2, 1), (2, 1, 1), (2, 2, 1))
 
 
 def test_path_count_fibonacci():
@@ -62,15 +42,17 @@ def test_path_count_fibonacci():
     assert path_count_series(FIB, 2, 7) == (1, 2, 3, 5, 8, 13, 21, 34)
     with pytest.raises(DomainError):
         path_count(FIB, 1, -1)
+    for vertex in (0, 3):
+        with pytest.raises(VertexOutOfRange):
+            path_count(FIB, vertex, 2)
 
 
 def test_path_count_matches_matrix_power():
-    g = from_matrix(IntMatrix(((0, 2, 1), (1, 0, 0), (3, 1, 0))))
-    m = to_matrix(g)
+    m = IntMatrix(((0, 2, 1), (1, 0, 0), (3, 1, 0)))
     for d in (0, 1, 2, 5, 9):
         p = mat_power(m, d)
         for i in (1, 2, 3):
-            assert path_count(g, i, d) == sum(p.entries[i - 1])
+            assert path_count(m, i, d) == sum(p.entries[i - 1])
 
 
 def test_dilatation_limit_check_converges():
@@ -87,36 +69,39 @@ def test_dilatation_limit_check_errors():
     with pytest.raises(DomainError):
         dilatation_limit_check(FIB, 1, 0, tol=1)
     with pytest.raises(NotIrreducible):
-        dilatation_limit_check(
-            TransGraph(2, ((1, 1, 1), (1, 2, 1))), 1, 5, tol=1
-        )
+        dilatation_limit_check(IntMatrix(((1, 1), (0, 0))), 1, 5, tol=1)
 
 
 def test_subdivide_fibonacci_gives_cubic():
     # vertex 1 of the Fibonacci graph has in = out = 1; splicing a vertex
     # onto its out-edge realizes the companion of x^3 - x^2 - 1
     sub = subdivide_out_edge(FIB, 1)
+    assert sub == IntMatrix(((0, 0, 1), (1, 1, 0), (0, 1, 0)))
     assert sub.vertex_count == 3
-    assert to_matrix(sub) == IntMatrix(((0, 0, 1), (1, 1, 0), (0, 1, 0)))
-    assert char_poly(to_matrix(sub)) == IntPoly.from_dict({3: 1, 2: -1, 0: -1})
+    assert char_poly(sub) == IntPoly.from_dict({3: 1, 2: -1, 0: -1})
     # subdividing strictly lowers the spectral radius here
-    assert mu_compare(to_matrix(sub), to_matrix(FIB)) == -1
+    assert mu_compare(sub, FIB) == -1
 
 
 def test_subdivide_self_loop():
-    g = TransGraph(2, ((1, 1, 1), (1, 2, 0), (2, 2, 2)))
+    g = IntMatrix(((1, 0), (0, 2)))
     sub = subdivide_out_edge(g, 1)
-    assert sub.vertex_count == 3
-    assert sub.multiplicity(1, 3) == 1
-    assert sub.multiplicity(3, 1) == 1
-    assert sub.multiplicity(1, 1) == 0
+    assert sub == IntMatrix(((0, 0, 1), (0, 2, 0), (1, 0, 0)))
+    assert sub.edges == ((1, 3, 1), (2, 2, 2), (3, 1, 1))
 
 
 def test_subdivide_degree_precondition():
-    with pytest.raises(DegreePreconditionViolated):
+    with pytest.raises(DegreePreconditionViolated, match="multiplicity"):
         subdivide_out_edge(FIB, 2)
-    with pytest.raises(VertexOutOfRange):
-        subdivide_out_edge(FIB, 9)
+    # out-multiplicity 1 but in-multiplicity 2 (a column sum, not a row sum)
+    with pytest.raises(DegreePreconditionViolated, match="in=2 out=1"):
+        subdivide_out_edge(IntMatrix(((0, 1), (2, 0))), 1)
+    # a single edge of multiplicity 2 counts twice
+    with pytest.raises(DegreePreconditionViolated, match="in=1 out=2"):
+        subdivide_out_edge(IntMatrix(((0, 2), (1, 0))), 1)
+    for vertex in (0, 9):
+        with pytest.raises(VertexOutOfRange):
+            subdivide_out_edge(FIB, vertex)
 
 
 def test_path_shift_law_exact_enumeration():
