@@ -18,7 +18,7 @@ from .enclosures import (
     log_enclosure,
     nth_root_enclosure,
 )
-from .errors import AlphaOutOfRange, DomainError, RangeError
+from .errors import AlphaOutOfRange, DomainError, RangeError, ValidationFailed
 from .families import CoverBoundReport, cover_index, cover_threshold, cover_upper_bound
 
 __all__ = [
@@ -283,7 +283,8 @@ def sandwich_table(
     lower = thm34_lower(g, n, theta(g)); upper = the certified cover value
     where the construction applies (n above its threshold), None below it.
     Each applicable row asserts lower < upper, lower >= lo(log n)/(omega_hi*n),
-    and upper <= kappa' * hi(log n)/n; a failure is re-raised tagged with n.
+    and upper <= kappa' * hi(log n)/n; a failure raises ValidationFailed
+    naming n.
     """
     if g < 2:
         raise DomainError("sandwich_table requires g >= 2")
@@ -304,45 +305,42 @@ def sandwich_table(
     cover_cache: dict[int, CoverBoundReport] = {}
     rows = []
     for n in ns:
-        try:
-            lower = thm34_lower(g, n, alpha)
-            logn = log_enclosure(n)
-            if lower < logn.lo / (omega.hi * n):
-                raise AssertionError("lower bound fell below its omega calibration")
-            if n >= threshold:
-                # the certified upper value depends on n only through m,
-                # so one root isolation per distinct m serves every row
-                m = cover_index(g, n)
-                rep = cover_cache.get(m)
-                if rep is None:
-                    rep = cover_upper_bound(g, n)
-                    cover_cache[m] = rep
-                upper = rep.log_root.hi
-                if not lower < upper:
-                    raise AssertionError("lower bound not strictly below upper bound")
-                if kappa is not None and not upper <= kappa * logn.hi / n:
-                    raise AssertionError("upper bound exceeded its kappa calibration")
-                rows.append(
-                    BoundRow(
-                        g=g,
-                        n=n,
-                        lower=lower,
-                        upper=upper,
-                        lower_source=LOWER_SOURCE,
-                        upper_source=UPPER_SOURCE,
-                    )
+        lower = thm34_lower(g, n, alpha)
+        logn = log_enclosure(n)
+        if lower < logn.lo / (omega.hi * n):
+            raise ValidationFailed(f"n={n}: lower bound fell below its omega calibration")
+        if n >= threshold:
+            # the certified upper value depends on n only through m,
+            # so one root isolation per distinct m serves every row
+            m = cover_index(g, n)
+            rep = cover_cache.get(m)
+            if rep is None:
+                rep = cover_upper_bound(g, n)
+                cover_cache[m] = rep
+            upper = rep.log_root.hi
+            if not lower < upper:
+                raise ValidationFailed(f"n={n}: lower bound not strictly below upper bound")
+            if kappa is not None and not upper <= kappa * logn.hi / n:
+                raise ValidationFailed(f"n={n}: upper bound exceeded its kappa calibration")
+            rows.append(
+                BoundRow(
+                    g=g,
+                    n=n,
+                    lower=lower,
+                    upper=upper,
+                    lower_source=LOWER_SOURCE,
+                    upper_source=UPPER_SOURCE,
                 )
-            else:
-                rows.append(
-                    BoundRow(
-                        g=g,
-                        n=n,
-                        lower=lower,
-                        upper=None,
-                        lower_source=LOWER_SOURCE,
-                        upper_source=NO_UPPER_SOURCE,
-                    )
+            )
+        else:
+            rows.append(
+                BoundRow(
+                    g=g,
+                    n=n,
+                    lower=lower,
+                    upper=None,
+                    lower_source=LOWER_SOURCE,
+                    upper_source=NO_UPPER_SOURCE,
                 )
-        except Exception as exc:
-            raise type(exc)(f"n={n}: {exc}") from exc
+            )
     return SandwichReport(g=g, alpha=alpha, rows=tuple(rows), omega=omega, kappa_prime=kappa)

@@ -233,6 +233,8 @@ def _append_csv_row(path: str, header, row) -> None:
 
 def _cmd_bounds_table(ns: argparse.Namespace) -> int:
     n_lo, n_hi = _parse_range(ns.n)
+    if ns.sample is not None and ns.sample < 1:
+        raise UsageError("--sample must be >= 1")
     report = sandwich_table(ns.g, n_lo, n_hi, sample=ns.sample)
     if ns.format == "json":
         _emit(ns, _canonical_json(report.to_json_dict()))
@@ -295,6 +297,12 @@ def _cmd_lefschetz(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    if ns.jobs is None:
+        ns.jobs = _jobs_default()
+    if ns.jobs < 1:
+        raise UsageError("--jobs (or DILLAB_JOBS) must be >= 1")
+    if ns.cases is not None and ns.cases < 1:
+        raise UsageError("--cases must be >= 1")
     if ns.list:
         for name, spec in SUITES.items():
             sys.stdout.write(f"{name}: {spec.summary} (default {spec.default_cases} {spec.cases_meaning})\n")
@@ -336,12 +344,9 @@ def _jobs_default() -> int:
     if not raw:
         return 1
     try:
-        jobs = int(raw)
+        return int(raw)
     except ValueError:
         raise UsageError(f"DILLAB_JOBS must be an integer, got {raw!r}") from None
-    if jobs < 1:
-        raise UsageError("DILLAB_JOBS must be >= 1")
-    return jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -438,8 +443,6 @@ def main(argv=None) -> int:
         sys.stderr.write("error: missing subcommand (try --help)\n")
         return 2
     try:
-        if getattr(ns, "command", None) == "verify" and ns.jobs is None:
-            ns.jobs = _jobs_default()
         return int(ns.func(ns) or 0)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -13,13 +13,16 @@ largest real root. What decides the half is a proof, never a sample:
 * The Sturm-chain machinery (`char_poly`, `count_real_roots_above`,
   `isolate_largest_real_root`, `compare_largest_roots`) is the exact oracle
   route, used to cross-check spectral enclosures and to decide mu(A) <= mu(B)
-  with no floating point.
+  with no floating point. It runs on integers only: Faddeev-LeVerrier on the
+  integer matrix, and primitive integer Sturm chains of p and p' whose
+  members are evaluated by the same integer sign test as every probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .enclosures import RatInterval, decimal_str, log_enclosure, nth_root_enclosure
 from .errors import DomainError, NoSignChange
@@ -221,7 +224,7 @@ def largest_root(
         raise NoSignChange(f"p(search_hi) <= 0 at search_hi={search_hi}; enlarge search_hi")
     roots_above = None
     if _sign_changes([c for _, c in p.coeffs]) > 2:
-        roots_above = _sturm_counter(_squarefree(_dense(p)))
+        roots_above = _sturm_counter(p)
         if roots_above(search_hi) != 0:
             raise NoSignChange(f"p has a root above search_hi={search_hi}; enlarge search_hi")
     lo, hi = Fraction(1), search_hi
@@ -282,126 +285,100 @@ def verify_lroot(m: int) -> LrootReport:
 
 
 def char_poly(matrix: IntMatrix) -> IntPoly:
-    """Characteristic polynomial det(xI - M), exact, by Faddeev-LeVerrier."""
+    """Characteristic polynomial det(xI - M), exact, by Faddeev-LeVerrier.
+
+    Each iterate n is a coefficient of adj(xI - M), so an integer matrix, and
+    each trace divides exactly by i: the loop never leaves the integers.
+    """
     k = matrix.k
-    m = [[Fraction(x) for x in row] for row in matrix.entries]
-    n = [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
+    m = matrix.entries
+    n = [[int(i == j) for j in range(k)] for i in range(k)]
+    coeffs = [0] * k + [1]
     for i in range(1, k + 1):
-        n = [
-            [sum(m[r][t] * n[t][c] for t in range(k)) for c in range(k)]
-            for r in range(k)
-        ]
-        tr = sum(n[t][t] for t in range(k))
-        ci = -tr / i
+        cols = list(zip(*n))
+        n = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in m]
+        ci, rem = divmod(-sum(n[t][t] for t in range(k)), i)
+        if rem:
+            raise AssertionError("Faddeev-LeVerrier produced a non-integer coefficient")
         coeffs[k - i] = ci
         for t in range(k):
             n[t][t] += ci
-    out = {}
-    for e, c in enumerate(coeffs):
-        if c != 0:
-            if c.denominator != 1:
-                raise AssertionError("Faddeev-LeVerrier produced a non-integer coefficient")
-            out[e] = c.numerator
-    return IntPoly.from_dict(out)
+    return _sparse(coeffs)
 
 
-def _dense(p: IntPoly) -> list[Fraction]:
-    if p.degree < 0:
-        return []
-    c = [Fraction(0)] * (p.degree + 1)
+# Oracle polynomials are dense int lists, lowest degree first. Every Sturm
+# chain member and gcd below is a positive multiple of the one that exact
+# rational division would give, so every sign, and every sign count, agrees.
+
+
+def _dense(p: IntPoly) -> list[int]:
+    c = [0] * (p.degree + 1)
     for e, coef in p.coeffs:
-        c[e] = Fraction(coef)
+        c[e] = coef
     return c
 
 
-def _trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _sparse(c: list[int]) -> IntPoly:
+    # a dict, not tuple(enumerate(c)), whose resize moves a tuple between
+    # CPython's free lists on every call and lets peak memory creep upward
+    return IntPoly.from_dict(dict(enumerate(c)))
 
 
-def _eval_dense(c: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
+def _poly_rem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b, divided by its content.
 
-
-def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
+    Each step scales a by |lc(b)| > 0 before cancelling its leading term."""
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        factor = a[-1] / lb
+    scale, sign_b = abs(lb), (lb > 0) - (lb < 0)
+    while len(a) > db:
+        factor = a[-1] * sign_b
         shift = len(a) - 1 - db
+        a = [scale * x for x in a]
         for i in range(len(b)):
             a[shift + i] -= factor * b[i]
         a.pop()
-        _trim(a)
-        if not a:
-            break
-    return a
+        while a and a[-1] == 0:
+            a.pop()
+    content = gcd(*a)
+    return [x // content for x in a] if a else a
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(a[:]), _trim(b[:])
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd(a, b), primitive, with a positive leading coefficient."""
     while b:
         a, b = b, _poly_rem(a, b)
     if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
+        content = gcd(*a) * ((a[-1] > 0) - (a[-1] < 0))
+        a = [x // content for x in a]
     return a
 
 
-def _derivative(c: list[Fraction]) -> list[Fraction]:
-    return [c[i] * i for i in range(1, len(c))]
-
-
-def _squarefree(c: list[Fraction]) -> list[Fraction]:
-    g = _poly_gcd(c, _derivative(c))
-    if len(g) <= 1:
-        return _trim(c[:])
-    # exact division c / g, one quotient coefficient per degree so zero
-    # coefficients keep their place
-    rem = c[:]
-    dq = len(rem) - len(g)
-    q = [Fraction(0)] * (dq + 1)
-    for d in range(dq, -1, -1):
-        coef = rem[d + len(g) - 1] / g[-1]
-        q[d] = coef
-        if coef:
-            for i in range(len(g)):
-                rem[d + i] -= coef * g[i]
-    if any(rem[i] != 0 for i in range(len(g) - 1)):
-        raise AssertionError("inexact division by gcd in squarefree reduction")
-    return _trim(q)
-
-
-def _sturm_chain(c: list[Fraction]) -> list[list[Fraction]]:
-    chain = [_trim(c[:]), _trim(_derivative(c))]
+def _sturm_chain(p: IntPoly) -> list[IntPoly]:
+    c = _dense(p)
+    chain = [c, [c[i] * i for i in range(1, len(c))]]
     while chain[-1]:
         rem = _poly_rem(chain[-2], chain[-1])
         if not rem:
             break
         chain.append([-x for x in rem])
-    return [p for p in chain if p]
+    return [_sparse(q) for q in chain if q]
 
 
-def _sign_changes(values: list[Fraction]) -> int:
+def _sign_changes(values: list[int]) -> int:
     signs = [(v > 0) - (v < 0) for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sturm_counter(sq: list[Fraction]):
-    """Counter of the distinct real roots of the squarefree sq above a
-    rational a with sq(a) != 0. The Sturm chain is built once, here, and
-    compared against the signs at +infinity (leading coefficients)."""
-    chain = _sturm_chain(sq)
-    at_inf = _sign_changes([c[-1] for c in chain])
+def _sturm_counter(p: IntPoly):
+    """Counter of the distinct real roots of p above a rational a with
+    p(a) != 0. The Sturm chain of p, p' is built once, here, and compared
+    against the signs at +infinity (leading coefficients). Its members share
+    the factor gcd(p, p'), nonzero wherever p is, so it changes no count."""
+    chain = _sturm_chain(p)
+    at_inf = _sign_changes([q.leading_coefficient for q in chain])
 
     def roots_above(a: Fraction) -> int:
-        values = [_eval_dense(c, a) for c in chain]
+        values = [q.sign_at(a) for q in chain]
         if not values or values[0] == 0:
             raise ValueError("count_real_roots_above requires p(a) != 0")
         return _sign_changes(values) - at_inf
@@ -412,18 +389,18 @@ def _sturm_counter(sq: list[Fraction]):
 def count_real_roots_above(p: IntPoly, a: Fraction) -> int:
     """Number of distinct real roots of p strictly above the rational a.
 
-    Requires p(a) != 0. Sturm chain of the squarefree part.
+    Requires p(a) != 0. Sturm chain of p and p'.
     """
-    return _sturm_counter(_squarefree(_dense(p)))(Fraction(a))
+    return _sturm_counter(p)(Fraction(a))
 
 
-def _isolate(p: IntPoly, sq: list[Fraction], hi_bound, max_width):
-    """Isolating (lo, hi) for the largest real root of p, whose squarefree
-    part is sq, and the Sturm counter it was bisected on."""
+def _isolate(p: IntPoly, hi_bound, max_width):
+    """Isolating (lo, hi) for the largest real root of p, and the Sturm
+    counter it was bisected on."""
     hi_bound, max_width = Fraction(hi_bound), Fraction(max_width)
     if max_width <= 0:
         raise DomainError("isolate_largest_real_root requires max_width > 0")
-    roots_above = _sturm_counter(sq)
+    roots_above = _sturm_counter(p)
     if roots_above(hi_bound) != 0:
         raise DomainError("hi_bound does not dominate all real roots")
     lo, hi = -abs(hi_bound) - 1, hi_bound
@@ -450,7 +427,7 @@ def isolate_largest_real_root(
     probe, refined until the interval is no wider than max_width and holds
     exactly one distinct root.
     """
-    lo, hi, _ = _isolate(p, _squarefree(_dense(p)), hi_bound, max_width)
+    lo, hi, _ = _isolate(p, hi_bound, max_width)
     return RatInterval(lo, hi)
 
 
@@ -462,11 +439,10 @@ def compare_largest_roots(pa: IntPoly, pb: IntPoly, hi_a, hi_b) -> int:
     isolating intervals (each isolates exactly one root, so a shared root in
     the overlap is necessarily both largest roots).
     """
-    sq_a, sq_b = _squarefree(_dense(pa)), _squarefree(_dense(pb))
-    a_lo, a_hi, above_a = _isolate(pa, sq_a, hi_a, _ISOLATE_WIDTH)
-    b_lo, b_hi, above_b = _isolate(pb, sq_b, hi_b, _ISOLATE_WIDTH)
-    g = _poly_gcd(sq_a, sq_b)
-    above_g = _sturm_counter(g) if len(g) > 1 else None
+    a_lo, a_hi, above_a = _isolate(pa, hi_a, _ISOLATE_WIDTH)
+    b_lo, b_hi, above_b = _isolate(pb, hi_b, _ISOLATE_WIDTH)
+    g = _sparse(_poly_gcd(_dense(pa), _dense(pb)))
+    above_g = _sturm_counter(g) if g.degree > 0 else None
     for _ in range(200):
         if a_hi < b_lo:
             return -1
@@ -474,7 +450,7 @@ def compare_largest_roots(pa: IntPoly, pb: IntPoly, hi_a, hi_b) -> int:
             return 1
         if above_g is not None:
             o_lo, o_hi = max(a_lo, b_lo), min(a_hi, b_hi)
-            if _eval_dense(g, o_lo) == 0 or _eval_dense(g, o_hi) == 0:
+            if g.sign_at(o_lo) == 0 or g.sign_at(o_hi) == 0:
                 return 0
             if above_g(o_lo) - above_g(o_hi) >= 1:
                 return 0

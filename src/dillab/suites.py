@@ -450,10 +450,8 @@ def _subdivision_case(arg: tuple) -> dict:
         )
     if mu1.lo > mu.hi:
         out["fails"].append(f"case {idx}: intervals ordered the wrong way around")
-    if k <= 6:
-        cmp = mu_compare(sub, graph)
-        if cmp > 0:
-            out["fails"].append(f"case {idx}: exact spectral comparison says mu grew")
+    if mu_compare(sub, graph) > 0:
+        out["fails"].append(f"case {idx}: exact spectral comparison says mu grew")
     return out
 
 

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from dillab import bounds
 from dillab.bounds import (
     count_sl2_z3,
     kappa_upper_constant,
@@ -11,8 +13,8 @@ from dillab.bounds import (
     theta,
     thm34_lower,
 )
-from dillab.enclosures import log_enclosure
-from dillab.errors import AlphaOutOfRange, DomainError, RangeError
+from dillab.enclosures import RatInterval, log_enclosure
+from dillab.errors import AlphaOutOfRange, DomainError, RangeError, ValidationFailed
 
 
 def test_theta_values():
@@ -151,3 +153,10 @@ def test_sandwich_table_validation():
         sandwich_table(2, 2, 40)
     with pytest.raises(DomainError):
         sandwich_table(2, 50, 40)
+
+
+def test_sandwich_calibration_failure_raises_validation_failed(monkeypatch):
+    tiny = RatInterval.point(Fraction(1, 10**12))
+    monkeypatch.setattr(bounds, "omega_constants", lambda g, alpha: SimpleNamespace(omega=tiny))
+    with pytest.raises(ValidationFailed, match="n=31"):
+        sandwich_table(2, 31, 40)

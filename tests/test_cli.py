@@ -403,6 +403,24 @@ def test_verify_jobs_env(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "congruence-index", "--jobs", "-3"),
+        ("verify", "--suite", "congruence-index", "--jobs", "0"),
+        ("verify", "--suite", "congruence-index", "--cases", "0"),
+        ("bounds", "table", "--g", "2", "--n", "31:100", "--sample", "0"),
+        ("bounds", "table", "--g", "2", "--n", "31:100", "--sample", "-2"),
+    ],
+)
+def test_count_arguments_below_one_are_usage_errors(capsys, monkeypatch, argv):
+    monkeypatch.delenv("DILLAB_JOBS", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
 def test_version_and_no_subcommand(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0

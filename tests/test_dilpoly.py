@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dillab
 from dillab.dilpoly import (
@@ -139,7 +141,8 @@ def test_sturm_count_known_roots():
 
 
 def test_sturm_repeated_roots_counted_once():
-    # (x-2)^2 (x-5): squarefree reduction must keep distinct roots {2, 5}
+    # (x-2)^2 (x-5): the chain of p and p' counts the distinct roots {2, 5}
+    # once each
     p = IntPoly.from_dict({3: 1, 2: -9, 1: 24, 0: -20})
     assert count_real_roots_above(p, Fraction(0)) == 2
     assert count_real_roots_above(p, Fraction(3)) == 1
@@ -148,8 +151,8 @@ def test_sturm_repeated_roots_counted_once():
 
 def test_sturm_interior_zero_coefficient_regression():
     # x^7 - 8x^5 - 6x^4 - 39x^3 - 39x^2: double root at 0, largest real
-    # root just below 3.3; the gcd quotient has an interior zero coefficient
-    # which once misaligned the squarefree part
+    # root just below 3.3; its interior zero coefficient must keep its place
+    # in the dense chain members
     p = IntPoly.from_dict({7: 1, 5: -8, 4: -6, 3: -39, 2: -39})
     assert count_real_roots_above(p, Fraction(8)) == 0
     assert count_real_roots_above(p, Fraction(3)) == 1
@@ -157,6 +160,41 @@ def test_sturm_interior_zero_coefficient_regression():
     # counting at an exact root (0 here) is out of contract
     with pytest.raises(ValueError):
         count_real_roots_above(p, Fraction(0))
+
+
+def _from_roots(c: int, roots: dict) -> IntPoly:
+    """c * prod (x - r)^e over the items r: e of roots."""
+    coeffs = [c]
+    for r, e in roots.items():
+        for _ in range(e):
+            coeffs = [
+                (coeffs[i - 1] if i else 0) - r * (coeffs[i] if i < len(coeffs) else 0)
+                for i in range(len(coeffs) + 1)
+            ]
+    return IntPoly(tuple(enumerate(coeffs)))
+
+
+_factored = st.tuples(
+    st.integers(-6, 6).filter(bool),
+    st.dictionaries(st.integers(-6, 6), st.integers(1, 3), min_size=1, max_size=4),
+)
+_non_root = st.builds(Fraction, st.integers(-50, 50), st.sampled_from([2, 3, 7])).filter(
+    lambda a: a.denominator != 1
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_factored, _factored, _non_root)
+def test_integer_sturm_chains_on_factored_polynomials(fa, fb, a):
+    # negative leading coefficients, content and multiplicity all reach the
+    # integer chains; every count is of distinct roots
+    (ca, ra), (cb, rb) = fa, fb
+    pa, pb = _from_roots(ca, ra), _from_roots(cb, rb)
+    assert count_real_roots_above(pa, a) == sum(1 for r in ra if r > a)
+    iv = isolate_largest_real_root(pa, 7)
+    assert iv.lo < max(ra) < iv.hi
+    diff = max(ra) - max(rb)
+    assert compare_largest_roots(pa, pb, 7, 7) == (diff > 0) - (diff < 0)
 
 
 def test_isolate_largest_real_root():

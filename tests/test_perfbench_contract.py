@@ -1,7 +1,10 @@
 """The benchmark in perfbench/ drives dillab through its public names, and its
 tracer wraps functions by module and name. This pins that surface: the first
-instance of each library workload must run and pass its own independent
-check, with every traced name resolved and wrapped."""
+instance of the perron and roots workloads, and every instance of the oracle
+pass, must run and pass its own independent check, with every traced name
+resolved and wrapped. The oracle pass checks each mu_compare against
+disjoint Perron enclosures, so the exact oracle is checked at every graph
+size the benchmark uses."""
 
 from pathlib import Path
 
@@ -16,14 +19,15 @@ def test_benchmark_workloads_and_tracer_resolve(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for make_pass in (workloads.perron_pass, workloads.roots_pass, workloads.oracle_pass):
-            inst = make_pass(0)[0]
+        oracle = workloads.oracle_pass(0)
+        for inst in [workloads.perron_pass(0)[0], workloads.roots_pass(0)[0], *oracle]:
             results: dict = {}
             for key, call in inst.calls:
                 results[key] = call(results)
             assert inst.check(results) == [], inst.label
     finally:
         tracer.uninstall()
-    # the oracle instance reached the graph layer through the wrappers
-    assert tracer.calls["transgraph.subdivide_out_edge"] == 1
+    # every oracle instance reached the graph layer through the wrappers
+    assert len(oracle) == 36
+    assert tracer.calls["transgraph.subdivide_out_edge"] == 36
     assert tracer.calls["transgraph.path_count"] > 0
