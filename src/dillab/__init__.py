@@ -4,8 +4,9 @@ Exact rational arithmetic end to end: spectral-radius enclosures for
 nonnegative integer matrices, transition-graph path growth, largest roots of
 dilatation polynomials with two independent root routes, closed-form bound
 families with machine-checked calibration, and Lefschetz numbers of
-multitwists. Floating point appears in exactly one place, the winding-number
-kernel for local fixed-point indices, and nothing certified depends on it.
+multitwists and exact fixed-point indices of linear plane models. No
+certified route uses floating point; floats only draw seeded test inputs,
+which are converted exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .enclosures import (
-    LogEnclosure,
     RatInterval,
     decimal_str,
     interval_gap,
@@ -28,7 +28,6 @@ from .errors import (
     DomainError,
     FixedPointOnCircle,
     GenusMismatch,
-    IncrementTooLarge,
     NoDiagonalEntry,
     NoSignChange,
     NotIrreducible,
@@ -91,7 +90,6 @@ from .bounds import (
 from .lefschetz import (
     HomologyClass,
     LinearPlaneMap,
-    SectorRotation,
     SympAction,
     linear_index_oracle,
     local_index,
@@ -100,4 +98,4 @@ from .lefschetz import (
     symp_form,
     transvection,
 )
-from .suites import SUITES, run_all, run_suite
+from .suites import SUITES, run_suite

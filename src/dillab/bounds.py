@@ -88,9 +88,9 @@ def thm34_lower(g: int, n: int, alpha: int) -> Fraction:
         raise DomainError("thm34_lower requires n >= 0")
     if not isinstance(alpha, int) or not 1 <= alpha <= theta(g):
         raise AlphaOutOfRange(f"alpha must be an integer in [1, theta({g})]")
-    branch1 = log_enclosure(2).interval.scale(Fraction(1, alpha * (12 * g - 12)))
+    branch1 = log_enclosure(2).scale(Fraction(1, alpha * (12 * g - 12)))
     x = 18 * g + 6 * n - 18
-    branch2 = log_enclosure(x).interval.scale(Fraction(1, 2 * alpha * x))
+    branch2 = log_enclosure(x).scale(Fraction(1, 2 * alpha * x))
     return min(branch1.lo, branch2.lo)
 
 
@@ -100,16 +100,6 @@ class OmegaConstants:
     alpha: int
     omega_prime: RatInterval
     omega: RatInterval
-
-    def to_json_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "alpha": self.alpha,
-            "omega_prime_lo": decimal_str(self.omega_prime.lo, rounding="floor"),
-            "omega_prime_hi": decimal_str(self.omega_prime.hi, rounding="ceil"),
-            "omega_lo": decimal_str(self.omega.lo, rounding="floor"),
-            "omega_hi": decimal_str(self.omega.hi, rounding="ceil"),
-        }
 
 
 def omega_constants(g: int, alpha: int) -> OmegaConstants:
@@ -123,11 +113,11 @@ def omega_constants(g: int, alpha: int) -> OmegaConstants:
         raise DomainError("omega_constants requires g >= 2")
     if not isinstance(alpha, int) or alpha < 1:
         raise DomainError("alpha must be an integer >= 1")
-    log2 = log_enclosure(2).interval
-    log3 = log_enclosure(3).interval
+    log2 = log_enclosure(2)
+    log3 = log_enclosure(3)
     omega_prime = log3.div_positive(log2.scale(3)).scale(alpha * (12 * g - 12))
     term2 = RatInterval.point(48 * alpha)
-    log24g = log_enclosure(24 * (g - 1)).interval
+    log24g = log_enclosure(24 * (g - 1))
     term3 = log3.div_positive(log24g.scale(3)).scale(48 * alpha * (g - 1))
     omega = RatInterval.imax(RatInterval.imax(omega_prime, term2), term3)
     return OmegaConstants(g=g, alpha=alpha, omega_prime=omega_prime, omega=omega)
@@ -142,17 +132,6 @@ class KappaReport:
     attained_at: int
     kappa_double_prime: None
     note: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "kappa_prime": decimal_str(self.kappa_prime, rounding="ceil"),
-            "attained_at": self.attained_at,
-            "kappa_double_prime": None,
-            "note": self.note,
-        }
 
 
 def kappa_upper_constant(g: int, n_range: tuple[int, int]) -> KappaReport:

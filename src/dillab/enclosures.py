@@ -16,7 +16,6 @@ from .errors import DomainError
 
 __all__ = [
     "RatInterval",
-    "LogEnclosure",
     "inth_root",
     "nth_root_enclosure",
     "log_enclosure",
@@ -49,9 +48,6 @@ class RatInterval:
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
-    def encloses(self, other: "RatInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __add__(self, other: "RatInterval") -> "RatInterval":
         return RatInterval(self.lo + other.lo, self.hi + other.hi)
 
@@ -83,23 +79,6 @@ class RatInterval:
     def point(x) -> "RatInterval":
         x = Fraction(x)
         return RatInterval(x, x)
-
-
-@dataclass(frozen=True)
-class LogEnclosure:
-    """Certified natural-log enclosure: lo <= log(argument) <= hi."""
-
-    argument: Fraction
-    lo: Fraction
-    hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def interval(self) -> RatInterval:
-        return RatInterval(self.lo, self.hi)
 
 
 def inth_root(x: int, n: int) -> int:
@@ -172,7 +151,7 @@ def _log2_interval() -> RatInterval:
     return _LOG2_CACHE
 
 
-def log_enclosure(q, width=_DEFAULT_LOG_WIDTH) -> LogEnclosure:
+def log_enclosure(q, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
     """Certified enclosure of log(q) for rational q > 0, of width <= width.
 
     Argument reduction q = 2**k * r with r in [3/4, 3/2), then the atanh
@@ -198,10 +177,8 @@ def log_enclosure(q, width=_DEFAULT_LOG_WIDTH) -> LogEnclosure:
         k -= 1
     core = _atanh_core(r, width)
     if k == 0:
-        total = core
-    else:
-        total = core + _log2_interval().scale(k)
-    return LogEnclosure(argument=q, lo=total.lo, hi=total.hi)
+        return core
+    return core + _log2_interval().scale(k)
 
 
 def log_interval(iv: RatInterval, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
@@ -210,7 +187,7 @@ def log_interval(iv: RatInterval, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
         raise DomainError("log_interval requires a positive interval")
     lo = log_enclosure(iv.lo, width)
     if iv.hi == iv.lo:
-        return lo.interval
+        return lo
     hi = log_enclosure(iv.hi, width)
     return RatInterval(lo.lo, hi.hi)
 

@@ -55,8 +55,5 @@ class NotPairwiseOrthogonal(DillabError):
 
 
 class FixedPointOnCircle(DillabError):
-    """The map has a fixed point on the sampling circle."""
-
-
-class IncrementTooLarge(DillabError):
-    """Angle increments stayed >= pi/2 even at the maximum sampling depth."""
+    """The map has a fixed point on the winding square's boundary, so the
+    fixed point at the origin is not isolated: det(A - I) = 0."""

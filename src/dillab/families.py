@@ -137,10 +137,10 @@ def cover_upper_bound(g: int, n: int) -> CoverBoundReport:
     mp = m_cubed_root_enclosure(m)
     root = largest_root(build_Tm(m), search_hi=mp.hi + 1)
     log_root = log_interval(root.interval)
-    logm = log_enclosure(m).interval
+    logm = log_enclosure(m)
     closed_m = logm.scale(Fraction(3, m))
     q = Fraction(n - 4 * g - 3, 2 * g + 1)
-    logq = log_enclosure(q).interval
+    logq = log_enclosure(q)
     closed_n = logq.scale(3).div_positive(RatInterval.point(q))
     if not log_root.hi <= closed_m.lo:
         raise AssertionError(f"certified log root exceeds 3 log(m)/m at g={g}, n={n}")

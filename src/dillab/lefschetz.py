@@ -1,23 +1,20 @@
 """Lefschetz numbers of multitwists through their symplectic homology action,
-and the local fixed-point index of plane models by winding numbers.
+and the local fixed-point index of linear plane models by winding numbers.
 
-The multitwist path is exact integer linear algebra end to end. The winding
-computation is the one deliberately float-based kernel in the library: it
-returns an integer degree whose correctness is guarded by the increment
-check, and it is cross-checked against the sign(det(A - I)) oracle in the
-test suites rather than trusted on its own.
+Both are exact: the multitwist path is integer linear algebra end to end, and
+the winding number is a signed crossing count on rational corner points. The
+suites cross-check the winding number against the sign(det(A - I)) oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DomainError,
     FixedPointOnCircle,
     GenusMismatch,
-    IncrementTooLarge,
     NotPairwiseOrthogonal,
 )
 
@@ -25,7 +22,6 @@ __all__ = [
     "HomologyClass",
     "SympAction",
     "LinearPlaneMap",
-    "SectorRotation",
     "symp_form",
     "transvection",
     "multitwist_action",
@@ -55,10 +51,6 @@ class HomologyClass:
     @property
     def g(self) -> int:
         return len(self.coords) // 2
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
 
     @staticmethod
     def zero(g: int) -> "HomologyClass":
@@ -208,87 +200,55 @@ def multitwist_lefschetz(twists, g: int) -> int:
 @dataclass(frozen=True)
 class LinearPlaneMap:
     """Plane map (x, y) -> (a x + b y, c x + d y) with an isolated fixed
-    point at the origin when det(A - I) != 0."""
+    point at the origin when det(A - I) != 0.
 
-    a: float
-    b: float
-    c: float
-    d: float
+    Entries are stored as Fractions; int, float and Fraction input converts
+    exactly, so a float entry means the rational value of that float.
+    """
 
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
-
-    def det_minus_identity(self) -> float:
-        return (self.a - 1.0) * (self.d - 1.0) - self.b * self.c
-
-
-@dataclass(frozen=True)
-class SectorRotation:
-    """Rotation of the plane by 2*pi*j/k."""
-
-    j: int
-    k: int
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        for name in ("a", "b", "c", "d"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
 
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        theta = 2.0 * math.pi * self.j / self.k
-        ct, st = math.cos(theta), math.sin(theta)
-        return (ct * x - st * y, st * x + ct * y)
+    def det_minus_identity(self) -> Fraction:
+        return (self.a - 1) * (self.d - 1) - self.b * self.c
 
 
-_MAX_SAMPLES = 1 << 20
+_SQUARE = ((1, 1), (-1, 1), (-1, -1), (1, -1))
 
 
-def local_index(model, samples: int = 64, radius: float = 1.0) -> int:
-    """Winding number of z -> f(z) - z around a circle about the origin.
+def local_index(model: LinearPlaneMap) -> int:
+    """Index of the fixed point at the origin: the winding number of
+    z -> f(z) - z around the square with corners (+-1, +-1).
 
-    Angle increments are accumulated sample to sample; every increment must
-    stay below pi/2 or the circle is resampled twice as densely, doubling up
-    to 2^20 points. The rounded total is the exact integer index of the
-    isolated fixed point inside.
+    B = A - I is linear, so it maps the square's edges onto the edges of the
+    quadrilateral through the four corner images, and the winding number of
+    that closed polygon about the origin is its signed count of crossings of
+    the positive x-axis (Hormann & Agathos, Comput. Geom. 20, 2001), decided
+    by exact cross products. The origin lies on an edge exactly when B is
+    singular, that is when det(A - I) = 0, and then there is no index.
     """
-    if samples < 4:
-        raise DomainError("need at least 4 samples")
-    if radius <= 0:
-        raise DomainError("radius must be positive")
-    n = samples
-    while n <= _MAX_SAMPLES:
-        angles = []
-        ok = True
-        for t in range(n + 1):
-            theta = 2.0 * math.pi * (t % n) / n
-            x = radius * math.cos(theta)
-            y = radius * math.sin(theta)
-            fx, fy = model.apply(x, y)
-            vx, vy = fx - x, fy - y
-            if math.hypot(vx, vy) < 1e-14 * radius:
-                raise FixedPointOnCircle(
-                    f"f(z) = z at angle {theta:.6f} on radius {radius}"
-                )
-            angles.append(math.atan2(vy, vx))
-        total = 0.0
-        for t in range(n):
-            delta = angles[t + 1] - angles[t]
-            while delta > math.pi:
-                delta -= 2.0 * math.pi
-            while delta < -math.pi:
-                delta += 2.0 * math.pi
-            if abs(delta) >= math.pi / 2:
-                ok = False
-                break
-            total += delta
-        if ok:
-            winding = total / (2.0 * math.pi)
-            rounded = round(winding)
-            if abs(winding - rounded) > 0.25:
-                ok = False
-            else:
-                return rounded
-        n *= 2
-    raise IncrementTooLarge(f"no sampling up to {_MAX_SAMPLES} points tamed the increments")
+    p, q, r, s = model.a - 1, model.b, model.c, model.d - 1
+    corners = [(p * x + q * y, r * x + s * y) for x, y in _SQUARE]
+    winding = 0
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+        # cross > 0 exactly when the origin lies to the left of the edge
+        cross = x0 * y1 - x1 * y0
+        if cross == 0 and x0 * x1 + y0 * y1 <= 0:
+            raise FixedPointOnCircle(
+                f"f(z) = z on the square's boundary: B maps its edge to "
+                f"({x0}, {y0})-({x1}, {y1}) through the origin"
+            )
+        if y0 <= 0 < y1 and cross > 0:
+            winding += 1
+        elif y1 <= 0 < y0 and cross < 0:
+            winding -= 1
+    return winding
 
 
 def linear_index_oracle(model: LinearPlaneMap) -> int:

@@ -36,7 +36,6 @@ from .intmatrix import IntMatrix, pf_enclosure, verify_diagonal_bound
 from .lefschetz import (
     HomologyClass,
     LinearPlaneMap,
-    SectorRotation,
     SympAction,
     linear_index_oracle,
     local_index,
@@ -44,7 +43,7 @@ from .lefschetz import (
     multitwist_lefschetz,
     transvection,
 )
-from .transgraph import dilatation_limit_check, path_count, subdivide_out_edge
+from .transgraph import dilatation_limit_check, path_count_series, subdivide_out_edge
 
 MAX_FAILURE_DETAILS = 25
 
@@ -432,13 +431,14 @@ def _subdivision_case(arg: tuple) -> dict:
     sub = subdivide_out_edge(graph, i)
 
     out: dict = {"fails": [], "shift_bad_d": None, "witness": None}
-    base_counts = [path_count(graph, i, d) for d in range(_SHIFT_D_MAX + 1)]
+    base_counts = path_count_series(graph, i, _SHIFT_D_MAX)
+    sub_counts = path_count_series(sub, i, _SHIFT_D_MAX + 1)
     for d in range(_SHIFT_D_MAX + 1):
-        if path_count(sub, i, d + 1) != base_counts[d]:
+        if sub_counts[d + 1] != base_counts[d]:
             out["shift_bad_d"] = d
             out["witness"] = (
                 f"case {idx}: rows={grid} vertex={i} "
-                f"P(i,{d})={base_counts[d]} vs subdivided P(i,{d + 1})={path_count(sub, i, d + 1)}"
+                f"P(i,{d})={base_counts[d]} vs subdivided P(i,{d + 1})={sub_counts[d + 1]}"
             )
             break
 
@@ -478,33 +478,32 @@ def _run_subdivision(seed: int, cases: int, jobs: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# local-index: winding-number kernel against the sign-of-determinant oracle
+# local-index: exact winding number against the sign-of-determinant oracle
 # ---------------------------------------------------------------------------
 
 _INDEX_BATTERY = (
-    (LinearPlaneMap(2.0, 0.0, 0.0, 3.0), 1),
-    (SectorRotation(1, 6), 1),
-    (LinearPlaneMap(2.0, 0.0, 0.0, 0.5), -1),
+    (LinearPlaneMap(2, 0, 0, 3), 1),
+    # rotation by the angle with cosine 3/5 and sine 4/5
+    (LinearPlaneMap(Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5)), 1),
+    (LinearPlaneMap(2, 0, 0, Fraction(1, 2)), -1),
 )
-_INDEX_RADII = (0.5, 1.0, 2.0)
 
 
 def _local_index_case(arg: tuple) -> str | None:
     name, seed, idx = arg
     if idx == 0:
         for model, expected in _INDEX_BATTERY:
-            for radius in _INDEX_RADII:
-                got = local_index(model, radius=radius)
-                if got != expected:
-                    return f"battery: {model} radius {radius}: index {got} != {expected}"
-                if isinstance(model, LinearPlaneMap) and got != linear_index_oracle(model):
-                    return f"battery: {model} disagrees with the determinant oracle"
+            got = local_index(model)
+            if got != expected:
+                return f"battery: {model}: index {got} != {expected}"
+            if got != linear_index_oracle(model):
+                return f"battery: {model} disagrees with the determinant oracle"
         return None
     rng = _case_rng(name, seed, idx)
     while True:
         a, b, c, d = (rng.uniform(-3.0, 3.0) for _ in range(4))
         model = LinearPlaneMap(a, b, c, d)
-        if abs(model.det_minus_identity()) > 1e-3:
+        if model.det_minus_identity() != 0:
             break
     got = local_index(model)
     want = linear_index_oracle(model)
@@ -516,7 +515,7 @@ def _local_index_case(arg: tuple) -> str | None:
 def _run_local_index(seed: int, cases: int, jobs: int) -> dict:
     args = [("local-index", seed, i) for i in range(cases + 1)]
     failures = [f for f in parallel_map(_local_index_case, args, jobs) if f]
-    extra = {"battery_models": len(_INDEX_BATTERY), "radii": list(_INDEX_RADII)}
+    extra = {"battery_models": len(_INDEX_BATTERY)}
     return _report("local-index", seed, len(args), failures, extra)
 
 
@@ -648,9 +647,3 @@ def run_suite(name: str, seed: int = 7, cases: int | None = None, jobs: int = 1)
     if n < 1:
         raise ValueError("cases must be >= 1")
     return spec.runner(seed, n, jobs)
-
-
-def run_all(seed: int = 7, cases: int | None = None, jobs: int = 1) -> list[dict]:
-    """Every suite in registry order. cases, when given, overrides each
-    suite's default; normally leave it None so sweeps keep their full range."""
-    return [run_suite(name, seed=seed, cases=cases, jobs=jobs) for name in SUITES]

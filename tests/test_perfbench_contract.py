@@ -31,3 +31,14 @@ def test_benchmark_workloads_and_tracer_resolve(monkeypatch):
     assert len(oracle) == 36
     assert tracer.calls["transgraph.subdivide_out_edge"] == 36
     assert tracer.calls["transgraph.path_count"] > 0
+
+
+def test_benchmark_suite_names_match_registry(monkeypatch):
+    # perfbench/run.py checks every verify report against its own copy of
+    # the suite list; a renamed, dropped or reordered suite must fail here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+
+    from dillab.suites import SUITES
+
+    assert tuple(SUITES) == run.SUITE_NAMES
