@@ -1,16 +1,17 @@
 """Exact rational interval primitives shared by the certified modules.
 
-Everything here is Fraction-in, Fraction-out. No floats. Each enclosure
-carries its own validity: an interval [lo, hi] is only ever produced together
-with the reason it contains the target value (series tail bound, integer root
-bracketing), so downstream comparisons of lo/hi endpoints are certificates,
-not approximations.
+Everything here is Fraction-in, Fraction-out, with exact integer arithmetic
+inside. Each enclosure carries its own validity: an interval [lo, hi] is only
+ever produced together with the reason it contains the target value (series
+tail bound, integer root bracketing), so downstream comparisons of lo/hi
+endpoints are certificates, not approximations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainError
 
@@ -82,7 +83,16 @@ class RatInterval:
 
 
 def inth_root(x: int, n: int) -> int:
-    """floor(x ** (1/n)) for integers x >= 0, n >= 1, exactly."""
+    """floor(x ** (1/n)) for integers x >= 0, n >= 1, exactly.
+
+    The root has exactly c = ceil(bits(x) / n) bits. Its top
+    min(c, n.bit_length() + 2) bits t are bisected on y = x >> (n * s), s the
+    remaining low bits, which keeps lo**n <= x < hi**n for the root's bounds
+    lo = t << s and hi = (t + 1) << s. Newton's iteration then runs from
+    above, from hi: its relative error is below 1/(2n), so the steps converge
+    quadratically at once instead of shrinking r by about 1 - 1/n each from
+    a power of two. Two exact correction loops settle the last unit.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if x < 0:
@@ -91,7 +101,17 @@ def inth_root(x: int, n: int) -> int:
         return 0
     if n == 1:
         return x
-    r = 1 << ((x.bit_length() + n - 1) // n)
+    c = (x.bit_length() + n - 1) // n
+    s = max(c - n.bit_length() - 2, 0)
+    y = x >> (n * s)
+    lo, hi = 1 << (c - s - 1), 1 << (c - s)  # lo**n <= y < hi**n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**n <= y:
+            lo = mid
+        else:
+            hi = mid
+    r = hi << s
     while True:
         nr = ((n - 1) * r + x // r ** (n - 1)) // n
         if nr >= r:
@@ -113,6 +133,10 @@ def nth_root_enclosure(q, n: int, bits: int = 48) -> RatInterval:
     q = Fraction(q)
     if q < 0:
         raise DomainError("nth_root_enclosure requires q >= 0")
+    if n < 1:
+        raise DomainError("nth_root_enclosure requires n >= 1")
+    if bits < 0:
+        raise DomainError("nth_root_enclosure requires bits >= 0")
     scaled = q.numerator << (n * bits)
     t = inth_root(scaled // q.denominator, n)
     den = 1 << bits
@@ -121,23 +145,32 @@ def nth_root_enclosure(q, n: int, bits: int = 48) -> RatInterval:
     return RatInterval(Fraction(t, den), Fraction(t + 1, den))
 
 
-def _atanh_core(r: Fraction, width: Fraction) -> RatInterval:
-    # log r for r in [3/4, 3/2) via log r = 2 atanh(u), u = (r-1)/(r+1),
-    # |u| <= 1/5 here. Partial sum plus a geometric tail bound gives the
-    # two-sided certificate regardless of the sign of u.
-    u = (r - 1) / (r + 1)
-    u2 = u * u
-    s = Fraction(0)
-    upow = u
-    j = 0
-    one_minus = 1 - u2
-    while True:
-        s += upow / (2 * j + 1)
-        j += 1
-        upow *= u2
-        tail = abs(upow) / ((2 * j + 1) * one_minus)
-        if 2 * tail <= width / 2:
-            return RatInterval(2 * s - 2 * tail, 2 * s + 2 * tail)
+def _atanh_core(num: int, den: int, width: Fraction) -> RatInterval:
+    # log r for r = num/den in [3/4, 3/2) via log r = 2 atanh(u), with
+    # u = a/b = (r-1)/(r+1) in lowest terms, |u| <= 1/5 here. Partial sum plus
+    # a geometric tail bound gives the two-sided certificate regardless of the
+    # sign of u. J is the least term count with 2 * tail <= width / 2, where
+    # tail = |u|^(2J+1) / ((2J+1)(1 - u^2)), cross-multiplied into integers.
+    a, b = num - den, num + den
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    a2, b2 = a * a, b * b
+    one_minus = b2 - a2  # (1 - u^2) * b^2
+    wn, wd = width.numerator, width.denominator
+    j, apow, bpow = 1, abs(a) ** 3, b  # J, |a|^(2J+1), b^(2J-1)
+    while 4 * apow * wd > wn * bpow * (2 * j + 1) * one_minus:
+        j, apow, bpow = j + 1, apow * a2, bpow * b2
+    # s = sum_{i<J} u^(2i+1) / (2i+1) over the denominator b^(2J-1) * odd,
+    # odd = lcm(1, 3, ..., 2J-1), by Horner in b^2
+    odd = lcm(*range(1, 2 * j, 2))
+    total, term = 0, a
+    for i in range(j):
+        total = total * b2 + term * (odd // (2 * i + 1))
+        term *= a2
+    # 2 * (s -+ tail) for s = total / (odd * bpow), over one denominator
+    tail_den = (2 * j + 1) * one_minus
+    mid, rad, common = 2 * total * tail_den, 2 * apow * odd, odd * bpow * tail_den
+    return RatInterval(Fraction(mid - rad, common), Fraction(mid + rad, common))
 
 
 _LOG2_CACHE: RatInterval | None = None
@@ -147,35 +180,37 @@ def _log2_interval() -> RatInterval:
     global _LOG2_CACHE
     if _LOG2_CACHE is None:
         # log 2 = 2 atanh(1/3); cached far tighter than any requested width
-        _LOG2_CACHE = _atanh_core(Fraction(2), Fraction(1, 10**40))
+        _LOG2_CACHE = _atanh_core(2, 1, Fraction(1, 10**40))
     return _LOG2_CACHE
 
 
 def log_enclosure(q, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
     """Certified enclosure of log(q) for rational q > 0, of width <= width.
 
-    Argument reduction q = 2**k * r with r in [3/4, 3/2), then the atanh
-    series for log r with an explicit tail bound. The log 2 enclosure is
-    cached at width 1e-40, so the k * log2 contribution is negligible
-    against any practical width request.
+    Argument reduction q = 2**k * r with r in [3/4, 3/2): k is first taken
+    from the bit lengths of q's numerator and denominator, then fixed by
+    exact integer comparisons with 3/4 and 3/2. The atanh series for log r
+    is summed in integers over one common denominator, with an explicit tail
+    bound. The log 2 enclosure is cached at width 1e-40, so the k * log2
+    contribution is negligible against any practical width request.
     """
     q = Fraction(q)
     if q <= 0:
         raise DomainError("log_enclosure requires q > 0")
     width = Fraction(width)
     if width <= 0:
-        raise ValueError("width must be positive")
-    k = 0
-    r = q
-    three_half = Fraction(3, 2)
-    three_quarter = Fraction(3, 4)
-    while r >= three_half:
-        r /= 2
-        k += 1
-    while r < three_quarter:
-        r *= 2
-        k -= 1
-    core = _atanh_core(r, width)
+        raise DomainError("log_enclosure requires width > 0")
+    qn, qd = q.numerator, q.denominator
+    k = qn.bit_length() - qd.bit_length()
+    while True:  # r = num/den = q / 2**k
+        num, den = (qn, qd << k) if k >= 0 else (qn << -k, qd)
+        if 2 * num >= 3 * den:
+            k += 1
+        elif 4 * num < 3 * den:
+            k -= 1
+        else:
+            break
+    core = _atanh_core(num, den, width)
     if k == 0:
         return core
     return core + _log2_interval().scale(k)

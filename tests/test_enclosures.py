@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dillab.enclosures import (
     RatInterval,
     decimal_str,
+    inth_root,
     interval_gap,
     log_enclosure,
     log_interval,
     nth_root_enclosure,
 )
+from dillab.errors import DomainError
 
 
 def test_interval_basics():
@@ -113,3 +115,120 @@ def test_log_sign_convention(q):
         assert enc.hi < 0
     else:
         assert enc.lo <= 0 <= enc.hi
+
+
+def _assert_floor_root(x, n):
+    r = inth_root(x, n)
+    assert r >= 0
+    assert r**n <= x < (r + 1) ** n
+    return r
+
+
+# bit lengths up to 3,000 with n up to 3,000, so n often exceeds bits(x)
+_radicands = st.one_of(
+    st.sampled_from([0, 1]),
+    st.integers(min_value=0, max_value=3000).flatmap(
+        lambda bits: st.integers(min_value=0, max_value=2**bits)
+    ),
+)
+
+
+@given(_radicands, st.integers(min_value=1, max_value=3000))
+@settings(max_examples=200, deadline=None)
+def test_inth_root_is_floor_root(x, n):
+    _assert_floor_root(x, n)
+
+
+@given(
+    st.integers(min_value=1, max_value=2**64),
+    st.integers(min_value=1, max_value=300),
+    st.sampled_from([-1, 0, 1]),
+)
+@settings(max_examples=150, deadline=None)
+def test_inth_root_next_to_perfect_powers(t, n, d):
+    r = _assert_floor_root(t**n + d, n)
+    if d == 0:
+        assert r == t
+
+
+@pytest.mark.parametrize("m", [5, 400, 1998])
+def test_inth_root_m_cubed_radicand(m):
+    # the radicand behind the m^(3/m) enclosure at 48 bits
+    _assert_floor_root((m**3) << (48 * m), m)
+
+
+def _reference_atanh(r, width):
+    # the earlier kernel: the atanh series one Fraction term at a time
+    u = (r - 1) / (r + 1)
+    u2 = u * u
+    s = Fraction(0)
+    upow = u
+    j = 0
+    one_minus = 1 - u2
+    while True:
+        s += upow / (2 * j + 1)
+        j += 1
+        upow *= u2
+        tail = abs(upow) / ((2 * j + 1) * one_minus)
+        if 2 * tail <= width / 2:
+            return 2 * s - 2 * tail, 2 * s + 2 * tail
+
+
+def _reference_log(q, width):
+    # the earlier reduction, halving or doubling into [3/4, 3/2), plus k log 2
+    k = 0
+    r = Fraction(q)
+    while r >= Fraction(3, 2):
+        r /= 2
+        k += 1
+    while r < Fraction(3, 4):
+        r *= 2
+        k -= 1
+    lo, hi = _reference_atanh(r, Fraction(width))
+    if k == 0:
+        return lo, hi
+    log2_lo, log2_hi = _reference_atanh(Fraction(2), Fraction(1, 10**40))
+    if k > 0:
+        return lo + k * log2_lo, hi + k * log2_hi
+    return lo + k * log2_hi, hi + k * log2_lo
+
+
+# q at, or just either side of, 2**e, 3/4 * 2**e and 3/2 * 2**e
+_near = st.sampled_from([0, Fraction(1, 2**60), Fraction(-1, 2**60), Fraction(1, 10**9)])
+_widths = st.sampled_from([Fraction(1, 10**3), Fraction(1, 10**12), Fraction(1, 10**30)])
+_log_args = st.one_of(
+    st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**30)),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=1).filter(lambda q: 0 < q < 1),
+    st.builds(
+        lambda base, e, d: (base + d) * Fraction(2) ** e,
+        st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(3, 2)]),
+        st.integers(-80, 80),
+        _near,
+    ),
+)
+
+
+@given(_log_args, _widths)
+# a width exactly at the stopping bound after two terms: u = 1/9, tail = width / 4
+@example(Fraction(5, 4), 4 * Fraction(1, 9) ** 5 / (5 * (1 - Fraction(1, 81))))
+@settings(max_examples=300, deadline=None)
+def test_log_enclosure_matches_reference(q, width):
+    enc = log_enclosure(q, width)
+    assert (enc.lo, enc.hi) == _reference_log(q, width)
+
+
+def test_enclosure_preconditions_raise_domain_error():
+    unit = RatInterval(Fraction(1), Fraction(2))
+    for call in (
+        lambda: log_enclosure(2, 0),
+        lambda: log_enclosure(2, Fraction(-1, 10)),
+        lambda: log_interval(unit, 0),
+        lambda: nth_root_enclosure(2, 0),
+        lambda: nth_root_enclosure(2, -3),
+        lambda: nth_root_enclosure(2, 2, bits=-1),
+    ):
+        with pytest.raises(DomainError):
+            call()
+    # the integer kernel keeps its plain ValueError
+    with pytest.raises(ValueError):
+        inth_root(2, 0)
