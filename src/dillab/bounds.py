@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enclosures import (
-    RatInterval,
-    decimal_str,
-    log_enclosure,
-    nth_root_enclosure,
-)
+from .enclosures import RatInterval, log_enclosure, nth_root_enclosure
 from .errors import AlphaOutOfRange, DomainError, RangeError, ValidationFailed
 from .families import CoverBoundReport, cover_index, cover_threshold, cover_upper_bound
 
@@ -33,14 +28,7 @@ __all__ = [
     "kappa_upper_constant",
     "log_uniform_sample",
     "sandwich_table",
-    "SANDWICH_CSV_HEADER",
 ]
-
-SANDWICH_CSV_HEADER = ("g", "n", "lower_lo", "upper_hi", "lower_source", "upper_source")
-
-LOWER_SOURCE = "congruence-two-branch-min"
-UPPER_SOURCE = "balanced-cover-root"
-NO_UPPER_SOURCE = "none (below construction threshold)"
 
 
 def theta(g: int) -> int:
@@ -177,32 +165,13 @@ def kappa_upper_constant(g: int, n_range: tuple[int, int]) -> KappaReport:
 
 @dataclass(frozen=True)
 class BoundRow:
+    """lower is the congruence two-branch minimum; upper is the certified
+    cover value, None below the construction threshold."""
+
     g: int
     n: int
     lower: Fraction
     upper: Fraction | None
-    lower_source: str
-    upper_source: str
-
-    def csv_row(self) -> tuple:
-        return (
-            self.g,
-            self.n,
-            decimal_str(self.lower, rounding="floor"),
-            "" if self.upper is None else decimal_str(self.upper, rounding="ceil"),
-            self.lower_source,
-            self.upper_source,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "n": self.n,
-            "lower_lo": decimal_str(self.lower, rounding="floor"),
-            "upper_hi": None if self.upper is None else decimal_str(self.upper, rounding="ceil"),
-            "lower_source": self.lower_source,
-            "upper_source": self.upper_source,
-        }
 
 
 @dataclass(frozen=True)
@@ -212,17 +181,6 @@ class SandwichReport:
     rows: tuple[BoundRow, ...]
     omega: RatInterval
     kappa_prime: Fraction | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "alpha": self.alpha,
-            "omega_hi": decimal_str(self.omega.hi, rounding="ceil"),
-            "kappa_prime": None
-            if self.kappa_prime is None
-            else decimal_str(self.kappa_prime, rounding="ceil"),
-            "rows": [row.to_json_dict() for row in self.rows],
-        }
 
 
 def log_uniform_sample(n_lo: int, n_hi: int, count: int) -> tuple[int, ...]:
@@ -288,6 +246,7 @@ def sandwich_table(
         logn = log_enclosure(n)
         if lower < logn.lo / (omega.hi * n):
             raise ValidationFailed(f"n={n}: lower bound fell below its omega calibration")
+        upper = None
         if n >= threshold:
             # the certified upper value depends on n only through m,
             # so one root isolation per distinct m serves every row
@@ -301,25 +260,5 @@ def sandwich_table(
                 raise ValidationFailed(f"n={n}: lower bound not strictly below upper bound")
             if kappa is not None and not upper <= kappa * logn.hi / n:
                 raise ValidationFailed(f"n={n}: upper bound exceeded its kappa calibration")
-            rows.append(
-                BoundRow(
-                    g=g,
-                    n=n,
-                    lower=lower,
-                    upper=upper,
-                    lower_source=LOWER_SOURCE,
-                    upper_source=UPPER_SOURCE,
-                )
-            )
-        else:
-            rows.append(
-                BoundRow(
-                    g=g,
-                    n=n,
-                    lower=lower,
-                    upper=None,
-                    lower_source=LOWER_SOURCE,
-                    upper_source=NO_UPPER_SOURCE,
-                )
-            )
+        rows.append(BoundRow(g=g, n=n, lower=lower, upper=upper))
     return SandwichReport(g=g, alpha=alpha, rows=tuple(rows), omega=omega, kappa_prime=kappa)

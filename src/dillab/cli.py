@@ -1,10 +1,15 @@
-"""Command-line front end.
+"""Command-line front end, and the one module that formats output.
 
-One binary, subcommand style, sharing the exact-arithmetic core. Output is
-canonical JSON (sorted keys, compact separators, trailing newline) unless a
-command is a matrix/CSV emitter; every decimal field in a report sits next
-to its exact rational form so certificates survive copy-paste. File writes
-go through a temp file and os.replace; CSV appends take an exclusive lock.
+One binary, subcommand style, sharing the exact-arithmetic core. The library
+returns exact values; the renderers here print them. Output is canonical
+JSON (sorted keys, compact separators, trailing newline) unless a command is
+a matrix/CSV emitter. Decimals are rounded outward, lower ends down and
+upper ends up, so a printed bound is still a bound. The `pf` enclosure and
+root endpoints also carry their exact numerator/denominator; every other
+decimal field (lower_lo, upper_hi, log_root_*, closed_form_*, m_power_*,
+omega_hi, kappa_prime, the torus bounds) is a directed-rounded decimal
+only. File writes go through a temp file and os.replace; CSV appends take
+an exclusive lock.
 
 Exit status: 0 success, 1 failed assertion or domain error, 2 usage error,
 3 IO error.
@@ -23,11 +28,11 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from .bounds import SANDWICH_CSV_HEADER, sandwich_table
+from .bounds import sandwich_table
 from .dilpoly import build_T, build_Tm, largest_root, verify_lroot
 from .enclosures import decimal_str
 from .errors import DillabError
-from .families import COVER_CSV_HEADER, cover_upper_bound, torus_matrix, verify_torus_bounds
+from .families import cover_upper_bound, torus_matrix, verify_torus_bounds
 from .intmatrix import (
     is_irreducible,
     is_positive,
@@ -41,6 +46,13 @@ from .suites import SUITES, run_suite
 from .transgraph import dilatation_limit_check, path_count_series, subdivide_out_edge
 
 __all__ = ["main"]
+
+COVER_CSV_HEADER = ("g", "n", "m", "c", "certified_log_root_hi", "closed_form_bound")
+SANDWICH_CSV_HEADER = ("g", "n", "lower_lo", "upper_hi", "lower_source", "upper_source")
+
+LOWER_SOURCE = "congruence-two-branch-min"
+UPPER_SOURCE = "balanced-cover-root"
+NO_UPPER_SOURCE = "none (below construction threshold)"
 
 
 class UsageError(Exception):
@@ -80,6 +92,51 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+# ---------------------------------------------------------------------------
+# renderers
+# ---------------------------------------------------------------------------
+
+
+def _floor(x: Fraction) -> str:
+    return decimal_str(x, rounding="floor")
+
+
+def _ceil(x: Fraction) -> str:
+    return decimal_str(x, rounding="ceil")
+
+
+def _enclosure_json(lo: Fraction, hi: Fraction, **extra) -> dict:
+    """Both endpoints as outward decimals and as exact numerator/denominator."""
+    return {
+        "lo_decimal": _floor(lo),
+        "lo_num": str(lo.numerator),
+        "lo_den": str(lo.denominator),
+        "hi_decimal": _ceil(hi),
+        "hi_num": str(hi.numerator),
+        "hi_den": str(hi.denominator),
+        **extra,
+    }
+
+
+def _root_json(root) -> dict:
+    return _enclosure_json(root.lo, root.hi, sign_lo=root.sign_lo, sign_hi=root.sign_hi)
+
+
+def _sandwich_row(row) -> tuple:
+    """One table row in SANDWICH_CSV_HEADER order; upper_hi is "" below the
+    cover family's threshold."""
+    if row.upper is None:
+        return (row.g, row.n, _floor(row.lower), "", LOWER_SOURCE, NO_UPPER_SOURCE)
+    return (row.g, row.n, _floor(row.lower), _ceil(row.upper), LOWER_SOURCE, UPPER_SOURCE)
+
+
+def _emit_matrix(ns: argparse.Namespace, matrix) -> None:
+    if ns.format == "json":
+        _emit(ns, _canonical_json(render_matrix_json(matrix)))
+    else:
+        _emit(ns, render_matrix_text(matrix))
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -117,7 +174,7 @@ def _cmd_pf(ns: argparse.Namespace) -> int:
     }
     if payload["irreducible"]:
         enc = pf_enclosure(matrix, rel_width=ns.rel_width, max_iters=ns.max_iters)
-        payload["enclosure"] = enc.to_json_dict()
+        payload["enclosure"] = _enclosure_json(enc.lo, enc.hi, iterations=enc.iterations)
     _emit(ns, _canonical_json(payload))
     return 0
 
@@ -132,17 +189,22 @@ def _cmd_paths(ns: argparse.Namespace) -> int:
     }
     if ns.check:
         rep = dilatation_limit_check(graph, ns.vertex, ns.d_max, ns.tol)
-        payload["limit_check"] = rep.to_json_dict()
+        payload["limit_check"] = {
+            "converged": rep.converged,
+            "last_gap": str(rep.last_gap),
+            "d": rep.d,
+            "vertex": rep.vertex,
+            "root_lo": str(rep.root_interval.lo),
+            "root_hi": str(rep.root_interval.hi),
+            "spectral_lo": str(rep.spectral_interval.lo),
+            "spectral_hi": str(rep.spectral_interval.hi),
+        }
     _emit(ns, _canonical_json(payload))
     return 0
 
 
 def _cmd_subdivide(ns: argparse.Namespace) -> int:
-    sub = subdivide_out_edge(load_matrix(ns.graph), ns.vertex)
-    if ns.format == "json":
-        _emit(ns, _canonical_json(render_matrix_json(sub)))
-    else:
-        _emit(ns, render_matrix_text(sub))
+    _emit_matrix(ns, subdivide_out_edge(load_matrix(ns.graph), ns.vertex))
     return 0
 
 
@@ -165,8 +227,8 @@ def _cmd_hk_root(ns: argparse.Namespace) -> int:
                 "ineq1": rep.ineq1,
                 "ineq2": rep.ineq2,
                 "ineq3": rep.ineq3,
-                "m_power_lo": decimal_str(rep.m_power_enclosure.lo, rounding="floor"),
-                "m_power_hi": decimal_str(rep.m_power_enclosure.hi, rounding="ceil"),
+                "m_power_lo": _floor(rep.m_power_enclosure.lo),
+                "m_power_hi": _ceil(rep.m_power_enclosure.hi),
             }
         else:
             hi = ns.search_hi if ns.search_hi is not None else Fraction(4)
@@ -176,8 +238,8 @@ def _cmd_hk_root(ns: argparse.Namespace) -> int:
         payload["s"], payload["t"] = ns.s, ns.t
         hi = ns.search_hi if ns.search_hi is not None else Fraction(4)
         root = largest_root(poly, hi, rel_width=ns.rel_width)
-    payload["polynomial"] = poly.to_json_dict()
-    payload["root"] = root.to_json_dict()
+    payload["polynomial"] = {"coeffs": {str(e): str(c) for e, c in poly.coeffs}}
+    payload["root"] = _root_json(root)
     _emit(ns, _canonical_json(payload))
     return 0
 
@@ -189,21 +251,38 @@ def _cmd_torus_matrix(ns: argparse.Namespace) -> int:
         payload = {
             "n": ns.n,
             "matrix": render_matrix_json(spec.matrix),
-            "report": report.to_json_dict(),
+            "report": {
+                "n": report.n,
+                "max_col_sum": report.max_col_sum,
+                "max_row_sum": report.max_row_sum,
+                "irreducible": report.irreducible,
+                "log_dil_bound": _ceil(report.log_dil_bound),
+                "sharper_log_bound": _ceil(report.sharper_log_bound),
+            },
         }
         _emit(ns, _canonical_json(payload))
-    elif ns.format == "json":
-        _emit(ns, _canonical_json(render_matrix_json(spec.matrix)))
     else:
-        _emit(ns, render_matrix_text(spec.matrix))
+        _emit_matrix(ns, spec.matrix)
     return 0
 
 
 def _cmd_cover_bound(ns: argparse.Namespace) -> int:
-    report = cover_upper_bound(ns.g, ns.n)
+    rep = cover_upper_bound(ns.g, ns.n)
     if ns.csv:
-        _append_csv_row(ns.csv, COVER_CSV_HEADER, report.csv_row())
-    _emit(ns, _canonical_json(report.to_json_dict()))
+        row = (rep.g, rep.n, rep.m, rep.c, _ceil(rep.log_root.hi), _ceil(rep.closed_form_m.hi))
+        _append_csv_row(ns.csv, COVER_CSV_HEADER, row)
+    payload = {
+        "g": rep.g,
+        "n": rep.n,
+        "m": rep.m,
+        "c": rep.c,
+        "root": _root_json(rep.root),
+        "log_root_lo": _floor(rep.log_root.lo),
+        "log_root_hi": _ceil(rep.log_root.hi),
+        "closed_form_m_hi": _ceil(rep.closed_form_m.hi),
+        "closed_form_n_hi": _ceil(rep.closed_form_n.hi),
+    }
+    _emit(ns, _canonical_json(payload))
     return 0
 
 
@@ -236,14 +315,23 @@ def _cmd_bounds_table(ns: argparse.Namespace) -> int:
     if ns.sample is not None and ns.sample < 1:
         raise UsageError("--sample must be >= 1")
     report = sandwich_table(ns.g, n_lo, n_hi, sample=ns.sample)
+    rows = [_sandwich_row(row) for row in report.rows]
     if ns.format == "json":
-        _emit(ns, _canonical_json(report.to_json_dict()))
+        payload = {
+            "g": report.g,
+            "alpha": report.alpha,
+            "omega_hi": _ceil(report.omega.hi),
+            "kappa_prime": None if report.kappa_prime is None else _ceil(report.kappa_prime),
+            "rows": [
+                {**dict(zip(SANDWICH_CSV_HEADER, row)), "upper_hi": row[3] or None} for row in rows
+            ],
+        }
+        _emit(ns, _canonical_json(payload))
     elif ns.format == "text":
-        lines = ["  ".join(str(v) for v in SANDWICH_CSV_HEADER)]
-        lines += ["  ".join(str(v) for v in row.csv_row()) for row in report.rows]
+        lines = ["  ".join(str(v) for v in line) for line in [SANDWICH_CSV_HEADER, *rows]]
         _emit(ns, "\n".join(lines) + "\n")
     else:
-        _emit(ns, _csv_text(SANDWICH_CSV_HEADER, [row.csv_row() for row in report.rows]))
+        _emit(ns, _csv_text(SANDWICH_CSV_HEADER, rows))
     return 0
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .enclosures import RatInterval, decimal_str, log_enclosure, nth_root_enclosure
+from .enclosures import RatInterval, log_enclosure, nth_root_enclosure
 from .errors import DomainError, NoSignChange
 from .intmatrix import IntMatrix
 
@@ -101,9 +101,6 @@ class IntPoly:
         num = self._homogenised(Fraction(x))
         return (num > 0) - (num < 0)
 
-    def to_json_dict(self) -> dict:
-        return {"coeffs": {str(e): str(c) for e, c in self.coeffs}}
-
 
 @dataclass(frozen=True)
 class RootEnclosure:
@@ -118,18 +115,6 @@ class RootEnclosure:
     @property
     def interval(self) -> RatInterval:
         return RatInterval(self.lo, self.hi)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lo_decimal": decimal_str(self.lo, rounding="floor"),
-            "lo_num": str(self.lo.numerator),
-            "lo_den": str(self.lo.denominator),
-            "hi_decimal": decimal_str(self.hi, rounding="ceil"),
-            "hi_num": str(self.hi.numerator),
-            "hi_den": str(self.hi.denominator),
-            "sign_lo": self.sign_lo,
-            "sign_hi": self.sign_hi,
-        }
 
 
 @dataclass(frozen=True)
@@ -235,11 +220,11 @@ def largest_root(
     return RootEnclosure(lo=lo, hi=hi, sign_lo=sign_lo, sign_hi=1)
 
 
-def m_cubed_root_enclosure(m: int, bits: int = 48) -> RatInterval:
+def m_cubed_root_enclosure(m: int) -> RatInterval:
     """Certified rational enclosure [a, b] with a**m < m**3 < b**m."""
     if m < 1:
         raise DomainError("m must be >= 1")
-    return nth_root_enclosure(m**3, m, bits=bits)
+    return nth_root_enclosure(m**3, m)
 
 
 def verify_lroot(m: int) -> LrootReport:

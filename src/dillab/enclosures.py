@@ -52,9 +52,6 @@ class RatInterval:
     def __add__(self, other: "RatInterval") -> "RatInterval":
         return RatInterval(self.lo + other.lo, self.hi + other.hi)
 
-    def __sub__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo - other.hi, self.hi - other.lo)
-
     def scale(self, c: Fraction) -> "RatInterval":
         # multiplication by an exact rational, sign-aware
         c = Fraction(c)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dilpoly import RootEnclosure, build_Tm, largest_root, m_cubed_root_enclosure
-from .enclosures import RatInterval, decimal_str, log_enclosure, log_interval
+from .enclosures import RatInterval, log_enclosure, log_interval
 from .errors import DomainError, ValidationFailed
 from .intmatrix import IntMatrix, is_irreducible
 
@@ -29,10 +29,7 @@ __all__ = [
     "cover_upper_bound",
     "torus_matrix",
     "verify_torus_bounds",
-    "COVER_CSV_HEADER",
 ]
-
-COVER_CSV_HEADER = ("g", "n", "m", "c", "certified_log_root_hi", "closed_form_bound")
 
 
 def cover_threshold(g: int) -> int:
@@ -95,29 +92,6 @@ class CoverBoundReport:
     def upper(self) -> Fraction:
         """The certified upper bound on the log-dilatation: hi of log root."""
         return self.log_root.hi
-
-    def to_json_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "n": self.n,
-            "m": self.m,
-            "c": self.c,
-            "root": self.root.to_json_dict(),
-            "log_root_lo": decimal_str(self.log_root.lo, rounding="floor"),
-            "log_root_hi": decimal_str(self.log_root.hi, rounding="ceil"),
-            "closed_form_m_hi": decimal_str(self.closed_form_m.hi, rounding="ceil"),
-            "closed_form_n_hi": decimal_str(self.closed_form_n.hi, rounding="ceil"),
-        }
-
-    def csv_row(self) -> tuple:
-        return (
-            self.g,
-            self.n,
-            self.m,
-            self.c,
-            decimal_str(self.log_root.hi, rounding="ceil"),
-            decimal_str(self.closed_form_m.hi, rounding="ceil"),
-        )
 
 
 def cover_upper_bound(g: int, n: int) -> CoverBoundReport:
@@ -228,16 +202,6 @@ class TorusBoundsReport:
     irreducible: bool
     log_dil_bound: Fraction  # hi of log(11)/n
     sharper_log_bound: Fraction  # hi of log(9)/n, from the column sums
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "max_col_sum": self.max_col_sum,
-            "max_row_sum": self.max_row_sum,
-            "irreducible": self.irreducible,
-            "log_dil_bound": decimal_str(self.log_dil_bound, rounding="ceil"),
-            "sharper_log_bound": decimal_str(self.sharper_log_bound, rounding="ceil"),
-        }
 
 
 def verify_torus_bounds(spec: TorusMatrixSpec) -> TorusBoundsReport:

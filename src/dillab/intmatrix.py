@@ -69,41 +69,38 @@ class IntMatrix:
     # entries[i-1][j-1] wherever that entry is nonzero.
     vertex_count = k
 
+    # Tuples here are built from lists: tuple(<generator>) grows its result
+    # by resizing, which churns CPython's free lists and lets peak memory
+    # creep upward over many constructions.
+
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """Sorted 1-based (i, j, multiplicity) for every nonzero entry."""
-        return tuple((i + 1, j + 1, m) for i, row in enumerate(_sparse_rows(self)) for j, m in row)
+        return tuple([(i + 1, j + 1, m) for i, row in enumerate(_sparse_rows(self)) for j, m in row])
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        return IntMatrix(tuple([tuple([int(x) for x in row]) for row in rows]))
 
     @staticmethod
     def identity(k: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k)))
+        return IntMatrix(tuple([tuple([int(i == j) for j in range(k)]) for i in range(k)]))
 
     def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.entries)
+        return tuple([sum(row) for row in self.entries])
 
     def col_sums(self) -> tuple[int, ...]:
-        k = self.k
-        return tuple(sum(self.entries[i][j] for i in range(k)) for j in range(k))
+        return tuple([sum(col) for col in zip(*self.entries)])
 
     def transpose(self) -> "IntMatrix":
-        k = self.k
-        return IntMatrix(tuple(tuple(self.entries[i][j] for i in range(k)) for j in range(k)))
+        return IntMatrix(tuple(list(zip(*self.entries))))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.k != other.k:
             raise ValueError("dimension mismatch")
-        k = self.k
-        cols = tuple(zip(*other.entries))
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
+        cols = list(zip(*other.entries))
+        rows = [tuple([sum(a * b for a, b in zip(row, col)) for col in cols]) for row in self.entries]
+        return IntMatrix(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -117,19 +114,6 @@ class PFEnclosure:
     @property
     def rel_width(self) -> Fraction:
         return (self.hi - self.lo) / self.lo
-
-    def to_json_dict(self) -> dict:
-        from .enclosures import decimal_str
-
-        return {
-            "lo_decimal": decimal_str(self.lo, rounding="floor"),
-            "lo_num": str(self.lo.numerator),
-            "lo_den": str(self.lo.denominator),
-            "hi_decimal": decimal_str(self.hi, rounding="ceil"),
-            "hi_num": str(self.hi.numerator),
-            "hi_den": str(self.hi.denominator),
-            "iterations": self.iterations,
-        }
 
 
 @dataclass(frozen=True)

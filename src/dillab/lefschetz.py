@@ -73,8 +73,7 @@ def symp_form(u: HomologyClass, v: HomologyClass) -> int:
     """The standard symplectic pairing u^T J v, exactly."""
     if u.g != v.g:
         raise GenusMismatch(f"genus mismatch: {u.g} vs {v.g}")
-    g = u.g
-    return sum(u.coords[t] * v.coords[g + t] - u.coords[g + t] * v.coords[t] for t in range(g))
+    return _form_on_vectors(u.coords, v.coords, u.g)
 
 
 def _form_on_vectors(u: tuple[int, ...], v: tuple[int, ...], g: int) -> int:

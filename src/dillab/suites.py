@@ -163,14 +163,14 @@ def _path_growth_case(arg: tuple) -> tuple:
         worst = max(worst, rep.last_gap)
         if not rep.converged:
             fails.append(f"case {idx}: vertex {i} gap {_frs(rep.last_gap)} exceeds 1/20")
-    return (fails, worst.numerator, worst.denominator)
+    return (fails, worst)
 
 
 def _run_path_growth(seed: int, cases: int, jobs: int) -> dict:
     args = [("path-growth", seed, i) for i in range(cases)]
     results = parallel_map(_path_growth_case, args, jobs)
-    failures = [f for fails, _, _ in results for f in fails]
-    worst = max((Fraction(n, d) for _, n, d in results), default=Fraction(0))
+    failures = [f for fails, _ in results for f in fails]
+    worst = max((w for _, w in results), default=Fraction(0))
     extra = {"d": _PATH_GROWTH_D, "tolerance": _frs(_PATH_GROWTH_TOL), "max_gap": _frs(worst)}
     return _report("path-growth", seed, cases, failures, extra)
 
@@ -254,23 +254,21 @@ def _root_bound_case(arg: tuple) -> tuple:
     hi = rep.root.hi
     if hi**m > m**3:
         fails.append(f"m={m}: root.hi^m exceeds m^3")
-    width = rep.root.hi - rep.root.lo
-    return (fails, hi.numerator, hi.denominator, width.numerator, width.denominator)
+    return (fails, hi, hi - rep.root.lo)
 
 
 def _run_root_bound(seed: int, cases: int, jobs: int) -> dict:
     m_hi = max(cases, 5)
     args = [(m,) for m in range(5, m_hi + 1)]
     results = parallel_map(_root_bound_case, args, jobs)
-    failures = [f for fails, *_ in results for f in fails]
+    failures = [f for fails, _, _ in results for f in fails]
     slack = Fraction(1, 10**6)
     prev = None
-    for (m,), (_, hn, hd, _, _) in zip(args, results):
-        hi = Fraction(hn, hd)
+    for (m,), (_, hi, _) in zip(args, results):
         if prev is not None and hi >= prev * (1 + slack):
             failures.append(f"m={m}: root bound failed to decay")
         prev = hi
-    max_width = max((Fraction(wn, wd) for *_, wn, wd in results), default=Fraction(0))
+    max_width = max((width for _, _, width in results), default=Fraction(0))
     extra = {
         "m_lo": 5,
         "m_hi": m_hi,
@@ -338,7 +336,7 @@ def _torus_family_case(arg: tuple) -> tuple:
         verify_torus_bounds(spec)
     except DillabError as exc:
         fails.append(f"n={n}: {exc}")
-        return (fails, 0, None)
+        return (fails, None)
     col_route = pf_enclosure(spec.matrix.transpose(), hi_target=Fraction(9))
     if col_route.hi > 9:
         fails.append(f"n={n}: column-route upper bound {_frs(col_route.hi)} above 9")
@@ -354,22 +352,17 @@ def _torus_family_case(arg: tuple) -> tuple:
             fails.append(f"n={n}: direct enclosure failed to land below 9")
         if tight.lo > col_route.hi or col_route.lo > tight.hi:
             fails.append(f"n={n}: the two spectral routes are disjoint")
-        margin = _frs(9 - tight.hi)
-    return (fails, col_route.iterations, margin)
+        margin = 9 - tight.hi
+    return (fails, margin)
 
 
 def _run_torus_family(seed: int, cases: int, jobs: int) -> dict:
     n_hi = max(cases, 5)
     args = [(n,) for n in range(5, n_hi + 1)]
     results = parallel_map(_torus_family_case, args, jobs)
-    failures = [f for fails, _, _ in results for f in fails]
-    min_margin = None
-    for _, _, margin in results:
-        if margin is None:
-            continue
-        m = Fraction(margin)
-        if min_margin is None or m < min_margin:
-            min_margin = m
+    failures = [f for fails, _ in results for f in fails]
+    margins = [margin for _, margin in results if margin is not None]
+    min_margin = min(margins, default=None)
     extra = {
         "n_lo": 5,
         "n_hi": n_hi,

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .enclosures import RatInterval, interval_gap, nth_root_enclosure
 from .errors import DegreePreconditionViolated, DomainError, NotIrreducible, VertexOutOfRange
-from .intmatrix import IntMatrix, _sparse_rows, is_irreducible, pf_enclosure
+from .intmatrix import DEFAULT_MAX_ITERS, IntMatrix, _sparse_rows, is_irreducible, pf_enclosure
 
 __all__ = [
     "LimitCheckReport",
@@ -35,18 +35,6 @@ class LimitCheckReport:
     vertex: int
     root_interval: RatInterval
     spectral_interval: RatInterval
-
-    def to_json_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "last_gap": str(self.last_gap),
-            "d": self.d,
-            "vertex": self.vertex,
-            "root_lo": str(self.root_interval.lo),
-            "root_hi": str(self.root_interval.hi),
-            "spectral_lo": str(self.spectral_interval.lo),
-            "spectral_hi": str(self.spectral_interval.hi),
-        }
 
 
 def from_matrix(matrix: IntMatrix) -> IntMatrix:
@@ -93,8 +81,7 @@ def dilatation_limit_check(
     i: int,
     d_max: int,
     tol,
-    rel_width: Fraction | None = None,
-    max_iters: int | None = None,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> LimitCheckReport:
     """Compare the d-th root of the path count against the certified
     spectral enclosure.
@@ -112,12 +99,7 @@ def dilatation_limit_check(
         raise NotIrreducible("dilatation_limit_check requires an irreducible graph")
     p = path_count(matrix, i, d_max)
     root_iv = nth_root_enclosure(p, d_max)
-    pf_kwargs = {}
-    if rel_width is not None:
-        pf_kwargs["rel_width"] = Fraction(rel_width)
-    if max_iters is not None:
-        pf_kwargs["max_iters"] = max_iters
-    mu = pf_enclosure(matrix, **pf_kwargs)
+    mu = pf_enclosure(matrix, max_iters=max_iters)
     mu_iv = RatInterval(mu.lo, mu.hi)
     widened = RatInterval(mu.lo - tol, mu.hi + tol)
     converged = interval_gap(root_iv, widened) == 0

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -285,6 +286,23 @@ def test_bounds_table_row_count(capsys):
         assert float(r[2]) < float(r[3])
 
 
+def test_bounds_table_source_labels(capsys):
+    code, out, _ = run(capsys, "bounds", "table", "--g", "2", "--n", "28:35")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["n"]) for r in rows] == list(range(28, 36))
+    for r in rows:
+        if int(r["n"]) >= 31:
+            assert r["upper_hi"] != ""
+            assert r["upper_source"] == "balanced-cover-root"
+        else:
+            assert r["upper_hi"] == ""
+            assert r["upper_source"] == "none (below construction threshold)"
+        assert r["lower_source"] == "congruence-two-branch-min"
+    code, out, _ = run(capsys, "bounds", "table", "--g", "2", "--n", "28:35", "--format", "json")
+    assert [r["upper_hi"] is None for r in json.loads(out)["rows"]] == [True] * 3 + [False] * 5
+
+
 def test_bounds_table_json_and_sample(capsys):
     code, out, _ = run(
         capsys,
@@ -426,3 +444,92 @@ def test_version_and_no_subcommand(capsys):
     assert code == 0
     code, _, _ = run(capsys)
     assert code == 2
+
+
+# Every subcommand's stdout, and the cover-bound CSV file, recorded byte for
+# byte. Files are named by placeholder so no temporary path reaches a pinned
+# output. The verify runs are small: they pin the "p/q" strings each suite
+# carries from its worker processes into the report.
+_PINNED_ARGV = (
+    ("pf", "{fib}"),
+    ("pf", "{fib}", "--rel-width", "1/1000", "--max-iters", "5"),
+    ("pf", "{reducible}"),
+    ("paths", "{fib}", "-i", "1", "-d", "60", "--check"),
+    ("subdivide", "{fib}", "-i", "1"),
+    ("subdivide", "{fib}", "-i", "1", "--format", "json"),
+    ("hk-root", "--m", "4"),
+    ("hk-root", "--m", "5"),
+    ("hk-root", "--m", "37"),
+    ("hk-root", "--s", "2", "--t", "3", "--rel-width", "1/1000000"),
+    ("torus-matrix", "--n", "6"),
+    ("torus-matrix", "--n", "6", "--format", "json"),
+    ("torus-matrix", "--n", "6", "--verify"),
+    ("cover-bound", "--g", "2", "--n", "40", "--csv", "{csv}"),
+    ("cover-bound", "--g", "3", "--n", "100", "--csv", "{csv}"),
+    ("bounds", "table", "--g", "2", "--n", "28:35"),
+    ("bounds", "table", "--g", "2", "--n", "28:35", "--format", "json"),
+    ("bounds", "table", "--g", "2", "--n", "28:35", "--format", "text"),
+    ("bounds", "table", "--g", "2", "--n", "31:2000", "--sample", "8", "--format", "json"),
+    ("lefschetz", "--g", "2", "--twists", "a1:3,b2:-1,0:2"),
+    ("verify", "--list"),
+    ("verify", "--suite", "quartic-root", "--suite", "congruence-index"),
+    ("verify", "--suite", "root-bound", "--cases", "12"),
+    ("verify", "--suite", "torus-family", "--cases", "8"),
+    ("verify", "--suite", "path-growth", "--cases", "3"),
+    ("verify", "--suite", "path-growth", "--suite", "root-bound", "--suite", "torus-family",
+     "--cases", "6", "--jobs", "2"),
+)
+
+_PINNED_SHA256 = {
+    "pf {fib}": "d4cc510299a7ee7b0c59e7b5b27826a83d030a7f5bc14bed1dff39d691de3539",
+    "pf {fib} --rel-width 1/1000 --max-iters 5": "e34c39b9394b2a1d831df468dfeda2732886fe0cdea4e805697b99215a9ed068",
+    "pf {reducible}": "2a347af24d7b6ed911af4704edf762815e00eda2c898619fa0b91e2e3746d67f",
+    "paths {fib} -i 1 -d 60 --check": "f6662e80b9983bbcd91a11208107108c5ae1ae2753920bb59d4a7b84951e4a5c",
+    "subdivide {fib} -i 1": "228925d49bcf0a18a81418ff601eb913317782f9f774474da8236cd2485e63c7",
+    "subdivide {fib} -i 1 --format json": "f36badfecf8590d2bdd1a7235302aebe9157b8a82f748651716b4ded704d5db8",
+    "hk-root --m 4": "0fab51d5c6dbe70fe1d12d3898709120c91a896f203230e25a82c1c072b5d6f6",
+    "hk-root --m 5": "c52c4ce87a19a44c368a94d96ecb2a1ba5c5e96f912d51ae4425908c62254b07",
+    "hk-root --m 37": "01a85662c91011120246e4d9707bb534322591a9638d90cedd38fedae1bd1aeb",
+    "hk-root --s 2 --t 3 --rel-width 1/1000000": "853557a6a2f7fe4972002eb8802fa77cb4293d0b9145b90afc74e4ee1fd3735b",
+    "torus-matrix --n 6": "0e1790a2ccaf00c62b3fad203924004db168cca7e9f57e608e07756f43229d00",
+    "torus-matrix --n 6 --format json": "a58f000063ee9987399ae0bc17fb592bf0b95aee29874604cdb3ee483d6df457",
+    "torus-matrix --n 6 --verify": "ab65df8b3f2636cc787bb0a5de5f3499ea08f940604c1b0a3ff4f1742a299362",
+    "cover-bound --g 2 --n 40 --csv {csv}": "b31891e0ae87dc9649666074e9a0648311a12e204c9a551e170b236fb56b498e",
+    "cover-bound --g 3 --n 100 --csv {csv}": "e88b5d57d3bc04da922b3749bc21c7998a71e5ac147e21d2561eadf8582b1a1c",
+    "bounds table --g 2 --n 28:35": "ed8a8328796868ff69ad3b74b8eabd1e1f5c8070f548b5bca4b92eeec11e732f",
+    "bounds table --g 2 --n 28:35 --format json": "5eaa9ebab4ae328a251979506b15b41873298b5693912bbefcbfb2e3eb4f4ab1",
+    "bounds table --g 2 --n 28:35 --format text": "27380d543ce83fe5c952884db275d774a24e2041a0d5b685d4f35043331fe929",
+    "bounds table --g 2 --n 31:2000 --sample 8 --format json": "fc6e865f23cee65e0b8ae3b4fd979453a5adaf16d33151d02928d232d6caf2cc",
+    "lefschetz --g 2 --twists a1:3,b2:-1,0:2": "84857338ea9db4eb10639e293f39730dbcf2475b129b58ca34983e2fccf9d14b",
+    "verify --list": "a799f4c000132362987a0b5a4ef0bb07356f41a3f4027ae13f6e4bd389d27d21",
+    "verify --suite quartic-root --suite congruence-index": "2a8c3813237018116101eea501e203575c7421b94af55bc0958cd9da3032a469",
+    "verify --suite root-bound --cases 12": "43c0cd3d34b1b51f157545b8eebf5e009f3bc8a20ac425ef4b9cf10be06ce0fc",
+    "verify --suite torus-family --cases 8": "1ee7c100eec3fa790e8bf4055367ec191441e7309626cc752100c621112faff0",
+    "verify --suite path-growth --cases 3": "88d81ad6e990442308c7ddee330294777f7bb0bf0bcf4fa303f090efeea1284e",
+    "verify --suite path-growth --suite root-bound --suite torus-family --cases 6 --jobs 2": "9bc10417ab8822916e3edadfe4391e61a393bdfb34078e37a1fed31bb546ef64",
+    "{csv} file": "84e87a9da4fae46ce2bd85471bd2ae81cad71f43e618f6df7e015b487410388d",
+}
+
+
+def _pinned_outputs(capsys, tmp_path) -> dict:
+    files = {
+        "fib": tmp_path / "fib.txt",
+        "reducible": tmp_path / "reducible.txt",
+        "csv": tmp_path / "cover.csv",
+    }
+    files["fib"].write_text("2\n0 1\n1 1\n")
+    files["reducible"].write_text("2\n1 1\n0 1\n")
+    outputs = {}
+    for argv in _PINNED_ARGV:
+        code, out, err = run(capsys, *(a.format(**files) for a in argv))
+        assert code == 0, (argv, err)
+        outputs[" ".join(argv)] = out
+    outputs["{csv} file"] = files["csv"].read_text()
+    return outputs
+
+
+def test_cli_output_bytes_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("DILLAB_JOBS", raising=False)
+    outputs = _pinned_outputs(capsys, tmp_path)
+    got = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in outputs.items()}
+    assert got == _PINNED_SHA256

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dillab.cli import main
 from dillab.dilpoly import IntPoly, isolate_largest_real_root
 from dillab.errors import NoDiagonalEntry, NotIrreducible
 from dillab.intmatrix import (
@@ -162,9 +164,12 @@ def test_verify_diagonal_bound_single_loop():
     assert rep.positive_power and rep.mu_bound_holds
 
 
-def test_pf_to_json_dict_exact_fields():
+def test_pf_json_exact_fields(tmp_path, capsys):
+    path = tmp_path / "fib.txt"
+    path.write_text(render_matrix_text(FIB))
+    assert main(["pf", str(path)]) == 0
+    d = json.loads(capsys.readouterr().out)["enclosure"]
     enc = pf_enclosure(FIB)
-    d = enc.to_json_dict()
     assert Fraction(int(d["lo_num"]), int(d["lo_den"])) == enc.lo
     assert Fraction(int(d["hi_num"]), int(d["hi_den"])) == enc.hi
     assert d["iterations"] == enc.iterations

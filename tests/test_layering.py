@@ -1,0 +1,48 @@
+"""The output format lives in one module: the library returns exact values
+and `dillab.cli` alone turns them into decimals, JSON fields and CSV rows.
+This parses every module of the package and pins that layering."""
+
+import ast
+from pathlib import Path
+
+import dillab
+
+PACKAGE = Path(dillab.__file__).resolve().parent
+
+RENDERER_METHODS = {"to_json_dict", "csv_row"}
+OUTPUT_CONSTANTS = {
+    "COVER_CSV_HEADER",
+    "SANDWICH_CSV_HEADER",
+    "LOWER_SOURCE",
+    "UPPER_SOURCE",
+    "NO_UPPER_SOURCE",
+}
+
+
+def _names(tree: ast.AST):
+    """Every identifier a module defines, imports or reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+
+
+def _modules() -> dict:
+    return {path.stem: set(_names(ast.parse(path.read_text()))) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_only_cli_renders_output():
+    modules = _modules()
+    assert "cli" in modules and "enclosures" in modules
+    renderers = {stem for stem, names in modules.items() if names & RENDERER_METHODS}
+    assert renderers <= {"cli"}
+    constants = {stem for stem, names in modules.items() if names & OUTPUT_CONSTANTS}
+    assert constants == {"cli"}
+    # enclosures defines decimal_str and __init__ exports it; cli prints with it
+    printers = {stem for stem, names in modules.items() if "decimal_str" in names}
+    assert printers == {"cli", "enclosures", "__init__"}
