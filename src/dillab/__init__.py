@@ -4,9 +4,11 @@ Exact rational arithmetic end to end: spectral-radius enclosures for
 nonnegative integer matrices, transition-graph path growth, largest roots of
 dilatation polynomials with two independent root routes, closed-form bound
 families with machine-checked calibration, and Lefschetz numbers of
-multitwists and exact fixed-point indices of linear plane models. No
-certified route uses floating point; floats only draw seeded test inputs,
-which are converted exactly.
+multitwists and exact fixed-point indices of linear plane models. Floats
+steer and integers certify: no certified quantity is computed in floating
+point. Floats draw seeded test inputs, which are converted exactly, and
+choose the test vector of a slow Perron enclosure, whose bounds are then
+computed in integers.
 """
 
 from __future__ import annotations

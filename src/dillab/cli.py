@@ -174,7 +174,9 @@ def _cmd_pf(ns: argparse.Namespace) -> int:
     }
     if payload["irreducible"]:
         enc = pf_enclosure(matrix, rel_width=ns.rel_width, max_iters=ns.max_iters)
-        payload["enclosure"] = _enclosure_json(enc.lo, enc.hi, iterations=enc.iterations)
+        payload["enclosure"] = _enclosure_json(
+            enc.lo, enc.hi, iterations=enc.iterations, stop=enc.stop, steered=enc.steered
+        )
     _emit(ns, _canonical_json(payload))
     return 0
 

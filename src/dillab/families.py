@@ -158,7 +158,7 @@ def torus_matrix(n: int) -> TorusMatrixSpec:
     if n < 5:
         raise DomainError("torus family matrix is defined for n >= 5")
     k = 2 * n
-    rows = [[0] * k for _ in range(k)]
+    rows: list[dict[int, int]] = [{} for _ in range(k)]
 
     def put(r: int, c: int, v: int) -> None:
         rows[r - 1][c - 1] = v
@@ -191,7 +191,7 @@ def torus_matrix(n: int) -> TorusMatrixSpec:
     put(k, k - 2, 1)
     put(k, k - 1, 2)
     put(k, k, 3)
-    return TorusMatrixSpec(n=n, matrix=IntMatrix.from_rows(rows))
+    return TorusMatrixSpec(n=n, matrix=IntMatrix.from_sparse([sorted(r.items()) for r in rows]))
 
 
 @dataclass(frozen=True)

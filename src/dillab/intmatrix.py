@@ -5,15 +5,17 @@ matrix M and any strictly positive vector v,
 
     min_i (Mv)_i / v_i  <=  mu(M)  <=  max_i (Mv)_i / v_i,
 
-where mu is the spectral radius. Power iteration only steers v toward the
-dominant eigenvector; the returned [lo, hi] is exact for whichever positive
-iterate we stopped at, so the enclosure is valid even when the loop exits on
-the iteration cap rather than on convergence.
+where mu is the spectral radius. Floats steer, integers certify: power
+iteration, and once float inverse iteration, only choose v; the returned
+[lo, hi] is computed in integers for whichever positive iterate we stopped
+at, so the enclosure is valid even when the loop exits on the iteration cap
+rather than on convergence, and whatever the floats did.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,78 +40,150 @@ __all__ = [
 DEFAULT_REL_WIDTH = Fraction(1, 10**9)
 DEFAULT_MAX_ITERS = 10**6
 
+# Tuples here are built from lists: tuple(<generator>) grows its result by
+# resizing, which churns CPython's free lists and lets peak memory creep
+# upward over many constructions.
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False, repr=False)
 class IntMatrix:
-    """Dense square matrix of nonnegative arbitrary-precision integers."""
+    """Square matrix of nonnegative arbitrary-precision integers.
 
-    entries: tuple[tuple[int, ...], ...]
+    Stored as sparse rows: rows[i] holds the (column, entry) pairs of row i's
+    nonzero entries, 0-based and by increasing column, so equal matrices have
+    equal rows and equal hashes. IntMatrix(entries) takes the dense tuple of
+    tuples; `entries` rebuilds it on every access.
+    """
 
-    def __post_init__(self) -> None:
-        k = len(self.entries)
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __init__(self, entries) -> None:
+        k = len(entries)
         if k == 0:
             raise ValueError("matrix must have dimension >= 1")
         rows = []
-        for row in self.entries:
+        for row in entries:
             if len(row) != k:
                 raise ValueError("matrix must be square")
             for x in row:
                 if not isinstance(x, int):
                     raise ValueError(f"entries must be int, got {type(x).__name__}")
-                if x < 0:
-                    raise ValueError("entries must be nonnegative")
-            rows.append(tuple(row))
-        object.__setattr__(self, "entries", tuple(rows))
+            if min(row) < 0:
+                raise ValueError("entries must be nonnegative")
+            rows.append(tuple([(j, x) for j, x in enumerate(row) if x]))
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @staticmethod
+    def from_sparse(rows) -> "IntMatrix":
+        """Build from sparse rows of (column, entry) pairs, 0-based, columns
+        strictly increasing and entries positive; the dimension is the number
+        of rows."""
+        k = len(rows)
+        if k == 0:
+            raise ValueError("matrix must have dimension >= 1")
+        out = []
+        for row in rows:
+            row = tuple([(j, m) for j, m in row])
+            last = -1
+            for j, m in row:
+                if not (isinstance(j, int) and isinstance(m, int)):
+                    raise ValueError("sparse rows hold int (column, entry) pairs")
+                if not last < j < k:
+                    raise ValueError("sparse columns must increase within 0..k-1")
+                if m <= 0:
+                    raise ValueError("sparse entries must be positive")
+                last = j
+            out.append(row)
+        return IntMatrix._of(tuple(out))
+
+    @staticmethod
+    def _of(rows: tuple) -> "IntMatrix":
+        """Wrap sparse rows that are valid by construction, unchecked."""
+        matrix = object.__new__(IntMatrix)
+        object.__setattr__(matrix, "rows", rows)
+        return matrix
 
     @property
     def k(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     # The digraph view: vertices 1..k, and an edge i -> j of multiplicity
     # entries[i-1][j-1] wherever that entry is nonzero.
     vertex_count = k
 
-    # Tuples here are built from lists: tuple(<generator>) grows its result
-    # by resizing, which churns CPython's free lists and lets peak memory
-    # creep upward over many constructions.
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense tuple of tuples, rebuilt on each access."""
+        k = self.k
+        dense = []
+        for row in self.rows:
+            line = [0] * k
+            for j, m in row:
+                line[j] = m
+            dense.append(tuple(line))
+        return tuple(dense)
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(entries={self.entries!r})"
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """Sorted 1-based (i, j, multiplicity) for every nonzero entry."""
-        return tuple([(i + 1, j + 1, m) for i, row in enumerate(_sparse_rows(self)) for j, m in row])
+        return tuple([(i + 1, j + 1, m) for i, row in enumerate(self.rows) for j, m in row])
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        return IntMatrix(tuple([tuple([int(x) for x in row]) for row in rows]))
+        return IntMatrix([[int(x) for x in row] for row in rows])
 
     @staticmethod
     def identity(k: int) -> "IntMatrix":
-        return IntMatrix(tuple([tuple([int(i == j) for j in range(k)]) for i in range(k)]))
+        return IntMatrix.from_sparse([((i, 1),) for i in range(k)])
 
     def row_sums(self) -> tuple[int, ...]:
-        return tuple([sum(row) for row in self.entries])
+        return tuple([sum([m for _, m in row]) for row in self.rows])
 
     def col_sums(self) -> tuple[int, ...]:
-        return tuple([sum(col) for col in zip(*self.entries)])
+        sums = [0] * self.k
+        for row in self.rows:
+            for j, m in row:
+                sums[j] += m
+        return tuple(sums)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(list(zip(*self.entries))))
+        cols = [[] for _ in range(self.k)]
+        for i, row in enumerate(self.rows):
+            for j, m in row:
+                cols[j].append((i, m))
+        return IntMatrix._of(tuple([tuple(col) for col in cols]))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.k != other.k:
             raise ValueError("dimension mismatch")
-        cols = list(zip(*other.entries))
-        rows = [tuple([sum(a * b for a, b in zip(row, col)) for col in cols]) for row in self.entries]
-        return IntMatrix(tuple(rows))
+        out = []
+        for row in self.rows:
+            acc: dict[int, int] = {}
+            for l, a in row:
+                for j, b in other.rows[l]:
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(tuple(sorted(acc.items())))
+        return IntMatrix._of(tuple(out))
 
 
 @dataclass(frozen=True)
 class PFEnclosure:
-    """Certified spectral-radius enclosure lo <= mu <= hi with exact rationals."""
+    """Certified spectral-radius enclosure lo <= mu <= hi with exact rationals.
+
+    stop says why the iteration ended: "converged" (the width target was
+    met), "hi_target" (hi reached the caller's threshold) or "max_iters".
+    steered says whether a float inverse-iteration vector replaced the
+    integer iterate on the way.
+    """
 
     lo: Fraction
     hi: Fraction
     iterations: int
+    stop: str
+    steered: bool
 
     @property
     def rel_width(self) -> Fraction:
@@ -136,11 +210,6 @@ def mat_power(matrix: IntMatrix, r: int) -> IntMatrix:
     return result
 
 
-def _sparse_rows(matrix: IntMatrix) -> list[list[tuple[int, int]]]:
-    """Per row, the (column, entry) pairs of its nonzero entries, 0-based."""
-    return [[(j, m) for j, m in enumerate(row) if m] for row in matrix.entries]
-
-
 def _reach(adj: list[list[int]], start: int) -> int:
     seen = [False] * len(adj)
     seen[start] = True
@@ -164,8 +233,8 @@ def is_irreducible(matrix: IntMatrix) -> bool:
     """
     k = matrix.k
     if k == 1:
-        return matrix.entries[0][0] > 0
-    fwd = [[j for j, _ in row] for row in _sparse_rows(matrix)]
+        return bool(matrix.rows[0])
+    fwd = [[j for j, _ in row] for row in matrix.rows]
     rev = [[] for _ in range(k)]
     for i in range(k):
         for j in fwd[i]:
@@ -174,7 +243,142 @@ def is_irreducible(matrix: IntMatrix) -> bool:
 
 
 def is_positive(matrix: IntMatrix) -> bool:
-    return all(x > 0 for row in matrix.entries for x in row)
+    k = matrix.k
+    return all([len(row) == k for row in matrix.rows])
+
+
+# Float steering: at most this many shifted solves, stopping early once the
+# float quotients agree to about 2^-44 relative or stop narrowing.
+_STEER_ROUNDS = 8
+_STEER_TOL = 2.0**-44
+_STEER_SCALE = 2.0**62  # steered vectors become integers in 1..2^62
+
+
+def _steer_at(rows) -> int:
+    """The iteration after which pf_enclosure steers: the first at which the
+    exact loop's multiply-adds (one per nonzero entry and step) pay for
+    _STEER_ROUNDS eliminations.
+
+    Elimination without pivoting fills only inside the matrix's envelope:
+    row r of L starts at row r's first nonzero column, column c of U at
+    column c's first nonzero row. Pivot i therefore updates at most
+    L_i * U_i entries, where L_i counts the rows r > i that start at or
+    before i and U_i the columns c > i that do. A banded matrix with a few
+    wrap-around rows costs O(k); a dense one k^3 / 3.
+    """
+    k = len(rows)
+    first_row = [k] * k
+    rise = [0] * (k + 1)  # difference arrays of L_i and U_i over i
+    fall = [0] * (k + 1)
+    for r, row in enumerate(rows):
+        if row and row[0][0] < r:
+            rise[row[0][0]] += 1
+            rise[r] -= 1
+        for j, _ in row:
+            if r < first_row[j]:
+                first_row[j] = r
+    for c, r in enumerate(first_row):
+        if r < c:
+            fall[r] += 1
+            fall[c] -= 1
+    work = lower = upper = 0
+    for i in range(k):
+        lower += rise[i]
+        upper += fall[i]
+        work += lower * upper
+    nnz = sum([len(row) for row in rows])
+    return -(-_STEER_ROUNDS * (work + nnz) // nnz)
+
+
+def _shifted_solve(a: list, sigma: float, b: list) -> list | None:
+    """Solve (sigma I - A) y = b by sparse Gaussian elimination without
+    pivoting, on rows held as dicts; None unless every pivot and every
+    component of y is positive and finite.
+
+    With sigma above the spectral radius of the nonnegative irreducible A,
+    sigma I - A is a nonsingular M-matrix: its pivots are positive, and a
+    positive b gives a positive y. Rounding can break either near the
+    singular end, which the checks catch.
+    """
+    k = len(a)
+    rows = []
+    below = [[] for _ in range(k)]  # below[c]: rows r > c with an entry at c
+    for r, row in enumerate(a):
+        d = {j: -m for j, m in row}
+        d[r] = d.get(r, 0.0) + sigma
+        rows.append(d)
+        for j in d:
+            if j < r:
+                below[j].append(r)
+    b = list(b)
+    pivots = [0.0] * k
+    for i in range(k):
+        upper = rows[i]  # columns >= i only: the earlier ones are eliminated
+        piv = pivots[i] = upper.pop(i)
+        if not 0.0 < piv < math.inf:
+            return None
+        for r in below[i]:
+            target = rows[r]
+            f = target.pop(i) / piv
+            for j, v in upper.items():
+                if j in target:
+                    target[j] -= f * v
+                else:
+                    target[j] = -f * v
+                    if j < r:
+                        below[j].append(r)
+            b[r] -= f * b[i]
+    y = [0.0] * k
+    for i in range(k - 1, -1, -1):
+        s = b[i]
+        for j, v in rows[i].items():
+            s -= v * y[j]
+        y[i] = s / pivots[i]
+        if not 0.0 < y[i] < math.inf:
+            return None
+    return y
+
+
+def _steer(rows, u: list[int], hi: Fraction) -> list[int] | None:
+    """A positive integer vector near the Perron vector, or None.
+
+    Noda's inverse iteration in floats: solve (sigma I - M) y = x with sigma
+    the current Collatz-Wielandt upper bound (hi first, then the float
+    quotients' maximum), normalise, repeat. The result is scaled to 62-bit
+    integers; it only steers, the caller certifies it exactly. Any overflow,
+    non-finite value or nonpositive pivot or component gives up (None), or
+    keeps the last vector that passed.
+    """
+    try:
+        a = [[(j, float(m)) for j, m in row] for row in rows]
+        sigma = hi.numerator / hi.denominator
+        top = max(u)
+        x = [v / top for v in u]
+    except OverflowError:
+        return None
+    best = None
+    width = math.inf
+    for _ in range(_STEER_ROUNDS):
+        y = _shifted_solve(a, sigma, x)
+        if y is None:
+            break
+        top = max(y)
+        x = [v / top for v in y]
+        if not all([v > 0.0 for v in x]):
+            break
+        q = [sum([m * x[j] for j, m in row]) / x[i] for i, row in enumerate(a)]
+        lo, new_sigma = min(q), max(q)
+        if not 0.0 < lo <= new_sigma < math.inf:
+            break
+        new_width = (new_sigma - lo) / lo
+        if new_width >= width:
+            break
+        best, width, sigma = x, new_width, new_sigma
+        if width <= _STEER_TOL:
+            break
+    if best is None:
+        return None
+    return [max(1, int(v * _STEER_SCALE)) for v in best]
 
 
 def pf_enclosure(
@@ -201,6 +405,17 @@ def pf_enclosure(
     max_iters < 1 raises DomainError: the first never stops, the second
     certifies nothing.
 
+    Power iteration converges slowly when the subdominant eigenvalues crowd
+    the Perron root (the torus family's close in like 1/n^2). So once, if
+    the loop has not stopped, the next iterate comes from float inverse
+    iteration instead (_steer); the exact loop then evaluates it and goes on
+    as before, and a failed steer leaves the integer iterate in place. The
+    iteration at which this happens depends on the input alone: not before
+    k, the dimension, and not before the loop has spent as much arithmetic
+    as the steer may (_steer_at). A matrix that power iteration settles
+    sooner never steers, and one that needs long at most doubles the work
+    spent so far.
+
     hi_target, when given, stops the iteration the moment the certified
     upper bound reaches it, useful when only a one-sided threshold matters
     and a tight enclosure would be wasted work.
@@ -211,10 +426,13 @@ def pf_enclosure(
     if not is_irreducible(matrix):
         raise NotIrreducible("pf_enclosure requires an irreducible matrix")
     k = matrix.k
-    sparse = _sparse_rows(matrix)
+    sparse = matrix.rows
     u = [1] * k
     lo_n = lo_d = hi_n = hi_d = 1
     iterations = 0
+    stop = "max_iters"
+    steered = False
+    steer_at = max(k, _steer_at(sparse))
     for iterations in range(1, max_iters + 1):
         w = [sum(m * u[j] for j, m in row) for row in sparse]
         # min/max quotients w_i/u_i by cross-multiplication (denominators > 0)
@@ -230,19 +448,33 @@ def pf_enclosure(
         if (hi_n * lo_d - lo_n * hi_d) * rel_width.denominator <= (
             rel_width.numerator * lo_n * hi_d
         ):
+            stop = "converged"
             break
         if hi_target is not None and hi_n * hi_target.denominator <= hi_target.numerator * hi_d:
+            stop = "hi_target"
             break
+        if iterations == steer_at and iterations < max_iters:
+            guess = _steer(sparse, u, Fraction(hi_n, hi_d))
+            if guess is not None:
+                u = guess
+                steered = True
+                continue
         nxt = [w[i] + u[i] for i in range(k)]
-        top = max(x.bit_length() for x in nxt)
+        top = max(nxt).bit_length()
         if top > 192:
             # keep ~96 bits: truncation noise ~2^-96 relative, far below any
             # usable rel_width, and small ints keep the row products cheap
-            shift = min(top - 96, min(x.bit_length() for x in nxt) - 1)
+            shift = min(top - 96, min(nxt).bit_length() - 1)
             if shift > 0:
                 nxt = [x >> shift for x in nxt]
         u = nxt
-    return PFEnclosure(lo=Fraction(lo_n, lo_d), hi=Fraction(hi_n, hi_d), iterations=iterations)
+    return PFEnclosure(
+        lo=Fraction(lo_n, lo_d),
+        hi=Fraction(hi_n, hi_d),
+        iterations=iterations,
+        stop=stop,
+        steered=steered,
+    )
 
 
 def verify_diagonal_bound(matrix: IntMatrix) -> DiagonalBoundReport:
@@ -251,7 +483,7 @@ def verify_diagonal_bound(matrix: IntMatrix) -> DiagonalBoundReport:
     if not is_irreducible(matrix):
         raise NotIrreducible("verify_diagonal_bound requires an irreducible matrix")
     k = matrix.k
-    if all(matrix.entries[i][i] == 0 for i in range(k)):
+    if not any([j == i for i, row in enumerate(matrix.rows) for j, _ in row]):
         raise NoDiagonalEntry("verify_diagonal_bound requires a nonzero diagonal entry")
     power = mat_power(matrix, 2 * k)
     enclosure = pf_enclosure(matrix)

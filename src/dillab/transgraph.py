@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .enclosures import RatInterval, interval_gap, nth_root_enclosure
 from .errors import DegreePreconditionViolated, DomainError, NotIrreducible, VertexOutOfRange
-from .intmatrix import DEFAULT_MAX_ITERS, IntMatrix, _sparse_rows, is_irreducible, pf_enclosure
+from .intmatrix import DEFAULT_MAX_ITERS, IntMatrix, is_irreducible, pf_enclosure
 
 __all__ = [
     "LimitCheckReport",
@@ -66,7 +66,7 @@ def path_count_series(matrix: IntMatrix, i: int, d_max: int) -> tuple[int, ...]:
     _check_vertex(matrix, i)
     if d_max < 0:
         raise DomainError("path length must be >= 0")
-    rows = _sparse_rows(matrix)
+    rows = matrix.rows
     v = [1] * matrix.k
     out = [v[i - 1]]
     for _ in range(d_max):
@@ -122,17 +122,16 @@ def subdivide_out_edge(matrix: IntMatrix, i: int) -> IntMatrix:
     2-cycle i -> w -> i.
     """
     _check_vertex(matrix, i)
-    row = matrix.entries[i - 1]
-    in_mult = sum(r[i - 1] for r in matrix.entries)
-    out_mult = sum(row)
+    row = matrix.rows[i - 1]
+    in_mult = matrix.col_sums()[i - 1]
+    out_mult = sum([m for _, m in row])
     if in_mult != 1 or out_mult != 1:
         raise DegreePreconditionViolated(
             f"vertex {i} needs in-multiplicity 1 and out-multiplicity 1, "
             f"got in={in_mult} out={out_mult}"
         )
     k = matrix.k
-    rows = [list(r) + [0] for r in matrix.entries]
-    rows.append([0] * (k + 1))
-    rows[k][row.index(1)] = 1
-    rows[i - 1] = [0] * k + [1]
-    return IntMatrix.from_rows(rows)
+    rows = list(matrix.rows)
+    rows[i - 1] = ((k, 1),)
+    rows.append(row)
+    return IntMatrix.from_sparse(rows)

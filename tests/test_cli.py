@@ -453,6 +453,7 @@ def test_version_and_no_subcommand(capsys):
 _PINNED_ARGV = (
     ("pf", "{fib}"),
     ("pf", "{fib}", "--rel-width", "1/1000", "--max-iters", "5"),
+    ("pf", "{fib}", "--rel-width", "1/10000000000", "--max-iters", "2"),
     ("pf", "{reducible}"),
     ("paths", "{fib}", "-i", "1", "-d", "60", "--check"),
     ("subdivide", "{fib}", "-i", "1"),
@@ -481,10 +482,11 @@ _PINNED_ARGV = (
 )
 
 _PINNED_SHA256 = {
-    "pf {fib}": "d4cc510299a7ee7b0c59e7b5b27826a83d030a7f5bc14bed1dff39d691de3539",
-    "pf {fib} --rel-width 1/1000 --max-iters 5": "e34c39b9394b2a1d831df468dfeda2732886fe0cdea4e805697b99215a9ed068",
+    "pf {fib}": "06a28a54f231a7913f7529db6f5bc93078145efa9634e70de46618c7fec6cb50",
+    "pf {fib} --rel-width 1/1000 --max-iters 5": "80934a9cd47ede36509d6fdcfe40af59004926c3ac2051ce2bfc3200e0326c8e",
+    "pf {fib} --rel-width 1/10000000000 --max-iters 2": "192aafe306323ffce1c359c282955ebcd53c5786fa6eca6a448d51458ec3a6ef",
     "pf {reducible}": "2a347af24d7b6ed911af4704edf762815e00eda2c898619fa0b91e2e3746d67f",
-    "paths {fib} -i 1 -d 60 --check": "f6662e80b9983bbcd91a11208107108c5ae1ae2753920bb59d4a7b84951e4a5c",
+    "paths {fib} -i 1 -d 60 --check": "26343b78ea6afaf28c85534d4ea728ed78ad201707bd24a99dd3692be871a624",
     "subdivide {fib} -i 1": "228925d49bcf0a18a81418ff601eb913317782f9f774474da8236cd2485e63c7",
     "subdivide {fib} -i 1 --format json": "f36badfecf8590d2bdd1a7235302aebe9157b8a82f748651716b4ded704d5db8",
     "hk-root --m 4": "0fab51d5c6dbe70fe1d12d3898709120c91a896f203230e25a82c1c072b5d6f6",
@@ -504,9 +506,9 @@ _PINNED_SHA256 = {
     "verify --list": "a799f4c000132362987a0b5a4ef0bb07356f41a3f4027ae13f6e4bd389d27d21",
     "verify --suite quartic-root --suite congruence-index": "2a8c3813237018116101eea501e203575c7421b94af55bc0958cd9da3032a469",
     "verify --suite root-bound --cases 12": "43c0cd3d34b1b51f157545b8eebf5e009f3bc8a20ac425ef4b9cf10be06ce0fc",
-    "verify --suite torus-family --cases 8": "1ee7c100eec3fa790e8bf4055367ec191441e7309626cc752100c621112faff0",
-    "verify --suite path-growth --cases 3": "88d81ad6e990442308c7ddee330294777f7bb0bf0bcf4fa303f090efeea1284e",
-    "verify --suite path-growth --suite root-bound --suite torus-family --cases 6 --jobs 2": "9bc10417ab8822916e3edadfe4391e61a393bdfb34078e37a1fed31bb546ef64",
+    "verify --suite torus-family --cases 8": "28327bd3f3542d4841a5a8de95d2e20c51d54237d362d98337565e95405df5ef",
+    "verify --suite path-growth --cases 3": "5eaaf6753fa03c0d10cc1b58c7ef109d416f1b66c5e0b96a629a5eb4aff97e7c",
+    "verify --suite path-growth --suite root-bound --suite torus-family --cases 6 --jobs 2": "8b29da3dc04d4ede6a6bcdf696f730322db319fa2d62274e11f3c8bf1ff4fb6c",
     "{csv} file": "84e87a9da4fae46ce2bd85471bd2ae81cad71f43e618f6df7e015b487410388d",
 }
 

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dillab.cli import main
-from dillab.dilpoly import IntPoly, isolate_largest_real_root
+from dillab.dilpoly import IntPoly, char_poly, count_real_roots_above, isolate_largest_real_root
 from dillab.errors import NoDiagonalEntry, NotIrreducible
+from dillab.families import torus_matrix
 from dillab.intmatrix import (
     IntMatrix,
+    _shifted_solve,
     is_irreducible,
     is_positive,
     mat_power,
@@ -31,6 +35,34 @@ def test_constructor_validation():
         IntMatrix(((-1, 0), (0, 1)))
     with pytest.raises(ValueError):
         IntMatrix(())
+
+
+def test_sparse_storage_keeps_dense_meaning():
+    assert FIB.rows == (((1, 1),), ((0, 1), (1, 1)))
+    assert FIB.entries == ((0, 1), (1, 1))
+    same = IntMatrix.from_rows([[0, 1], [1, 1]])
+    assert same == FIB and hash(same) == hash(FIB)
+    assert IntMatrix.from_sparse([[(1, 1)], [(0, 1), (1, 1)]]) == FIB
+    assert IntMatrix(((0, 1), (1, 2))) != FIB
+    assert len({FIB, same, IntMatrix.identity(2)}) == 2
+    assert repr(FIB) == "IntMatrix(entries=((0, 1), (1, 1)))"
+    assert IntMatrix(((0, 0), (0, 0))).rows == ((), ())
+    assert FIB.edges == ((1, 2, 1), (2, 1, 1), (2, 2, 1))
+
+
+def test_from_sparse_validation():
+    for bad in (
+        [],
+        [[(1, 1), (0, 1)], []],  # columns out of order
+        [[(0, 1), (0, 2)], []],  # repeated column
+        [[(2, 1)], []],  # column outside 0..k-1
+        [[(-1, 1)], []],
+        [[(0, 0)], []],  # stored zero
+        [[(0, -1)], []],
+        [[(0, 1.0)], []],
+    ):
+        with pytest.raises(ValueError):
+            IntMatrix.from_sparse(bad)
 
 
 def test_parse_render_round_trip():
@@ -115,11 +147,112 @@ def test_pf_enclosure_exact_for_constant_row_sums():
 
 
 def test_pf_enclosure_capped_iterations_still_sound():
-    # truncated iteration budget yields a wide but valid enclosure
+    # a truncated iteration budget still yields a valid enclosure; phi is
+    # checked exactly, since it is the positive root of x^2 = x + 1
     enc = pf_enclosure(FIB, rel_width=Fraction(1, 10 ** 40), max_iters=3)
     assert enc.iterations == 3
-    assert enc.lo <= Fraction(161803399, 10 ** 8) <= enc.hi
+    assert enc.stop == "max_iters"
+    assert enc.lo ** 2 <= enc.lo + 1
+    assert enc.hi ** 2 >= enc.hi + 1
     assert 1 <= enc.lo and enc.hi <= 2
+
+
+def _brackets_phi(enc):
+    return enc.lo ** 2 <= enc.lo + 1 and enc.hi ** 2 >= enc.hi + 1
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3])
+def test_pf_enclosure_fibonacci_tiny_budgets(max_iters):
+    enc = pf_enclosure(FIB, rel_width=Fraction(1, 10 ** 40), max_iters=max_iters)
+    assert enc.iterations == max_iters
+    assert (enc.stop, enc.steered) == ("max_iters", False)
+    assert _brackets_phi(enc)
+
+
+def test_pf_enclosure_steers_once_at_a_fixed_iteration():
+    # FIB steers after iteration 11, and only when an iteration is left to
+    # evaluate the steered vector
+    runs = {
+        n: pf_enclosure(FIB, rel_width=Fraction(1, 10 ** 40), max_iters=n)
+        for n in (11, 12, 13)
+    }
+    assert [runs[n].steered for n in (11, 12, 13)] == [False, True, True]
+    assert all(enc.stop == "max_iters" and _brackets_phi(enc) for enc in runs.values())
+    assert runs[12].rel_width < runs[11].rel_width / 10 ** 6
+
+
+def test_pf_enclosure_stop_reasons():
+    enc = pf_enclosure(FIB)
+    assert (enc.stop, enc.steered) == ("converged", True)
+    assert enc.rel_width <= Fraction(1, 10 ** 9) and _brackets_phi(enc)
+    enc = pf_enclosure(FIB, hi_target=Fraction(2))
+    assert (enc.stop, enc.iterations, enc.steered) == ("hi_target", 1, False)
+    one = pf_enclosure(IntMatrix(((7,),)))
+    assert (one.lo, one.hi, one.iterations, one.stop, one.steered) == (7, 7, 1, "converged", False)
+
+
+def test_pf_enclosure_steer_falls_through_on_float_overflow():
+    # float() of an entry >= 2^1024 raises OverflowError; the steer must give
+    # up quietly and leave the exact loop to certify
+    big = 2 ** 1100
+    sym = pf_enclosure(IntMatrix(((big, 1), (1, big))))
+    assert sym.lo <= big + 1 <= sym.hi and not sym.steered
+    # an asymmetric one that runs past its steering iteration (10) without
+    # being steered: mu = big + sqrt(2)
+    m = IntMatrix(((big, 1), (2, big)))
+    enc = pf_enclosure(m, rel_width=Fraction(1, 2 ** 1300), max_iters=20)
+    assert enc.iterations == 20 and enc.stop == "max_iters" and not enc.steered
+    assert big < enc.lo and (enc.lo - big) ** 2 <= 2 <= (enc.hi - big) ** 2
+
+
+def test_shifted_solve_refuses_bad_shifts():
+    a = [[(j, float(m)) for j, m in row] for row in FIB.rows]
+    y = _shifted_solve(a, 2.0, [1.0, 1.0])  # 2 > phi: positive solution
+    assert y is not None and min(y) > 0
+    # 1 < phi: sigma I - M is no M-matrix and the second pivot is -1
+    assert _shifted_solve(a, 1.0, [1.0, 1.0]) is None
+    assert _shifted_solve(a, math.nan, [1.0, 1.0]) is None
+    assert _shifted_solve(a, math.inf, [1.0, 1.0]) is None
+
+
+def test_pf_enclosure_steers_periodic_bipartite():
+    # eigenvalues +-sqrt(2): the shifted solve must still pick the Perron one
+    m = IntMatrix(((0, 2), (1, 0)))
+    enc = pf_enclosure(m, rel_width=Fraction(1, 10 ** 12))
+    assert enc.steered and enc.stop == "converged"
+    assert enc.rel_width <= Fraction(1, 10 ** 12)
+    assert enc.lo ** 2 <= 2 <= enc.hi ** 2
+    # a weighted 4-cycle, period 4, mu = 6^(1/4)
+    cyc = IntMatrix(((0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3), (1, 0, 0, 0)))
+    enc = pf_enclosure(cyc)
+    assert enc.steered and enc.rel_width <= Fraction(1, 10 ** 9)
+    assert enc.lo ** 4 <= 6 <= enc.hi ** 4
+
+
+def test_pf_enclosure_quick_dense_matrices_never_steer():
+    # a cycle plus random extra entries (a quarter of them): power iteration
+    # settles these within a few dozen steps, long before their dense
+    # envelope would pay for the steer, so they keep plain power iteration's
+    # enclosure
+    for seed in range(10):
+        rng = random.Random(seed)
+        k = 20
+        rows = [[0] * k for _ in range(k)]
+        for i in range(k):
+            rows[i][(i + 1) % k] = rng.randint(1, 3)
+            for j in range(k):
+                if rows[i][j] == 0 and rng.random() < 0.25:
+                    rows[i][j] = rng.randint(1, 3)
+        enc = pf_enclosure(IntMatrix.from_rows(rows))
+        assert enc.stop == "converged" and not enc.steered
+
+
+def test_pf_enclosure_torus_60_iteration_pin():
+    m = torus_matrix(60).matrix
+    enc = pf_enclosure(m)
+    assert enc.steered and enc.stop == "converged"
+    assert enc.iterations <= 2 * m.k
+    assert enc.rel_width <= Fraction(1, 10 ** 9)
 
 
 def test_pf_enclosure_hi_target_stops_early():
@@ -173,6 +306,7 @@ def test_pf_json_exact_fields(tmp_path, capsys):
     assert Fraction(int(d["lo_num"]), int(d["lo_den"])) == enc.lo
     assert Fraction(int(d["hi_num"]), int(d["hi_den"])) == enc.hi
     assert d["iterations"] == enc.iterations
+    assert (d["stop"], d["steered"]) == (enc.stop, enc.steered) == ("converged", True)
     assert float(d["lo_decimal"]) <= float(d["hi_decimal"])
 
 
@@ -207,3 +341,37 @@ def test_pf_enclosure_dominated_by_max_row_sum(m):
     enc = pf_enclosure(m, rel_width=Fraction(1, 10 ** 4))
     assert min(m.row_sums()) <= enc.hi
     assert enc.lo <= max(m.row_sums())
+
+
+@st.composite
+def steered_matrices(draw):
+    """Irreducible matrices that power iteration does not settle within k
+    steps: small torus matrices, and weighted cycles with a few chords."""
+    if draw(st.booleans()):
+        return torus_matrix(draw(st.integers(min_value=5, max_value=8))).matrix
+    k = draw(st.integers(min_value=3, max_value=10))
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        rows[i][(i + 1) % k] = draw(st.integers(min_value=1, max_value=3))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=k - 1))
+        j = draw(st.integers(min_value=0, max_value=k - 1))
+        rows[i][j] += draw(st.integers(min_value=1, max_value=2))
+    return IntMatrix.from_rows(rows)
+
+
+@given(
+    steered_matrices(),
+    st.sampled_from([Fraction(1, 10 ** 6), Fraction(1, 10 ** 9), Fraction(1, 10 ** 12)]),
+)
+@settings(max_examples=40, deadline=None)
+def test_pf_enclosure_exact_oracle(m, rel):
+    # the characteristic polynomial has no root above hi and one at or above
+    # lo, decided by exact Sturm counts
+    enc = pf_enclosure(m, rel_width=rel)
+    assert enc.stop == "converged" and enc.rel_width <= rel
+    p = char_poly(m)
+    if p.sign_at(enc.hi) != 0:
+        assert count_real_roots_above(p, enc.hi) == 0
+    if p.sign_at(enc.lo) != 0:
+        assert count_real_roots_above(p, enc.lo) >= 1
