@@ -182,6 +182,8 @@ def _cmd_pf(ns: argparse.Namespace) -> int:
 
 
 def _cmd_paths(ns: argparse.Namespace) -> int:
+    if ns.tol < 0:
+        raise UsageError("need --tol >= 0")
     graph = load_matrix(ns.graph)
     counts = path_count_series(graph, ns.vertex, ns.d_max)
     payload = {

@@ -14,8 +14,9 @@ largest real root. What decides the half is a proof, never a sample:
   `isolate_largest_real_root`, `compare_largest_roots`) is the exact oracle
   route, used to cross-check spectral enclosures and to decide mu(A) <= mu(B)
   with no floating point. It runs on integers only: Faddeev-LeVerrier on the
-  integer matrix, and primitive integer Sturm chains of p and p' whose
-  members are evaluated by the same integer sign test as every probe.
+  matrix's sparse rows, and primitive integer Sturm chains of p and p',
+  evaluated at each probe's numerator and denominator. A query isolates the
+  largest root (one root per interval), then decides, then refines.
 """
 
 from __future__ import annotations
@@ -85,20 +86,19 @@ class IntPoly:
     def leading_coefficient(self) -> int:
         return self.coeffs[-1][1] if self.coeffs else 0
 
-    def _homogenised(self, x: Fraction) -> int:
-        """q**d * p(n/q) for x = n/q in lowest terms and d the degree: an
-        integer with the sign of p(x)."""
-        n, q = x.numerator, x.denominator
+    def _homogenised(self, n: int, q: int) -> int:
+        """q**d * p(n/q) for q > 0 and d the degree: an integer with the sign
+        of p(n/q)."""
         d = self.degree
         return sum(c * n**e * q ** (d - e) for e, c in self.coeffs)
 
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        return Fraction(self._homogenised(x), x.denominator ** max(self.degree, 0))
+        n, q = Fraction(x).as_integer_ratio()
+        return Fraction(self._homogenised(n, q), q ** max(self.degree, 0))
 
     def sign_at(self, x) -> int:
         """Exact sign of p(x) at a rational point, via integer arithmetic."""
-        num = self._homogenised(Fraction(x))
+        num = self._homogenised(*Fraction(x).as_integer_ratio())
         return (num > 0) - (num < 0)
 
 
@@ -276,12 +276,16 @@ def char_poly(matrix: IntMatrix) -> IntPoly:
     each trace divides exactly by i: the loop never leaves the integers.
     """
     k = matrix.k
-    m = matrix.entries
     n = [[int(i == j) for j in range(k)] for i in range(k)]
     coeffs = [0] * k + [1]
     for i in range(1, k + 1):
-        cols = list(zip(*n))
-        n = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in m]
+        prod = []
+        for row in matrix.rows:
+            acc = [0] * k
+            for l, m in row:
+                acc = [a + m * b for a, b in zip(acc, n[l])]
+            prod.append(acc)
+        n = prod
         ci, rem = divmod(-sum(n[t][t] for t in range(k)), i)
         if rem:
             raise AssertionError("Faddeev-LeVerrier produced a non-integer coefficient")
@@ -363,7 +367,8 @@ def _sturm_counter(p: IntPoly):
     at_inf = _sign_changes([q.leading_coefficient for q in chain])
 
     def roots_above(a: Fraction) -> int:
-        values = [q.sign_at(a) for q in chain]
+        n, q = a.as_integer_ratio()
+        values = [member._homogenised(n, q) for member in chain]
         if not values or values[0] == 0:
             raise ValueError("count_real_roots_above requires p(a) != 0")
         return _sign_changes(values) - at_inf
@@ -379,12 +384,10 @@ def count_real_roots_above(p: IntPoly, a: Fraction) -> int:
     return _sturm_counter(p)(Fraction(a))
 
 
-def _isolate(p: IntPoly, hi_bound, max_width):
-    """Isolating (lo, hi) for the largest real root of p, and the Sturm
-    counter it was bisected on."""
-    hi_bound, max_width = Fraction(hi_bound), Fraction(max_width)
-    if max_width <= 0:
-        raise DomainError("isolate_largest_real_root requires max_width > 0")
+def _isolate(p: IntPoly, hi_bound):
+    """The first bisection interval (lo, hi) holding the largest real root of
+    p and no other root, and the Sturm counter it was bisected on."""
+    hi_bound = Fraction(hi_bound)
     roots_above = _sturm_counter(p)
     if roots_above(hi_bound) != 0:
         raise DomainError("hi_bound does not dominate all real roots")
@@ -392,56 +395,50 @@ def _isolate(p: IntPoly, hi_bound, max_width):
     above_lo = roots_above(lo)
     if above_lo < 1:
         raise DomainError("polynomial has no real root in range")
-    while hi - lo > max_width or above_lo != 1:
+    while above_lo != 1:
         lo, hi, n = _bisect(p, lo, hi, roots_above)
         above_lo = n or above_lo
-        if hi - lo < Fraction(1, 2**4000):
-            raise AssertionError("failed to isolate largest real root")
     return lo, hi, roots_above
 
 
-def isolate_largest_real_root(
-    p: IntPoly,
-    hi_bound,
-    max_width=_ISOLATE_WIDTH,
-) -> RatInterval:
+def isolate_largest_real_root(p: IntPoly, hi_bound, max_width=_ISOLATE_WIDTH) -> RatInterval:
     """Isolating interval for the largest real root of p.
 
     Requires max_width > 0 and p to have at least one real root and none
     above hi_bound. Bisection on the exact Sturm count of roots above the
-    probe, refined until the interval is no wider than max_width and holds
-    exactly one distinct root.
+    probe isolates the root first, then refines the interval until it is
+    no wider than max_width.
     """
-    lo, hi, _ = _isolate(p, hi_bound, max_width)
+    max_width = Fraction(max_width)
+    if max_width <= 0:
+        raise DomainError("isolate_largest_real_root requires max_width > 0")
+    lo, hi, roots_above = _isolate(p, hi_bound)
+    while hi - lo > max_width:
+        lo, hi, _ = _bisect(p, lo, hi, roots_above)
     return RatInterval(lo, hi)
 
 
 def compare_largest_roots(pa: IntPoly, pb: IntPoly, hi_a, hi_b) -> int:
     """Exact trichotomy for the largest real roots: -1, 0, or +1.
 
-    Separation is decided by refining isolating intervals; equality is
-    certified by a common root of gcd(pa, pb) inside the overlap of the two
-    isolating intervals (each isolates exactly one root, so a shared root in
-    the overlap is necessarily both largest roots).
+    Isolate, then decide, then refine: once each interval holds exactly one
+    root of its polynomial, the roots are equal exactly when gcd(pa, pb) has
+    a root in the overlap, since a common root there is both largest roots.
+    Otherwise both intervals are bisected until they separate.
     """
-    a_lo, a_hi, above_a = _isolate(pa, hi_a, _ISOLATE_WIDTH)
-    b_lo, b_hi, above_b = _isolate(pb, hi_b, _ISOLATE_WIDTH)
-    g = _sparse(_poly_gcd(_dense(pa), _dense(pb)))
-    above_g = _sturm_counter(g) if g.degree > 0 else None
-    for _ in range(200):
+    a_lo, a_hi, above_a = _isolate(pa, hi_a)
+    b_lo, b_hi, above_b = _isolate(pb, hi_b)
+    above_g = _sturm_counter(_sparse(_poly_gcd(_dense(pa), _dense(pb))))
+    if above_g(max(a_lo, b_lo)) > above_g(min(a_hi, b_hi)):
+        return 0
+    while max(a_hi - a_lo, b_hi - b_lo) > Fraction(1, 2**4000):
         if a_hi < b_lo:
             return -1
         if b_hi < a_lo:
             return 1
-        if above_g is not None:
-            o_lo, o_hi = max(a_lo, b_lo), min(a_hi, b_hi)
-            if g.sign_at(o_lo) == 0 or g.sign_at(o_hi) == 0:
-                return 0
-            if above_g(o_lo) - above_g(o_hi) >= 1:
-                return 0
         a_lo, a_hi, _ = _bisect(pa, a_lo, a_hi, above_a)
         b_lo, b_hi, _ = _bisect(pb, b_lo, b_hi, above_b)
-    raise AssertionError("compare_largest_roots failed to separate or certify equality")
+    raise AssertionError("compare_largest_roots failed to separate unequal roots")
 
 
 def mu_compare(a: IntMatrix, b: IntMatrix) -> int:

@@ -52,7 +52,8 @@ class IntMatrix:
     Stored as sparse rows: rows[i] holds the (column, entry) pairs of row i's
     nonzero entries, 0-based and by increasing column, so equal matrices have
     equal rows and equal hashes. IntMatrix(entries) takes the dense tuple of
-    tuples; `entries` rebuilds it on every access.
+    tuples of entries of type int exactly: a bool, float or str is refused,
+    never coerced. `entries` rebuilds that tuple on every access.
     """
 
     rows: tuple[tuple[tuple[int, int], ...], ...]
@@ -66,7 +67,7 @@ class IntMatrix:
             if len(row) != k:
                 raise ValueError("matrix must be square")
             for x in row:
-                if not isinstance(x, int):
+                if type(x) is not int:  # bool too: true is not read as 1
                     raise ValueError(f"entries must be int, got {type(x).__name__}")
             if min(row) < 0:
                 raise ValueError("entries must be nonnegative")
@@ -86,7 +87,7 @@ class IntMatrix:
             row = tuple([(j, m) for j, m in row])
             last = -1
             for j, m in row:
-                if not (isinstance(j, int) and isinstance(m, int)):
+                if type(j) is not int or type(m) is not int:
                     raise ValueError("sparse rows hold int (column, entry) pairs")
                 if not last < j < k:
                     raise ValueError("sparse columns must increase within 0..k-1")
@@ -133,7 +134,8 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        return IntMatrix([[int(x) for x in row] for row in rows])
+        """IntMatrix(rows), for rows given as any sequences of int entries."""
+        return IntMatrix(rows)
 
     @staticmethod
     def identity(k: int) -> "IntMatrix":

@@ -88,13 +88,16 @@ def dilatation_limit_check(
 
     The d-th root of P(i, d) is bracketed by exact integer root extraction
     (no floating point), and convergence means that bracket overlaps the
-    spectral enclosure widened by tol on each side. last_gap is the distance
-    between the two unwidened intervals, 0 when they already overlap.
+    spectral enclosure widened by tol >= 0 on each side. last_gap is the
+    distance between the two unwidened intervals, 0 when they already
+    overlap.
     """
     _check_vertex(matrix, i)
     if d_max < 1:
         raise DomainError("d_max must be >= 1")
     tol = Fraction(tol)
+    if tol < 0:
+        raise DomainError("tol must be >= 0")
     if not is_irreducible(matrix):
         raise NotIrreducible("dilatation_limit_check requires an irreducible graph")
     p = path_count(matrix, i, d_max)

@@ -101,6 +101,28 @@ def test_paths_counts_and_check(capsys, fib_file):
     assert payload["limit_check"]["converged"] is True
 
 
+def test_pf_non_int_matrix_file_exit_1(capsys, tmp_path):
+    # 1.7 and true used to be read as 1, so pf certified mu = 2 for a matrix
+    # the file does not hold
+    for entries in ("[[1.7, 1], [1, true]]", "[[1, 1], [1, true]]", '[[1, "3"], [1, 1]]'):
+        path = tmp_path / "bad.json"
+        path.write_text('{"k": 2, "rows": %s}' % entries)
+        code, out, err = run(capsys, "pf", str(path))
+        assert code == 1 and out == "", entries
+        assert err.startswith("error: entries must be int")
+
+
+def test_paths_negative_tol_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "ones.txt"
+    path.write_text("2\n1 1\n1 1\n")
+    for tol in ("--tol=-1/100", "--tol=-1/1000000"):
+        code, out, err = run(capsys, "paths", str(path), "-i", "1", "-d", "8", "--check", tol)
+        assert code == 2 and out == "", tol
+        assert err.startswith("usage error:")
+    code, out, _ = run(capsys, "paths", str(path), "-i", "1", "-d", "8", "--check", "--tol", "0")
+    assert code == 0 and json.loads(out)["limit_check"]["converged"] is True
+
+
 def test_paths_bad_vertex_exit_1(capsys, fib_file):
     code, _, _ = run(capsys, "paths", fib_file, "--vertex", "9", "--d-max", "5")
     assert code == 1

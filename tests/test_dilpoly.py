@@ -216,6 +216,66 @@ def test_compare_largest_roots_trichotomy():
     assert compare_largest_roots(a, c, Fraction(2), Fraction(2)) == 0
 
 
+def _pell_convergents(bits):
+    """Consecutive convergents p/q of sqrt 2 with p^2 - 2q^2 = +-1 and
+    q > 2^bits, so that |p/q - sqrt 2| = 1/(q(p + q sqrt 2)) < 2^-(2 bits)."""
+    p, q = 1, 1
+    while q <= 2**bits:
+        p, q = p + 2 * q, p + q
+    return (p, q), (p + 2 * q, p + q)
+
+
+def test_compare_separates_roots_closer_than_any_fixed_width():
+    # |p/q - sqrt 2| < 2^-122: the compare loop must refine past 2^-80
+    sqrt2 = IntPoly.from_dict({2: 1, 0: -2})
+    for p, q in _pell_convergents(61):
+        assert abs(p * p - 2 * q * q) == 1
+        linear = IntPoly.from_dict({1: q, 0: -p})
+        expect = 1 if p * p > 2 * q * q else -1  # sign of p/q - sqrt 2
+        assert compare_largest_roots(linear, sqrt2, 2, 2) == expect
+        assert compare_largest_roots(sqrt2, linear, 2, 2) == -expect
+
+
+def test_compare_equal_largest_roots_with_different_smaller_roots():
+    a = IntPoly.from_dict({3: 1, 2: 5, 1: -2, 0: -10})  # (x^2 - 2)(x + 5)
+    b = IntPoly.from_dict({3: 1, 2: -1, 1: -2, 0: 2})  # (x^2 - 2)(x - 1)
+    assert compare_largest_roots(a, b, 2, 2) == 0
+    assert compare_largest_roots(b, a, 2, 2) == 0
+    # a shared root below both largest roots does not make them equal
+    c = IntPoly.from_dict({3: 1, 2: -1, 1: -3, 0: 3})  # (x^2 - 3)(x - 1)
+    assert compare_largest_roots(b, c, 2, 2) == -1
+    assert compare_largest_roots(c, b, 2, 2) == 1
+
+
+@st.composite
+def _irreducible_matrices(draw):
+    """Irreducible nonnegative matrices, k <= 7: a weighted k-cycle plus
+    random entries."""
+    k = draw(st.integers(min_value=1, max_value=7))
+    rows = [[draw(st.sampled_from([0, 0, 0, 1, 2])) for _ in range(k)] for _ in range(k)]
+    for i in range(k):
+        rows[i][(i + 1) % k] += 1
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_irreducible_matrices(), _irreducible_matrices(), st.data())
+def test_mu_compare_exact_properties(rows, other, data):
+    k = len(rows)
+    a, b = IntMatrix.from_rows(rows), IntMatrix.from_rows(other)
+    assert mu_compare(a, a) == 0
+    perm = data.draw(st.permutations(range(k)))
+    conj = IntMatrix.from_rows([[rows[perm[i]][perm[j]] for j in range(k)] for i in range(k)])
+    assert mu_compare(a, conj) == 0
+    # mu strictly increases with any entry of an irreducible matrix
+    i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+    bumped = [list(row) for row in rows]
+    bumped[i][j] += 1
+    assert mu_compare(a, IntMatrix.from_rows(bumped)) == -1
+    assert mu_compare(IntMatrix.from_rows(bumped), a) == 1
+    assert mu_compare(a, b) == -mu_compare(b, a)
+
+
 def test_char_poly_fibonacci():
     p = char_poly(IntMatrix(((0, 1), (1, 1))))
     assert p == IntPoly.from_dict({2: 1, 1: -1, 0: -1})

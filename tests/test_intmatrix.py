@@ -87,6 +87,19 @@ def test_json_round_trip():
         parse_matrix_json({"k": 3, "rows": [[1]]})
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "3", 2.0, Fraction(1)])
+def test_non_int_entries_are_refused_not_coerced(bad):
+    # int() would truncate 1.7 to 1 and read true as 1, certifying a
+    # different matrix than the file holds
+    with pytest.raises(ValueError):
+        parse_matrix_json({"k": 2, "rows": [[bad, 1], [1, 1]]})
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 1], [1, bad]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_sparse([((0, bad),)])
+    assert IntMatrix.from_rows([[0, 1], [1, 1]]) == FIB
+
+
 def test_matmul_and_power():
     sq = FIB @ FIB
     assert sq.entries == ((1, 1), (1, 2))

@@ -46,3 +46,27 @@ def test_only_cli_renders_output():
     # enclosures defines decimal_str and __init__ exports it; cli prints with it
     printers = {stem for stem, names in modules.items() if "decimal_str" in names}
     assert printers == {"cli", "enclosures", "__init__"}
+
+
+def _entries_readers(tree: ast.AST, scope: str = ""):
+    """The innermost function around every read of an `.entries` attribute."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        if isinstance(node, ast.Attribute) and node.attr == "entries":
+            yield scope
+        yield from _entries_readers(node, inner)
+
+
+def test_only_intmatrix_renders_the_dense_view():
+    # IntMatrix stores sparse rows; the dense `entries` tuple is rebuilt on
+    # every access, so it is read only to print a matrix
+    readers = {
+        (path.stem, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _entries_readers(ast.parse(path.read_text()))
+    }
+    assert readers == {
+        ("intmatrix", "__repr__"),
+        ("intmatrix", "render_matrix_text"),
+        ("intmatrix", "render_matrix_json"),
+    }

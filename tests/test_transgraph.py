@@ -70,6 +70,11 @@ def test_dilatation_limit_check_errors():
         dilatation_limit_check(FIB, 1, 0, tol=1)
     with pytest.raises(NotIrreducible):
         dilatation_limit_check(IntMatrix(((1, 1), (0, 0))), 1, 5, tol=1)
+    # a negative tolerance would narrow the spectral interval, or empty it
+    for tol in (Fraction(-1, 100), Fraction(-1, 10**30), -1):
+        with pytest.raises(DomainError):
+            dilatation_limit_check(IntMatrix(((1, 1), (1, 1))), 1, 5, tol=tol)
+    assert dilatation_limit_check(FIB, 1, 60, tol=0).d == 60
 
 
 def test_subdivide_fibonacci_gives_cubic():
