@@ -1,15 +1,19 @@
 """Integer polynomials, certified largest-root enclosures, and the
 stretch-factor bound family T.
 
-Every root bracket comes out of one bisection step, `_bisect`, which probes
-at a rational where p does not vanish and keeps the half that holds the
+Every root bracket is a cell of one bisection, `_bisect`, which probes at
+a rational where p does not vanish and keeps the half that holds the
 largest real root. What decides the half is a proof, never a sample:
 
 * `largest_root` is the production path. Its preconditions leave an odd
   number of roots above 1; when p's coefficients show at most two sign
   variations, Descartes' rule of signs leaves exactly one, and the sign of p
-  at the probe decides. Every T(s, t) is of this kind. Any other polynomial
-  is bisected on the exact Sturm count of roots above the probe.
+  at the probe decides. Every T(s, t) is of this kind, and for it a float
+  root steers: the bisection cell that holds the float is computed in
+  integers and proved by two exact signs, p(lo) < 0 < p(hi), so bisection
+  starts there instead of at (1, search_hi) and returns the bracket that
+  bisecting from the top would. Any other polynomial is bisected on the
+  exact Sturm count of roots above the probe.
 * The Sturm-chain machinery (`char_poly`, `count_real_roots_above`,
   `isolate_largest_real_root`, `compare_largest_roots`) is the exact oracle
   route, used to cross-check spectral enclosures and to decide mu(A) <= mu(B)
@@ -21,6 +25,7 @@ largest real root. What decides the half is a proof, never a sample:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -47,6 +52,9 @@ __all__ = [
 
 DEFAULT_ROOT_REL_WIDTH = Fraction(1, 10**10)
 _ISOLATE_WIDTH = Fraction(1, 2**80)
+# the finest cell a float root steers to: about 256 ulps, so that a float
+# root a few rounding errors off still falls in the cell it names
+_FLOAT_CELL = Fraction(1, 2**44)
 
 
 @dataclass(frozen=True)
@@ -88,9 +96,21 @@ class IntPoly:
 
     def _homogenised(self, n: int, q: int) -> int:
         """q**d * p(n/q) for q > 0 and d the degree: an integer with the sign
-        of p(n/q)."""
-        d = self.degree
-        return sum(c * n**e * q ** (d - e) for e, c in self.coeffs)
+        of p(n/q).
+
+        Horner over the sparse exponents, highest first: each gap multiplies
+        the accumulator by n**gap and the running power of q by q**gap."""
+        if not self.coeffs:
+            return 0
+        terms = reversed(self.coeffs)
+        e, acc = next(terms)
+        q_pow = 1
+        for e_next, c in terms:
+            gap = e - e_next
+            q_pow *= q**gap
+            acc = acc * n**gap + c * q_pow
+            e = e_next
+        return acc * n**e
 
     def __call__(self, x) -> Fraction:
         n, q = Fraction(x).as_integer_ratio()
@@ -181,6 +201,70 @@ def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, roots_above):
     return (mid, hi, n) if n else (lo, mid, n)
 
 
+def _float_root(p: IntPoly, search_hi: Fraction) -> float | None:
+    """A float near the root of p in (1, search_hi), by float bisection of
+    p(x) / x**d, or None if a value is not finite.
+
+    For x >= 1 no term c * x**(e - d) of the quotient exceeds |c|, so it
+    stays finite where p(x) itself would overflow; a coefficient or
+    search_hi beyond float range gives None as well. It only steers: the
+    caller proves."""
+    d = p.degree
+    try:
+        terms = [(e - d, float(c)) for e, c in p.coeffs]
+        lo, hi = 1.0, float(search_hi)
+    except OverflowError:
+        return None
+    while True:
+        mid = lo + (hi - lo) / 2
+        if not lo < mid < hi:
+            return mid
+        value = sum([c * mid**e for e, c in terms])
+        if not math.isfinite(value):
+            return None
+        if value < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _steered_cell(p: IntPoly, search_hi: Fraction, rel_width: Fraction):
+    """The cell of bisection's dyadic tree over (1, search_hi) at which
+    bisection of p stops, or a coarser ancestor of it, or (1, search_hi).
+
+    Requires exactly one root of p in (1, search_hi), with p(1) < 0 <
+    p(search_hi). The cell holding the float root r sits at depth k at
+    index j_k = floor(t * 2**k), t = (r - 1) / span; the walk stops at the
+    first depth that meets bisection's own test hi - lo <= rel_width * lo,
+    with rel_width raised to _FLOAT_CELL if it is finer than a float
+    resolves. Two exact signs, p(lo) < 0 < p(hi),
+    prove the root strictly inside the cell, hence inside every ancestor and
+    off every ancestor's midpoint: bisection from the top takes exactly this
+    path. A float past search_hi names a cell the signs refuse, since p > 0
+    there. If the float or the proof fails, the start is (1, search_hi)."""
+    start = (Fraction(1), search_hi)
+    r = _float_root(p, search_hi)
+    if r is None:
+        return start
+    span = search_hi - 1
+    t = (Fraction(r) - 1) / span
+    tn, td = t.numerator, t.denominator
+    sn, sd = span.numerator, span.denominator
+    target = max(rel_width, _FLOAT_CELL)
+    wn, wd = target.numerator, target.denominator
+    # at depth k the cell is 1 + span * (j, j + 1) / 2**k; stop once
+    # span / 2**k <= target * (1 + span * j / 2**k), cross-multiplied
+    k = j = 0
+    while sn * wd > wn * ((sd << k) + sn * j):
+        k += 1
+        j = (tn << k) // td
+    lo = 1 + Fraction(sn * j, sd << k)
+    hi = lo + Fraction(sn, sd << k)
+    if p.sign_at(lo) < 0 < p.sign_at(hi):
+        return lo, hi
+    return start
+
+
 def largest_root(
     p: IntPoly,
     search_hi,
@@ -192,10 +276,13 @@ def largest_root(
     (else DomainError), p(search_hi) > 0 with no root above search_hi (else
     NoSignChange, the caller must enlarge). p then has an odd number of roots
     above 1. If p's coefficients show at most two sign variations, Descartes'
-    rule leaves exactly one, and sign-change bisection keeps it. Otherwise
-    each step bisects on the exact Sturm count of roots above the probe.
-    Either way the bracket is proved to hold the largest root; bisection
-    stops once hi - lo <= rel_width * lo.
+    rule leaves exactly one, and sign-change bisection keeps it; a float root
+    names the cell where that bisection would stop, and two exact signs prove
+    it (_steered_cell), so bisection starts there. Otherwise each step
+    bisects on the exact Sturm count of roots above the probe, from
+    (1, search_hi). Either way the bracket is proved to hold the largest
+    root, and it is the one that bisecting (1, search_hi) until
+    hi - lo <= rel_width * lo returns.
     """
     search_hi = Fraction(search_hi)
     rel_width = Fraction(rel_width)
@@ -207,12 +294,14 @@ def largest_root(
         raise DomainError("largest_root requires p(1) < 0")
     if p.sign_at(search_hi) <= 0:
         raise NoSignChange(f"p(search_hi) <= 0 at search_hi={search_hi}; enlarge search_hi")
-    roots_above = None
     if _sign_changes([c for _, c in p.coeffs]) > 2:
         roots_above = _sturm_counter(p)
         if roots_above(search_hi) != 0:
             raise NoSignChange(f"p has a root above search_hi={search_hi}; enlarge search_hi")
-    lo, hi = Fraction(1), search_hi
+        lo, hi = Fraction(1), search_hi
+    else:
+        roots_above = None
+        lo, hi = _steered_cell(p, search_hi, rel_width)
     while hi - lo > rel_width * lo:
         lo, hi, _ = _bisect(p, lo, hi, roots_above)
     # no root lies above hi and the leading coefficient is positive: p(hi) > 0

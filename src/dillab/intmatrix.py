@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError, NoDiagonalEntry, NotIrreducible
 
@@ -151,12 +152,27 @@ class IntMatrix:
                 sums[j] += m
         return tuple(sums)
 
+    @cached_property
+    def _irreducible(self) -> bool:
+        k = self.k
+        if k == 1:
+            return bool(self.rows[0])
+        fwd = [[j for j, _ in row] for row in self.rows]
+        rev = [[] for _ in range(k)]
+        for i in range(k):
+            for j in fwd[i]:
+                rev[j].append(i)
+        return _reach(fwd, 0) == k and _reach(rev, 0) == k
+
     def transpose(self) -> "IntMatrix":
         cols = [[] for _ in range(self.k)]
         for i, row in enumerate(self.rows):
             for j, m in row:
                 cols[j].append((i, m))
-        return IntMatrix._of(tuple([tuple(col) for col in cols]))
+        out = IntMatrix._of(tuple([tuple(col) for col in cols]))
+        if "_irreducible" in self.__dict__:  # reversing every edge keeps it
+            out.__dict__["_irreducible"] = self._irreducible
+        return out
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.k != other.k:
@@ -228,20 +244,13 @@ def _reach(adj: list[list[int]], start: int) -> int:
 
 
 def is_irreducible(matrix: IntMatrix) -> bool:
-    """Strong connectivity of the digraph i -> j iff entries[i][j] > 0.
+    """Strong connectivity of the digraph i -> j iff entries[i][j] > 0,
+    decided on the first call for a matrix and remembered on it.
 
     The 1x1 matrix [0] is reducible by convention; [n] with n >= 1 is
     irreducible (the vertex carries a loop).
     """
-    k = matrix.k
-    if k == 1:
-        return bool(matrix.rows[0])
-    fwd = [[j for j, _ in row] for row in matrix.rows]
-    rev = [[] for _ in range(k)]
-    for i in range(k):
-        for j in fwd[i]:
-            rev[j].append(i)
-    return _reach(fwd, 0) == k and _reach(rev, 0) == k
+    return matrix._irreducible
 
 
 def is_positive(matrix: IntMatrix) -> bool:

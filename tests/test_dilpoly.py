@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 import dillab
 from dillab.dilpoly import (
     IntPoly,
+    RootEnclosure,
+    _bisect,
+    _steered_cell,
     build_T,
     build_Tm,
     char_poly,
@@ -85,6 +88,87 @@ def test_largest_root_preconditions():
     # (x-2)(x-5)(x-6) is positive at the cap but has two roots above it
     with pytest.raises(NoSignChange):
         largest_root(IntPoly.from_dict({3: 1, 2: -13, 1: 52, 0: -60}), search_hi=3)
+
+
+def _bisected(p: IntPoly, search_hi, rel_width) -> RootEnclosure:
+    """Plain sign-change bisection of (1, search_hi), one level at a time:
+    the bracket largest_root must reproduce on the Descartes route."""
+    lo, hi = Fraction(1), Fraction(search_hi)
+    while hi - lo > rel_width * lo:
+        lo, hi, _ = _bisect(p, lo, hi, None)
+    return RootEnclosure(lo=lo, hi=hi, sign_lo=-1, sign_hi=1)
+
+
+def _production_search_hi(m: int) -> Fraction:
+    return m_cubed_root_enclosure(m).hi + 1
+
+
+def test_steered_bracket_equals_plain_bisection_for_every_Tm():
+    width = Fraction(1, 10**10)
+    for m in range(5, 401):
+        hi = _production_search_hi(m)
+        assert largest_root(build_Tm(m), hi) == _bisected(build_Tm(m), hi, width), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(1, 300),
+    st.fractions(min_value=3, max_value=40, max_denominator=64),
+    st.integers(1, 10**6),
+    st.integers(0, 40),
+)
+def test_steered_bracket_equals_plain_bisection_on_drawn_T(s, t, search_hi, num, digits):
+    # T(s, t)(3) = 2 * 3^(s+t+1) - 2 * (3^(s+1) + 3^(t+1)) - 2 > 0, so its one
+    # root above 1 lies below every drawn search_hi
+    p, rel_width = build_T(s, t), Fraction(num, 10**digits)
+    assert largest_root(p, search_hi, rel_width) == _bisected(p, search_hi, rel_width)
+
+
+def test_steered_bracket_falls_back_to_the_full_range():
+    # a coefficient beyond float range: no float root, bisection from the top
+    p = IntPoly.from_dict({2: 10**400, 0: -2 * 10**400})
+    assert _steered_cell(p, Fraction(2), Fraction(1, 10**10)) == (1, 2)
+    assert largest_root(p, 2) == _bisected(p, 2, Fraction(1, 10**10))
+    # K(x - 1)^2 - 1, root 1 + 10^-10: the float quotient cancels to noise,
+    # its root lands outside the root's cell, and the two signs refuse it
+    p = IntPoly.from_dict({2: 10**20, 1: -2 * 10**20, 0: 10**20 - 1})
+    assert _steered_cell(p, Fraction(2), Fraction(1, 10**10)) == (1, 2)
+    assert largest_root(p, 2) == _bisected(p, 2, Fraction(1, 10**10))
+    # a width finer than a float resolves: the steered cell is coarser, and
+    # bisection finishes the request from it
+    width = Fraction(1, 10**40)
+    for p, hi in ((build_T(1, 1), 4), (build_Tm(50), _production_search_hi(50))):
+        lo_cell, hi_cell = _steered_cell(p, Fraction(hi), width)
+        assert hi_cell - lo_cell > width * lo_cell
+        assert largest_root(p, hi, width) == _bisected(p, hi, width)
+
+
+def test_steered_bracket_work_at_m_1998():
+    calls = []
+
+    class Counted(IntPoly):
+        def sign_at(self, x):
+            calls.append(x)
+            return super().sign_at(x)
+
+    p = Counted(build_Tm(1998).coeffs)
+    hi = _production_search_hi(1998)
+    assert largest_root(p, hi) == _bisected(build_Tm(1998), hi, Fraction(1, 10**10))
+    # p(1), p(search_hi) and the two signs that prove the steered cell
+    assert len(calls) <= 6
+
+
+_sparse_polys = st.dictionaries(
+    st.integers(0, 60), st.integers(-(10**30), 10**30), max_size=8
+).map(IntPoly.from_dict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_polys, st.integers(-(10**20), 10**20), st.integers(1, 10**20))
+def test_homogenised_horner_matches_the_term_sum(p, n, q):
+    d = p.degree
+    assert p._homogenised(n, q) == sum(c * n**e * q ** (d - e) for e, c in p.coeffs)
 
 
 _WIDTH_CHECK = """

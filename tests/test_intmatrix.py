@@ -136,6 +136,35 @@ def test_irreducibility():
 def test_pf_enclosure_rejects_reducible():
     with pytest.raises(NotIrreducible):
         pf_enclosure(IntMatrix(((1, 1), (0, 1))))
+    # a verdict decided beforehand is kept, on the matrix and its transpose
+    reducible = IntMatrix(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    assert not is_irreducible(reducible)
+    for m in (reducible, reducible.transpose()):
+        with pytest.raises(NotIrreducible):
+            pf_enclosure(m)
+
+
+def test_irreducibility_is_decided_once(monkeypatch):
+    from dillab import intmatrix
+    from dillab.families import verify_torus_bounds
+
+    searches = []
+    reach = intmatrix._reach
+
+    def counted(adj, start):
+        searches.append(start)
+        return reach(adj, start)
+
+    monkeypatch.setattr(intmatrix, "_reach", counted)
+    spec = torus_matrix(12)
+    verify_torus_bounds(spec)
+    pf_enclosure(spec.matrix.transpose(), hi_target=Fraction(9))
+    pf_enclosure(spec.matrix, rel_width=Fraction(1, 10**3))
+    assert len(searches) == 2  # forward and backward, once
+    # the remembered verdict is no field: equality, hash and repr ignore it
+    fresh = IntMatrix(spec.matrix.entries)
+    assert fresh == spec.matrix and hash(fresh) == hash(spec.matrix)
+    assert repr(fresh) == repr(spec.matrix)
 
 
 def test_pf_enclosure_fibonacci_dual_route():
