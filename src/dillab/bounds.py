@@ -117,20 +117,22 @@ class KappaReport:
     n_lo: int
     n_hi: int
     kappa_prime: Fraction
-    attained_at: int
-    kappa_double_prime: None
-    note: str
+    witness_n: int
 
 
 def kappa_upper_constant(g: int, n_range: tuple[int, int]) -> KappaReport:
-    """Smallest certified kappa' with 3*log(m(n))/m(n) <= kappa' * log(n)/n
-    for every integer n in n_range, hence also bounding the certified cover
-    value, which sits below that closed form.
+    """kappa' = 3(2g+1), proved to satisfy 3*log(m(n))/m(n) <= kappa' * log(n)/n
+    for every n >= cover_threshold(g), so for every n in n_range; the
+    certified cover value sits below that closed form (the root lemma
+    verify_lroot checks), and sandwich_table tests it row by row.
 
-    Computed as the pointwise maximum over the whole integer range of the
-    outward ratio hi(3 log m / m) * n / lo(log n); no monotonicity shortcut
-    is assumed. The small-n patch constant kappa'' needs true minimal
-    dilatations and is reported as symbolic-only (None)."""
+    With q = 2g+1, m = floor((n-1)/q) - 1 >= x = (n-2q)/q, and x >= 3 > e
+    once n >= 5q. log(x)/x is proved decreasing for x >= e, so
+    3 log(m)/m <= 3q log(x)/(n-2q) <= 3q log(n)/n whenever q**n >= n**(2q).
+    n log q - 2q log n is proved increasing for n >= 2q, so both conditions
+    hold for every n >= witness_n = cover_threshold(g) once two exact integer
+    comparisons hold there; if either fails, ValidationFailed. No monotonicity
+    is assumed and no log is evaluated."""
     if g < 2:
         raise DomainError("kappa_upper_constant requires g >= 2")
     n_lo, n_hi = n_range
@@ -139,27 +141,11 @@ def kappa_upper_constant(g: int, n_range: tuple[int, int]) -> KappaReport:
         raise RangeError(f"n_range must start at or above {threshold} for g={g}")
     if n_hi < n_lo:
         raise RangeError("empty n_range")
-    log_m_cache: dict[int, Fraction] = {}
-    best = Fraction(0)
-    best_n = n_lo
-    for n in range(n_lo, n_hi + 1):
-        m = cover_index(g, n)
-        hi_3logm_over_m = log_m_cache.get(m)
-        if hi_3logm_over_m is None:
-            hi_3logm_over_m = log_enclosure(m).hi * 3 / m
-            log_m_cache[m] = hi_3logm_over_m
-        ratio = hi_3logm_over_m * n / log_enclosure(n).lo
-        if ratio > best:
-            best = ratio
-            best_n = n
+    q = 2 * g + 1
+    if not (threshold >= 5 * q and q**threshold >= threshold ** (2 * q)):
+        raise ValidationFailed(f"g={g}: q**n >= n**(2q) with n >= 5q fails at n={threshold}")
     return KappaReport(
-        g=g,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        kappa_prime=best,
-        attained_at=best_n,
-        kappa_double_prime=None,
-        note="small-n patch constant requires true minimal dilatations; symbolic only",
+        g=g, n_lo=n_lo, n_hi=n_hi, kappa_prime=Fraction(3 * q), witness_n=threshold
     )
 
 

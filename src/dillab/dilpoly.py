@@ -233,35 +233,56 @@ def _steered_cell(p: IntPoly, search_hi: Fraction, rel_width: Fraction):
     bisection of p stops, or a coarser ancestor of it, or (1, search_hi).
 
     Requires exactly one root of p in (1, search_hi), with p(1) < 0 <
-    p(search_hi). The cell holding the float root r sits at depth k at
-    index j_k = floor(t * 2**k), t = (r - 1) / span; the walk stops at the
-    first depth that meets bisection's own test hi - lo <= rel_width * lo,
-    with rel_width raised to _FLOAT_CELL if it is finer than a float
-    resolves. Two exact signs, p(lo) < 0 < p(hi),
-    prove the root strictly inside the cell, hence inside every ancestor and
-    off every ancestor's midpoint: bisection from the top takes exactly this
-    path. A float past search_hi names a cell the signs refuse, since p > 0
-    there. If the float or the proof fails, the start is (1, search_hi)."""
+    p(search_hi), so p < 0 exactly on (1, root). The cell holding the float
+    root r sits at depth k at index j_k = floor(t * 2**k), t = (r - 1) / span;
+    the walk stops at the first depth that meets bisection's own test
+    hi - lo <= rel_width * lo, with rel_width raised to _FLOAT_CELL if it is
+    finer than a float resolves. Two exact signs, p(lo) < 0 < p(hi), prove
+    the root strictly inside the cell, hence inside every ancestor and off
+    every ancestor's midpoint: bisection from the top takes exactly this
+    path. A float one cell off fails one sign, which proves the shared end
+    of the neighbouring cell, so one more sign tries that cell: for
+    p(lo) > 0 the left neighbour, whose ancestors have no larger lo and so
+    meet the test no sooner; for p(hi) < 0 the first cell on the walk to
+    the right neighbour that meets it. A float past search_hi names a cell
+    the signs refuse, since p > 0 there. If the float or the proof fails,
+    the start is (1, search_hi)."""
     start = (Fraction(1), search_hi)
     r = _float_root(p, search_hi)
     if r is None:
         return start
     span = search_hi - 1
-    t = (Fraction(r) - 1) / span
-    tn, td = t.numerator, t.denominator
     sn, sd = span.numerator, span.denominator
     target = max(rel_width, _FLOAT_CELL)
     wn, wd = target.numerator, target.denominator
-    # at depth k the cell is 1 + span * (j, j + 1) / 2**k; stop once
-    # span / 2**k <= target * (1 + span * j / 2**k), cross-multiplied
-    k = j = 0
-    while sn * wd > wn * ((sd << k) + sn * j):
-        k += 1
-        j = (tn << k) // td
-    lo = 1 + Fraction(sn * j, sd << k)
-    hi = lo + Fraction(sn, sd << k)
-    if p.sign_at(lo) < 0 < p.sign_at(hi):
-        return lo, hi
+
+    def walk(t: Fraction, k_max: float):
+        # at depth k the cell is 1 + span * (j, j + 1) / 2**k; stop once
+        # span / 2**k <= target * (1 + span * j / 2**k), cross-multiplied
+        tn, td = t.numerator, t.denominator
+        k = j = 0
+        while k < k_max and sn * wd > wn * ((sd << k) + sn * j):
+            k += 1
+            j = (tn << k) // td
+        lo = 1 + Fraction(sn * j, sd << k)
+        return k, j, lo, lo + Fraction(sn, sd << k)
+
+    k, j, lo, hi = walk((Fraction(r) - 1) / span, math.inf)
+    sign_lo = p.sign_at(lo)
+    if sign_lo > 0:
+        # the root lies below lo, which is the left neighbour's hi
+        lo, hi = lo - Fraction(sn, sd << k), lo
+        if p.sign_at(lo) < 0:
+            return lo, hi
+    elif sign_lo < 0:
+        sign_hi = p.sign_at(hi)
+        if sign_hi > 0:
+            return lo, hi
+        if sign_hi < 0:
+            # the root lies above hi, and the right neighbour's cell starts there
+            _, _, lo, hi = walk(Fraction(j + 1, 1 << k), k)
+            if p.sign_at(hi) > 0:
+                return lo, hi
     return start
 
 

@@ -109,6 +109,15 @@ class SympAction:
                 if _form_on_vectors(cols[a], cols[b], self.g) != want:
                     raise ValueError("matrix does not preserve the symplectic form")
 
+    @classmethod
+    def _unchecked(cls, g: int, matrix: tuple[tuple[int, ...], ...]) -> "SympAction":
+        """Build without the A^T J A = J check, for operations that keep the
+        form by a theorem: products of symplectic maps, and transvections."""
+        action = object.__new__(cls)
+        object.__setattr__(action, "g", g)
+        object.__setattr__(action, "matrix", matrix)
+        return action
+
     @staticmethod
     def identity(g: int) -> "SympAction":
         n = 2 * g
@@ -121,12 +130,11 @@ class SympAction:
     def __matmul__(self, other: "SympAction") -> "SympAction":
         if self.g != other.g:
             raise GenusMismatch(f"genus mismatch: {self.g} vs {other.g}")
-        n = 2 * self.g
         cols = list(zip(*other.matrix))
         prod = tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.matrix
         )
-        return SympAction(self.g, prod)
+        return SympAction._unchecked(self.g, prod)
 
     def apply(self, v: HomologyClass) -> HomologyClass:
         if self.g != v.g:
@@ -150,7 +158,7 @@ def transvection(gamma: HomologyClass, power: int) -> SympAction:
         pairing = _form_on_vectors(e, gamma.coords, g)
         cols.append(tuple(e[r] + power * pairing * gamma.coords[r] for r in range(n)))
     matrix = tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
-    return SympAction(g, matrix)
+    return SympAction._unchecked(g, matrix)
 
 
 def _check_twists(twists, g: int) -> None:
@@ -170,14 +178,15 @@ def _check_twists(twists, g: int) -> None:
 
 
 def multitwist_action(twists, g: int) -> SympAction:
-    """Product of the transvections of a pairwise-orthogonal twist system."""
+    """Product of the transvections of a pairwise-orthogonal twist system,
+    checked once through the public constructor."""
     if g < 1:
         raise DomainError("genus must be >= 1")
     _check_twists(twists, g)
     action = SympAction.identity(g)
     for gamma, power in twists:
         action = action @ transvection(gamma, power)
-    return action
+    return SympAction(g, action.matrix)
 
 
 def multitwist_lefschetz(twists, g: int) -> int:

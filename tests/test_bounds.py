@@ -2,6 +2,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dillab import bounds
 from dillab.bounds import (
@@ -15,6 +17,7 @@ from dillab.bounds import (
 )
 from dillab.enclosures import RatInterval, log_enclosure
 from dillab.errors import AlphaOutOfRange, DomainError, RangeError, ValidationFailed
+from dillab.families import cover_threshold, cover_upper_bound
 
 
 def test_theta_values():
@@ -80,9 +83,7 @@ def test_omega_full_alpha_is_48_theta():
 
 def test_kappa_upper_constant_small_range():
     rep = kappa_upper_constant(2, (31, 200))
-    assert rep.kappa_prime > 0
-    assert 31 <= rep.attained_at <= 200
-    assert rep.kappa_double_prime is None
+    assert rep.kappa_prime == 15
     # the bound it certifies: 3 log m / m <= kappa' log n / n at n = 31, m = 5
     lhs = log_enclosure(5).hi * 3 / 5
     rhs = rep.kappa_prime * log_enclosure(31).lo / 31
@@ -93,6 +94,50 @@ def test_kappa_upper_constant_small_range():
         kappa_upper_constant(2, (40, 39))
     with pytest.raises(DomainError):
         kappa_upper_constant(1, (31, 40))
+
+
+def test_kappa_prime_is_the_closed_form_with_its_witness(monkeypatch):
+    def refuse(n):
+        raise AssertionError("log_enclosure called")
+
+    # the proof compares integers only
+    monkeypatch.setattr(bounds, "log_enclosure", refuse)
+    for g in (2, 3, 4, 5, 8):
+        rep = kappa_upper_constant(g, (cover_threshold(g), 10**6))
+        assert rep.kappa_prime == 3 * (2 * g + 1)
+        assert rep.witness_n == cover_threshold(g)
+        assert (rep.n_lo, rep.n_hi) == (cover_threshold(g), 10**6)
+
+
+def test_kappa_refuses_a_threshold_where_the_integer_inequality_fails(monkeypatch):
+    # q = 5: 5**11 < 11**10, so the inequality has no witness at n = 11
+    monkeypatch.setattr(bounds, "cover_threshold", lambda g: 11)
+    with pytest.raises(ValidationFailed):
+        kappa_upper_constant(2, (11, 100))
+    # 5**1 >= 1**10 holds, but at n = 1 < 5q the cover index is below e
+    monkeypatch.setattr(bounds, "cover_threshold", lambda g: 1)
+    with pytest.raises(ValidationFailed):
+        kappa_upper_constant(2, (1, 100))
+
+
+# n drawn evenly over its bit lengths, so large n, where one cover bound
+# costs about a second, stay a few draws in each run
+_genus_and_n = st.integers(2, 5).flatmap(
+    lambda g: st.tuples(
+        st.just(g),
+        st.integers(cover_threshold(g).bit_length(), (10**5).bit_length()).flatmap(
+            lambda b: st.integers(max(cover_threshold(g), 1 << (b - 1)), min(10**5, (1 << b) - 1))
+        ),
+    )
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_genus_and_n)
+def test_cover_bound_below_the_proved_kappa(g_n):
+    g, n = g_n
+    upper = cover_upper_bound(g, n).log_root.hi
+    assert upper <= 3 * (2 * g + 1) * log_enclosure(n).hi / n
 
 
 def test_log_uniform_sample_properties():

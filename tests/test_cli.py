@@ -521,9 +521,9 @@ _PINNED_SHA256 = {
     "cover-bound --g 2 --n 40 --csv {csv}": "b31891e0ae87dc9649666074e9a0648311a12e204c9a551e170b236fb56b498e",
     "cover-bound --g 3 --n 100 --csv {csv}": "e88b5d57d3bc04da922b3749bc21c7998a71e5ac147e21d2561eadf8582b1a1c",
     "bounds table --g 2 --n 28:35": "ed8a8328796868ff69ad3b74b8eabd1e1f5c8070f548b5bca4b92eeec11e732f",
-    "bounds table --g 2 --n 28:35 --format json": "5eaa9ebab4ae328a251979506b15b41873298b5693912bbefcbfb2e3eb4f4ab1",
+    "bounds table --g 2 --n 28:35 --format json": "c27485ea8327100e81e688fcd604d9f154ed4aef8dda60a76dd9b241c0e54a28",
     "bounds table --g 2 --n 28:35 --format text": "27380d543ce83fe5c952884db275d774a24e2041a0d5b685d4f35043331fe929",
-    "bounds table --g 2 --n 31:2000 --sample 8 --format json": "fc6e865f23cee65e0b8ae3b4fd979453a5adaf16d33151d02928d232d6caf2cc",
+    "bounds table --g 2 --n 31:2000 --sample 8 --format json": "207bf6f6f1453e46ea1524d3400c7a4dc27a090cdc47a18f56dfdf973c3b3be5",
     "lefschetz --g 2 --twists a1:3,b2:-1,0:2": "84857338ea9db4eb10639e293f39730dbcf2475b129b58ca34983e2fccf9d14b",
     "verify --list": "a799f4c000132362987a0b5a4ef0bb07356f41a3f4027ae13f6e4bd389d27d21",
     "verify --suite quartic-root --suite congruence-index": "2a8c3813237018116101eea501e203575c7421b94af55bc0958cd9da3032a469",

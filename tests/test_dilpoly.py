@@ -159,6 +159,30 @@ def test_steered_bracket_work_at_m_1998():
     assert len(calls) <= 6
 
 
+def test_steered_bracket_recovers_a_float_one_cell_off():
+    # at this width the float root names a neighbour of the root's cell for
+    # these m; one more sign proves that neighbour instead of bisecting from
+    # the top, which costs about 47 signs
+    calls = []
+
+    class Counted(IntPoly):
+        def sign_at(self, x):
+            calls.append(x)
+            return super().sign_at(x)
+
+    width = Fraction(1, 10**14)
+    for m in (1036, 1225, 1254, 1503, 1627, 1875, 1937, 2091, 2860, 2998):
+        calls.clear()
+        hi = _production_search_hi(m)
+        assert _steered_cell(build_Tm(m), hi, width) != (1, hi), m
+        assert largest_root(Counted(build_Tm(m).coeffs), hi, width) == _bisected(
+            build_Tm(m), hi, width
+        ), m
+        # p(1) and p(search_hi), then at most three signs for the cell and
+        # two bisection steps from 2^-44 down to 10^-14
+        assert len(calls) <= 2 + 5, (m, len(calls))
+
+
 _sparse_polys = st.dictionaries(
     st.integers(0, 60), st.integers(-(10**30), 10**30), max_size=8
 ).map(IntPoly.from_dict)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dillab import lefschetz
 from dillab.errors import (
     DomainError,
     FixedPointOnCircle,
@@ -103,6 +104,18 @@ def test_multitwist_trace_and_lefschetz():
     assert multitwist_lefschetz(with_zero, g) == 2 - 2 * g
 
 
+def test_multitwist_refuses_a_non_symplectic_product(monkeypatch):
+    # products and transvections skip the check, so a factor that breaks the
+    # form is caught only where multitwist_action checks its product
+    def broken(gamma, power):
+        doubled = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        return SympAction._unchecked(gamma.g, doubled)
+
+    monkeypatch.setattr(lefschetz, "transvection", broken)
+    with pytest.raises(ValueError, match="symplectic"):
+        multitwist_action([(HomologyClass.alpha(1, 2), 1)], 2)
+
+
 def test_multitwist_order_of_factors_irrelevant():
     g = 3
     twists = [
@@ -197,9 +210,10 @@ coords4 = st.tuples(*[st.integers(min_value=-4, max_value=4)] * 4)
 @given(coords4, st.integers(min_value=-5, max_value=5).filter(lambda p: p != 0))
 @settings(max_examples=80, deadline=None)
 def test_transvection_always_symplectic(coords, power):
-    # SympAction's constructor verifies A^T J A = J and raises otherwise
+    # transvection builds unchecked; the public constructor verifies
+    # A^T J A = J and raises otherwise
     t = transvection(HomologyClass(coords), power)
-    assert t.g == 2
+    assert SympAction(t.g, t.matrix) == t
 
 
 @given(coords4, coords4)
