@@ -34,7 +34,6 @@ from .errors import (
     NoSignChange,
     NotIrreducible,
     NotPairwiseOrthogonal,
-    RangeError,
     ValidationFailed,
     VertexOutOfRange,
 )
@@ -75,7 +74,6 @@ from .dilpoly import (
 )
 from .families import (
     CoverBoundReport,
-    CoverFamilySpec,
     TorusMatrixSpec,
     cover_upper_bound,
     torus_matrix,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enclosures import RatInterval, log_enclosure, nth_root_enclosure
-from .errors import AlphaOutOfRange, DomainError, RangeError, ValidationFailed
+from .errors import AlphaOutOfRange, DomainError, ValidationFailed
 from .families import CoverBoundReport, cover_index, cover_threshold, cover_upper_bound
 
 __all__ = [
@@ -114,17 +114,15 @@ def omega_constants(g: int, alpha: int) -> OmegaConstants:
 @dataclass(frozen=True)
 class KappaReport:
     g: int
-    n_lo: int
-    n_hi: int
     kappa_prime: Fraction
     witness_n: int
 
 
-def kappa_upper_constant(g: int, n_range: tuple[int, int]) -> KappaReport:
+def kappa_upper_constant(g: int) -> KappaReport:
     """kappa' = 3(2g+1), proved to satisfy 3*log(m(n))/m(n) <= kappa' * log(n)/n
-    for every n >= cover_threshold(g), so for every n in n_range; the
-    certified cover value sits below that closed form (the root lemma
-    verify_lroot checks), and sandwich_table tests it row by row.
+    for every n >= cover_threshold(g); the certified cover value sits below
+    that closed form (the root lemma verify_lroot checks), and sandwich_table
+    tests it row by row.
 
     With q = 2g+1, m = floor((n-1)/q) - 1 >= x = (n-2q)/q, and x >= 3 > e
     once n >= 5q. log(x)/x is proved decreasing for x >= e, so
@@ -135,18 +133,11 @@ def kappa_upper_constant(g: int, n_range: tuple[int, int]) -> KappaReport:
     is assumed and no log is evaluated."""
     if g < 2:
         raise DomainError("kappa_upper_constant requires g >= 2")
-    n_lo, n_hi = n_range
     threshold = cover_threshold(g)
-    if n_lo < threshold:
-        raise RangeError(f"n_range must start at or above {threshold} for g={g}")
-    if n_hi < n_lo:
-        raise RangeError("empty n_range")
     q = 2 * g + 1
     if not (threshold >= 5 * q and q**threshold >= threshold ** (2 * q)):
         raise ValidationFailed(f"g={g}: q**n >= n**(2q) with n >= 5q fails at n={threshold}")
-    return KappaReport(
-        g=g, n_lo=n_lo, n_hi=n_hi, kappa_prime=Fraction(3 * q), witness_n=threshold
-    )
+    return KappaReport(g=g, kappa_prime=Fraction(3 * q), witness_n=threshold)
 
 
 @dataclass(frozen=True)
@@ -221,10 +212,7 @@ def sandwich_table(
         else log_uniform_sample(n_lo, n_hi, sample)
     )
     omega = omega_constants(g, alpha).omega
-    kappa: Fraction | None = None
-    upper_lo_range = max(threshold, n_lo)
-    if n_hi >= upper_lo_range:
-        kappa = kappa_upper_constant(g, (upper_lo_range, n_hi)).kappa_prime
+    kappa = kappa_upper_constant(g).kappa_prime if n_hi >= threshold else None
     cover_cache: dict[int, CoverBoundReport] = {}
     rows = []
     for n in ns:
@@ -244,7 +232,7 @@ def sandwich_table(
             upper = rep.log_root.hi
             if not lower < upper:
                 raise ValidationFailed(f"n={n}: lower bound not strictly below upper bound")
-            if kappa is not None and not upper <= kappa * logn.hi / n:
+            if not upper <= kappa * logn.hi / n:
                 raise ValidationFailed(f"n={n}: upper bound exceeded its kappa calibration")
         rows.append(BoundRow(g=g, n=n, lower=lower, upper=upper))
     return SandwichReport(g=g, alpha=alpha, rows=tuple(rows), omega=omega, kappa_prime=kappa)

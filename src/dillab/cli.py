@@ -217,31 +217,33 @@ def _cmd_hk_root(ns: argparse.Namespace) -> int:
         raise UsageError("need --m, or both --s and --t")
     if ns.m is not None and (ns.s is not None or ns.t is not None):
         raise UsageError("--m conflicts with --s/--t")
-    if ns.rel_width <= 0:
+    certify = ns.m is not None and ns.m >= 5
+    if certify and (ns.rel_width is not None or ns.search_hi is not None):
+        raise UsageError("--m >= 5 certifies at fixed settings; drop --rel-width/--search-hi")
+    rel_width = Fraction(1, 10**10) if ns.rel_width is None else ns.rel_width
+    if rel_width <= 0:
         raise UsageError("need --rel-width > 0")
     payload: dict = {}
     if ns.m is not None:
         poly = build_Tm(ns.m)
         payload["m"] = ns.m
-        if ns.m >= 5:
-            rep = verify_lroot(ns.m)
-            root = rep.root
-            payload["bound_report"] = {
-                "bound_holds": rep.bound_holds,
-                "ineq1": rep.ineq1,
-                "ineq2": rep.ineq2,
-                "ineq3": rep.ineq3,
-                "m_power_lo": _floor(rep.m_power_enclosure.lo),
-                "m_power_hi": _ceil(rep.m_power_enclosure.hi),
-            }
-        else:
-            hi = ns.search_hi if ns.search_hi is not None else Fraction(4)
-            root = largest_root(poly, hi, rel_width=ns.rel_width)
     else:
         poly = build_T(ns.s, ns.t)
         payload["s"], payload["t"] = ns.s, ns.t
-        hi = ns.search_hi if ns.search_hi is not None else Fraction(4)
-        root = largest_root(poly, hi, rel_width=ns.rel_width)
+    if certify:
+        rep = verify_lroot(ns.m)
+        root = rep.root
+        payload["bound_report"] = {
+            "bound_holds": rep.bound_holds,
+            "ineq1": rep.ineq1,
+            "ineq2": rep.ineq2,
+            "ineq3": rep.ineq3,
+            "m_power_lo": _floor(rep.m_power_enclosure.lo),
+            "m_power_hi": _ceil(rep.m_power_enclosure.hi),
+        }
+    else:
+        hi = Fraction(4) if ns.search_hi is None else ns.search_hi
+        root = largest_root(poly, hi, rel_width=rel_width)
     payload["polynomial"] = {"coeffs": {str(e): str(c) for e, c in poly.coeffs}}
     payload["root"] = _root_json(root)
     _emit(ns, _canonical_json(payload))
@@ -478,8 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="balanced index; m >= 5 adds the m^(3/m) bound report")
     p.add_argument("--s", type=int, help="first exponent (with --t)")
     p.add_argument("--t", type=int, help="second exponent (with --s)")
-    p.add_argument("--rel-width", type=_parse_fraction, default=Fraction(1, 10**10))
-    p.add_argument("--search-hi", type=_parse_fraction, default=None)
+    p.add_argument("--rel-width", type=_parse_fraction, help="default 1/10**10; not with --m >= 5")
+    p.add_argument("--search-hi", type=_parse_fraction, help="default 4; not with --m >= 5")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hk_root)
 

@@ -38,10 +38,6 @@ class AlphaOutOfRange(DillabError):
     """alpha must be an integer in [1, theta(g)]."""
 
 
-class RangeError(DillabError):
-    """Requested range outside the validity window."""
-
-
 class ValidationFailed(DillabError):
     """A validation contract or certified assertion failed."""
 

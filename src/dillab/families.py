@@ -20,7 +20,6 @@ from .errors import DomainError, ValidationFailed
 from .intmatrix import IntMatrix, is_irreducible
 
 __all__ = [
-    "CoverFamilySpec",
     "CoverBoundReport",
     "TorusMatrixSpec",
     "TorusBoundsReport",
@@ -45,39 +44,6 @@ def cover_index(g: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class CoverFamilySpec:
-    """Parameters of the branched-cover construction.
-
-    n splits as (2g+1)(m+1) + 1 + c with 0 <= c <= 2g; the c leftover marked
-    points ride along without increasing the dilatation, so the bound is a
-    function of m alone.
-    """
-
-    g: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.g < 2:
-            raise DomainError("cover family requires genus >= 2")
-        if self.n < cover_threshold(self.g):
-            raise DomainError(
-                f"cover family requires n >= {cover_threshold(self.g)} for g={self.g}"
-            )
-
-    @property
-    def m(self) -> int:
-        return cover_index(self.g, self.n)
-
-    @property
-    def c(self) -> int:
-        return self.n - (2 * self.g + 1) * (self.m + 1) - 1
-
-    def check_reconstruction(self) -> bool:
-        ok = self.n == (2 * self.g + 1) * (self.m + 1) + 1 + self.c
-        return ok and 0 <= self.c <= 2 * self.g and self.m >= 5
-
-
-@dataclass(frozen=True)
 class CoverBoundReport:
     g: int
     n: int
@@ -87,11 +53,6 @@ class CoverBoundReport:
     log_root: RatInterval
     closed_form_m: RatInterval  # 3 log(m) / m
     closed_form_n: RatInterval  # 3 log(q) / q at q = (n - 4g - 3)/(2g + 1)
-
-    @property
-    def upper(self) -> Fraction:
-        """The certified upper bound on the log-dilatation: hi of log root."""
-        return self.log_root.hi
 
 
 def cover_upper_bound(g: int, n: int) -> CoverBoundReport:
@@ -104,10 +65,14 @@ def cover_upper_bound(g: int, n: int) -> CoverBoundReport:
     3 log(m)/m and 3 log(q)/q, q = (n-4g-3)/(2g+1). Both comparisons are
     asserted endpoint-to-endpoint before the report is returned.
     """
-    spec = CoverFamilySpec(g=g, n=n)
-    m, c = spec.m, spec.c
-    if not spec.check_reconstruction():
-        raise AssertionError(f"parameter reconstruction failed for g={g}, n={n}")
+    if g < 2:
+        raise DomainError("cover family requires genus >= 2")
+    if n < cover_threshold(g):
+        raise DomainError(f"cover family requires n >= {cover_threshold(g)} for g={g}")
+    # n = (2g+1)(m+1) + 1 + c with 0 <= c <= 2g; the c leftover marked points
+    # ride along without increasing the dilatation, so the bound is a
+    # function of m alone
+    m, c = cover_index(g, n), (n - 1) % (2 * g + 1)
     mp = m_cubed_root_enclosure(m)
     root = largest_root(build_Tm(m), search_hi=mp.hi + 1)
     log_root = log_interval(root.interval)

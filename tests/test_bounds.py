@@ -16,7 +16,7 @@ from dillab.bounds import (
     thm34_lower,
 )
 from dillab.enclosures import RatInterval, log_enclosure
-from dillab.errors import AlphaOutOfRange, DomainError, RangeError, ValidationFailed
+from dillab.errors import AlphaOutOfRange, DomainError, ValidationFailed
 from dillab.families import cover_threshold, cover_upper_bound
 
 
@@ -82,18 +82,14 @@ def test_omega_full_alpha_is_48_theta():
 
 
 def test_kappa_upper_constant_small_range():
-    rep = kappa_upper_constant(2, (31, 200))
+    rep = kappa_upper_constant(2)
     assert rep.kappa_prime == 15
     # the bound it certifies: 3 log m / m <= kappa' log n / n at n = 31, m = 5
     lhs = log_enclosure(5).hi * 3 / 5
     rhs = rep.kappa_prime * log_enclosure(31).lo / 31
     assert lhs <= rhs
-    with pytest.raises(RangeError):
-        kappa_upper_constant(2, (30, 100))
-    with pytest.raises(RangeError):
-        kappa_upper_constant(2, (40, 39))
     with pytest.raises(DomainError):
-        kappa_upper_constant(1, (31, 40))
+        kappa_upper_constant(1)
 
 
 def test_kappa_prime_is_the_closed_form_with_its_witness(monkeypatch):
@@ -103,21 +99,20 @@ def test_kappa_prime_is_the_closed_form_with_its_witness(monkeypatch):
     # the proof compares integers only
     monkeypatch.setattr(bounds, "log_enclosure", refuse)
     for g in (2, 3, 4, 5, 8):
-        rep = kappa_upper_constant(g, (cover_threshold(g), 10**6))
-        assert rep.kappa_prime == 3 * (2 * g + 1)
+        rep = kappa_upper_constant(g)
+        assert (rep.g, rep.kappa_prime) == (g, 3 * (2 * g + 1))
         assert rep.witness_n == cover_threshold(g)
-        assert (rep.n_lo, rep.n_hi) == (cover_threshold(g), 10**6)
 
 
 def test_kappa_refuses_a_threshold_where_the_integer_inequality_fails(monkeypatch):
     # q = 5: 5**11 < 11**10, so the inequality has no witness at n = 11
     monkeypatch.setattr(bounds, "cover_threshold", lambda g: 11)
     with pytest.raises(ValidationFailed):
-        kappa_upper_constant(2, (11, 100))
+        kappa_upper_constant(2)
     # 5**1 >= 1**10 holds, but at n = 1 < 5q the cover index is below e
     monkeypatch.setattr(bounds, "cover_threshold", lambda g: 1)
     with pytest.raises(ValidationFailed):
-        kappa_upper_constant(2, (1, 100))
+        kappa_upper_constant(2)
 
 
 # n drawn evenly over its bit lengths, so large n, where one cover bound

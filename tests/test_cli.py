@@ -197,6 +197,25 @@ def test_hk_root_flag_conflicts(capsys):
     assert code == 2
 
 
+def test_hk_root_refuses_root_flags_with_certified_m(capsys):
+    # --m >= 5 certifies at verify_lroot's own width and search bound, so a
+    # flag that would be ignored is a usage error instead
+    for m in ("5", "10"):
+        for flags in (["--rel-width", "1/1000"], ["--search-hi", "3"], ["--search-hi", "3", "--rel-width", "1/2"]):
+            code, out, err = run(capsys, "hk-root", "--m", m, *flags)
+            assert code == 2, (m, flags)
+            assert out == "" and "--m >= 5" in err
+    # below 5 and in --s/--t mode the flags apply, with defaults 1/10**10 and 4
+    _, coarse, _ = run(capsys, "hk-root", "--m", "4", "--rel-width", "1/1000")
+    _, default, _ = run(capsys, "hk-root", "--m", "4")
+    assert coarse != default
+    _, explicit, _ = run(capsys, "hk-root", "--m", "4", "--rel-width", "1/10000000000", "--search-hi", "4")
+    assert explicit == default
+    _, default, _ = run(capsys, "hk-root", "--s", "2", "--t", "3")
+    _, explicit, _ = run(capsys, "hk-root", "--s", "2", "--t", "3", "--rel-width", "1/10000000000", "--search-hi", "4")
+    assert explicit == default
+
+
 def test_torus_matrix_text(capsys):
     code, out, _ = run(capsys, "torus-matrix", "--n", "5")
     assert code == 0

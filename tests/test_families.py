@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dillab.errors import DomainError, ValidationFailed
 from dillab.families import (
-    CoverFamilySpec,
     TorusMatrixSpec,
     cover_index,
     cover_threshold,
@@ -74,24 +75,31 @@ def test_torus_spectral_radius_below_column_bound():
 
 
 def test_cover_spec_parameter_split():
-    spec = CoverFamilySpec(g=2, n=31)
-    assert spec.m == 5 and spec.c == 0
-    assert spec.check_reconstruction()
-    spec = CoverFamilySpec(g=2, n=45)
-    assert spec.m == 7 and spec.c == 4
-    assert spec.check_reconstruction()
-    spec = CoverFamilySpec(g=3, n=43)
-    assert spec.m == 5 and spec.c == 0
-    assert spec.check_reconstruction()
+    for g, n, m, c in ((2, 31, 5, 0), (2, 45, 7, 4), (3, 43, 5, 0)):
+        rep = cover_upper_bound(g, n)
+        assert (rep.m, rep.c) == (m, c)
+        assert n == (2 * g + 1) * (m + 1) + 1 + c
     with pytest.raises(DomainError):
-        CoverFamilySpec(g=1, n=100)
+        cover_upper_bound(1, 100)
     with pytest.raises(DomainError):
-        CoverFamilySpec(g=2, n=30)
+        cover_upper_bound(2, 30)
     # the threshold is the first n with index 5, for every genus
     for g in (2, 3, 4):
         assert cover_index(g, cover_threshold(g)) == 5
         assert cover_index(g, cover_threshold(g) - 1) == 4
-        assert CoverFamilySpec(g=g, n=cover_threshold(g)).m == 5
+        assert cover_upper_bound(g, cover_threshold(g)).m == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 10**6))
+def test_cover_split_is_an_identity(g, n):
+    # the split cover_upper_bound relies on: n = q(m+1) + 1 + c with
+    # c = (n-1) mod q in [0, 2g], and m >= 5 exactly from the threshold on
+    q = 2 * g + 1
+    m, c = cover_index(g, n), (n - 1) % q
+    assert q * (m + 1) + 1 + c == n
+    assert 0 <= c <= 2 * g
+    assert (m >= 5) == (n >= cover_threshold(g))
 
 
 def test_cover_upper_bound_certificate_chain():
@@ -101,12 +109,11 @@ def test_cover_upper_bound_certificate_chain():
     assert rep.root.hi ** rep.m < rep.m ** 3
     assert rep.log_root.hi <= rep.closed_form_m.lo
     assert rep.log_root.hi <= rep.closed_form_n.lo
-    assert rep.upper == rep.log_root.hi
-    assert rep.upper > 0
+    assert rep.log_root.hi > 0
 
 
 def test_cover_upper_bound_shrinks_with_n():
-    u31 = cover_upper_bound(2, 31).upper
-    u101 = cover_upper_bound(2, 101).upper
-    u1001 = cover_upper_bound(2, 1001).upper
+    u31 = cover_upper_bound(2, 31).log_root.hi
+    u101 = cover_upper_bound(2, 101).log_root.hi
+    u1001 = cover_upper_bound(2, 1001).log_root.hi
     assert u31 > u101 > u1001
