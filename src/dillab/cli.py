@@ -42,7 +42,7 @@ from .intmatrix import (
     render_matrix_text,
 )
 from .lefschetz import HomologyClass, multitwist_action
-from .suites import SUITES, run_suite
+from .suites import SUITES, run_suite, shared_pool
 from .transgraph import dilatation_limit_check, path_count_series, subdivide_out_edge
 
 __all__ = ["main"]
@@ -411,7 +411,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             names.append(name)
     else:
         raise UsageError("need --all or --suite NAME")
-    reports = [run_suite(name, seed=ns.seed, cases=ns.cases, jobs=ns.jobs) for name in names]
+    with shared_pool():
+        reports = [run_suite(name, seed=ns.seed, cases=ns.cases, jobs=ns.jobs) for name in names]
     payload = {
         "seed": ns.seed,
         "suites": reports,

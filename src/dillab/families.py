@@ -156,7 +156,10 @@ def torus_matrix(n: int) -> TorusMatrixSpec:
     put(k, k - 2, 1)
     put(k, k - 1, 2)
     put(k, k, 3)
-    return TorusMatrixSpec(n=n, matrix=IntMatrix.from_sparse([sorted(r.items()) for r in rows]))
+    # sorted dict items are valid sparse rows by construction;
+    # verify_torus_bounds checks the contract
+    matrix = IntMatrix._of(tuple([tuple(sorted(r.items())) for r in rows]))
+    return TorusMatrixSpec(n=n, matrix=matrix)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ matrix M and any strictly positive vector v,
     min_i (Mv)_i / v_i  <=  mu(M)  <=  max_i (Mv)_i / v_i,
 
 where mu is the spectral radius. Floats steer, integers certify: power
-iteration, and once float inverse iteration, only choose v; the returned
-[lo, hi] is computed in integers for whichever positive iterate we stopped
-at, so the enclosure is valid even when the loop exits on the iteration cap
-rather than on convergence, and whatever the floats did.
+iteration, and float inverse iteration when that is slow, only choose v;
+the returned [lo, hi] is computed in integers for whichever positive
+iterate we stopped at, so the enclosure is valid even when the loop exits
+on the iteration cap rather than on convergence, and whatever the floats
+did.
 """
 
 from __future__ import annotations
@@ -417,15 +418,17 @@ def pf_enclosure(
     certifies nothing.
 
     Power iteration converges slowly when the subdominant eigenvalues crowd
-    the Perron root (the torus family's close in like 1/n^2). So once, if
-    the loop has not stopped, the next iterate comes from float inverse
-    iteration instead (_steer); the exact loop then evaluates it and goes on
-    as before, and a failed steer leaves the integer iterate in place. The
-    iteration at which this happens depends on the input alone: not before
-    k, the dimension, and not before the loop has spent as much arithmetic
-    as the steer may (_steer_at). A matrix that power iteration settles
-    sooner never steers, and one that needs long at most doubles the work
-    spent so far.
+    the Perron root (the torus family's close in like 1/n^2). So if the loop
+    has not stopped by the iteration at which it has spent as much
+    arithmetic as a steer may (_steer_at), the next iterate comes from float
+    inverse iteration instead (_steer); the exact loop then evaluates it and
+    goes on as before, and a failed steer leaves the integer iterate in
+    place. The steer is tried again each time the iteration count doubles,
+    while the width is still above what floats resolve (_STEER_TOL): an
+    early start can leave the vector short of float precision on a large
+    matrix. The iterations at which this happens depend on the input alone.
+    A matrix that power iteration settles sooner never steers, and the
+    steers together never cost more than the loop has spent.
 
     hi_target, when given, stops the iteration the moment the certified
     upper bound reaches it, useful when only a one-sided threshold matters
@@ -443,7 +446,8 @@ def pf_enclosure(
     iterations = 0
     stop = "max_iters"
     steered = False
-    steer_at = max(k, _steer_at(sparse))
+    steer_at = None
+    steer_tol = _STEER_TOL.as_integer_ratio()
     for iterations in range(1, max_iters + 1):
         w = [sum(m * u[j] for j, m in row) for row in sparse]
         # min/max quotients w_i/u_i by cross-multiplication (denominators > 0)
@@ -464,12 +468,18 @@ def pf_enclosure(
         if hi_target is not None and hi_n * hi_target.denominator <= hi_target.numerator * hi_d:
             stop = "hi_target"
             break
+        if steer_at is None:  # costed only once the loop goes on
+            steer_at = _steer_at(sparse)
         if iterations == steer_at and iterations < max_iters:
-            guess = _steer(sparse, u, Fraction(hi_n, hi_d))
-            if guess is not None:
-                u = guess
-                steered = True
-                continue
+            steer_at *= 2
+            # (hi - lo) > _STEER_TOL * lo: floats can still narrow it
+            gap = (hi_n * lo_d - lo_n * hi_d) * steer_tol[1]
+            if not steered or gap > steer_tol[0] * lo_n * hi_d:
+                guess = _steer(sparse, u, Fraction(hi_n, hi_d))
+                if guess is not None:
+                    u = guess
+                    steered = True
+                    continue
         nxt = [w[i] + u[i] for i in range(k)]
         top = max(nxt).bit_length()
         if top > 192:

@@ -98,21 +98,22 @@ class SympAction:
         if not all(isinstance(x, int) for row in self.matrix for x in row):
             raise ValueError("matrix entries must be integers")
         object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
+        g = self.g
         cols = list(zip(*self.matrix))
+        # <u, v> = u . Jv with Jv = (v_b, -v_a); the form is alternating, so
+        # <col_a, col_b> = J[a][b] for a < b is the whole of A^T J A = J
+        j_cols = [col[g:] + tuple([-x for x in col[:g]]) for col in cols]
         for a in range(n):
-            for b in range(n):
-                want = 0
-                if b == a + self.g:
-                    want = 1
-                elif a == b + self.g:
-                    want = -1
-                if _form_on_vectors(cols[a], cols[b], self.g) != want:
+            for b in range(a + 1, n):
+                want = 1 if b == a + g else 0
+                if sum([x * y for x, y in zip(cols[a], j_cols[b])]) != want:
                     raise ValueError("matrix does not preserve the symplectic form")
 
     @classmethod
     def _unchecked(cls, g: int, matrix: tuple[tuple[int, ...], ...]) -> "SympAction":
         """Build without the A^T J A = J check, for operations that keep the
-        form by a theorem: products of symplectic maps, and transvections."""
+        form by a theorem: the identity, products of symplectic maps, and
+        their twists."""
         action = object.__new__(cls)
         object.__setattr__(action, "g", g)
         object.__setattr__(action, "matrix", matrix)
@@ -121,7 +122,9 @@ class SympAction:
     @staticmethod
     def identity(g: int) -> "SympAction":
         n = 2 * g
-        return SympAction(g, tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n)))
+        return SympAction._unchecked(
+            g, tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+        )
 
     @property
     def trace(self) -> int:
@@ -135,6 +138,24 @@ class SympAction:
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.matrix
         )
         return SympAction._unchecked(self.g, prod)
+
+    def twist(self, gamma: HomologyClass, power: int) -> "SympAction":
+        """self @ transvection(gamma, power), as a rank-one update.
+
+        The transvection is I + power * gamma w^T with w^T v = <v, gamma>,
+        so the product is A + power * (A gamma) w^T: one matrix-vector
+        product and one update, O(n^2) where a dense product is O(n^3).
+        """
+        g = self.g
+        if g != gamma.g:
+            raise GenusMismatch(f"genus mismatch: {g} vs {gamma.g}")
+        coords = gamma.coords
+        w = coords[g:] + tuple([-x for x in coords[:g]])
+        out = []
+        for row in self.matrix:
+            s = power * sum([a * b for a, b in zip(row, coords)])
+            out.append(tuple([a + s * b for a, b in zip(row, w)]) if s else row)
+        return SympAction._unchecked(g, tuple(out))
 
     def apply(self, v: HomologyClass) -> HomologyClass:
         if self.g != v.g:
@@ -150,15 +171,7 @@ def transvection(gamma: HomologyClass, power: int) -> SympAction:
     Symplectic for every integer power; the zero class and power 0 both give
     the identity.
     """
-    g = gamma.g
-    n = 2 * g
-    cols = []
-    for c in range(n):
-        e = tuple(1 if t == c else 0 for t in range(n))
-        pairing = _form_on_vectors(e, gamma.coords, g)
-        cols.append(tuple(e[r] + power * pairing * gamma.coords[r] for r in range(n)))
-    matrix = tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
-    return SympAction._unchecked(g, matrix)
+    return SympAction.identity(gamma.g).twist(gamma, power)
 
 
 def _check_twists(twists, g: int) -> None:
@@ -179,13 +192,14 @@ def _check_twists(twists, g: int) -> None:
 
 def multitwist_action(twists, g: int) -> SympAction:
     """Product of the transvections of a pairwise-orthogonal twist system,
-    checked once through the public constructor."""
+    each applied as a rank-one update (SympAction.twist), checked once
+    through the public constructor."""
     if g < 1:
         raise DomainError("genus must be >= 1")
     _check_twists(twists, g)
     action = SympAction.identity(g)
     for gamma, power in twists:
-        action = action @ transvection(gamma, power)
+        action = action.twist(gamma, power)
     return SympAction(g, action.matrix)
 
 

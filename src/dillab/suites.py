@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -41,9 +42,8 @@ from .lefschetz import (
     local_index,
     multitwist_action,
     multitwist_lefschetz,
-    transvection,
 )
-from .transgraph import dilatation_limit_check, path_count_series, subdivide_out_edge
+from .transgraph import _limit_checks, path_count_series, subdivide_out_edge
 
 MAX_FAILURE_DETAILS = 25
 
@@ -57,6 +57,26 @@ def _frs(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# The pools of the innermost shared_pool block, by worker count; None
+# outside every block, where each parallel_map opens and closes its own.
+_shared_pools: dict[int, ProcessPoolExecutor] | None = None
+
+
+@contextmanager
+def shared_pool():
+    """Let every parallel_map inside the block share one process pool per
+    worker count, opened on first use and shut down when the block ends, so
+    a run of many suites pays for one pool, not one per suite."""
+    global _shared_pools
+    outer, _shared_pools = _shared_pools, {}
+    try:
+        yield
+    finally:
+        pools, _shared_pools = _shared_pools, outer
+        for pool in pools.values():
+            pool.shutdown()
+
+
 def parallel_map(fn: Callable, args: list, jobs: int) -> list:
     """Order-preserving map, fanned out over processes when jobs > 1.
 
@@ -66,8 +86,13 @@ def parallel_map(fn: Callable, args: list, jobs: int) -> list:
     if jobs <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
     chunk = max(1, len(args) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, args, chunksize=chunk))
+    if _shared_pools is None:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, args, chunksize=chunk))
+    pool = _shared_pools.get(jobs)
+    if pool is None:
+        pool = _shared_pools[jobs] = ProcessPoolExecutor(max_workers=jobs)
+    return list(pool.map(fn, args, chunksize=chunk))
 
 
 def _report(name: str, seed: int, cases: int, failures: list, extra: dict | None = None) -> dict:
@@ -156,10 +181,8 @@ def _path_growth_case(arg: tuple) -> tuple:
     graph = IntMatrix.from_rows(rows)
     fails = []
     worst = Fraction(0)
-    for i in range(1, k + 1):
-        rep = dilatation_limit_check(
-            graph, i, _PATH_GROWTH_D, _PATH_GROWTH_TOL, max_iters=20000
-        )
+    reports = _limit_checks(graph, range(1, k + 1), _PATH_GROWTH_D, _PATH_GROWTH_TOL, 20000)
+    for i, rep in enumerate(reports, 1):
         worst = max(worst, rep.last_gap)
         if not rep.converged:
             fails.append(f"case {idx}: vertex {i} gap {_frs(rep.last_gap)} exceeds 1/20")
@@ -198,7 +221,7 @@ def _multitwist_case(arg: tuple) -> str | None:
     frame = SympAction.identity(g)
     for _ in range(rng.randint(0, 4)):
         gamma = HomologyClass(tuple(rng.randint(-2, 2) for _ in range(2 * g)))
-        frame = frame @ transvection(gamma, rng.choice((-2, -1, 1, 2)))
+        frame = frame.twist(gamma, rng.choice((-2, -1, 1, 2)))
     moved = [frame.apply(c) for c in classes]
     powers = [rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)) for _ in range(count)]
     twists = list(zip(moved, powers))

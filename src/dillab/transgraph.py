@@ -93,6 +93,13 @@ def dilatation_limit_check(
     overlap.
     """
     _check_vertex(matrix, i)
+    return _limit_checks(matrix, (i,), d_max, tol, max_iters)[0]
+
+
+def _limit_checks(matrix: IntMatrix, vertices, d_max: int, tol, max_iters: int) -> list:
+    """dilatation_limit_check for each of the given vertices, from one
+    path-count sweep (the vector M^d 1 holds P(i, d) for every i at once)
+    and one spectral enclosure."""
     if d_max < 1:
         raise DomainError("d_max must be >= 1")
     tol = Fraction(tol)
@@ -100,20 +107,27 @@ def dilatation_limit_check(
         raise DomainError("tol must be >= 0")
     if not is_irreducible(matrix):
         raise NotIrreducible("dilatation_limit_check requires an irreducible graph")
-    p = path_count(matrix, i, d_max)
-    root_iv = nth_root_enclosure(p, d_max)
+    rows = matrix.rows
+    counts = [1] * matrix.k
+    for _ in range(d_max):
+        counts = [sum([m * counts[j] for j, m in row]) for row in rows]
     mu = pf_enclosure(matrix, max_iters=max_iters)
     mu_iv = RatInterval(mu.lo, mu.hi)
     widened = RatInterval(mu.lo - tol, mu.hi + tol)
-    converged = interval_gap(root_iv, widened) == 0
-    return LimitCheckReport(
-        converged=converged,
-        last_gap=interval_gap(root_iv, mu_iv),
-        d=d_max,
-        vertex=i,
-        root_interval=root_iv,
-        spectral_interval=mu_iv,
-    )
+    reports = []
+    for i in vertices:
+        root_iv = nth_root_enclosure(counts[i - 1], d_max)
+        reports.append(
+            LimitCheckReport(
+                converged=interval_gap(root_iv, widened) == 0,
+                last_gap=interval_gap(root_iv, mu_iv),
+                d=d_max,
+                vertex=i,
+                root_interval=root_iv,
+                spectral_interval=mu_iv,
+            )
+        )
+    return reports
 
 
 def subdivide_out_edge(matrix: IntMatrix, i: int) -> IntMatrix:

@@ -462,6 +462,28 @@ def test_verify_jobs_env(capsys, monkeypatch):
     assert code == 0
 
 
+def test_verify_all_opens_one_pool(capsys, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    from dillab import suites
+
+    opened = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", CountingPool)
+    reports = {}
+    for jobs in (1, 2):
+        opened.clear()
+        code, out, _ = run(capsys, "verify", "--all", "--seed", "7", "--jobs", str(jobs))
+        reports[jobs] = (code, out.encode())
+        assert opened == ([] if jobs == 1 else [2])
+    assert reports[1] == reports[2]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -39,6 +39,14 @@ def test_torus_matrix_band_structure():
         torus_matrix(4)
 
 
+def test_torus_rows_are_valid_sparse_rows():
+    # torus_matrix builds its rows unchecked; the checked constructor must
+    # accept them unchanged
+    for n in [*range(5, 61), 200]:
+        m = torus_matrix(n).matrix
+        assert m == IntMatrix.from_sparse(m.rows)
+
+
 def test_torus_bounds_contract():
     for n in (5, 6, 11, 40):
         spec = torus_matrix(n)

@@ -14,6 +14,7 @@ from dillab.families import torus_matrix
 from dillab.intmatrix import (
     IntMatrix,
     _shifted_solve,
+    _steer_at,
     is_irreducible,
     is_positive,
     mat_power,
@@ -295,6 +296,27 @@ def test_pf_enclosure_torus_60_iteration_pin():
     assert enc.steered and enc.stop == "converged"
     assert enc.iterations <= 2 * m.k
     assert enc.rel_width <= Fraction(1, 10 ** 9)
+
+
+@pytest.mark.parametrize("n, digits", [(40, 9), (80, 3), (200, 3)])
+def test_pf_enclosure_torus_steers_at_its_cost_point(n, digits):
+    # the banded torus matrix's steer costs a few dozen steps at any n, so
+    # the direct route no longer waits about 2n iterations for it
+    m = torus_matrix(n).matrix
+    enc = pf_enclosure(m, rel_width=Fraction(1, 10**digits))
+    assert enc.steered and enc.stop == "converged"
+    assert enc.iterations <= 2 * _steer_at(m.rows)
+
+
+def test_pf_enclosure_steers_again_when_one_steer_falls_short():
+    # at n = 320 one steer from an early iterate narrows the width to about
+    # 1e-8 only; a second one, once the loop has spent as much again,
+    # reaches 1e-9 where power iteration alone would take tens of thousands
+    # of steps
+    m = torus_matrix(320).matrix
+    enc = pf_enclosure(m, rel_width=Fraction(1, 10**9))
+    assert enc.steered and enc.stop == "converged"
+    assert enc.iterations <= 4 * _steer_at(m.rows)
 
 
 def test_pf_enclosure_hi_target_stops_early():

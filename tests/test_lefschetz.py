@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dillab import lefschetz
 from dillab.errors import (
     DomainError,
     FixedPointOnCircle,
@@ -105,15 +104,58 @@ def test_multitwist_trace_and_lefschetz():
 
 
 def test_multitwist_refuses_a_non_symplectic_product(monkeypatch):
-    # products and transvections skip the check, so a factor that breaks the
-    # form is caught only where multitwist_action checks its product
-    def broken(gamma, power):
+    # twists are applied unchecked, so a twist that breaks the form is
+    # caught only where multitwist_action checks its product
+    def broken(self, gamma, power):
         doubled = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         return SympAction._unchecked(gamma.g, doubled)
 
-    monkeypatch.setattr(lefschetz, "transvection", broken)
+    monkeypatch.setattr(SympAction, "twist", broken)
     with pytest.raises(ValueError, match="symplectic"):
         multitwist_action([(HomologyClass.alpha(1, 2), 1)], 2)
+
+
+def _dense_transvection(gamma, power):
+    # v -> v + power <v, gamma> gamma, column by column from the definition
+    n = 2 * gamma.g
+    basis = [HomologyClass(tuple(1 if t == c else 0 for t in range(n))) for c in range(n)]
+    cols = [
+        [e.coords[r] + power * symp_form(e, gamma) * gamma.coords[r] for r in range(n)]
+        for e in basis
+    ]
+    return SympAction(gamma.g, tuple(tuple(cols[c][r] for c in range(n)) for r in range(n)))
+
+
+@st.composite
+def _twist_systems(draw):
+    # classes in the span of the alphas (a Lagrangian, so pairwise
+    # orthogonal), moved by random transvections, some of them zero
+    g = draw(st.integers(1, 6))
+    count = draw(st.integers(1, g + 2))
+    classes = [
+        HomologyClass.zero(g)
+        if draw(st.booleans()) and draw(st.booleans())
+        else HomologyClass(tuple(draw(st.integers(-3, 3)) for _ in range(g)) + (0,) * g)
+        for _ in range(count)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        gamma = HomologyClass(tuple(draw(st.integers(-2, 2)) for _ in range(2 * g)))
+        frame = _dense_transvection(gamma, draw(st.sampled_from((-2, -1, 1, 2))))
+        classes = [frame.apply(c) for c in classes]
+    powers = [draw(st.integers(-5, 5).filter(bool)) for _ in range(count)]
+    return g, list(zip(classes, powers))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_twist_systems())
+def test_rank_one_multitwist_equals_the_dense_chain(system):
+    g, twists = system
+    dense = SympAction.identity(g)
+    for gamma, power in twists:
+        assert transvection(gamma, power) == _dense_transvection(gamma, power)
+        assert dense.twist(gamma, power) == dense @ _dense_transvection(gamma, power)
+        dense = dense @ _dense_transvection(gamma, power)
+    assert multitwist_action(twists, g) == dense
 
 
 def test_multitwist_order_of_factors_irrelevant():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,11 @@ from dillab.errors import (
     NotIrreducible,
     VertexOutOfRange,
 )
-from dillab.intmatrix import IntMatrix, mat_power
+from dillab.enclosures import nth_root_enclosure
+from dillab.intmatrix import IntMatrix, mat_power, pf_enclosure
+from dillab.suites import random_irreducible_rows
 from dillab.transgraph import (
+    _limit_checks,
     dilatation_limit_check,
     from_matrix,
     path_count,
@@ -75,6 +79,25 @@ def test_dilatation_limit_check_errors():
         with pytest.raises(DomainError):
             dilatation_limit_check(IntMatrix(((1, 1), (1, 1))), 1, 5, tol=tol)
     assert dilatation_limit_check(FIB, 1, 60, tol=0).d == 60
+
+
+def test_shared_limit_checks_match_the_per_vertex_check():
+    # three graphs drawn as the path-growth suite draws them
+    for idx in range(3):
+        rng = random.Random(f"path-growth:7:{idx}")
+        k = rng.randint(2, 8)
+        graph = IntMatrix.from_rows(random_irreducible_rows(rng, k, 2, extra_prob=0.7))
+        tol = Fraction(1, 20)
+        shared = _limit_checks(graph, range(1, k + 1), 200, tol, 20000)
+        assert shared == [
+            dilatation_limit_check(graph, i, 200, tol, max_iters=20000) for i in range(1, k + 1)
+        ]
+        # and the one sweep gives every vertex its own path count
+        mu = pf_enclosure(graph, max_iters=20000)
+        for i, rep in enumerate(shared, 1):
+            assert rep.vertex == i
+            assert rep.root_interval == nth_root_enclosure(path_count(graph, i, 200), 200)
+            assert (rep.spectral_interval.lo, rep.spectral_interval.hi) == (mu.lo, mu.hi)
 
 
 def test_subdivide_fibonacci_gives_cubic():
