@@ -29,11 +29,13 @@ import tempfile
 from fractions import Fraction
 
 from .bounds import sandwich_table
-from .dilpoly import build_T, build_Tm, largest_root, verify_lroot
+from .dilpoly import DEFAULT_ROOT_REL_WIDTH, build_T, build_Tm, largest_root, verify_lroot
 from .enclosures import decimal_str
 from .errors import DillabError
 from .families import cover_upper_bound, torus_matrix, verify_torus_bounds
 from .intmatrix import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_REL_WIDTH,
     is_irreducible,
     is_positive,
     load_matrix,
@@ -220,7 +222,7 @@ def _cmd_hk_root(ns: argparse.Namespace) -> int:
     certify = ns.m is not None and ns.m >= 5
     if certify and (ns.rel_width is not None or ns.search_hi is not None):
         raise UsageError("--m >= 5 certifies at fixed settings; drop --rel-width/--search-hi")
-    rel_width = Fraction(1, 10**10) if ns.rel_width is None else ns.rel_width
+    rel_width = DEFAULT_ROOT_REL_WIDTH if ns.rel_width is None else ns.rel_width
     if rel_width <= 0:
         raise UsageError("need --rel-width > 0")
     payload: dict = {}
@@ -391,10 +393,8 @@ def _cmd_lefschetz(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    if ns.jobs is None:
-        ns.jobs = _jobs_default()
     if ns.jobs < 1:
-        raise UsageError("--jobs (or DILLAB_JOBS) must be >= 1")
+        raise UsageError("--jobs must be >= 1")
     if ns.cases is not None and ns.cases < 1:
         raise UsageError("--cases must be >= 1")
     if ns.list:
@@ -411,7 +411,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             names.append(name)
     else:
         raise UsageError("need --all or --suite NAME")
-    with shared_pool():
+    with shared_pool(ns.jobs):
         reports = [run_suite(name, seed=ns.seed, cases=ns.cases, jobs=ns.jobs) for name in names]
     payload = {
         "seed": ns.seed,
@@ -434,16 +434,6 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _jobs_default() -> int:
-    raw = os.environ.get("DILLAB_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"DILLAB_JOBS must be an integer, got {raw!r}") from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dillab",
@@ -456,8 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pf", help="spectral enclosure of a nonnegative integer matrix file")
     p.add_argument("matrix", help="matrix file, text or JSON")
-    p.add_argument("--rel-width", type=_parse_fraction, default=Fraction(1, 10**9))
-    p.add_argument("--max-iters", type=int, default=10**6)
+    p.add_argument("--rel-width", type=_parse_fraction, default=DEFAULT_REL_WIDTH)
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_pf)
 
@@ -481,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="balanced index; m >= 5 adds the m^(3/m) bound report")
     p.add_argument("--s", type=int, help="first exponent (with --t)")
     p.add_argument("--t", type=int, help="second exponent (with --s)")
-    p.add_argument("--rel-width", type=_parse_fraction, help="default 1/10**10; not with --m >= 5")
+    p.add_argument("--rel-width", type=_parse_fraction, help=f"default {DEFAULT_ROOT_REL_WIDTH}; not with --m >= 5")
     p.add_argument("--search-hi", type=_parse_fraction, help="default 4; not with --m >= 5")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hk_root)
@@ -522,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list suites and exit")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--cases", type=int, default=None, help="override each suite's default case count")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: DILLAB_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, capped at the CPU count")
     p.add_argument("--out", help="write the JSON report here and print a summary")
     p.set_defaults(func=_cmd_verify)
 

@@ -9,6 +9,7 @@ endpoints are certificates, not approximations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -170,15 +171,10 @@ def _atanh_core(num: int, den: int, width: Fraction) -> RatInterval:
     return RatInterval(Fraction(mid - rad, common), Fraction(mid + rad, common))
 
 
-_LOG2_CACHE: RatInterval | None = None
-
-
+@functools.cache
 def _log2_interval() -> RatInterval:
-    global _LOG2_CACHE
-    if _LOG2_CACHE is None:
-        # log 2 = 2 atanh(1/3); cached far tighter than any requested width
-        _LOG2_CACHE = _atanh_core(2, 1, Fraction(1, 10**40))
-    return _LOG2_CACHE
+    # log 2 = 2 atanh(1/3); cached far tighter than any requested width
+    return _atanh_core(2, 1, Fraction(1, 10**40))
 
 
 def log_enclosure(q, width=_DEFAULT_LOG_WIDTH) -> RatInterval:

@@ -13,6 +13,7 @@ range.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -57,56 +58,41 @@ def _frs(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# The pools of the innermost shared_pool block, by worker count; None
-# outside every block, where each parallel_map opens and closes its own.
-_shared_pools: dict[int, ProcessPoolExecutor] | None = None
+# The one open pool and its worker count; None outside every shared_pool
+# block, where parallel_map runs in-process.
+_pool: ProcessPoolExecutor | None = None
+_workers = 1
 
 
 @contextmanager
-def shared_pool():
-    """Let every parallel_map inside the block share one process pool per
-    worker count, opened on first use and shut down when the block ends, so
-    a run of many suites pays for one pool, not one per suite."""
-    global _shared_pools
-    outer, _shared_pools = _shared_pools, {}
+def shared_pool(jobs: int):
+    """Let every parallel_map inside the block share one pool of at most
+    os.cpu_count() workers, shut down when the block ends. A block opened
+    inside an open block reuses its pool; a cap of 1 opens none. Creating
+    the pool starts no process: the workers start at its first map."""
+    global _pool, _workers
+    jobs = min(jobs, os.cpu_count() or 1)
+    if _pool is not None or jobs <= 1:
+        yield
+        return
+    _pool, _workers = ProcessPoolExecutor(max_workers=jobs), jobs
     try:
         yield
     finally:
-        pools, _shared_pools = _shared_pools, outer
-        for pool in pools.values():
-            pool.shutdown()
+        pool, _pool = _pool, None
+        pool.shutdown()
 
 
-def parallel_map(fn: Callable, args: list, jobs: int) -> list:
-    """Order-preserving map, fanned out over processes when jobs > 1.
+def parallel_map(fn: Callable, args: list) -> list:
+    """Order-preserving map over the open shared_pool, in-process without one.
 
     fn must be a module-level function and every argument picklable; results
     come back in input order, so parallelism cannot change a report.
     """
-    if jobs <= 1 or len(args) <= 1:
+    if _pool is None or len(args) <= 1:
         return [fn(a) for a in args]
-    chunk = max(1, len(args) // (jobs * 4))
-    if _shared_pools is None:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, args, chunksize=chunk))
-    pool = _shared_pools.get(jobs)
-    if pool is None:
-        pool = _shared_pools[jobs] = ProcessPoolExecutor(max_workers=jobs)
-    return list(pool.map(fn, args, chunksize=chunk))
-
-
-def _report(name: str, seed: int, cases: int, failures: list, extra: dict | None = None) -> dict:
-    out = {
-        "suite": name,
-        "seed": seed,
-        "cases": cases,
-        "failure_count": len(failures),
-        "failures": failures[:MAX_FAILURE_DETAILS],
-        "passed": not failures,
-    }
-    if extra:
-        out.update(extra)
-    return out
+    chunk = max(1, len(args) // (_workers * 4))
+    return list(_pool.map(fn, args, chunksize=chunk))
 
 
 def random_irreducible_rows(
@@ -154,10 +140,10 @@ def _diag_power_case(arg: tuple) -> str | None:
     )
 
 
-def _run_diag_power(seed: int, cases: int, jobs: int) -> dict:
+def _run_diag_power(seed: int, cases: int) -> tuple:
     args = [("diag-power", seed, i) for i in range(cases)]
-    failures = [f for f in parallel_map(_diag_power_case, args, jobs) if f]
-    return _report("diag-power", seed, cases, failures)
+    failures = [f for f in parallel_map(_diag_power_case, args) if f]
+    return (cases, failures, {})
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +175,13 @@ def _path_growth_case(arg: tuple) -> tuple:
     return (fails, worst)
 
 
-def _run_path_growth(seed: int, cases: int, jobs: int) -> dict:
+def _run_path_growth(seed: int, cases: int) -> tuple:
     args = [("path-growth", seed, i) for i in range(cases)]
-    results = parallel_map(_path_growth_case, args, jobs)
+    results = parallel_map(_path_growth_case, args)
     failures = [f for fails, _ in results for f in fails]
     worst = max((w for _, w in results), default=Fraction(0))
     extra = {"d": _PATH_GROWTH_D, "tolerance": _frs(_PATH_GROWTH_TOL), "max_gap": _frs(worst)}
-    return _report("path-growth", seed, cases, failures, extra)
+    return (cases, failures, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +235,10 @@ def _multitwist_case(arg: tuple) -> str | None:
     return None
 
 
-def _run_multitwist(seed: int, cases: int, jobs: int) -> dict:
+def _run_multitwist(seed: int, cases: int) -> tuple:
     args = [("multitwist", seed, i) for i in range(cases)]
-    failures = [f for f in parallel_map(_multitwist_case, args, jobs) if f]
-    return _report("multitwist", seed, cases, failures)
+    failures = [f for f in parallel_map(_multitwist_case, args) if f]
+    return (cases, failures, {})
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +266,10 @@ def _root_bound_case(arg: tuple) -> tuple:
     return (fails, hi, hi - rep.root.lo)
 
 
-def _run_root_bound(seed: int, cases: int, jobs: int) -> dict:
+def _run_root_bound(seed: int, cases: int) -> tuple:
     m_hi = max(cases, 5)
     args = [(m,) for m in range(5, m_hi + 1)]
-    results = parallel_map(_root_bound_case, args, jobs)
+    results = parallel_map(_root_bound_case, args)
     failures = [f for fails, _, _ in results for f in fails]
     slack = Fraction(1, 10**6)
     prev = None
@@ -298,7 +284,7 @@ def _run_root_bound(seed: int, cases: int, jobs: int) -> dict:
         "max_root_width": _frs(max_width),
         "last_root_hi": _frs(prev) if prev is not None else None,
     }
-    return _report("root-bound", seed, len(args), failures, extra)
+    return (len(args), failures, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +292,7 @@ def _run_root_bound(seed: int, cases: int, jobs: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_quartic_root(seed: int, cases: int, jobs: int) -> dict:
-    del cases, jobs
+def _run_quartic_root(seed: int, cases: int) -> tuple:
     failures = []
     target_width = Fraction(1, 10**9)
     enc = largest_root(build_T(1, 1), search_hi=4, rel_width=Fraction(1, 10**10))
@@ -338,7 +323,7 @@ def _run_quartic_root(seed: int, cases: int, jobs: int) -> dict:
         "oracle_lo": _frs(oracle.lo),
         "oracle_hi": _frs(oracle.hi),
     }
-    return _report("quartic-root", seed, 1, failures, extra)
+    return (1, failures, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +364,10 @@ def _torus_family_case(arg: tuple) -> tuple:
     return (fails, margin)
 
 
-def _run_torus_family(seed: int, cases: int, jobs: int) -> dict:
+def _run_torus_family(seed: int, cases: int) -> tuple:
     n_hi = max(cases, 5)
     args = [(n,) for n in range(5, n_hi + 1)]
-    results = parallel_map(_torus_family_case, args, jobs)
+    results = parallel_map(_torus_family_case, args)
     failures = [f for fails, _ in results for f in fails]
     margins = [margin for _, margin in results if margin is not None]
     min_margin = min(margins, default=None)
@@ -391,7 +376,7 @@ def _run_torus_family(seed: int, cases: int, jobs: int) -> dict:
         "n_hi": n_hi,
         "min_direct_margin_below_9": _frs(min_margin) if min_margin is not None else None,
     }
-    return _report("torus-family", seed, len(args), failures, extra)
+    return (len(args), failures, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +384,7 @@ def _run_torus_family(seed: int, cases: int, jobs: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_congruence_index(seed: int, cases: int, jobs: int) -> dict:
-    del cases, jobs
+def _run_congruence_index(seed: int, cases: int) -> tuple:
     failures = []
     counted = count_sl2_z3()
     if counted != 24:
@@ -412,13 +396,7 @@ def _run_congruence_index(seed: int, cases: int, jobs: int) -> dict:
     expected3 = 3**9 * (3**2 - 1) * (3**4 - 1) * (3**6 - 1)
     if theta(3) != expected3:
         failures.append(f"theta(3) = {theta(3)} != {expected3}")
-    return _report(
-        "congruence-index",
-        seed,
-        1,
-        failures,
-        {"theta_1": theta(1), "theta_2": theta(2)},
-    )
+    return (1, failures, {"theta_1": theta(1), "theta_2": theta(2)})
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +449,9 @@ def _subdivision_case(arg: tuple) -> dict:
     return out
 
 
-def _run_subdivision(seed: int, cases: int, jobs: int) -> dict:
+def _run_subdivision(seed: int, cases: int) -> tuple:
     args = [("subdivision", seed, i) for i in range(cases)]
-    results = parallel_map(_subdivision_case, args, jobs)
+    results = parallel_map(_subdivision_case, args)
     interval_failures = [f for r in results for f in r["fails"]]
     shift_failures = [
         f"case {a[2]}: path-shift law broke first at d={r['shift_bad_d']}"
@@ -488,9 +466,7 @@ def _run_subdivision(seed: int, cases: int, jobs: int) -> dict:
         "shift_counterexample": witness,
         "shift_d_max": _SHIFT_D_MAX,
     }
-    return _report(
-        "subdivision", seed, cases, interval_failures + shift_failures, extra
-    )
+    return (cases, interval_failures + shift_failures, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +504,11 @@ def _local_index_case(arg: tuple) -> str | None:
     return None
 
 
-def _run_local_index(seed: int, cases: int, jobs: int) -> dict:
+def _run_local_index(seed: int, cases: int) -> tuple:
     args = [("local-index", seed, i) for i in range(cases + 1)]
-    failures = [f for f in parallel_map(_local_index_case, args, jobs) if f]
+    failures = [f for f in parallel_map(_local_index_case, args) if f]
     extra = {"battery_models": len(_INDEX_BATTERY)}
-    return _report("local-index", seed, len(args), failures, extra)
+    return (len(args), failures, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +520,7 @@ _SANDWICH_N_LO = 31
 _SANDWICH_N_HI = 10_000
 
 
-def _run_sandwich(seed: int, cases: int, jobs: int) -> dict:
-    del jobs
+def _run_sandwich(seed: int, cases: int) -> tuple:
     failures = []
     rep = sandwich_table(_SANDWICH_G, _SANDWICH_N_LO, _SANDWICH_N_HI, sample=cases)
     rows = rep.rows
@@ -574,7 +549,7 @@ def _run_sandwich(seed: int, cases: int, jobs: int) -> dict:
         "omega_hi": _frs(rep.omega.hi),
         "kappa_prime": _frs(rep.kappa_prime) if rep.kappa_prime is not None else None,
     }
-    return _report("sandwich", seed, len(rows), failures, extra)
+    return (len(rows), failures, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +559,7 @@ def _run_sandwich(seed: int, cases: int, jobs: int) -> dict:
 
 @dataclass(frozen=True)
 class SuiteSpec:
+    # runner(seed, cases) -> (cases run, failures, extra report fields)
     runner: Callable
     default_cases: int
     cases_meaning: str
@@ -662,4 +638,14 @@ def run_suite(name: str, seed: int = 7, cases: int | None = None, jobs: int = 1)
     n = spec.default_cases if cases is None else cases
     if n < 1:
         raise ValueError("cases must be >= 1")
-    return spec.runner(seed, n, jobs)
+    with shared_pool(jobs):
+        count, failures, extra = spec.runner(seed, n)
+    return {
+        "suite": name,
+        "seed": seed,
+        "cases": count,
+        "failure_count": len(failures),
+        "failures": failures[:MAX_FAILURE_DETAILS],
+        "passed": not failures,
+        **extra,
+    }

@@ -449,19 +449,6 @@ def test_verify_out_file_and_summary(capsys, tmp_path):
     assert payload["seed"] == 7
 
 
-def test_verify_jobs_env(capsys, monkeypatch):
-    monkeypatch.setenv("DILLAB_JOBS", "not-a-number")
-    code, _, err = run(capsys, "verify", "--suite", "congruence-index")
-    assert code == 2
-    assert "DILLAB_JOBS" in err
-    monkeypatch.setenv("DILLAB_JOBS", "0")
-    code, _, _ = run(capsys, "verify", "--suite", "congruence-index")
-    assert code == 2
-    monkeypatch.setenv("DILLAB_JOBS", "2")
-    code, _, _ = run(capsys, "verify", "--suite", "congruence-index")
-    assert code == 0
-
-
 def test_verify_all_opens_one_pool(capsys, monkeypatch):
     from concurrent.futures import ProcessPoolExecutor
 
@@ -475,6 +462,7 @@ def test_verify_all_opens_one_pool(capsys, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(suites, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     reports = {}
     for jobs in (1, 2):
         opened.clear()
@@ -494,8 +482,7 @@ def test_verify_all_opens_one_pool(capsys, monkeypatch):
         ("bounds", "table", "--g", "2", "--n", "31:100", "--sample", "-2"),
     ],
 )
-def test_count_arguments_below_one_are_usage_errors(capsys, monkeypatch, argv):
-    monkeypatch.delenv("DILLAB_JOBS", raising=False)
+def test_count_arguments_below_one_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -593,8 +580,7 @@ def _pinned_outputs(capsys, tmp_path) -> dict:
     return outputs
 
 
-def test_cli_output_bytes_pinned(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("DILLAB_JOBS", raising=False)
+def test_cli_output_bytes_pinned(capsys, tmp_path):
     outputs = _pinned_outputs(capsys, tmp_path)
     got = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in outputs.items()}
     assert got == _PINNED_SHA256

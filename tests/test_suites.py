@@ -1,9 +1,14 @@
+import multiprocessing
+import os
+import random
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
-from dillab.suites import SUITES, random_irreducible_rows, run_suite
+from dillab import suites
+from dillab.cli import main
+from dillab.suites import SUITES, parallel_map, random_irreducible_rows, run_suite, shared_pool
 from dillab.intmatrix import IntMatrix, is_irreducible
-
-import random
 
 
 def test_registry_names():
@@ -122,3 +127,70 @@ def test_sandwich_suite_small():
     assert rep["passed"] is True
     assert rep["g"] == 2
     assert rep["rows"] >= 8
+
+
+def _square(x):
+    return x * x
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The max_workers of every pool constructed, on a host of two CPUs."""
+    sizes = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return sizes
+
+
+def test_run_suite_outside_a_block_opens_one_pool_and_closes_it(built):
+    assert run_suite("diag-power", seed=7, cases=12, jobs=2)["passed"] is True
+    assert built == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_run_suites_inside_a_block_share_its_pool(built):
+    with shared_pool(2):
+        run_suite("diag-power", seed=7, cases=12, jobs=2)
+        run_suite("multitwist", seed=7, cases=12, jobs=2)
+    assert built == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_map_without_a_block_maps_in_process(built):
+    assert parallel_map(_square, [1, 2, 3]) == [1, 4, 9]
+    assert built == []
+
+
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, capsys):
+    # a fake pool that maps in-process, so no worker is ever started
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, args, chunksize=1):
+            return map(fn, args)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with shared_pool(100_000):
+        assert parallel_map(_square, [1, 2, 3]) == [1, 4, 9]
+    assert sizes == [2]
+    assert main(["verify", "--suite", "diag-power", "--cases", "12", "--jobs", "100000"]) == 0
+    capsys.readouterr()
+    assert sizes == [2, 2]
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        with shared_pool(100_000):
+            assert parallel_map(_square, [1, 2, 3]) == [1, 4, 9]
+    assert sizes == [2, 2]
