@@ -10,10 +10,15 @@ largest real root. What decides the half is a proof, never a sample:
   variations, Descartes' rule of signs leaves exactly one, and the sign of p
   at the probe decides. Every T(s, t) is of this kind, and for it a float
   root steers: the bisection cell that holds the float is computed in
-  integers and proved by two exact signs, p(lo) < 0 < p(hi), so bisection
-  starts there instead of at (1, search_hi) and returns the bracket that
-  bisecting from the top would. Any other polynomial is bisected on the
-  exact Sturm count of roots above the probe.
+  integers and proved by two signs, p(lo) < 0 < p(hi), so bisection starts
+  there instead of at (1, search_hi) and returns the bracket that bisecting
+  from the top would. Any other polynomial is bisected on the exact Sturm
+  count of roots above the probe.
+* A sign of a polynomial above degree _INTERVAL_DEGREE is decided in
+  outward 96-bit dyadic intervals (`enclosures.dyadic_*`), and exactly, by
+  integer Horner, only on a tie; the m**(3/m) cell likewise comes from a
+  float root proved in intervals (`enclosures.nth_root_enclosure`). Either
+  way the sign, the cell and so every bracket are the exact route's.
 * The Sturm-chain machinery (`char_poly`, `count_real_roots_above`,
   `isolate_largest_real_root`, `compare_largest_roots`) is the exact oracle
   route, used to cross-check spectral enclosures and to decide mu(A) <= mu(B)
@@ -30,7 +35,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .enclosures import RatInterval, log_enclosure, nth_root_enclosure
+from .enclosures import (
+    DYADIC_ONE,
+    RatInterval,
+    dyadic_enclosure,
+    dyadic_mul,
+    dyadic_pow,
+    dyadic_sum_sign,
+    log_enclosure,
+    nth_root_enclosure,
+)
 from .errors import DomainError, NoSignChange
 from .intmatrix import IntMatrix
 
@@ -55,6 +69,11 @@ _ISOLATE_WIDTH = Fraction(1, 2**80)
 # the finest cell a float root steers to: about 256 ulps, so that a float
 # root a few rounding errors off still falls in the cell it names
 _FLOAT_CELL = Fraction(1, 2**44)
+# the degree above which sign_at tries outward intervals first: the exact
+# integers grow with the degree, the intervals' stay at 96 bits. On T_m's four
+# signs (at 1, at search_hi and at a cell's ends) the two routes cost the
+# same near degree 64
+_INTERVAL_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -117,9 +136,34 @@ class IntPoly:
         return Fraction(self._homogenised(n, q), q ** max(self.degree, 0))
 
     def sign_at(self, x) -> int:
-        """Exact sign of p(x) at a rational point, via integer arithmetic."""
-        num = self._homogenised(*Fraction(x).as_integer_ratio())
+        """Exact sign of p(x) at a rational point.
+
+        Above degree _INTERVAL_DEGREE and for x > 0, the terms are first
+        summed in outward dyadic intervals, and their sign is returned if the
+        sum excludes 0. Otherwise, a tie included, it is the sign of the
+        integer _homogenised. Low-degree probes, such as the oracle's Sturm
+        bisection on characteristic polynomials, stay exact."""
+        n, q = Fraction(x).as_integer_ratio()
+        if n > 0 and self.degree > _INTERVAL_DEGREE:
+            sign = self._interval_sign(n, q)
+            if sign is not None:
+                return sign
+        num = self._homogenised(n, q)
         return (num > 0) - (num < 0)
+
+    def _interval_sign(self, n: int, q: int) -> int | None:
+        # each power of x = n/q comes from the one below it, times x to the
+        # gap; T(s, t) has the gap s twice, so each gap's power is kept
+        x = dyadic_enclosure(n, q)
+        power, e_prev, terms, steps = DYADIC_ONE, 0, [], {}
+        for e, c in self.coeffs:
+            gap = e - e_prev
+            if gap not in steps:
+                steps[gap] = dyadic_pow(x, gap)
+            power = dyadic_mul(power, steps[gap])
+            terms.append((c, power))
+            e_prev = e
+        return dyadic_sum_sign(terms)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Everything here is Fraction-in, Fraction-out, with exact integer arithmetic
 inside. Each enclosure carries its own validity: an interval [lo, hi] is only
 ever produced together with the reason it contains the target value (series
 tail bound, integer root bracketing), so downstream comparisons of lo/hi
-endpoints are certificates, not approximations.
+endpoints are certificates, not approximations. The outward dyadic intervals
+(`dyadic_*`) keep 96 bits and round every bound away from the exact value,
+so an order they decide is proved as well; the callers go exact on a tie.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, ldexp
 
 from .errors import DomainError
 
@@ -80,10 +82,106 @@ class RatInterval:
         return RatInterval(x, x)
 
 
-def inth_root(x: int, n: int) -> int:
-    """floor(x ** (1/n)) for integers x >= 0, n >= 1, exactly.
+# Outward dyadic intervals. A triple (lo, hi, e) of integers 0 <= lo <= hi
+# stands for [lo * 2**e, hi * 2**e]. Every product is cut back to
+# _DYADIC_BITS bits of hi, rounding lo down and hi up, so an interval only
+# ever grows around its exact value, and an order it decides is a proof.
+_DYADIC_BITS = 96
+DYADIC_ONE = (1, 1, 0)
 
-    The root has exactly c = ceil(bits(x) / n) bits. Its top
+
+def _round_out(lo: int, hi: int, e: int) -> tuple[int, int, int]:
+    s = hi.bit_length() - _DYADIC_BITS
+    if s <= 0:
+        return lo, hi, e
+    return lo >> s, -(-hi >> s), e + s
+
+
+def dyadic_enclosure(n: int, q: int) -> tuple[int, int, int]:
+    """Outward dyadic interval around n/q, for integers n >= 0 and q > 0.
+    Exact when n/q is a dyadic rational of at most _DYADIC_BITS bits."""
+    k = _DYADIC_BITS - n.bit_length() + q.bit_length()
+    lo, rem = divmod(n << k, q) if k >= 0 else divmod(n, q << -k)
+    return _round_out(lo, lo + (rem > 0), -k)
+
+
+def dyadic_mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    return _round_out(a[0] * b[0], a[1] * b[1], a[2] + b[2])
+
+
+def dyadic_pow(a: tuple[int, int, int], k: int) -> tuple[int, int, int]:
+    """a**k for k >= 0, by squaring."""
+    lo, hi, e = a
+    r_lo, r_hi, r_e = DYADIC_ONE
+    while k:
+        if k & 1:
+            r_lo, r_hi, r_e = _round_out(r_lo * lo, r_hi * hi, r_e + e)
+        k >>= 1
+        if k:
+            lo, hi, e = _round_out(lo * lo, hi * hi, 2 * e)
+    return r_lo, r_hi, r_e
+
+
+def dyadic_sum_sign(terms) -> int | None:
+    """Sign of the sum of c * a over (c, a) pairs, integer c and dyadic a, or
+    None if the outward sum holds 0.
+
+    Every term is aligned to 8 bits more than _DYADIC_BITS below the largest
+    bound, the lower end rounded down and the upper end up."""
+    top = max((c.bit_length() + hi.bit_length() + e for c, (_, hi, e) in terms), default=0)
+    base = top - _DYADIC_BITS - 8
+    lo_sum = hi_sum = 0
+    for c, (lo, hi, e) in terms:
+        lo, hi = (c * lo, c * hi) if c > 0 else (c * hi, c * lo)
+        if e >= base:
+            lo_sum += lo << (e - base)
+            hi_sum += hi << (e - base)
+        else:
+            lo_sum += lo >> (base - e)
+            hi_sum -= -hi >> (base - e)
+    return 1 if lo_sum > 0 else -1 if hi_sum < 0 else None
+
+
+def _power_order(r: int, n: int, x: int) -> int | None:
+    """Sign of r**n - x for integers r, x >= 0 and n >= 1, or None if the
+    outward interval around r**n holds x."""
+    lo, hi, e = dyadic_pow((r, r, 0), n)
+    if e < 0:
+        x, e = x << -e, 0
+    # lo * 2**e > x exactly when lo > floor(x / 2**e), hi * 2**e < x when
+    # hi < ceil(x / 2**e)
+    return 1 if lo > x >> e else -1 if hi < -(-x >> e) else None
+
+
+def _float_named_root(x: int, n: int) -> int | None:
+    """floor(x ** (1/n)) for x >= 0 and n >= 1 when the root has at most 52
+    bits and outward powers prove r**n < x < (r + 1)**n; else None, which an
+    exact n-th power, 0 and 1 included, always gives.
+
+    With b = bits(x), the float guess is 2**((b - 1) / n) * f**(1/n) for
+    f = x / 2**(b - 1) in [1, 2], within about two units of the root when it
+    has 52 bits. A guess one too high or too low moves one step."""
+    b = x.bit_length()
+    if b > 52 * n:
+        return None
+    s = max(b - 64, 0)
+    f = ldexp(float(x >> s), s + 1 - b)
+    whole, rem = divmod(b - 1, n)
+    r = int(ldexp(2.0 ** (rem / n) * f ** (1.0 / n), whole))
+    lower = _power_order(r, n, x)
+    if lower == 1:
+        r, upper, lower = r - 1, lower, _power_order(r - 1, n, x)
+    else:
+        upper = _power_order(r + 1, n, x)
+        if upper == -1:
+            r, lower, upper = r + 1, upper, _power_order(r + 2, n, x)
+    return r if lower == -1 and upper == 1 else None
+
+
+def _exact_root(x: int, n: int) -> int:
+    """floor(x ** (1/n)) for x >= 1 and n >= 2, in integers.
+
+    The root has c = ceil(bits(x) / n) bits. Its top
     min(c, n.bit_length() + 2) bits t are bisected on y = x >> (n * s), s the
     remaining low bits, which keeps lo**n <= x < hi**n for the root's bounds
     lo = t << s and hi = (t + 1) << s. Newton's iteration then runs from
@@ -91,14 +189,6 @@ def inth_root(x: int, n: int) -> int:
     quadratically at once instead of shrinking r by about 1 - 1/n each from
     a power of two. Two exact correction loops settle the last unit.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0:
-        return 0
-    if n == 1:
-        return x
     c = (x.bit_length() + n - 1) // n
     s = max(c - n.bit_length() - 2, 0)
     y = x >> (n * s)
@@ -122,6 +212,26 @@ def inth_root(x: int, n: int) -> int:
     return r
 
 
+def inth_root(x: int, n: int) -> int:
+    """floor(x ** (1/n)) for integers x >= 0, n >= 1, exactly.
+
+    A root of at most 52 bits is named by a float and proved in outward
+    dyadic intervals (_float_named_root). A longer root, an exact power, or
+    a guess the intervals do not prove goes the exact integer route,
+    bisection then Newton (_exact_root).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if x < 0:
+        raise ValueError("x must be >= 0")
+    if x == 0:
+        return 0
+    if n == 1:
+        return x
+    r = _float_named_root(x, n)
+    return _exact_root(x, n) if r is None else r
+
+
 def nth_root_enclosure(q, n: int, bits: int = 48) -> RatInterval:
     """Rational [a, b] with a**n <= q <= b**n and b - a <= 2**-bits.
 
@@ -136,10 +246,16 @@ def nth_root_enclosure(q, n: int, bits: int = 48) -> RatInterval:
     if bits < 0:
         raise DomainError("nth_root_enclosure requires bits >= 0")
     scaled = q.numerator << (n * bits)
-    t = inth_root(scaled // q.denominator, n)
+    # dividing a long integer by 1 still costs a pass over it
+    y = scaled if q.denominator == 1 else scaled // q.denominator
     den = 1 << bits
-    if t**n * q.denominator == scaled:
-        return RatInterval.point(Fraction(t, den))
+    # a float root proved strictly, t**n < y < (t + 1)**n, also proves that
+    # q is no exact power; only the exact route can find the point
+    t = _float_named_root(y, n)
+    if t is None:
+        t = inth_root(y, n)
+        if t**n * q.denominator == scaled:
+            return RatInterval.point(Fraction(t, den))
     return RatInterval(Fraction(t, den), Fraction(t + 1, den))
 
 

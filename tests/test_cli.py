@@ -584,3 +584,13 @@ def test_cli_output_bytes_pinned(capsys, tmp_path):
     outputs = _pinned_outputs(capsys, tmp_path)
     got = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in outputs.items()}
     assert got == _PINNED_SHA256
+
+
+def test_bounds_table_bytes_pinned_at_large_m(capsys):
+    # rows at m = 19,798..19,800, where every sign of T_m and every m^(3/m)
+    # cell is decided in dyadic intervals; the digest is the exact route's
+    code, out, err = run(capsys, "bounds", "table", "--g", "2", "--n", "99000:99010")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4dc5f8cb6322630115c9ecce4af3968d4dce608e4ae8c12b31c50c7d906792ed"
+    )

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dillab
+from dillab import dilpoly, enclosures
 from dillab.dilpoly import (
     IntPoly,
     RootEnclosure,
@@ -25,6 +27,7 @@ from dillab.dilpoly import (
     verify_lroot,
 )
 from dillab.errors import DomainError, NoSignChange
+from dillab.families import cover_upper_bound
 from dillab.intmatrix import IntMatrix
 
 
@@ -193,6 +196,112 @@ _sparse_polys = st.dictionaries(
 def test_homogenised_horner_matches_the_term_sum(p, n, q):
     d = p.degree
     assert p._homogenised(n, q) == sum(c * n**e * q ** (d - e) for e, c in p.coeffs)
+
+
+def _exact_sign(p: IntPoly, x: Fraction) -> int:
+    num = p._homogenised(*Fraction(x).as_integer_ratio())
+    return (num > 0) - (num < 0)
+
+
+def _assert_signs_agree(p: IntPoly, x: Fraction) -> int | None:
+    """sign_at is the exact sign; the interval sign is that too, or None."""
+    exact = _exact_sign(p, x)
+    assert p.sign_at(x) == exact, x
+    sign = p._interval_sign(*Fraction(x).as_integer_ratio())
+    assert sign in (None, exact), x
+    return sign
+
+
+_ULP60 = Fraction(1, 2**60)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 1500), st.integers(1, 1500))
+def test_interval_sign_is_the_exact_sign_on_T(s, t):
+    # T(s, t)(3) > 0, so its root above 1 lies in (1, 3); the fine bracket's
+    # ends lie within 2^-62 of it
+    p = build_T(s, t)
+    coarse = largest_root(p, 3)
+    fine = largest_root(p, 3, Fraction(1, 2**62))
+    points = [1, 3, coarse.lo, coarse.hi, (coarse.lo + coarse.hi) / 2, coarse.lo - _ULP60]
+    points += [fine.lo, fine.hi, fine.lo - _ULP60, fine.hi + _ULP60]
+    for x in points:
+        _assert_signs_agree(p, x)
+
+
+def test_interval_signs_decide_every_Tm_probe():
+    # both bracket ends, the midpoint, 2^-60 below the bracket, search_hi
+    # and 1: no probe of a balanced T_m needs the exact route
+    for m in list(range(5, 400, 3)) + [997, 2000, 5000]:
+        p, hi = build_Tm(m), _production_search_hi(m)
+        enc = largest_root(p, hi)
+        for x in (enc.lo, enc.hi, (enc.lo + enc.hi) / 2, enc.lo - _ULP60, hi, Fraction(1)):
+            assert _assert_signs_agree(p, x) is not None, (m, x)
+
+
+_high_degree_polys = st.dictionaries(
+    st.integers(0, 600), st.integers(-(10**30), 10**30), min_size=1, max_size=8
+).map(IntPoly.from_dict)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_high_degree_polys, st.integers(1, 2**70), st.integers(0, 64), st.sampled_from([-1, 0, 1]))
+def test_interval_sign_is_the_exact_sign_next_to_a_root(p, n, k, side):
+    # q = (2^k x - n) p has the exact root a = n / 2^k; x sits on it or
+    # 2^-60 to one side
+    a = Fraction(n, 2**k)
+    acc: dict[int, int] = {}
+    for e, c in p.coeffs:
+        acc[e + 1] = acc.get(e + 1, 0) + (c << k)
+        acc[e] = acc.get(e, 0) - c * n
+    q = IntPoly.from_dict(acc)
+    x = a + side * _ULP60
+    sign = _assert_signs_agree(q, x)
+    if side == 0:
+        assert q.sign_at(x) == 0 and sign is None
+
+
+def test_sign_at_falls_back_to_the_exact_route_on_a_tie(monkeypatch):
+    calls = []
+    homogenised = IntPoly._homogenised
+    monkeypatch.setattr(
+        IntPoly, "_homogenised", lambda self, n, q: calls.append(n) or homogenised(self, n, q)
+    )
+    p = IntPoly.from_dict({5000: 1, 0: -(2**5000)})
+    assert p._interval_sign(2, 1) is None
+    assert p.sign_at(2) == 0 and calls == [2]
+    assert p.sign_at(2 + _ULP60) == 1 and p.sign_at(2 - _ULP60) == -1
+    assert len(calls) == 1
+    # a low-degree probe stays on the exact route
+    assert build_T(3, 4).sign_at(Fraction(3, 2)) == _exact_sign(build_T(3, 4), Fraction(3, 2))
+    assert len(calls) == 3
+
+
+def _large_m_reports():
+    return cover_upper_bound(2, 100000), verify_lroot(2000)
+
+
+def test_large_m_roots_make_no_exact_evaluation(monkeypatch):
+    exact = {"signs": 0, "roots": 0}
+    homogenised, exact_root = IntPoly._homogenised, enclosures._exact_root
+
+    def count(key, fn):
+        def counted(*args):
+            exact[key] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(IntPoly, "_homogenised", count("signs", homogenised))
+    monkeypatch.setattr(enclosures, "_exact_root", count("roots", exact_root))
+    cover, lroot = _large_m_reports()
+    assert cover.m == 19998 and lroot.bound_holds
+    assert exact == {"signs": 0, "roots": 0}
+    # with both interval routes shut, the exact ones give the same reports
+    monkeypatch.setattr(dilpoly, "_INTERVAL_DEGREE", math.inf)
+    monkeypatch.setattr(enclosures, "_float_named_root", lambda x, n: None)
+    assert _large_m_reports() == (cover, lroot)
+    assert exact["signs"] > 0 and exact["roots"] == 2
 
 
 _WIDTH_CHECK = """

@@ -4,9 +4,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dillab import enclosures
 from dillab.enclosures import (
     RatInterval,
+    _exact_root,
+    _float_named_root,
     decimal_str,
+    dyadic_enclosure,
+    dyadic_mul,
+    dyadic_pow,
+    dyadic_sum_sign,
     inth_root,
     interval_gap,
     log_enclosure,
@@ -231,3 +238,70 @@ def test_enclosure_preconditions_raise_domain_error():
     # the integer kernel keeps its plain ValueError
     with pytest.raises(ValueError):
         inth_root(2, 0)
+
+
+def _dyadic_holds(a, x: Fraction) -> bool:
+    lo, hi, e = a
+    return lo * Fraction(2) ** e <= x <= hi * Fraction(2) ** e
+
+
+@given(st.integers(1, 2**200), st.integers(1, 2**200), st.integers(0, 700))
+@settings(max_examples=200, deadline=None)
+def test_dyadic_powers_hold_the_exact_power(n, q, k):
+    x = dyadic_enclosure(n, q)
+    assert _dyadic_holds(x, Fraction(n, q))
+    assert _dyadic_holds(dyadic_pow(x, k), Fraction(n, q) ** k)
+
+
+@given(st.integers(1, 2**96 - 1), st.integers(0, 200))
+def test_dyadic_enclosure_is_exact_on_short_dyadics(n, k):
+    lo, hi, e = dyadic_enclosure(n, 2**k)
+    assert lo == hi and lo * Fraction(2) ** e == Fraction(n, 2**k)
+
+
+_terms = st.lists(
+    st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 2**64), st.integers(0, 300)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(_terms, st.integers(1, 2**64), st.integers(1, 2**64))
+@settings(max_examples=200, deadline=None)
+def test_dyadic_sum_sign_is_the_exact_sign_or_none(terms, n, q):
+    # the first term appears once more with its sign flipped, so one-term
+    # lists sum to exactly 0
+    x = dyadic_enclosure(n, q)
+    c0, a0, k0 = terms[0]
+    terms = terms + [(-c0, a0, k0)]
+    exact = sum(c * a * Fraction(n, q) ** k for c, a, k in terms)
+    sign = dyadic_sum_sign([(c, dyadic_mul((a, a, 0), dyadic_pow(x, k))) for c, a, k in terms])
+    assert sign in (None, (exact > 0) - (exact < 0))
+    if exact == 0:
+        assert sign is None
+
+
+@given(_radicands.filter(lambda x: x > 0), st.integers(min_value=2, max_value=3000))
+@settings(max_examples=200, deadline=None)
+def test_float_named_root_is_the_exact_root_or_none(x, n):
+    r = _float_named_root(x, n)
+    assert r is None or r == _exact_root(x, n)
+
+
+@given(st.integers(1, 2**40), st.integers(0, 8), st.integers(2, 300))
+@settings(max_examples=100, deadline=None)
+def test_perfect_power_falls_back_to_the_exact_point(a, k, n):
+    calls = []
+    exact_root = enclosures._exact_root
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enclosures, "_exact_root", lambda x, n: calls.append(n) or exact_root(x, n))
+        iv = nth_root_enclosure(Fraction(a**n, 2 ** (k * n)), n)
+    assert iv == RatInterval.point(Fraction(a, 2**k))
+    assert calls == [n]
+
+
+def test_m_cubed_radicands_are_decided_in_intervals():
+    for m in list(range(5, 400)) + [1998, 2999, 19998]:
+        x = (m**3) << (48 * m)
+        r = _float_named_root(x, m)
+        assert r is not None and r**m < x < (r + 1) ** m, m
