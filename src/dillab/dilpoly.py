@@ -22,10 +22,13 @@ largest real root. What decides the half is a proof, never a sample:
 * The Sturm-chain machinery (`char_poly`, `count_real_roots_above`,
   `isolate_largest_real_root`, `compare_largest_roots`) is the exact oracle
   route, used to cross-check spectral enclosures and to decide mu(A) <= mu(B)
-  with no floating point. It runs on integers only: Faddeev-LeVerrier on the
-  matrix's sparse rows, and primitive integer Sturm chains of p and p',
-  evaluated at each probe's numerator and denominator. A query isolates the
-  largest root (one root per interval), then decides, then refines.
+  exactly. Its proofs are in integers: Faddeev-LeVerrier on the matrix's
+  sparse rows, and primitive integer Sturm chains of p and p', evaluated at
+  each probe's numerator and denominator. A comparison isolates each largest
+  root (one root per interval), then decides, then refines. Floats steer
+  here too: a Newton root names each isolating cell and two Sturm counts
+  prove it, or Sturm bisection isolates. `isolate_largest_real_root` always
+  bisects, so every bracket it returns is a bisection cell.
 """
 
 from __future__ import annotations
@@ -66,6 +69,14 @@ __all__ = [
 
 DEFAULT_ROOT_REL_WIDTH = Fraction(1, 10**10)
 _ISOLATE_WIDTH = Fraction(1, 2**80)
+# the oracle's steered cell is r -+ 2**-_CELL_BITS * max(1, |r|) around a
+# float root r: about 4,096 ulps each side, so a root a few rounding errors
+# off still falls inside
+_CELL_BITS = 40
+# from the row-sum bound a simple Perron root takes about a dozen Newton
+# steps; a multiple root converges only linearly, and past this the steer
+# gives up
+_NEWTON_STEPS = 100
 # the finest cell a float root steers to: about 256 ulps, so that a float
 # root a few rounding errors off still falls in the cell it names
 _FLOAT_CELL = Fraction(1, 2**44)
@@ -85,7 +96,7 @@ class IntPoly:
     def __post_init__(self) -> None:
         seen = {}
         for e, c in self.coeffs:
-            if not (isinstance(e, int) and isinstance(c, int)):
+            if type(e) is not int or type(c) is not int:  # bool too: True is not read as 1
                 raise ValueError("exponents and coefficients must be int")
             if e < 0:
                 raise ValueError("exponents must be >= 0")
@@ -98,12 +109,17 @@ class IntPoly:
 
     @staticmethod
     def from_dict(d: dict) -> "IntPoly":
-        acc: dict[int, int] = {}
-        for e, c in d.items():
-            e = int(e)
-            c = int(c)
-            acc[e] = acc.get(e, 0) + c
-        return IntPoly(tuple(acc.items()))
+        """From {exponent: coefficient}, both of type int exactly: a bool,
+        float or str is refused, never coerced."""
+        return IntPoly(tuple(d.items()))
+
+    @staticmethod
+    def _of(coeffs: tuple) -> "IntPoly":
+        """Wrap (exponent, coefficient) pairs that are canonical by
+        construction (exponents increasing, coefficients nonzero), unchecked."""
+        poly = object.__new__(IntPoly)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
 
     @property
     def degree(self) -> int:
@@ -462,9 +478,7 @@ def _dense(p: IntPoly) -> list[int]:
 
 
 def _sparse(c: list[int]) -> IntPoly:
-    # a dict, not tuple(enumerate(c)), whose resize moves a tuple between
-    # CPython's free lists on every call and lets peak memory creep upward
-    return IntPoly.from_dict(dict(enumerate(c)))
+    return IntPoly._of(tuple([(e, x) for e, x in enumerate(c) if x]))
 
 
 def _poly_rem(a: list[int], b: list[int]) -> list[int]:
@@ -538,11 +552,10 @@ def count_real_roots_above(p: IntPoly, a: Fraction) -> int:
     return _sturm_counter(p)(Fraction(a))
 
 
-def _isolate(p: IntPoly, hi_bound):
-    """The first bisection interval (lo, hi) holding the largest real root of
-    p and no other root, and the Sturm counter it was bisected on."""
-    hi_bound = Fraction(hi_bound)
-    roots_above = _sturm_counter(p)
+def _isolate(p: IntPoly, hi_bound: Fraction, roots_above):
+    """The first bisection interval (lo, hi) of (-|hi_bound| - 1, hi_bound)
+    holding the largest real root of p and no other root, bisected on p's
+    Sturm counter roots_above."""
     if roots_above(hi_bound) != 0:
         raise DomainError("hi_bound does not dominate all real roots")
     lo, hi = -abs(hi_bound) - 1, hi_bound
@@ -552,7 +565,7 @@ def _isolate(p: IntPoly, hi_bound):
     while above_lo != 1:
         lo, hi, n = _bisect(p, lo, hi, roots_above)
         above_lo = n or above_lo
-    return lo, hi, roots_above
+    return lo, hi
 
 
 def isolate_largest_real_root(p: IntPoly, hi_bound, max_width=_ISOLATE_WIDTH) -> RatInterval:
@@ -566,22 +579,84 @@ def isolate_largest_real_root(p: IntPoly, hi_bound, max_width=_ISOLATE_WIDTH) ->
     max_width = Fraction(max_width)
     if max_width <= 0:
         raise DomainError("isolate_largest_real_root requires max_width > 0")
-    lo, hi, roots_above = _isolate(p, hi_bound)
+    roots_above = _sturm_counter(p)
+    lo, hi = _isolate(p, Fraction(hi_bound), roots_above)
     while hi - lo > max_width:
         lo, hi, _ = _bisect(p, lo, hi, roots_above)
     return RatInterval(lo, hi)
 
 
+def _float_largest_root(p: IntPoly, start: Fraction) -> float | None:
+    """A float near the largest real root of p, by Newton's iteration from
+    start while it moves down, or None on overflow, a non-finite value or no
+    convergence.
+
+    Above the modulus of every root, as above a nonnegative matrix's row-sum
+    bound, each term of p'/p = sum 1/(x - root) has a positive real part, and
+    the Perron root mu's term is 1/(x - mu); so each step falls, by at most
+    x - mu, and the iterates fall to mu. It only steers: the caller proves."""
+    try:
+        coeffs = [float(c) for c in reversed(_dense(p))]
+        x = float(start)
+    except OverflowError:
+        return None
+    for _ in range(_NEWTON_STEPS):
+        value = slope = 0.0
+        for c in coeffs:
+            slope = slope * x + value
+            value = value * x + c
+        if not (math.isfinite(value) and math.isfinite(slope)) or slope == 0:
+            return None
+        step = value / slope
+        if not x - step < x:
+            return x
+        x -= step
+    return None
+
+
+def _isolating_cell(p: IntPoly, hi_bound):
+    """An interval (lo, hi) holding the largest real root of p and no other
+    root, and p's Sturm counter, on the terms of _isolate.
+
+    A float root r names the cell r -+ 2**-40 * max(1, |r|), and it is taken
+    when it lies strictly inside (-|hi_bound| - 1, hi_bound), p vanishes at
+    none of hi_bound, -|hi_bound| - 1 (the points _isolate refuses) and the
+    cell's ends, and the Sturm counter proves 0 roots above the cell's hi and
+    1 above its lo. Otherwise _isolate bisects, and refuses as it would have.
+    """
+    hi_bound = Fraction(hi_bound)
+    roots_above = _sturm_counter(p)
+    r = _float_largest_root(p, hi_bound)
+    if r is not None:
+        r, half = Fraction(r), Fraction(math.ldexp(max(1.0, abs(r)), -_CELL_BITS))
+        lo_bound, lo, hi = -abs(hi_bound) - 1, r - half, r + half
+        if (
+            lo_bound < lo
+            and hi < hi_bound
+            and all(p.sign_at(x) for x in (hi_bound, lo_bound, lo, hi))
+            and roots_above(hi) == 0
+            and roots_above(lo) == 1
+        ):
+            return lo, hi, roots_above
+    return (*_isolate(p, hi_bound, roots_above), roots_above)
+
+
 def compare_largest_roots(pa: IntPoly, pb: IntPoly, hi_a, hi_b) -> int:
     """Exact trichotomy for the largest real roots: -1, 0, or +1.
 
-    Isolate, then decide, then refine: once each interval holds exactly one
-    root of its polynomial, the roots are equal exactly when gcd(pa, pb) has
-    a root in the overlap, since a common root there is both largest roots.
-    Otherwise both intervals are bisected until they separate.
+    Isolate, then decide, then refine. Each largest root gets a cell that
+    holds it and no other root of its polynomial (_isolating_cell): the cell
+    a float root names, proved by two Sturm counts, or else the first cell of
+    bisection from (-|hi| - 1, hi), which also refuses what that bisection
+    refuses. Disjoint cells decide at once. For overlapping cells the roots
+    are equal exactly when gcd(pa, pb) has a root in the overlap, since a
+    common root there is both largest roots; otherwise both cells are
+    bisected until they separate.
     """
-    a_lo, a_hi, above_a = _isolate(pa, hi_a)
-    b_lo, b_hi, above_b = _isolate(pb, hi_b)
+    a_lo, a_hi, above_a = _isolating_cell(pa, hi_a)
+    b_lo, b_hi, above_b = _isolating_cell(pb, hi_b)
+    if a_hi < b_lo or b_hi < a_lo:
+        return -1 if a_hi < b_lo else 1
     above_g = _sturm_counter(_sparse(_poly_gcd(_dense(pa), _dense(pb))))
     if above_g(max(a_lo, b_lo)) > above_g(min(a_hi, b_hi)):
         return 0
@@ -597,7 +672,15 @@ def compare_largest_roots(pa: IntPoly, pb: IntPoly, hi_a, hi_b) -> int:
 
 def mu_compare(a: IntMatrix, b: IntMatrix) -> int:
     """Exact comparison of spectral radii of nonnegative matrices via their
-    characteristic polynomials: -1 if mu(a) < mu(b), 0 if equal, +1 if greater."""
+    characteristic polynomials: -1 if mu(a) < mu(b), 0 if equal, +1 if greater.
+
+    The Perron root is the largest real root of the characteristic
+    polynomial, and max row sum + 1 lies above every root's modulus. From
+    there compare_largest_roots' float Newton root names each cell, and two
+    Sturm counts per matrix prove it, so unequal radii are decided from the
+    two disjoint cells. A cell the counts refuse, as a float root of a
+    multiple Perron root may be too far off for, is bisected instead.
+    """
     pa, pb = char_poly(a), char_poly(b)
     hi_a = max(a.row_sums()) + 1
     hi_b = max(b.row_sums()) + 1

@@ -5,11 +5,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dillab
-from dillab import dilpoly, enclosures
+from dillab import dilpoly, enclosures, suites
 from dillab.dilpoly import (
     IntPoly,
     RootEnclosure,
@@ -45,6 +45,25 @@ def test_intpoly_basics():
         IntPoly(((1, 2), (1, 3)))
     with pytest.raises(ValueError):
         IntPoly(((-1, 2),))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [{2: 1.5, 0: -2}, {"2": 1}, {2: True}, {True: 1}, {2: 1.0}],
+    ids=["float-value", "str-key", "bool-value", "bool-key", "integral-float"],
+)
+def test_from_dict_refuses_what_is_not_of_type_int(coeffs):
+    # coerced with int(), {2: 1.5, 0: -2} would read as x^2 - 2, and a root
+    # bracket would certify another polynomial than the one given
+    with pytest.raises(ValueError):
+        IntPoly.from_dict(coeffs)
+
+
+def test_intpoly_refuses_bool_exponents_and_coefficients():
+    for coeffs in (((2, True),), ((True, 1),), ((0, -2), (2, False))):
+        with pytest.raises(ValueError):
+            IntPoly(coeffs)
+    assert IntPoly.from_dict({2: 10**40, 1: 0, 0: -1}).coeffs == ((0, -1), (2, 10**40))
 
 
 def test_build_T_shape_and_symmetry():
@@ -462,6 +481,167 @@ def test_compare_equal_largest_roots_with_different_smaller_roots():
     c = IntPoly.from_dict({3: 1, 2: -1, 1: -3, 0: 3})  # (x^2 - 3)(x - 1)
     assert compare_largest_roots(b, c, 2, 2) == -1
     assert compare_largest_roots(c, b, 2, 2) == 1
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # a refusal is compared by type and message
+        return type(exc), str(exc)
+
+
+def _assert_routes_agree(call):
+    """call() gives the same value, or raises the same exception, whether
+    the float steer names the oracle's cells or gives up, so that every cell
+    comes from bisection."""
+    steered = _outcome(call)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dilpoly, "_float_largest_root", lambda p, start: None)
+        bisected = _outcome(call)
+    assert steered == bisected
+    return steered
+
+
+def _times_x2_plus_1(p: IntPoly, power: int) -> IntPoly:
+    """p * (x^2 + 1)**power: roots that are not real."""
+    for _ in range(power):
+        acc: dict[int, int] = {}
+        for e, c in p.coeffs:
+            acc[e] = acc.get(e, 0) + c
+            acc[e + 2] = acc.get(e + 2, 0) + c
+        p = IntPoly.from_dict(acc)
+    return p
+
+
+_oracle_polys = st.tuples(_factored, st.integers(0, 1))
+# 7 dominates every root of _factored; the others also put hi_bound below a
+# root, on one, or put -|hi_bound| - 1 on one or above them all
+_bounds = st.one_of(st.just(7), st.integers(-8, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_polys, _oracle_polys, st.booleans(), _bounds, _bounds)
+@example(((1, {5: 1}), 0), ((1, {2: 1}), 0), False, 3, 7)  # hi_a below a root
+@example(((1, {3: 1}), 0), ((1, {2: 1}), 0), False, 3, 7)  # a root at hi_a
+@example(((1, {-3: 1, 1: 1}), 0), ((1, {2: 1}), 0), False, 2, 7)  # a root at -|hi_a| - 1
+@example(((1, {-5: 1}), 0), ((1, {2: 1}), 0), False, 2, 7)  # real roots only below it
+@example(((1, {2: 1}), 0), ((-1, {-4: 1}), 1), False, 7, 3)  # and for pb
+@example(((2, {2: 2, -1: 1}), 1), ((3, {2: 1}), 0), True, 7, 7)  # equal, one double
+def test_steered_compare_matches_bisection(fa, fb, share, hi_a, hi_b):
+    # repeated roots, equal largest roots (share), complex pairs, negative
+    # leading coefficients, and the bounds the bisection route refuses
+    ((ca, ra), pair_a), ((cb, rb), pair_b) = fa, fb
+    if share:
+        top = max(ra)
+        rb = {**rb, top: rb.get(top, 0) + 1}
+    pa = _times_x2_plus_1(_from_roots(ca, ra), pair_a)
+    pb = _times_x2_plus_1(_from_roots(cb, rb), pair_b)
+    got = _assert_routes_agree(lambda: compare_largest_roots(pa, pb, hi_a, hi_b))
+    if hi_a == hi_b == 7:
+        diff = max(ra) - max(rb)
+        assert got == (diff > 0) - (diff < 0)
+
+
+def test_steered_cells_that_reach_past_a_bound_are_refused():
+    # the float cell holds the root but reaches past hi_bound (root 3 +
+    # 2^-41, hi_bound 3) or past -|hi_bound| - 1 (root -4 - 2^-41): the
+    # bisection route refuses both, and so must the steered one
+    near_hi = IntPoly.from_dict({1: 2**41, 0: -(3 * 2**41 + 1)})
+    near_lo = IntPoly.from_dict({1: 2**41, 0: 4 * 2**41 + 1})
+    two = IntPoly.from_dict({1: 1, 0: -2})
+    for p in (near_hi, near_lo):
+        for pair in ((p, two, 3, 7), (two, p, 7, 3)):
+            got = _assert_routes_agree(lambda: compare_largest_roots(*pair))
+            assert got[0] is DomainError, (p, got)
+
+
+@st.composite
+def _nonnegative_matrices(draw):
+    """Nonnegative matrices, k <= 6, reducible ones and the zero matrix
+    among them; half are periodic, with no edge inside either part of a
+    bipartition, so that -mu is a root too."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    rows = [[draw(st.sampled_from([0, 0, 0, 1, 2, 3])) for _ in range(k)] for _ in range(k)]
+    if draw(st.booleans()):
+        split = draw(st.integers(0, k))
+        rows = [
+            [x * ((i < split) != (j < split)) for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nonnegative_matrices(), _nonnegative_matrices(), st.data())
+def test_steered_mu_compare_matches_bisection(rows, other, data):
+    k = len(rows)
+    a, b = IntMatrix.from_rows(rows), IntMatrix.from_rows(other)
+    perm = data.draw(st.permutations(range(k)))
+    conj = IntMatrix.from_rows([[rows[perm[i]][perm[j]] for j in range(k)] for i in range(k)])
+    assert _assert_routes_agree(lambda: mu_compare(a, conj)) == 0
+    assert _assert_routes_agree(lambda: mu_compare(a, b)) == -_assert_routes_agree(
+        lambda: mu_compare(b, a)
+    )
+
+
+def test_mu_compare_work_count_on_spliced_graphs(monkeypatch):
+    # the subdivision suite's first 36 cases: a random irreducible graph on
+    # 2..7 vertices with a vertex spliced in, and its subdivision, so the
+    # characteristic polynomials have degree 3..9. Each mu_compare decides
+    # from disjoint steered cells: two Sturm counts per polynomial, no gcd
+    # (about 26 Sturm counts and one gcd per call by bisection alone)
+    counter, poly_gcd, compare = dilpoly._sturm_counter, dilpoly._poly_gcd, dilpoly.mu_compare
+    evals, gcds, calls = [], [], []
+
+    def counting_counter(p):
+        roots_above = counter(p)
+
+        def counted(a):
+            evals.append(a)
+            return roots_above(a)
+
+        return counted
+
+    def counted_compare(a, b):
+        before = len(evals)
+        result = compare(a, b)
+        calls.append((a.k, b.k, result, len(evals) - before))
+        return result
+
+    monkeypatch.setattr(dilpoly, "_sturm_counter", counting_counter)
+    monkeypatch.setattr(dilpoly, "_poly_gcd", lambda a, b: gcds.append(1) or poly_gcd(a, b))
+    monkeypatch.setattr(suites, "mu_compare", counted_compare)
+    for idx in range(36):
+        suites._subdivision_case(("subdivision", 7, idx))
+    assert len(calls) == 36
+    assert {k for a_k, b_k, _, _ in calls for k in (a_k, b_k)} == set(range(3, 10))
+    assert [result for _, _, result, _ in calls] == [-1] * 36
+    assert max(n for *_, n in calls) <= 4
+    assert len(evals) == 4 * 36 and not gcds
+
+
+_small_dense_polys = st.lists(st.integers(-100, 100), min_size=1, max_size=9).map(
+    lambda c: IntPoly(tuple(enumerate(c)))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_factored, _factored).map(lambda f: tuple(_from_roots(*x) for x in f)),
+        st.tuples(_small_dense_polys, _small_dense_polys),
+    )
+)
+def test_unchecked_chain_and_gcd_members_are_canonical(pair):
+    # members built by IntPoly._of skip validation; they must equal the
+    # validated polynomial: sorted, no zero coefficient, the same hash
+    pa, pb = pair
+    members = dilpoly._sturm_chain(pa) + dilpoly._sturm_chain(pb)
+    members.append(dilpoly._sparse(dilpoly._poly_gcd(dilpoly._dense(pa), dilpoly._dense(pb))))
+    for member in members:
+        checked = IntPoly(member.coeffs)
+        assert member.coeffs == checked.coeffs
+        assert member == checked and hash(member) == hash(checked)
 
 
 @st.composite
