@@ -65,12 +65,19 @@ def _canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _write_atomic(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _output(ns: argparse.Namespace):
+    """The stream a command writes to: stdout, or a temp file beside --out
+    that replaces it once the command has written everything."""
+    path = getattr(ns, "out", None)
+    if not path:
+        yield sys.stdout
+        return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dillab-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -79,18 +86,13 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _emit(ns: argparse.Namespace, text: str) -> None:
-    out = getattr(ns, "out", None)
-    if out:
-        _write_atomic(out, text)
-    else:
-        sys.stdout.write(text)
+    with _output(ns) as fh:
+        fh.write(text)
 
 
-def _csv_text(header, rows) -> str:
+def _csv_line(row) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerow(row)
     return buf.getvalue()
 
 
@@ -220,8 +222,8 @@ def _cmd_hk_root(ns: argparse.Namespace) -> int:
     if ns.m is not None and (ns.s is not None or ns.t is not None):
         raise UsageError("--m conflicts with --s/--t")
     certify = ns.m is not None and ns.m >= 5
-    if certify and (ns.rel_width is not None or ns.search_hi is not None):
-        raise UsageError("--m >= 5 certifies at fixed settings; drop --rel-width/--search-hi")
+    if certify and ns.rel_width is not None:
+        raise UsageError("--m >= 5 certifies at a fixed width; drop --rel-width")
     rel_width = DEFAULT_ROOT_REL_WIDTH if ns.rel_width is None else ns.rel_width
     if rel_width <= 0:
         raise UsageError("need --rel-width > 0")
@@ -244,8 +246,8 @@ def _cmd_hk_root(ns: argparse.Namespace) -> int:
             "m_power_hi": _ceil(rep.m_power_enclosure.hi),
         }
     else:
-        hi = Fraction(4) if ns.search_hi is None else ns.search_hi
-        root = largest_root(poly, hi, rel_width=rel_width)
+        # T(3) > 0 for every T(s, t), so its one root above 1 lies below 4
+        root = largest_root(poly, 4, rel_width=rel_width)
     payload["polynomial"] = {"coeffs": {str(e): str(c) for e, c in poly.coeffs}}
     payload["root"] = _root_json(root)
     _emit(ns, _canonical_json(payload))
@@ -300,7 +302,7 @@ def _append_csv_row(path: str, header, row) -> None:
     The header check and the single O_APPEND write both run under an
     exclusive flock, so concurrent appenders neither lose rows nor repeat
     the header. Closing the descriptor releases the lock."""
-    header_line = _csv_text(header, [])
+    header_line = _csv_line(header)
     fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o666)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
@@ -311,7 +313,7 @@ def _append_csv_row(path: str, header, row) -> None:
             prefix = "" if existing.endswith("\n") else "\n"
         else:
             raise DillabError(f"{path} exists with a different header")
-        data = (prefix + _csv_text(row, [])).encode()
+        data = (prefix + _csv_line(row)).encode()
         if os.write(fd, data) != len(data):
             raise OSError(f"short write appending to {path}")
     finally:
@@ -323,23 +325,28 @@ def _cmd_bounds_table(ns: argparse.Namespace) -> int:
     if ns.sample is not None and ns.sample < 1:
         raise UsageError("--sample must be >= 1")
     report = sandwich_table(ns.g, n_lo, n_hi, sample=ns.sample)
-    rows = [_sandwich_row(row) for row in report.rows]
-    if ns.format == "json":
-        payload = {
-            "g": report.g,
-            "alpha": report.alpha,
-            "omega_hi": _ceil(report.omega.hi),
-            "kappa_prime": None if report.kappa_prime is None else _ceil(report.kappa_prime),
-            "rows": [
-                {**dict(zip(SANDWICH_CSV_HEADER, row)), "upper_hi": row[3] or None} for row in rows
-            ],
-        }
-        _emit(ns, _canonical_json(payload))
-    elif ns.format == "text":
-        lines = ["  ".join(str(v) for v in line) for line in [SANDWICH_CSV_HEADER, *rows]]
-        _emit(ns, "\n".join(lines) + "\n")
-    else:
-        _emit(ns, _csv_text(SANDWICH_CSV_HEADER, rows))
+    # CSV and text rows are rendered as they are written: no rendered copy of the table is held
+    rows = (_sandwich_row(row) for row in report.rows)
+    with _output(ns) as fh:
+        if ns.format == "json":
+            payload = {
+                "g": report.g,
+                "alpha": report.alpha,
+                "omega_hi": _ceil(report.omega.hi),
+                "kappa_prime": None if report.kappa_prime is None else _ceil(report.kappa_prime),
+                "rows": [
+                    {**dict(zip(SANDWICH_CSV_HEADER, row)), "upper_hi": row[3] or None} for row in rows
+                ],
+            }
+            fh.write(_canonical_json(payload))
+        elif ns.format == "text":
+            fh.write("  ".join(SANDWICH_CSV_HEADER) + "\n")
+            for row in rows:
+                fh.write("  ".join(map(str, row)) + "\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(SANDWICH_CSV_HEADER)
+            writer.writerows(rows)
     return 0
 
 
@@ -418,14 +425,11 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         "suites": reports,
         "all_passed": all(r["passed"] for r in reports),
     }
-    text = _canonical_json(payload)
+    _emit(ns, _canonical_json(payload))
     if ns.out:
-        _write_atomic(ns.out, text)
         for rep in reports:
             status = "PASS" if rep["passed"] else "FAIL"
             sys.stdout.write(f"{rep['suite']}: {status} ({rep['failure_count']} failures / {rep['cases']} cases)\n")
-    else:
-        sys.stdout.write(text)
     return 0 if payload["all_passed"] else 1
 
 
@@ -472,7 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, help="first exponent (with --t)")
     p.add_argument("--t", type=int, help="second exponent (with --s)")
     p.add_argument("--rel-width", type=_parse_fraction, help=f"default {DEFAULT_ROOT_REL_WIDTH}; not with --m >= 5")
-    p.add_argument("--search-hi", type=_parse_fraction, help="default 4; not with --m >= 5")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hk_root)
 

@@ -5,15 +5,14 @@ Every root bracket is a cell of one bisection, `_bisect`, which probes at
 a rational where p does not vanish and keeps the half that holds the
 largest real root. What decides the half is a proof, never a sample:
 
-* `largest_root` is the production path. Its preconditions leave an odd
-  number of roots above 1; when p's coefficients show at most two sign
-  variations, Descartes' rule of signs leaves exactly one, and the sign of p
-  at the probe decides. Every T(s, t) is of this kind, and for it a float
-  root steers: the bisection cell that holds the float is computed in
-  integers and proved by two signs, p(lo) < 0 < p(hi), so bisection starts
-  there instead of at (1, search_hi) and returns the bracket that bisecting
-  from the top would. Any other polynomial is bisected on the exact Sturm
-  count of roots above the probe.
+* `largest_root` is the production path, for polynomials whose
+  coefficients show at most two sign variations; it refuses any other. Its
+  preconditions leave an odd number of roots above 1, Descartes' rule of
+  signs leaves exactly one, and the sign of p at the probe decides. Every
+  T(s, t) is of this kind. A float root steers: the bisection cell that
+  holds the float is computed in integers and proved by two signs,
+  p(lo) < 0 < p(hi), so bisection starts there instead of at
+  (1, search_hi) and returns the bracket that bisecting from the top would.
 * A sign of a polynomial above degree _INTERVAL_DEGREE is decided in
   outward 96-bit dyadic intervals (`enclosures.dyadic_*`), and exactly, by
   integer Horner, only on a tie; the m**(3/m) cell likewise comes from a
@@ -27,8 +26,9 @@ largest real root. What decides the half is a proof, never a sample:
   each probe's numerator and denominator. A comparison isolates each largest
   root (one root per interval), then decides, then refines. Floats steer
   here too: a Newton root names each isolating cell and two Sturm counts
-  prove it, or Sturm bisection isolates. `isolate_largest_real_root` always
-  bisects, so every bracket it returns is a bisection cell.
+  prove it, or Sturm bisection isolates. `isolate_largest_real_root`, the
+  bracket for a polynomial that `largest_root` refuses, always bisects, so
+  every bracket it returns is a bisection cell.
 """
 
 from __future__ import annotations
@@ -300,13 +300,9 @@ def _steered_cell(p: IntPoly, search_hi: Fraction, rel_width: Fraction):
     finer than a float resolves. Two exact signs, p(lo) < 0 < p(hi), prove
     the root strictly inside the cell, hence inside every ancestor and off
     every ancestor's midpoint: bisection from the top takes exactly this
-    path. A float one cell off fails one sign, which proves the shared end
-    of the neighbouring cell, so one more sign tries that cell: for
-    p(lo) > 0 the left neighbour, whose ancestors have no larger lo and so
-    meet the test no sooner; for p(hi) < 0 the first cell on the walk to
-    the right neighbour that meets it. A float past search_hi names a cell
-    the signs refuse, since p > 0 there. If the float or the proof fails,
-    the start is (1, search_hi)."""
+    path. If there is no float, or a sign refuses the cell it names (a float
+    a cell off, or past search_hi, where p > 0), the start is
+    (1, search_hi)."""
     start = (Fraction(1), search_hi)
     r = _float_root(p, search_hi)
     if r is None:
@@ -315,79 +311,52 @@ def _steered_cell(p: IntPoly, search_hi: Fraction, rel_width: Fraction):
     sn, sd = span.numerator, span.denominator
     target = max(rel_width, _FLOAT_CELL)
     wn, wd = target.numerator, target.denominator
-
-    def walk(t: Fraction, k_max: float):
-        # at depth k the cell is 1 + span * (j, j + 1) / 2**k; stop once
-        # span / 2**k <= target * (1 + span * j / 2**k), cross-multiplied
-        tn, td = t.numerator, t.denominator
-        k = j = 0
-        while k < k_max and sn * wd > wn * ((sd << k) + sn * j):
-            k += 1
-            j = (tn << k) // td
-        lo = 1 + Fraction(sn * j, sd << k)
-        return k, j, lo, lo + Fraction(sn, sd << k)
-
-    k, j, lo, hi = walk((Fraction(r) - 1) / span, math.inf)
-    sign_lo = p.sign_at(lo)
-    if sign_lo > 0:
-        # the root lies below lo, which is the left neighbour's hi
-        lo, hi = lo - Fraction(sn, sd << k), lo
-        if p.sign_at(lo) < 0:
-            return lo, hi
-    elif sign_lo < 0:
-        sign_hi = p.sign_at(hi)
-        if sign_hi > 0:
-            return lo, hi
-        if sign_hi < 0:
-            # the root lies above hi, and the right neighbour's cell starts there
-            _, _, lo, hi = walk(Fraction(j + 1, 1 << k), k)
-            if p.sign_at(hi) > 0:
-                return lo, hi
+    tn, td = ((Fraction(r) - 1) / span).as_integer_ratio()
+    # at depth k the cell is 1 + span * (j, j + 1) / 2**k; stop once
+    # span / 2**k <= target * (1 + span * j / 2**k), cross-multiplied
+    k = j = 0
+    while sn * wd > wn * ((sd << k) + sn * j):
+        k += 1
+        j = (tn << k) // td
+    lo = 1 + Fraction(sn * j, sd << k)
+    hi = lo + Fraction(sn, sd << k)
+    if p.sign_at(lo) < 0 < p.sign_at(hi):
+        return lo, hi
     return start
 
 
-def largest_root(
-    p: IntPoly,
-    search_hi,
-    rel_width: Fraction = DEFAULT_ROOT_REL_WIDTH,
-) -> RootEnclosure:
+def largest_root(p: IntPoly, search_hi, rel_width: Fraction = DEFAULT_ROOT_REL_WIDTH) -> RootEnclosure:
     """Bracket for the largest real root of p, which lies in (1, search_hi).
 
-    Preconditions: rel_width > 0, a positive leading coefficient and p(1) < 0
-    (else DomainError), p(search_hi) > 0 with no root above search_hi (else
-    NoSignChange, the caller must enlarge). p then has an odd number of roots
-    above 1. If p's coefficients show at most two sign variations, Descartes'
-    rule leaves exactly one, and sign-change bisection keeps it; a float root
-    names the cell where that bisection would stop, and two exact signs prove
-    it (_steered_cell), so bisection starts there. Otherwise each step
-    bisects on the exact Sturm count of roots above the probe, from
-    (1, search_hi). Either way the bracket is proved to hold the largest
-    root, and it is the one that bisecting (1, search_hi) until
-    hi - lo <= rel_width * lo returns.
+    Preconditions: rel_width > 0, search_hi > 1, a positive leading
+    coefficient, at most two sign variations in p's coefficients and
+    p(1) < 0 (else DomainError), and p(search_hi) > 0 (else NoSignChange,
+    the caller must enlarge). isolate_largest_real_root brackets the largest
+    root of a polynomial refused here. p then has an odd number of roots
+    above 1, and Descartes' rule leaves exactly one, a simple one, in
+    (1, search_hi); sign-change bisection keeps it. A float root names the
+    cell where that bisection would stop, and two exact signs prove it
+    (_steered_cell), so bisection starts there. The bracket is the one that
+    bisecting (1, search_hi) until hi - lo <= rel_width * lo returns.
     """
-    search_hi = Fraction(search_hi)
-    rel_width = Fraction(rel_width)
+    search_hi, rel_width = Fraction(search_hi), Fraction(rel_width)
     if rel_width <= 0:
         raise DomainError("largest_root requires rel_width > 0")
+    if search_hi <= 1:
+        raise DomainError("largest_root requires search_hi > 1")
     if p.leading_coefficient <= 0:
         raise DomainError("largest_root requires a positive leading coefficient")
+    if _sign_changes([c for _, c in p.coeffs]) > 2:
+        raise DomainError("largest_root requires at most two coefficient sign changes; use isolate_largest_real_root")
     if p.sign_at(1) >= 0:
         raise DomainError("largest_root requires p(1) < 0")
     if p.sign_at(search_hi) <= 0:
         raise NoSignChange(f"p(search_hi) <= 0 at search_hi={search_hi}; enlarge search_hi")
-    if _sign_changes([c for _, c in p.coeffs]) > 2:
-        roots_above = _sturm_counter(p)
-        if roots_above(search_hi) != 0:
-            raise NoSignChange(f"p has a root above search_hi={search_hi}; enlarge search_hi")
-        lo, hi = Fraction(1), search_hi
-    else:
-        roots_above = None
-        lo, hi = _steered_cell(p, search_hi, rel_width)
+    lo, hi = _steered_cell(p, search_hi, rel_width)
     while hi - lo > rel_width * lo:
-        lo, hi, _ = _bisect(p, lo, hi, roots_above)
-    # no root lies above hi and the leading coefficient is positive: p(hi) > 0
-    sign_lo = -1 if roots_above is None else p.sign_at(lo)
-    return RootEnclosure(lo=lo, hi=hi, sign_lo=sign_lo, sign_hi=1)
+        lo, hi, _ = _bisect(p, lo, hi, None)
+    # p < 0 on (1, root) and p > 0 above it
+    return RootEnclosure(lo, hi, -1, 1)
 
 
 def m_cubed_root_enclosure(m: int) -> RatInterval:
@@ -568,20 +537,16 @@ def _isolate(p: IntPoly, hi_bound: Fraction, roots_above):
     return lo, hi
 
 
-def isolate_largest_real_root(p: IntPoly, hi_bound, max_width=_ISOLATE_WIDTH) -> RatInterval:
-    """Isolating interval for the largest real root of p.
+def isolate_largest_real_root(p: IntPoly, hi_bound) -> RatInterval:
+    """Isolating interval, no wider than _ISOLATE_WIDTH, for the largest real
+    root of any p with at least one real root and none above hi_bound.
 
-    Requires max_width > 0 and p to have at least one real root and none
-    above hi_bound. Bisection on the exact Sturm count of roots above the
-    probe isolates the root first, then refines the interval until it is
-    no wider than max_width.
+    Bisection on the exact Sturm count of roots above the probe isolates the
+    root first, then refines the interval.
     """
-    max_width = Fraction(max_width)
-    if max_width <= 0:
-        raise DomainError("isolate_largest_real_root requires max_width > 0")
     roots_above = _sturm_counter(p)
     lo, hi = _isolate(p, Fraction(hi_bound), roots_above)
-    while hi - lo > max_width:
+    while hi - lo > _ISOLATE_WIDTH:
         lo, hi, _ = _bisect(p, lo, hi, roots_above)
     return RatInterval(lo, hi)
 

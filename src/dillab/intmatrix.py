@@ -543,6 +543,8 @@ def parse_matrix_json(obj) -> IntMatrix:
         obj = json.loads(obj)
     k = obj["k"]
     rows = obj["rows"]
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise ValueError("rows must be a list of lists of int")
     if len(rows) != k:
         raise ValueError(f"k={k} but {len(rows)} rows given")
     return IntMatrix.from_rows(rows)

@@ -112,6 +112,18 @@ def test_pf_non_int_matrix_file_exit_1(capsys, tmp_path):
         assert err.startswith("error: entries must be int")
 
 
+def test_non_list_json_rows_exit_1(capsys, tmp_path):
+    # len() of a non-list row once raised a TypeError, which main does not
+    # catch, so the command died with a traceback
+    path = tmp_path / "bad.json"
+    for rows in ("[[0, 1], 5]", "5"):
+        path.write_text('{"k": 2, "rows": %s}' % rows)
+        for argv in (["pf", str(path)], ["paths", str(path), "-i", "1", "-d", "5"], ["subdivide", str(path), "-i", "1"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", (rows, argv)
+            assert err.startswith("error: rows must be a list"), (rows, argv)
+
+
 def test_paths_negative_tol_is_usage_error(capsys, tmp_path):
     path = tmp_path / "ones.txt"
     path.write_text("2\n1 1\n1 1\n")
@@ -198,22 +210,25 @@ def test_hk_root_flag_conflicts(capsys):
 
 
 def test_hk_root_refuses_root_flags_with_certified_m(capsys):
-    # --m >= 5 certifies at verify_lroot's own width and search bound, so a
-    # flag that would be ignored is a usage error instead
+    # --m >= 5 certifies at verify_lroot's own width, so a flag that would be
+    # ignored is a usage error instead
     for m in ("5", "10"):
-        for flags in (["--rel-width", "1/1000"], ["--search-hi", "3"], ["--search-hi", "3", "--rel-width", "1/2"]):
-            code, out, err = run(capsys, "hk-root", "--m", m, *flags)
-            assert code == 2, (m, flags)
-            assert out == "" and "--m >= 5" in err
-    # below 5 and in --s/--t mode the flags apply, with defaults 1/10**10 and 4
+        code, out, err = run(capsys, "hk-root", "--m", m, "--rel-width", "1/1000")
+        assert code == 2, m
+        assert out == "" and "--m >= 5" in err
+    # below 5 and in --s/--t mode --rel-width applies, with default 1/10**10
     _, coarse, _ = run(capsys, "hk-root", "--m", "4", "--rel-width", "1/1000")
     _, default, _ = run(capsys, "hk-root", "--m", "4")
     assert coarse != default
-    _, explicit, _ = run(capsys, "hk-root", "--m", "4", "--rel-width", "1/10000000000", "--search-hi", "4")
+    _, explicit, _ = run(capsys, "hk-root", "--m", "4", "--rel-width", "1/10000000000")
     assert explicit == default
     _, default, _ = run(capsys, "hk-root", "--s", "2", "--t", "3")
-    _, explicit, _ = run(capsys, "hk-root", "--s", "2", "--t", "3", "--rel-width", "1/10000000000", "--search-hi", "4")
+    _, explicit, _ = run(capsys, "hk-root", "--s", "2", "--t", "3", "--rel-width", "1/10000000000")
     assert explicit == default
+    # the search bound is fixed: T(3) > 0, so the root lies below 4
+    for argv in (["--s", "2", "--t", "3"], ["--m", "4"], ["--m", "5"]):
+        code, out, _ = run(capsys, "hk-root", *argv, "--search-hi", "3")
+        assert code == 2 and out == "", argv
 
 
 def test_torus_matrix_text(capsys):
@@ -470,6 +485,19 @@ def test_verify_all_opens_one_pool(capsys, monkeypatch):
         reports[jobs] = (code, out.encode())
         assert opened == ([] if jobs == 1 else [2])
     assert reports[1] == reports[2]
+
+
+def test_verify_all_report_bytes_pinned(capsys, tmp_path):
+    # the whole report at the default seed, serial and pooled; the red
+    # subdivision suite makes the exit status 1
+    for jobs in ("1", "2"):
+        out_path = tmp_path / f"verify-{jobs}.json"
+        code, out, _ = run(capsys, "verify", "--all", "--seed", "7", "--jobs", jobs, "--out", str(out_path))
+        assert code == 1, jobs
+        assert [line.split(":")[0] for line in out.splitlines() if "FAIL" in line] == ["subdivision"]
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "c220486c405fb5dd14d99a949e88bf129275ba544957f4e24779f95ac7c545ea"
+        ), jobs
 
 
 @pytest.mark.parametrize(

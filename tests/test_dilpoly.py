@@ -107,9 +107,17 @@ def test_largest_root_preconditions():
     # no sign change below the cap
     with pytest.raises(NoSignChange):
         largest_root(IntPoly.from_dict({2: 1, 0: -2}), search_hi=Fraction(6, 5))
-    # (x-2)(x-5)(x-6) is positive at the cap but has two roots above it
-    with pytest.raises(NoSignChange):
-        largest_root(IntPoly.from_dict({3: 1, 2: -13, 1: 52, 0: -60}), search_hi=3)
+    # (x-2)(x-5)(x-6): three sign variations, refused before any sign
+    class Unevaluated(IntPoly):
+        def sign_at(self, x):
+            raise AssertionError(f"evaluated at {x}")
+
+    with pytest.raises(DomainError, match="isolate_largest_real_root"):
+        largest_root(Unevaluated(((0, -60), (1, 52), (2, -13), (3, 1))), search_hi=3)
+    # a search bound at or below 1 brackets nothing
+    for search_hi in (1, Fraction(1, 2)):
+        with pytest.raises(DomainError, match="search_hi > 1"):
+            largest_root(IntPoly.from_dict({2: 2, 1: -6, 0: 3}), search_hi=search_hi)
 
 
 def _bisected(p: IntPoly, search_hi, rel_width) -> RootEnclosure:
@@ -183,26 +191,12 @@ def test_steered_bracket_work_at_m_1998():
 
 def test_steered_bracket_recovers_a_float_one_cell_off():
     # at this width the float root names a neighbour of the root's cell for
-    # these m; one more sign proves that neighbour instead of bisecting from
-    # the top, which costs about 47 signs
-    calls = []
-
-    class Counted(IntPoly):
-        def sign_at(self, x):
-            calls.append(x)
-            return super().sign_at(x)
-
+    # these m; a sign refuses it, and bisection from the top returns the
+    # same bracket
     width = Fraction(1, 10**14)
     for m in (1036, 1225, 1254, 1503, 1627, 1875, 1937, 2091, 2860, 2998):
-        calls.clear()
         hi = _production_search_hi(m)
-        assert _steered_cell(build_Tm(m), hi, width) != (1, hi), m
-        assert largest_root(Counted(build_Tm(m).coeffs), hi, width) == _bisected(
-            build_Tm(m), hi, width
-        ), m
-        # p(1) and p(search_hi), then at most three signs for the cell and
-        # two bisection steps from 2^-44 down to 10^-14
-        assert len(calls) <= 2 + 5, (m, len(calls))
+        assert largest_root(build_Tm(m), hi, width) == _bisected(build_Tm(m), hi, width), m
 
 
 _sparse_polys = st.dictionaries(
@@ -325,19 +319,15 @@ def test_large_m_roots_make_no_exact_evaluation(monkeypatch):
 
 _WIDTH_CHECK = """
 from fractions import Fraction
-from dillab.dilpoly import IntPoly, build_T, isolate_largest_real_root, largest_root
+from dillab.dilpoly import build_T, largest_root
 from dillab.errors import DomainError
 
 for width in (0, Fraction(-1, 2)):
-    for call in (
-        lambda: largest_root(build_T(1, 1), 4, rel_width=width),
-        lambda: isolate_largest_real_root(IntPoly.from_dict({2: 1, 0: -2}), 2, max_width=width),
-    ):
-        try:
-            call()
-        except DomainError:
-            continue
-        raise SystemExit(f"width {width} accepted")
+    try:
+        largest_root(build_T(1, 1), 4, rel_width=width)
+    except DomainError:
+        continue
+    raise SystemExit(f"width {width} accepted")
 """
 
 
@@ -353,18 +343,21 @@ def test_nonpositive_widths_raise_domain_error():
 
 
 def test_largest_root_proves_maximality_beyond_a_sign_change():
-    # (x-2)(100x-301)(50x-151): three sign variations, so the Sturm route;
-    # p > 0 on (2, 3.01), which once hid the largest root 151/50 from a
-    # sampling check above the first sign change
-    p = IntPoly.from_dict({0: -90902, 1: 105751, 2: -40150, 3: 5000})
-    enc = largest_root(p, search_hi=4)
-    assert enc.lo < Fraction(151, 50) < enc.hi
-    assert (enc.sign_lo, enc.sign_hi) == (p.sign_at(enc.lo), p.sign_at(enc.hi)) == (-1, 1)
-    # (x-2)(x-3)^2: the largest root is double, p keeps its sign across it
-    p = IntPoly.from_dict({3: 1, 2: -8, 1: 21, 0: -18})
-    enc = largest_root(p, search_hi=4)
-    assert enc.lo < 3 < enc.hi
-    assert (enc.sign_lo, enc.sign_hi) == (p.sign_at(enc.lo), p.sign_at(enc.hi)) == (1, 1)
+    # (x-2)(100x-301)(50x-151): p > 0 on (2, 3.01), which once hid the
+    # largest root 151/50 from a sampling check above the first sign change.
+    # (x-2)(x-3)^2: the largest root is double, p keeps its sign across it.
+    # Both show three sign variations, so largest_root refuses them, and the
+    # Sturm bisection of isolate_largest_real_root brackets the largest root
+    for coeffs, root in (
+        ({0: -90902, 1: 105751, 2: -40150, 3: 5000}, Fraction(151, 50)),
+        ({3: 1, 2: -8, 1: 21, 0: -18}, Fraction(3)),
+    ):
+        p = IntPoly.from_dict(coeffs)
+        with pytest.raises(DomainError, match="isolate_largest_real_root"):
+            largest_root(p, search_hi=4)
+        iv = isolate_largest_real_root(p, 4)
+        assert iv.lo < root < iv.hi
+        assert count_real_roots_above(p, iv.lo) == 1 and count_real_roots_above(p, iv.hi) == 0
 
 
 def test_sturm_count_known_roots():
