@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .enclosures import RatInterval, log_enclosure, nth_root_enclosure
 from .errors import AlphaOutOfRange, DomainError, ValidationFailed
-from .families import CoverBoundReport, cover_index, cover_threshold, cover_upper_bound
+from .families import cover_index, cover_threshold, cover_upper_bound
 
 __all__ = [
     "BoundRow",
@@ -213,7 +213,7 @@ def sandwich_table(
     )
     omega = omega_constants(g, alpha).omega
     kappa = kappa_upper_constant(g).kappa_prime if n_hi >= threshold else None
-    cover_cache: dict[int, CoverBoundReport] = {}
+    cover = None  # (m, report) of the latest row: m never falls along the ascending ns
     rows = []
     for n in ns:
         lower = thm34_lower(g, n, alpha)
@@ -225,11 +225,9 @@ def sandwich_table(
             # the certified upper value depends on n only through m,
             # so one root isolation per distinct m serves every row
             m = cover_index(g, n)
-            rep = cover_cache.get(m)
-            if rep is None:
-                rep = cover_upper_bound(g, n)
-                cover_cache[m] = rep
-            upper = rep.log_root.hi
+            if cover is None or cover[0] != m:
+                cover = (m, cover_upper_bound(g, n))
+            upper = cover[1].log_root.hi
             if not lower < upper:
                 raise ValidationFailed(f"n={n}: lower bound not strictly below upper bound")
             if not upper <= kappa * logn.hi / n:

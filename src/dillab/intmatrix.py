@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat, starmap
+from operator import add, itemgetter, mul
 
 from .errors import DomainError, NoDiagonalEntry, NotIrreducible
 
@@ -229,6 +231,49 @@ def mat_power(matrix: IntMatrix, r: int) -> IntMatrix:
     return result
 
 
+# An entry up to this is gathered as its column repeated that many times; a
+# larger one is multiplied in, so memory stays O(nnz) for entries like 2**1100.
+_REPEAT_MAX = 4
+
+
+def _gather(row):
+    """v -> a sequence holding v[j] m times for each pair (j, m) of row.
+    itemgetter of one index returns the bare item, so a row that names one
+    item or none reads a slice instead."""
+    if len(row) > 1 or row and row[0][1] > 1:
+        return itemgetter(*list(chain.from_iterable(starmap(repeat, row))))
+    return itemgetter(slice(row[0][0], row[0][0] + 1) if row else slice(0, 0))
+
+
+def _multiplier(rows):
+    """The exact product v -> M v for a matrix M given by its sparse rows,
+    on a list of ints; an empty row gives 0.
+
+    Each row becomes one itemgetter over its columns, each column repeated
+    as often as its entry, so that sum(g(v)) computes the row's value in C.
+    Entries above _REPEAT_MAX are multiplied in with map(mul) instead. Ints
+    only: on floats x + x + x rounds differently from 3 * x.
+    """
+    scaled = []  # (row, gather, entries) of the entries above _REPEAT_MAX
+    if max(map(itemgetter(1), chain.from_iterable(rows)), default=0) > _REPEAT_MAX:
+        small = []
+        for i, row in enumerate(rows):
+            big = [(j, m) for j, m in row if m > _REPEAT_MAX]
+            if big:
+                scaled.append((i, _gather([(j, 1) for j, _ in big]), [m for _, m in big]))
+            small.append([(j, m) for j, m in row if m <= _REPEAT_MAX])
+        rows = small
+    gathers = [_gather(row) for row in rows]
+
+    def times(v: list) -> list:
+        w = [sum(g(v)) for g in gathers]
+        for i, g, entries in scaled:
+            w[i] += sum(map(mul, entries, g(v)))
+        return w
+
+    return times
+
+
 def _reach(adj: list[list[int]], start: int) -> int:
     seen = [False] * len(adj)
     seen[start] = True
@@ -408,10 +453,12 @@ def pf_enclosure(
     and the quotient interval never tightens.
 
     The iterate is carried as an integer vector (scaling cancels out of the
-    quotients); when the entries outgrow a bit cap they are right-shifted by
-    a common amount (floor). The shifted vector is still strictly positive,
-    and the bounds are exact for whatever positive vector is current, so
-    truncation costs a little convergence speed and no soundness. Stops when
+    quotients). Mv comes from _multiplier, built once per call, which sums
+    each row in C; the quotients are compared by exact cross-multiplication.
+    When the entries outgrow a bit cap they are right-shifted by a common
+    amount (floor). The shifted vector is still strictly positive, and the
+    bounds are exact for whatever positive vector is current, so truncation
+    costs a little convergence speed and no soundness. Stops when
     (hi - lo)/lo <= rel_width or after max_iters; either way the returned
     enclosure is valid, the caller inspects the width. rel_width <= 0 or
     max_iters < 1 raises DomainError: the first never stops, the second
@@ -441,6 +488,7 @@ def pf_enclosure(
         raise NotIrreducible("pf_enclosure requires an irreducible matrix")
     k = matrix.k
     sparse = matrix.rows
+    times = _multiplier(sparse)
     u = [1] * k
     lo_n = lo_d = hi_n = hi_d = 1
     iterations = 0
@@ -449,7 +497,7 @@ def pf_enclosure(
     steer_at = None
     steer_tol = _STEER_TOL.as_integer_ratio()
     for iterations in range(1, max_iters + 1):
-        w = [sum(m * u[j] for j, m in row) for row in sparse]
+        w = times(u)
         # min/max quotients w_i/u_i by cross-multiplication (denominators > 0)
         lo_n, lo_d = w[0], u[0]
         hi_n, hi_d = w[0], u[0]
@@ -480,7 +528,7 @@ def pf_enclosure(
                     u = guess
                     steered = True
                     continue
-        nxt = [w[i] + u[i] for i in range(k)]
+        nxt = list(map(add, w, u))
         top = max(nxt).bit_length()
         if top > 192:
             # keep ~96 bits: truncation noise ~2^-96 relative, far below any

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .enclosures import RatInterval, interval_gap, nth_root_enclosure
 from .errors import DegreePreconditionViolated, DomainError, NotIrreducible, VertexOutOfRange
-from .intmatrix import DEFAULT_MAX_ITERS, IntMatrix, is_irreducible, pf_enclosure
+from .intmatrix import DEFAULT_MAX_ITERS, IntMatrix, _multiplier, is_irreducible, pf_enclosure
 
 __all__ = [
     "LimitCheckReport",
@@ -66,12 +66,11 @@ def path_count_series(matrix: IntMatrix, i: int, d_max: int) -> tuple[int, ...]:
     _check_vertex(matrix, i)
     if d_max < 0:
         raise DomainError("path length must be >= 0")
-    rows = matrix.rows
+    times = _multiplier(matrix.rows)
     v = [1] * matrix.k
     out = [v[i - 1]]
     for _ in range(d_max):
-        # a list in sum() beats a generator on rows this short
-        v = [sum([m * v[j] for j, m in row]) for row in rows]
+        v = times(v)
         out.append(v[i - 1])
     return tuple(out)
 
@@ -107,10 +106,10 @@ def _limit_checks(matrix: IntMatrix, vertices, d_max: int, tol, max_iters: int) 
         raise DomainError("tol must be >= 0")
     if not is_irreducible(matrix):
         raise NotIrreducible("dilatation_limit_check requires an irreducible graph")
-    rows = matrix.rows
+    times = _multiplier(matrix.rows)
     counts = [1] * matrix.k
     for _ in range(d_max):
-        counts = [sum([m * counts[j] for j, m in row]) for row in rows]
+        counts = times(counts)
     mu = pf_enclosure(matrix, max_iters=max_iters)
     mu_iv = RatInterval(mu.lo, mu.hi)
     widened = RatInterval(mu.lo - tol, mu.hi + tol)

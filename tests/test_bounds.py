@@ -17,7 +17,7 @@ from dillab.bounds import (
 )
 from dillab.enclosures import RatInterval, log_enclosure
 from dillab.errors import AlphaOutOfRange, DomainError, ValidationFailed
-from dillab.families import cover_threshold, cover_upper_bound
+from dillab.families import cover_index, cover_threshold, cover_upper_bound
 
 
 def test_theta_values():
@@ -181,6 +181,27 @@ def test_sandwich_table_sampled():
         assert row.upper is not None
         # kappa calibration holds row by row
         assert row.upper <= rep.kappa_prime * log_enclosure(row.n).hi / row.n
+
+
+@pytest.mark.parametrize("sample", [None, 9])
+def test_sandwich_table_isolates_each_index_once(monkeypatch, sample):
+    # the ns ascend and cover_index never falls along them, so keeping the
+    # latest report serves every row
+    assert log_uniform_sample(31, 400, 9) == tuple(sorted(log_uniform_sample(31, 400, 9)))
+    calls = []
+
+    def counted(g, n):
+        calls.append(cover_index(g, n))
+        return cover_upper_bound(g, n)
+
+    monkeypatch.setattr(bounds, "cover_upper_bound", counted)
+    rep = sandwich_table(2, 28, 400, sample=sample)
+    assert calls == sorted(set(calls))
+    assert calls == sorted({cover_index(2, row.n) for row in rep.rows if row.n >= 31})
+    for row in rep.rows:
+        expected = cover_upper_bound(2, row.n).log_root.hi if row.n >= 31 else None
+        assert row.upper == expected
+        assert row.lower == thm34_lower(2, row.n, theta(2))
 
 
 def test_sandwich_table_validation():

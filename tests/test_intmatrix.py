@@ -1,18 +1,21 @@
+import hashlib
 import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dillab.cli import main
 from dillab.dilpoly import IntPoly, char_poly, count_real_roots_above, isolate_largest_real_root
 from dillab.errors import NoDiagonalEntry, NotIrreducible
 from dillab.families import torus_matrix
+from dillab.suites import random_irreducible_rows
 from dillab.intmatrix import (
     IntMatrix,
+    _multiplier,
     _shifted_solve,
     _steer_at,
     is_irreducible,
@@ -439,3 +442,110 @@ def test_pf_enclosure_exact_oracle(m, rel):
         assert count_real_roots_above(p, enc.hi) == 0
     if p.sign_at(enc.lo) != 0:
         assert count_real_roots_above(p, enc.lo) >= 1
+
+
+_ENTRIES = st.one_of(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=5, max_value=10**30),
+    st.just(2**1100),
+)
+
+
+@st.composite
+def rows_and_vectors(draw):
+    """Sparse rows, empty ones included, with small, large and huge entries,
+    and an int vector to multiply."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    rows = tuple(
+        tuple(sorted(draw(st.dictionaries(st.integers(0, k - 1), _ENTRIES, max_size=k)).items()))
+        for _ in range(k)
+    )
+    v = draw(st.lists(st.integers(min_value=0, max_value=2**100), min_size=k, max_size=k))
+    return rows, v
+
+
+@given(rows_and_vectors())
+@example(rv=(((),), [5]))
+@example(rv=((((0, 1),),), [7]))
+@example(rv=((((0, 3),), ((0, 10**30),)), [2, 3]))
+@example(rv=((((1, 1),), ((0, 2**1100),), ()), [1, 2, 3]))
+@example(rv=((((0, 4), (1, 5), (2, 1)), ((1, 1),), ((0, 2), (2, 2**1100))), [3, 5, 7]))
+@settings(max_examples=200, deadline=None)
+def test_multiplier_is_the_matrix_vector_product(rv):
+    rows, v = rv
+    assert _multiplier(rows)(v) == [sum(m * v[j] for j, m in row) for row in rows]
+
+
+def test_multiplier_multiplies_large_entries_in():
+    # repeating column 0 10**18 times would never return
+    assert _multiplier((((0, 10**18),),))([3]) == [3 * 10**18]
+
+
+def _pin(enc):
+    """The whole enclosure, compactly: a digest of lo and hi, then
+    iterations, stop and steered."""
+    digest = hashlib.sha256(f"{enc.lo} {enc.hi}".encode()).hexdigest()[:16]
+    return digest, enc.iterations, enc.stop, enc.steered
+
+
+def _random_rows(seed: str, k: int, entry_max: int, extra_prob: float = 0.25) -> IntMatrix:
+    return IntMatrix.from_rows(random_irreducible_rows(random.Random(seed), k, entry_max, extra_prob))
+
+
+# Recorded with the row products written inline, before _multiplier: every
+# iterate, and so every certified byte, is the same through the kernel.
+@pytest.mark.parametrize(
+    "run, pin",
+    [
+        (
+            lambda: pf_enclosure(torus_matrix(60).matrix, rel_width=Fraction(1, 10**9)),
+            ("340b574fc0ab65e2", 27, "converged", True),
+        ),
+        (
+            lambda: pf_enclosure(torus_matrix(60).matrix, rel_width=Fraction(1, 10**20)),
+            ("51d5966051f96ac4", 5246, "converged", True),
+        ),
+        (
+            lambda: pf_enclosure(torus_matrix(320).matrix, rel_width=Fraction(1, 10**9)),
+            ("d1ed119a09cf8e6c", 53, "converged", True),
+        ),
+        (
+            lambda: pf_enclosure(torus_matrix(60).matrix.transpose(), hi_target=Fraction(9)),
+            ("04931b2883d7af4a", 1, "hi_target", False),
+        ),
+        (
+            lambda: pf_enclosure(_random_rows("pin:120", 120, 3)),
+            ("8f8fcc6ff1869d43", 13, "converged", False),
+        ),
+        (
+            lambda: pf_enclosure(_random_rows("pin:120", 120, 3), rel_width=Fraction(1, 10**30)),
+            ("3f45b7c73efb7c2a", 42, "converged", False),
+        ),
+        (
+            lambda: pf_enclosure(
+                _random_rows("pin:40", 40, 10**30, 0.1), rel_width=Fraction(1, 10**12)
+            ),
+            ("7887c56eb781f9bc", 40, "converged", False),
+        ),
+        (
+            lambda: pf_enclosure(
+                IntMatrix(((2**1100, 1), (2, 2**1100))),
+                rel_width=Fraction(1, 2**1300),
+                max_iters=20,
+            ),
+            ("4235bd0b2b36af2e", 20, "max_iters", False),
+        ),
+    ],
+    ids=[
+        "torus60-1e-9",
+        "torus60-1e-20",
+        "torus320-1e-9",
+        "torus60-column",
+        "random120",
+        "random120-1e-30",
+        "random40-entries-1e30",
+        "entries-2^1100",
+    ],
+)
+def test_pf_enclosure_bytes_pinned(run, pin):
+    assert _pin(run()) == pin

@@ -70,3 +70,36 @@ def test_only_intmatrix_renders_the_dense_view():
         ("intmatrix", "render_matrix_text"),
         ("intmatrix", "render_matrix_json"),
     }
+
+
+def _row_vector_products(tree: ast.AST):
+    """Every comprehension over `for j, m in ...` whose element indexes a
+    sequence by j: an inline sparse-row times vector product."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
+            continue
+        for gen in node.generators:
+            target = gen.target
+            if not (isinstance(target, ast.Tuple) and len(target.elts) == 2):
+                continue
+            column = target.elts[0]
+            if isinstance(column, ast.Name) and any(
+                isinstance(sub, ast.Subscript)
+                and isinstance(sub.slice, ast.Name)
+                and sub.slice.id == column.id
+                for sub in ast.walk(node.elt)
+            ):
+                yield node
+
+
+def test_only_intmatrix_multiplies_rows_by_a_vector():
+    # the exact product is intmatrix._multiplier; intmatrix keeps only the
+    # float product of its steer, which the exact kernel must not serve
+    inline = ast.parse("w = [sum([m * v[j] for j, m in row]) for row in rows]")
+    assert len(list(_row_vector_products(inline))) == 1
+    owners = {
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(_row_vector_products(ast.parse(path.read_text())))
+    }
+    assert owners == {"intmatrix"}

@@ -100,6 +100,22 @@ def test_shared_limit_checks_match_the_per_vertex_check():
             assert (rep.spectral_interval.lo, rep.spectral_interval.hi) == (mu.lo, mu.hi)
 
 
+def test_path_count_series_pinned():
+    # a seeded graph with a vertex spliced into edge 3 -> 5, as the
+    # subdivision suite builds them; recorded with the row products written
+    # inline, before they moved into intmatrix._multiplier
+    rng = random.Random("pin:spliced")
+    grid = [row + [0] for row in random_irreducible_rows(rng, 6, 3)] + [[0] * 7]
+    grid[2][6] = grid[6][4] = 1
+    graph = IntMatrix.from_rows(grid)
+    assert path_count_series(graph, 7, 20) == (
+        1, 1, 3, 21, 48, 288, 1008, 4320, 16794, 70650, 277776, 1142784, 4589460,
+        18652428, 75263580, 305301780, 1233810792, 4997638728, 20217580560,
+        81847824336, 331195150296,
+    )  # fmt: skip
+    assert path_count_series(graph, 1, 20)[-3:] == (18476025768, 74782796784, 302644591200)
+
+
 def test_subdivide_fibonacci_gives_cubic():
     # vertex 1 of the Fibonacci graph has in = out = 1; splicing a vertex
     # onto its out-edge realizes the companion of x^3 - x^2 - 1
