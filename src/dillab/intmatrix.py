@@ -155,6 +155,29 @@ class IntMatrix:
                 sums[j] += m
         return tuple(sums)
 
+    def __reduce__(self):
+        # only the rows travel: _times is a closure, and neither it nor the
+        # count slot is part of the value
+        return IntMatrix._of, (self.rows,)
+
+    @cached_property
+    def _times(self):
+        """The exact product v -> M v (_multiplier), built once per matrix."""
+        return _multiplier(self.rows)
+
+    def _counts(self, d: int) -> list[int]:
+        """M^d 1, whose i-th entry counts the paths of length d from vertex
+        i + 1. The count slot holds the latest (e, M^e 1) asked for: a call
+        resumes from it when e <= d, restarts from 1 otherwise, and leaves
+        (d, M^d 1) in its place. The list is shared; do not mutate it."""
+        slot = self.__dict__.get("_count_slot")
+        e, v = slot if slot is not None and slot[0] <= d else (0, [1] * self.k)
+        times = self._times
+        for _ in range(d - e):
+            v = times(v)
+        self.__dict__["_count_slot"] = (d, v)
+        return v
+
     @cached_property
     def _irreducible(self) -> bool:
         k = self.k
@@ -453,8 +476,10 @@ def pf_enclosure(
     and the quotient interval never tightens.
 
     The iterate is carried as an integer vector (scaling cancels out of the
-    quotients). Mv comes from _multiplier, built once per call, which sums
-    each row in C; the quotients are compared by exact cross-multiplication.
+    quotients). Mv comes from the matrix's exact product IntMatrix._times
+    (_multiplier, built once per matrix and shared with the path counts,
+    whose latest M^d 1 sits in its count slot), which sums each row in C;
+    the quotients are compared by exact cross-multiplication.
     When the entries outgrow a bit cap they are right-shifted by a common
     amount (floor). The shifted vector is still strictly positive, and the
     bounds are exact for whatever positive vector is current, so truncation
@@ -488,7 +513,7 @@ def pf_enclosure(
         raise NotIrreducible("pf_enclosure requires an irreducible matrix")
     k = matrix.k
     sparse = matrix.rows
-    times = _multiplier(sparse)
+    times = matrix._times
     u = [1] * k
     lo_n = lo_d = hi_n = hi_d = 1
     iterations = 0

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .enclosures import RatInterval, interval_gap, nth_root_enclosure
 from .errors import DegreePreconditionViolated, DomainError, NotIrreducible, VertexOutOfRange
-from .intmatrix import DEFAULT_MAX_ITERS, IntMatrix, _multiplier, is_irreducible, pf_enclosure
+from .intmatrix import DEFAULT_MAX_ITERS, IntMatrix, is_irreducible, pf_enclosure
 
 __all__ = [
     "LimitCheckReport",
@@ -56,23 +56,23 @@ def path_count(matrix: IntMatrix, i: int, d: int) -> int:
     """Number of directed paths of length d starting at vertex i, exactly.
 
     This is the i-th row sum of the d-th matrix power; the empty path counts,
-    so d = 0 gives 1.
+    so d = 0 gives 1. It is read from the matrix's count slot, which resumes
+    from the latest length asked for when that is at most d, so a call with
+    d one above the last costs one matrix-vector product.
     """
-    return path_count_series(matrix, i, d)[-1]
+    _check_vertex(matrix, i)
+    if d < 0:
+        raise DomainError("path length must be >= 0")
+    return matrix._counts(d)[i - 1]
 
 
 def path_count_series(matrix: IntMatrix, i: int, d_max: int) -> tuple[int, ...]:
-    """path_count(matrix, i, d) for every d = 0..d_max, in one sweep."""
+    """path_count(matrix, i, d) for every d = 0..d_max, in one sweep that
+    leaves M^d_max 1 in the matrix's count slot."""
     _check_vertex(matrix, i)
     if d_max < 0:
         raise DomainError("path length must be >= 0")
-    times = _multiplier(matrix.rows)
-    v = [1] * matrix.k
-    out = [v[i - 1]]
-    for _ in range(d_max):
-        v = times(v)
-        out.append(v[i - 1])
-    return tuple(out)
+    return tuple([matrix._counts(d)[i - 1] for d in range(d_max + 1)])
 
 
 def dilatation_limit_check(
@@ -97,8 +97,8 @@ def dilatation_limit_check(
 
 def _limit_checks(matrix: IntMatrix, vertices, d_max: int, tol, max_iters: int) -> list:
     """dilatation_limit_check for each of the given vertices, from one
-    path-count sweep (the vector M^d 1 holds P(i, d) for every i at once)
-    and one spectral enclosure."""
+    path-count vector (M^d 1 holds P(i, d) for every i at once, and resumes
+    from the matrix's count slot) and one spectral enclosure."""
     if d_max < 1:
         raise DomainError("d_max must be >= 1")
     tol = Fraction(tol)
@@ -106,10 +106,7 @@ def _limit_checks(matrix: IntMatrix, vertices, d_max: int, tol, max_iters: int) 
         raise DomainError("tol must be >= 0")
     if not is_irreducible(matrix):
         raise NotIrreducible("dilatation_limit_check requires an irreducible graph")
-    times = _multiplier(matrix.rows)
-    counts = [1] * matrix.k
-    for _ in range(d_max):
-        counts = times(counts)
+    counts = matrix._counts(d_max)
     mu = pf_enclosure(matrix, max_iters=max_iters)
     mu_iv = RatInterval(mu.lo, mu.hi)
     widened = RatInterval(mu.lo - tol, mu.hi + tol)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import dillab
+from dillab import cli
 from dillab.cli import main
 from dillab.errors import DomainError
 from dillab.intmatrix import IntMatrix, pf_enclosure
@@ -99,6 +100,31 @@ def test_paths_counts_and_check(capsys, fib_file):
     )
     payload = json.loads(out)
     assert payload["limit_check"]["converged"] is True
+
+
+def test_paths_check_sweeps_once(capsys, monkeypatch, tmp_path):
+    # --check resumes from the vector the count series left in the matrix's
+    # count slot, so past the series' d_max products only the spectral
+    # enclosure multiplies
+    path = tmp_path / "graph.txt"
+    path.write_text("4\n0 2 1 0\n1 0 0 1\n0 3 1 0\n1 0 0 2\n")
+    argv = ("paths", str(path), "-i", "3", "-d", "40", "--check")
+    code, fresh, _ = run(capsys, *argv)
+    assert code == 0
+    graph = cli.load_matrix(str(path))
+    times = graph._times
+    products = []
+
+    def counted(v):
+        products.append(len(v))
+        return times(v)
+
+    graph.__dict__["_times"] = counted
+    monkeypatch.setattr(cli, "load_matrix", lambda _: graph)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == fresh
+    iterations = pf_enclosure(IntMatrix(graph.entries)).iterations
+    assert len(products) == 40 + iterations
 
 
 def test_pf_non_int_matrix_file_exit_1(capsys, tmp_path):

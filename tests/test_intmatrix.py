@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -479,6 +481,29 @@ def test_multiplier_is_the_matrix_vector_product(rv):
 def test_multiplier_multiplies_large_entries_in():
     # repeating column 0 10**18 times would never return
     assert _multiplier((((0, 10**18),),))([3]) == [3 * 10**18]
+
+
+def test_pickle_and_deepcopy_carry_only_the_rows():
+    # the product is a closure and the count slot a cache: neither travels,
+    # so a used matrix pickles to the same bytes as an unused one
+    entries = ((0, 2, 1), (1, 0, 0), (3, 2**1100, 0))
+    used = IntMatrix(entries)
+    assert is_irreducible(used)
+    pf_enclosure(used, max_iters=5)
+    used._counts(7)
+    assert {"_irreducible", "_times", "_count_slot"} <= used.__dict__.keys()
+    want = used._counts(7)
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(used, proto)
+        assert data == pickle.dumps(IntMatrix(entries), proto), proto
+        back = pickle.loads(data)
+        assert type(back) is IntMatrix and back.__dict__ == {"rows": used.rows}
+        assert back == used and hash(back) == hash(used)
+        assert back._counts(7) == want
+    twin = copy.deepcopy(used)
+    assert twin == used and hash(twin) == hash(used)
+    assert twin.__dict__ == {"rows": used.rows}
+    assert twin._counts(7) == want and is_irreducible(twin)
 
 
 def _pin(enc):

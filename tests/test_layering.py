@@ -48,23 +48,27 @@ def test_only_cli_renders_output():
     assert printers == {"cli", "enclosures", "__init__"}
 
 
-def _entries_readers(tree: ast.AST, scope: str = ""):
-    """The innermost function around every read of an `.entries` attribute."""
+def _scopes(tree: ast.AST, match, scope: str = ""):
+    """The innermost function around every node that `match` accepts."""
     for node in ast.iter_child_nodes(tree):
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        if isinstance(node, ast.Attribute) and node.attr == "entries":
+        if match(node):
             yield scope
-        yield from _entries_readers(node, inner)
+        yield from _scopes(node, match, inner)
+
+
+def _package_scopes(match) -> set:
+    return {
+        (path.stem, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _scopes(ast.parse(path.read_text()), match)
+    }
 
 
 def test_only_intmatrix_renders_the_dense_view():
     # IntMatrix stores sparse rows; the dense `entries` tuple is rebuilt on
     # every access, so it is read only to print a matrix
-    readers = {
-        (path.stem, scope)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for scope in _entries_readers(ast.parse(path.read_text()))
-    }
+    readers = _package_scopes(lambda node: isinstance(node, ast.Attribute) and node.attr == "entries")
     assert readers == {
         ("intmatrix", "__repr__"),
         ("intmatrix", "render_matrix_text"),
@@ -103,3 +107,49 @@ def test_only_intmatrix_multiplies_rows_by_a_vector():
         if any(_row_vector_products(ast.parse(path.read_text())))
     }
     assert owners == {"intmatrix"}
+
+
+def _calls_multiplier(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "_multiplier") or (
+        isinstance(func, ast.Attribute) and func.attr == "_multiplier"
+    )
+
+
+def test_only_the_matrix_builds_its_product():
+    # IntMatrix._times builds the product once per matrix; a second caller
+    # would build it again on every call
+    assert list(_scopes(ast.parse("def f(m):\n    return _multiplier(m.rows)"), _calls_multiplier)) == ["f"]
+    assert _package_scopes(_calls_multiplier) == {("intmatrix", "_times")}
+
+
+_DICT_WRITERS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _writes_dict(node: ast.AST) -> bool:
+    """An assignment or deletion through `x.__dict__[...]`, or a call of one
+    of its mutating methods."""
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+        targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+        return any(
+            isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute) and t.value.attr == "__dict__"
+            for target in targets
+            for t in ast.walk(target)
+        )
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _DICT_WRITERS
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "__dict__"
+    )
+
+
+def test_only_intmatrix_writes_a_matrix_dict():
+    # the cached product, irreducibility and the count slot live in a
+    # matrix's __dict__; only intmatrix may fill them
+    sample = "m.__dict__['_times'] = f\nm.__dict__.update(a=1)\nx = m.__dict__.get('a')"
+    assert len(list(_scopes(ast.parse(sample), _writes_dict))) == 2
+    assert {stem for stem, _ in _package_scopes(_writes_dict)} == {"intmatrix"}

@@ -116,6 +116,109 @@ def test_path_count_series_pinned():
     assert path_count_series(graph, 1, 20)[-3:] == (18476025768, 74782796784, 302644591200)
 
 
+def _spliced_graph() -> IntMatrix:
+    rng = random.Random("pin:spliced")
+    grid = [row + [0] for row in random_irreducible_rows(rng, 6, 3)] + [[0] * 7]
+    grid[2][6] = grid[6][4] = 1
+    return IntMatrix.from_rows(grid)
+
+
+def _counting(matrix: IntMatrix) -> list:
+    """Route the matrix's exact product through a counter; returns the list
+    that collects one entry per product."""
+    products = []
+    times = matrix._times
+
+    def counted(v):
+        products.append(len(v))
+        return times(v)
+
+    matrix.__dict__["_times"] = counted
+    return products
+
+
+@pytest.mark.parametrize(
+    "calls",
+    [
+        [(1, d) for d in range(13)],
+        [(1, d) for d in range(12, -1, -1)],
+        [(2, 5), (2, 5), (2, 5), (2, 0), (2, 0), (2, 9), (2, 9)],
+        [(3, 4), (1, 4), (7, 6), (2, 3), (7, 12), (5, 12), (6, 11), (4, 13)],
+        [(1, 60), (1, 0), (4, 0), (4, 60), (7, 59)],
+    ],
+    ids=["ascending", "descending", "repeated", "mixed-vertex", "zero-after-large"],
+)
+def test_path_count_through_the_count_slot(calls):
+    graph = _spliced_graph()
+    top = max(d for _, d in calls)
+    series = {i: path_count_series(_spliced_graph(), i, top) for i in range(1, 8)}
+    powers = {}
+    products = _counting(graph)
+    for i, d in calls:
+        got = path_count(graph, i, d)
+        assert got == series[i][d], (i, d)
+        if d not in powers:
+            powers[d] = mat_power(graph, d).row_sums()
+        assert got == powers[d][i - 1], (i, d)
+        slot_d, slot_v = graph.__dict__["_count_slot"]
+        assert slot_d == d and slot_v[i - 1] == got
+    # each call resumes from the one before it when it asks for no shorter
+    # paths, and restarts from the all-ones vector otherwise
+    expected, last = 0, None
+    for _, d in calls:
+        expected += d if last is None or d < last else d - last
+        last = d
+    assert len(products) == expected
+
+
+def test_refused_path_count_leaves_the_slot():
+    graph = _spliced_graph()
+    want = path_count_series(_spliced_graph(), 2, 10)
+    assert path_count(graph, 2, 9) == want[9]
+    slot = graph.__dict__["_count_slot"]
+    for i, d, error in ((0, 3, VertexOutOfRange), (8, 3, VertexOutOfRange), (2, -1, DomainError)):
+        with pytest.raises(error):
+            path_count(graph, i, d)
+        with pytest.raises(error):
+            path_count_series(graph, i, d)
+        assert graph.__dict__["_count_slot"] is slot
+    products = _counting(graph)
+    assert path_count(graph, 2, 10) == want[10]
+    assert len(products) == 1
+
+
+def test_path_count_on_an_empty_row():
+    # vertex 2 is a sink: no path of length >= 1 leaves it, and the matrix is
+    # reducible; the count slot does not need irreducibility
+    m = IntMatrix(((0, 1, 0), (0, 0, 0), (1, 1, 1)))
+    assert not m._irreducible
+    for d in (0, 1, 2, 7, 3, 0, 12):
+        sums = mat_power(m, d).row_sums()
+        assert [path_count(m, i, d) for i in (1, 2, 3)] == list(sums)
+    assert path_count_series(m, 2, 4) == (1, 0, 0, 0, 0)
+    assert path_count_series(m, 3, 4) == (1, 3, 4, 4, 4)
+
+
+def test_path_count_with_a_huge_entry():
+    # an entry above the repeat limit is multiplied into the row's sum
+    m = IntMatrix(((1, 2**1100), (1, 0)))
+    for d in (0, 1, 5, 9, 2, 9, 0, 4):
+        sums = mat_power(m, d).row_sums()
+        assert (path_count(m, 1, d), path_count(m, 2, d)) == sums
+    assert path_count_series(m, 2, 9) == tuple(mat_power(m, d).row_sums()[1] for d in range(10))
+
+
+def test_limit_check_resumes_from_the_series():
+    graph = _spliced_graph()
+    fresh = _limit_checks(_spliced_graph(), range(1, 8), 30, Fraction(1, 20), 20000)
+    path_count_series(graph, 3, 30)
+    products = _counting(graph)
+    iterations = pf_enclosure(_spliced_graph(), max_iters=20000).iterations
+    assert _limit_checks(graph, range(1, 8), 30, Fraction(1, 20), 20000) == fresh
+    # the spectral enclosure's products only: the counts were already there
+    assert len(products) == iterations
+
+
 def test_subdivide_fibonacci_gives_cubic():
     # vertex 1 of the Fibonacci graph has in = out = 1; splicing a vertex
     # onto its out-edge realizes the companion of x^3 - x^2 - 1
