@@ -177,8 +177,8 @@ def verify_torus_bounds(spec: TorusMatrixSpec) -> TorusBoundsReport:
 
     Requires max column sum exactly 9, max row sum exactly 11, and
     irreducibility; any miss raises ValidationFailed naming every failed
-    claim. The returned log bounds divide certified log enclosures of 11
-    (row route) and 9 (column route, strictly sharper) by n.
+    claim. Max row and column sums bound mu (Collatz-Wielandt, v = 1 on M
+    and its transpose): the log bounds divide log enclosures of 11 and 9 by n.
     """
     m = spec.matrix
     max_col = max(m.col_sums())

@@ -332,23 +332,19 @@ def _run_quartic_root(seed: int, cases: int) -> tuple:
 
 
 def _torus_family_case(arg: tuple) -> tuple:
-    """Two certified routes per n. The transpose iteration proves hi <= 9 at
-    its first step (its starting quotients are the column sums, whose max is
-    exactly 9), at any n for pennies; small n and a thin subsample of large n
-    additionally get a direct tight enclosure, where the true spectral radius
-    sits near 5.83 and the strict margin below 9 is visible."""
+    """verify_torus_bounds checks the max column sum 9, which bounds mu
+    (Collatz-Wielandt with v = 1 on the transpose): lambda <= 9^(1/n) at any
+    n. Small n and a thin subsample of large n also get a direct enclosure,
+    where mu sits near 5.83 below 9; it must meet [min column sum, 9]."""
     (n,) = arg
     fails = []
     spec = torus_matrix(n)
     try:
-        verify_torus_bounds(spec)
+        report = verify_torus_bounds(spec)
     except DillabError as exc:
         fails.append(f"n={n}: {exc}")
         return (fails, None)
-    col_route = pf_enclosure(spec.matrix.transpose(), hi_target=Fraction(9))
-    if col_route.hi > 9:
-        fails.append(f"n={n}: column-route upper bound {_frs(col_route.hi)} above 9")
-    lam_hi = nth_root_enclosure(col_route.hi, n).hi
+    lam_hi = nth_root_enclosure(report.max_col_sum, n).hi
     cap = nth_root_enclosure(11, n).hi
     if lam_hi > cap:
         fails.append(f"n={n}: dilatation bound {_frs(lam_hi)} above 11^(1/n)")
@@ -358,7 +354,7 @@ def _torus_family_case(arg: tuple) -> tuple:
         tight = pf_enclosure(spec.matrix, rel_width=rel)
         if tight.hi >= 9:
             fails.append(f"n={n}: direct enclosure failed to land below 9")
-        if tight.lo > col_route.hi or col_route.lo > tight.hi:
+        if tight.lo > report.max_col_sum or min(spec.matrix.col_sums()) > tight.hi:
             fails.append(f"n={n}: the two spectral routes are disjoint")
         margin = 9 - tight.hi
     return (fails, margin)

@@ -150,6 +150,22 @@ def test_non_list_json_rows_exit_1(capsys, tmp_path):
             assert err.startswith("error: rows must be a list"), (rows, argv)
 
 
+def test_bad_json_k_or_missing_field_exit_1(capsys, tmp_path):
+    # a missing key once printed just "error: 'k'"
+    path = tmp_path / "bad.json"
+    for text, message in (
+        ('{"k": true, "rows": [[1]]}', "error: k must be int, got bool"),
+        ('{"k": 1.0, "rows": [[1]]}', "error: k must be int, got float"),
+        ('{"k": "2", "rows": [[1, 1], [1, 1]]}', "error: k must be int, got str"),
+        ('{"rows": [[1]]}', "error: matrix JSON lacks the field 'k'"),
+        ('{"k": 1}', "error: matrix JSON lacks the field 'rows'"),
+    ):
+        path.write_text(text)
+        code, out, err = run(capsys, "pf", str(path))
+        assert code == 1 and out == "", text
+        assert err.startswith(message), (text, err)
+
+
 def test_paths_negative_tol_is_usage_error(capsys, tmp_path):
     path = tmp_path / "ones.txt"
     path.write_text("2\n1 1\n1 1\n")

@@ -16,8 +16,10 @@ from dillab.errors import NoDiagonalEntry, NotIrreducible
 from dillab.families import torus_matrix
 from dillab.suites import random_irreducible_rows
 from dillab.intmatrix import (
+    DiagonalBoundReport,
     IntMatrix,
     _multiplier,
+    _power_pattern,
     _shifted_solve,
     _steer_at,
     is_irreducible,
@@ -91,6 +93,24 @@ def test_json_round_trip():
     assert parse_matrix_json('{"k": 1, "rows": [[5]]}') == IntMatrix(((5,),))
     with pytest.raises(ValueError):
         parse_matrix_json({"k": 3, "rows": [[1]]})
+
+
+@pytest.mark.parametrize("k", [True, 1.0, "1", None, [1]])
+def test_parse_matrix_json_refuses_a_k_that_is_not_int(k):
+    # true and 1.0 equal 1, so they used to pass the row-count check
+    with pytest.raises(ValueError, match="^k must be int"):
+        parse_matrix_json({"k": k, "rows": [[1]]})
+    # "2" once failed with "k=2 but 2 rows given"
+    with pytest.raises(ValueError, match="^k must be int, got str"):
+        parse_matrix_json('{"k": "2", "rows": [[1, 1], [1, 1]]}')
+
+
+@pytest.mark.parametrize(
+    "obj, field", [({"rows": [[1]]}, "k"), ({"k": 1}, "rows"), ({}, "k"), ('{"k": 1}', "rows")]
+)
+def test_parse_matrix_json_names_a_missing_field(obj, field):
+    with pytest.raises(ValueError, match=f"lacks the field '{field}'"):
+        parse_matrix_json(obj)
 
 
 @pytest.mark.parametrize("bad", [1.5, True, "3", 2.0, Fraction(1)])
@@ -366,6 +386,22 @@ def test_verify_diagonal_bound_single_loop():
     assert rep.positive_power and rep.mu_bound_holds
 
 
+def test_diagonal_bound_matches_the_dense_definitions():
+    # extra_prob 0 leaves one cycle and one loop, where Holladay-Varga's
+    # exponent bound 2k - 2 is tightest
+    for k in range(1, 13):
+        for extra_prob in (0.0, 0.2, 0.5):
+            rng = random.Random(f"diag:{k}:{extra_prob}")
+            m = IntMatrix.from_rows(
+                random_irreducible_rows(rng, k, 4, extra_prob=extra_prob, force_diagonal=True)
+            )
+            power = mat_power(m, 2 * k)
+            assert verify_diagonal_bound(m) == DiagonalBoundReport(
+                positive_power=is_positive(power),
+                mu_bound_holds=min(power.row_sums()) >= k,
+            )
+
+
 def test_pf_json_exact_fields(tmp_path, capsys):
     path = tmp_path / "fib.txt"
     path.write_text(render_matrix_text(FIB))
@@ -380,8 +416,8 @@ def test_pf_json_exact_fields(tmp_path, capsys):
 
 
 @st.composite
-def small_matrices(draw):
-    k = draw(st.integers(min_value=1, max_value=4))
+def small_matrices(draw, max_k=4):
+    k = draw(st.integers(min_value=1, max_value=max_k))
     rows = [
         tuple(draw(st.integers(min_value=0, max_value=3)) for _ in range(k))
         for _ in range(k)
@@ -393,6 +429,17 @@ def small_matrices(draw):
 @settings(max_examples=60, deadline=None)
 def test_mat_power_additivity(m, a, b):
     assert mat_power(m, a) @ mat_power(m, b) == mat_power(m, a + b)
+
+
+@given(small_matrices(max_k=6))
+@example(IntMatrix(((0, 1, 0), (0, 0, 1), (1, 0, 0))))  # periodic: never positive
+@example(IntMatrix(((1, 1, 0), (0, 1, 1), (0, 0, 1))))  # reducible
+@example(IntMatrix(((0, 0), (0, 0))))
+@settings(max_examples=80, deadline=None)
+def test_power_pattern_is_the_zero_pattern_of_the_power(m):
+    for r in range(2 * m.k + 2):
+        dense = [sum([1 << j for j, _ in row]) for row in mat_power(m, r).rows]
+        assert _power_pattern(m, r) == dense
 
 
 @given(small_matrices())

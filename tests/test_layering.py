@@ -153,3 +153,23 @@ def test_only_intmatrix_writes_a_matrix_dict():
     sample = "m.__dict__['_times'] = f\nm.__dict__.update(a=1)\nx = m.__dict__.get('a')"
     assert len(list(_scopes(ast.parse(sample), _writes_dict))) == 2
     assert {stem for stem, _ in _package_scopes(_writes_dict)} == {"intmatrix"}
+
+
+def _dense_power_or_column_route(node: ast.AST) -> bool:
+    """An `@`, a call of mat_power, or a call that passes hi_target=."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, ast.MatMult)
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name == "mat_power" or any(kw.arg == "hi_target" for kw in node.keywords)
+
+
+def test_dense_powers_and_the_column_route_stay_out_of_the_library():
+    # verify certifies the diagonal bound and the torus cap from their
+    # lemmas; mat_power is the dense reference the tests compare against,
+    # and hi_target serves the benchmark's column-route instance
+    sample = "def f(m):\n    return mat_power(m, 2) @ m, pf_enclosure(m, hi_target=9)"
+    assert list(_scopes(ast.parse(sample), _dense_power_or_column_route)) == ["f"] * 3
+    assert _package_scopes(_dense_power_or_column_route) == {("intmatrix", "mat_power")}

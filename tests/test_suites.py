@@ -94,6 +94,35 @@ def test_torus_family_suite_small():
     assert rep["n_lo"] == 5 and rep["n_hi"] == 12
 
 
+def test_diag_power_and_torus_family_certify_from_the_lemmas(monkeypatch):
+    # diag-power reads M^(2k) 1 and a bitset zero pattern, and the torus cap
+    # 9 comes from the contract's column sums: neither builds a dense power,
+    # a transpose or a hi_target enclosure
+    from dillab import intmatrix
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, "hi_target" in kwargs))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(intmatrix, "mat_power", spy("mat_power", intmatrix.mat_power))
+    monkeypatch.setattr(IntMatrix, "__matmul__", spy("@", IntMatrix.__matmul__))
+    monkeypatch.setattr(IntMatrix, "transpose", spy("transpose", IntMatrix.transpose))
+    pf_enclosure = spy("pf_enclosure", intmatrix.pf_enclosure)
+    for module in (intmatrix, suites):
+        monkeypatch.setattr(module, "pf_enclosure", pf_enclosure)
+    for i in range(20):
+        assert suites._diag_power_case(("diag-power", 7, i)) is None
+    assert calls == []
+    for n in (5, 40, 41, 80):
+        assert suites._torus_family_case((n,))[0] == []
+    assert calls == [("pf_enclosure", False)] * 3  # the direct route at n = 5, 40, 80
+
+
 def test_root_bound_suite_small():
     rep = run_suite("root-bound", seed=7, cases=12)
     assert rep["passed"] is True
