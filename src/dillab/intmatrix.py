@@ -15,7 +15,6 @@ did.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -624,7 +623,11 @@ def render_matrix_text(matrix: IntMatrix) -> str:
 def parse_matrix_json(obj) -> IntMatrix:
     """Accepts {"k": int, "rows": [[int, ...], ...]} or its JSON text."""
     if isinstance(obj, str):
+        import json  # imported here, so that `import dillab` does not load it
+
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError("matrix JSON must be an object with the fields 'k' and 'rows'")
     for field in ("k", "rows"):
         if field not in obj:
             raise ValueError(f"matrix JSON lacks the field {field!r}")
@@ -644,10 +647,10 @@ def render_matrix_json(matrix: IntMatrix) -> dict:
 
 
 def load_matrix(path: str) -> IntMatrix:
-    """Load either format; JSON is detected by a leading '{'."""
+    """Load either format; JSON is detected by a leading '{' or '['."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         return parse_matrix_json(stripped)
     return parse_matrix_text(text)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,8 +59,16 @@ def _frs(x: Fraction) -> str:
 
 # The one open pool and its worker count; None outside every shared_pool
 # block, where parallel_map runs in-process.
-_pool: ProcessPoolExecutor | None = None
+_pool = None
 _workers = 1
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The pool shared_pool opens. The process-pool stack is imported here,
+    not at module level, so a run that opens no pool never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 @contextmanager

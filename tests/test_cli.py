@@ -166,6 +166,18 @@ def test_bad_json_k_or_missing_field_exit_1(capsys, tmp_path):
         assert err.startswith(message), (text, err)
 
 
+def test_json_that_is_not_an_object_exit_1(capsys, tmp_path):
+    # a file holding [[1]] was once read as matrix text, and failed with
+    # "invalid literal for int()"
+    path = tmp_path / "bad.json"
+    for text in ("[[1]]", " \n[[0, 1], [1, 1]]\n", "[]", '[{"k": 1, "rows": [[1]]}]'):
+        path.write_text(text)
+        for argv in (["pf", str(path)], ["paths", str(path), "-i", "1", "-d", "5"], ["subdivide", str(path), "-i", "1"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", (text, argv)
+            assert err == "error: matrix JSON must be an object with the fields 'k' and 'rows'\n", (text, argv)
+
+
 def test_paths_negative_tol_is_usage_error(capsys, tmp_path):
     path = tmp_path / "ones.txt"
     path.write_text("2\n1 1\n1 1\n")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dillab.enclosures import log_enclosure
 from dillab.errors import DomainError, ValidationFailed
 from dillab.families import (
     TorusMatrixSpec,
@@ -39,12 +40,41 @@ def test_torus_matrix_band_structure():
         torus_matrix(4)
 
 
+def _torus_layout(n: int) -> bytearray:
+    """torus_matrix's docstring layout, written out as a dense row-major grid."""
+    k = 2 * n
+    dense = bytearray(k * k)
+
+    def put(r, terms):  # 1-based rows and columns, as in the docstring
+        for c, v in terms:
+            dense[(r - 1) * k + c - 1] = v
+
+    for j in range(1, n):
+        put(2 * j - 1, ((2 * j - 1, 1), (2 * j, 1), (2 * j + 2, 1)))
+        if j >= 2:
+            put(2 * j, ((2 * j - 3, 1), (2 * j - 2, 1), (2 * j - 1, 1), (2 * j, 3), (2 * j + 2, 1)))
+    put(2, ((1, 1), (2, 2), (4, 1), (k - 1, 1)))
+    put(k - 1, ((1, 1), (2, 2), (4, 1), (k - 1, 2), (k, 1)))
+    put(k, ((1, 1), (2, 2), (4, 1), (k - 3, 1), (k - 2, 1), (k - 1, 2), (k, 3)))
+    return dense
+
+
+def _dense(rows) -> bytearray:
+    k = len(rows)
+    dense = bytearray(k * k)
+    for r, row in enumerate(rows):
+        for c, v in row:
+            dense[r * k + c] = v
+    return dense
+
+
 def test_torus_rows_are_valid_sparse_rows():
     # torus_matrix builds its rows unchecked; the checked constructor must
-    # accept them unchanged
-    for n in [*range(5, 61), 200]:
+    # accept them unchanged, and they must spell out the documented layout
+    for n in range(5, 401):
         m = torus_matrix(n).matrix
         assert m == IntMatrix.from_sparse(m.rows)
+        assert _dense(m.rows) == _torus_layout(n), n
 
 
 def test_torus_bounds_contract():
@@ -57,6 +87,15 @@ def test_torus_bounds_contract():
         # log(9)/n < log(11)/n, both positive
         assert 0 < rep.sharper_log_bound < rep.log_dil_bound
         assert rep.log_dil_bound * n < Fraction(24, 10)
+
+
+def test_torus_log_bounds_are_the_enclosure_ends_over_n():
+    # log 11 and log 9 are enclosed once per process; the report still
+    # divides the same hi ends by n
+    for n in (5, 6, 40, 400):
+        rep = verify_torus_bounds(torus_matrix(n))
+        assert rep.log_dil_bound == log_enclosure(11).hi / n
+        assert rep.sharper_log_bound == log_enclosure(9).hi / n
 
 
 def test_torus_bounds_column_witness():

@@ -113,6 +113,13 @@ def test_parse_matrix_json_names_a_missing_field(obj, field):
         parse_matrix_json(obj)
 
 
+@pytest.mark.parametrize("obj", ["5", "null", '"krows"', "[[1]]", "[]", 5, None, [[1]]])
+def test_parse_matrix_json_refuses_a_top_level_that_is_not_an_object(obj):
+    # each once raised TypeError, from the field check or from indexing a str
+    with pytest.raises(ValueError, match="^matrix JSON must be an object with the fields 'k' and 'rows'$"):
+        parse_matrix_json(obj)
+
+
 @pytest.mark.parametrize("bad", [1.5, True, "3", 2.0, Fraction(1)])
 def test_non_int_entries_are_refused_not_coerced(bad):
     # int() would truncate 1.7 to 1 and read true as 1, certifying a

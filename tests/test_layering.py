@@ -3,6 +3,8 @@ and `dillab.cli` alone turns them into decimals, JSON fields and CSV rows.
 This parses every module of the package and pins that layering."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import dillab
@@ -173,3 +175,45 @@ def test_dense_powers_and_the_column_route_stay_out_of_the_library():
     sample = "def f(m):\n    return mat_power(m, 2) @ m, pf_enclosure(m, hi_target=9)"
     assert list(_scopes(ast.parse(sample), _dense_power_or_column_route)) == ["f"] * 3
     assert _package_scopes(_dense_power_or_column_route) == {("intmatrix", "mat_power")}
+
+
+POOL_PACKAGES = {"concurrent", "multiprocessing"}
+
+
+def _imports_pool_stack(node: ast.AST) -> bool:
+    """An import of concurrent or multiprocessing, or of anything under them."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return False
+    return any(name.split(".")[0] in POOL_PACKAGES for name in names)
+
+
+def test_the_pool_stack_is_imported_only_where_a_pool_opens():
+    # a scope of "" is module level, which runs on `import dillab`
+    sample = "import multiprocessing\ndef f():\n    from concurrent.futures import ProcessPoolExecutor"
+    assert list(_scopes(ast.parse(sample), _imports_pool_stack)) == ["", "f"]
+    assert _package_scopes(_imports_pool_stack) == {("suites", "ProcessPoolExecutor")}
+
+
+def _modules_after(code: str) -> set:
+    """The modules a fresh interpreter, started without site, holds after code.
+    A package is among them whenever any of its submodules is."""
+    script = f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n{code}\nprint(*sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_import_dillab_loads_neither_the_pool_stack_nor_json():
+    loaded = _modules_after("import dillab\ndillab.log_enclosure(3)")
+    assert "dillab.suites" in loaded
+    assert loaded.isdisjoint(POOL_PACKAGES | {"json"})
+
+
+def test_a_serial_verify_loads_no_pool_stack():
+    loaded = _modules_after('from dillab import cli\nassert cli.main(["verify", "--suite", "quartic-root", "--seed", "7"]) == 0')
+    assert "json" in loaded
+    assert loaded.isdisjoint(POOL_PACKAGES)
