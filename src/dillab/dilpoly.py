@@ -18,12 +18,18 @@ largest real root. What decides the half is a proof, never a sample:
   integer Horner, only on a tie; the m**(3/m) cell likewise comes from a
   float root proved in intervals (`enclosures.nth_root_enclosure`). Either
   way the sign, the cell and so every bracket are the exact route's.
+* `mu_compare` is a filtered exact predicate (Bronnimann, Burnikel and
+  Pion, Discrete Appl. Math. 109, 2001): exact Collatz-Wielandt bounds of
+  both matrices, stepped in lockstep (`intmatrix._cw_compare`), give the
+  sign once they separate. A pair they leave undecided goes on to the exact
+  oracle route, and so does every pair of equal radii, which alone can
+  compare 0.
 * The Sturm-chain machinery (`char_poly`, `count_real_roots_above`,
-  `isolate_largest_real_root`, `compare_largest_roots`) is the exact oracle
-  route, used to cross-check spectral enclosures and to decide mu(A) <= mu(B)
-  exactly. Its proofs are in integers: Faddeev-LeVerrier on the matrix's
-  sparse rows, and primitive integer Sturm chains of p and p', evaluated at
-  each probe's numerator and denominator. A comparison isolates each largest
+  `isolate_largest_real_root`, `compare_largest_roots`) is that exact
+  oracle route, also used to cross-check spectral enclosures. Its proofs
+  are in integers: Faddeev-LeVerrier on the matrix's sparse rows, and
+  primitive integer Sturm chains of p and p', evaluated at each probe's
+  numerator and denominator. A comparison isolates each largest
   root (one root per interval), then decides, then refines. Floats steer
   here too: a Newton root names each isolating cell and two Sturm counts
   prove it, or Sturm bisection isolates. `isolate_largest_real_root`, the
@@ -49,7 +55,7 @@ from .enclosures import (
     nth_root_enclosure,
 )
 from .errors import DomainError, NoSignChange
-from .intmatrix import IntMatrix
+from .intmatrix import IntMatrix, _cw_compare
 
 __all__ = [
     "IntPoly",
@@ -636,16 +642,23 @@ def compare_largest_roots(pa: IntPoly, pb: IntPoly, hi_a, hi_b) -> int:
 
 
 def mu_compare(a: IntMatrix, b: IntMatrix) -> int:
-    """Exact comparison of spectral radii of nonnegative matrices via their
-    characteristic polynomials: -1 if mu(a) < mu(b), 0 if equal, +1 if greater.
+    """Exact comparison of spectral radii of nonnegative matrices: -1 if
+    mu(a) < mu(b), 0 if equal, +1 if greater.
 
-    The Perron root is the largest real root of the characteristic
-    polynomial, and max row sum + 1 lies above every root's modulus. From
-    there compare_largest_roots' float Newton root names each cell, and two
-    Sturm counts per matrix prove it, so unequal radii are decided from the
-    two disjoint cells. A cell the counts refuse, as a float root of a
-    multiple Perron root may be too far off for, is bisected instead.
+    Collatz-Wielandt bounds decide first (intmatrix._cw_compare), with no
+    polynomial built. Equal radii never separate there, nor may a close
+    pair within the filter's step budget; those go on to the characteristic
+    polynomials. The Perron root is the largest real root of the
+    characteristic polynomial, and max row sum + 1 lies above every root's
+    modulus. From there compare_largest_roots' float Newton root names each
+    cell, and two Sturm counts per matrix prove it, so unequal radii are
+    decided from the two disjoint cells. A cell the counts refuse, as a
+    float root of a multiple Perron root may be too far off for, is
+    bisected instead.
     """
+    sign = _cw_compare(a, b)
+    if sign is not None:
+        return sign
     pa, pb = char_poly(a), char_poly(b)
     hi_a = max(a.row_sums()) + 1
     hi_b = max(b.row_sums()) + 1

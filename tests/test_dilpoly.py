@@ -28,7 +28,7 @@ from dillab.dilpoly import (
 )
 from dillab.errors import DomainError, NoSignChange
 from dillab.families import cover_upper_bound
-from dillab.intmatrix import IntMatrix
+from dillab.intmatrix import IntMatrix, _cw_compare
 
 
 def test_intpoly_basics():
@@ -564,6 +564,12 @@ def _nonnegative_matrices(draw):
     return rows
 
 
+def _exact_route(a: IntMatrix, b: IntMatrix) -> int:
+    """mu_compare's exact route alone, with no Collatz-Wielandt filter."""
+    hi_a, hi_b = max(a.row_sums()) + 1, max(b.row_sums()) + 1
+    return compare_largest_roots(char_poly(a), char_poly(b), hi_a, hi_b)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_nonnegative_matrices(), _nonnegative_matrices(), st.data())
 def test_steered_mu_compare_matches_bisection(rows, other, data):
@@ -572,18 +578,31 @@ def test_steered_mu_compare_matches_bisection(rows, other, data):
     perm = data.draw(st.permutations(range(k)))
     conj = IntMatrix.from_rows([[rows[perm[i]][perm[j]] for j in range(k)] for i in range(k)])
     assert _assert_routes_agree(lambda: mu_compare(a, conj)) == 0
-    assert _assert_routes_agree(lambda: mu_compare(a, b)) == -_assert_routes_agree(
-        lambda: mu_compare(b, a)
+    # the exact route alone: mu_compare's filter decides most unequal radii
+    assert _assert_routes_agree(lambda: _exact_route(a, b)) == -_assert_routes_agree(
+        lambda: _exact_route(b, a)
     )
 
 
+def _subdivision_pairs(monkeypatch, cases: int) -> list:
+    """The (sub, graph) pairs that the subdivision suite's first cases at
+    seed 7 pass to mu_compare: a random irreducible graph on 2..7 vertices
+    with a vertex spliced in, and its subdivision."""
+    pairs = []
+    with monkeypatch.context() as mp:
+        mp.setattr(suites, "mu_compare", lambda a, b: pairs.append((a, b)) or -1)
+        for idx in range(cases):
+            suites._subdivision_case(("subdivision", 7, idx))
+    return pairs
+
+
 def test_mu_compare_work_count_on_spliced_graphs(monkeypatch):
-    # the subdivision suite's first 36 cases: a random irreducible graph on
-    # 2..7 vertices with a vertex spliced in, and its subdivision, so the
-    # characteristic polynomials have degree 3..9. Each mu_compare decides
-    # from disjoint steered cells: two Sturm counts per polynomial, no gcd
-    # (about 26 Sturm counts and one gcd per call by bisection alone)
-    counter, poly_gcd, compare = dilpoly._sturm_counter, dilpoly._poly_gcd, dilpoly.mu_compare
+    # the characteristic polynomials have degree 3..9. The exact route
+    # decides each pair from disjoint steered cells: two Sturm counts per
+    # polynomial, no gcd (about 26 Sturm counts and one gcd per call by
+    # bisection alone)
+    pairs = _subdivision_pairs(monkeypatch, 36)
+    counter, poly_gcd = dilpoly._sturm_counter, dilpoly._poly_gcd
     evals, gcds, calls = [], [], []
 
     def counting_counter(p):
@@ -595,22 +614,67 @@ def test_mu_compare_work_count_on_spliced_graphs(monkeypatch):
 
         return counted
 
-    def counted_compare(a, b):
-        before = len(evals)
-        result = compare(a, b)
-        calls.append((a.k, b.k, result, len(evals) - before))
-        return result
-
     monkeypatch.setattr(dilpoly, "_sturm_counter", counting_counter)
     monkeypatch.setattr(dilpoly, "_poly_gcd", lambda a, b: gcds.append(1) or poly_gcd(a, b))
-    monkeypatch.setattr(suites, "mu_compare", counted_compare)
-    for idx in range(36):
-        suites._subdivision_case(("subdivision", 7, idx))
+    for sub, graph in pairs:
+        before = len(evals)
+        result = _exact_route(sub, graph)
+        calls.append((sub.k, graph.k, result, len(evals) - before))
     assert len(calls) == 36
     assert {k for a_k, b_k, _, _ in calls for k in (a_k, b_k)} == set(range(3, 10))
     assert [result for _, _, result, _ in calls] == [-1] * 36
     assert max(n for *_, n in calls) <= 4
     assert len(evals) == 4 * 36 and not gcds
+
+
+def test_mu_compare_filter_decides_spliced_graphs(monkeypatch):
+    # Collatz-Wielandt bounds separate every one of those 36 pairs, so
+    # mu_compare builds no characteristic polynomial
+    pairs = _subdivision_pairs(monkeypatch, 36)
+    built = []
+    monkeypatch.setattr(dilpoly, "char_poly", lambda m: built.append(m) or char_poly(m))
+    assert [mu_compare(sub, graph) for sub, graph in pairs] == [-1] * 36
+    assert not built
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nonnegative_matrices(), _nonnegative_matrices(), st.data())
+def test_mu_compare_filter_agrees_with_the_exact_route(rows, other, data):
+    # reducible, periodic and zero matrices: the filter needs no
+    # irreducibility, and equal radii never get a sign from it
+    k = len(rows)
+    a, b = IntMatrix.from_rows(rows), IntMatrix.from_rows(other)
+    exact = _exact_route(a, b)
+    assert mu_compare(a, b) == exact and mu_compare(b, a) == -exact
+    perm = data.draw(st.permutations(range(k)))
+    conj = IntMatrix.from_rows([[rows[perm[i]][perm[j]] for j in range(k)] for i in range(k)])
+    assert _cw_compare(a, conj) is None and _cw_compare(conj, a) is None
+
+
+def test_mu_compare_filter_with_a_zero_row():
+    # mu = 1, and the zero row pins the lower bound at 0: the filter can
+    # only prove this matrix the smaller one, in either order
+    lower = IntMatrix(((0, 0), (1, 1)))
+    fib = IntMatrix(((0, 1), (1, 1)))
+    assert _cw_compare(lower, fib) == -1 and _cw_compare(fib, lower) == 1
+    assert mu_compare(lower, fib) == -1 and mu_compare(fib, lower) == 1
+    assert _cw_compare(lower, IntMatrix(((1,),))) is None
+    assert mu_compare(lower, IntMatrix(((1,),))) == 0
+
+
+def test_mu_compare_filter_with_entries_past_the_repeat_cap():
+    # 2**1100 is multiplied in (the kernel's _REPEAT_MAX branch); mu is
+    # 2**1100 + sqrt(2) against 2**1100, separated at the first step, and
+    # 2**1100 + 1 twice, which only the exact route can call equal
+    big = 2**1100
+    a = IntMatrix(((big, 1), (2, big)))
+    diagonal = IntMatrix(((big, 0), (0, big)))
+    assert _cw_compare(a, diagonal) == 1 and _cw_compare(diagonal, a) == -1
+    assert mu_compare(a, diagonal) == 1 == _exact_route(a, diagonal)
+    twin = IntMatrix(((big, 1), (1, big)))
+    single = IntMatrix(((big + 1,),))
+    assert _cw_compare(twin, single) is None
+    assert mu_compare(twin, single) == 0 == _exact_route(twin, single)
 
 
 _small_dense_polys = st.lists(st.integers(-100, 100), min_size=1, max_size=9).map(

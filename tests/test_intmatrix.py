@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dillab.cli import main
 from dillab.dilpoly import IntPoly, char_poly, count_real_roots_above, isolate_largest_real_root
-from dillab.errors import NoDiagonalEntry, NotIrreducible
+from dillab.errors import DomainError, NoDiagonalEntry, NotIrreducible
 from dillab.families import torus_matrix
 from dillab.suites import random_irreducible_rows
 from dillab.intmatrix import (
@@ -230,6 +230,13 @@ def test_pf_enclosure_capped_iterations_still_sound():
     assert enc.lo ** 2 <= enc.lo + 1
     assert enc.hi ** 2 >= enc.hi + 1
     assert 1 <= enc.lo and enc.hi <= 2
+
+
+@pytest.mark.parametrize("max_iters", [2.5, True])
+def test_pf_enclosure_refuses_a_max_iters_that_is_not_int(max_iters):
+    # range() would raise a bare TypeError on 2.5, and run True as 1
+    with pytest.raises(DomainError, match="max_iters must be int"):
+        pf_enclosure(FIB, max_iters=max_iters)
 
 
 def _brackets_phi(enc):
