@@ -161,7 +161,8 @@ class IntMatrix:
 
     @cached_property
     def _times(self):
-        """The exact product v -> M v (_multiplier), built once per matrix."""
+        """The exact product v -> M v (_multiplier), built once per matrix
+        on the route _scaled_route picks from its rows."""
         return _multiplier(self.rows)
 
     def _counts(self, d: int) -> list[int]:
@@ -258,45 +259,70 @@ def mat_power(matrix: IntMatrix, r: int) -> IntMatrix:
     return result
 
 
-# An entry up to this is gathered as its column repeated that many times; a
-# larger one is multiplied in, so memory stays O(nnz) for entries like 2**1100.
+# An entry up to this may be gathered as its column repeated that many times;
+# a larger one puts its matrix on the scaled route, so memory stays O(nnz)
+# for entries like 2**1100.
 _REPEAT_MAX = 4
 
 
-def _gather(row):
-    """v -> a sequence holding v[j] m times for each pair (j, m) of row.
-    itemgetter of one index returns the bare item, so a row that names one
-    item or none reads a slice instead."""
-    if len(row) > 1 or row and row[0][1] > 1:
-        return itemgetter(*list(chain.from_iterable(starmap(repeat, row))))
-    return itemgetter(slice(row[0][0], row[0][0] + 1) if row else slice(0, 0))
+def _gather(indices: list):
+    """v -> a sequence holding v[i] for each i of indices. itemgetter of one
+    index returns the bare item, so one index or none reads a slice instead."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0, 0))
+
+
+def _scaled_route(rows) -> bool:
+    """Whether _multiplier takes the scaled route for these sparse rows,
+    by a count of the items one product gathers.
+
+    The repeat route gathers sum(m) items, m over the nonzero entries. The
+    scaled route gathers nnz, each entry once, and two more for each
+    distinct pair (j, m > 1): v[j] to scale, and m * v[j] into v's copy.
+    The pairs number at most P = min(#entries > 1, k * #distinct values
+    > 1), so scaling saves at least sum(m) - nnz - 2P items. It is taken
+    when that exceeds 2k: k for the copy of v, and k more for its set-up,
+    which small graphs (the oracle's 3..9 vertices) and the sparse torus
+    family would not earn back. An entry above _REPEAT_MAX always scales.
+    """
+    values = [m for row in rows for _, m in row]
+    if max(values, default=0) > _REPEAT_MAX:
+        return True
+    margin = sum(values) - len(values) - 2 * len(rows)
+    if margin <= 0:  # P >= 0: small and sparse graphs stop here
+        return False
+    distinct = set(values)
+    distinct.discard(1)
+    return margin > 2 * min(len(values) - values.count(1), len(rows) * len(distinct))
 
 
 def _multiplier(rows):
     """The exact product v -> M v for a matrix M given by its sparse rows,
     on a list of ints; an empty row gives 0.
 
-    Each row becomes one itemgetter over its columns, each column repeated
-    as often as its entry, so that sum(g(v)) computes the row's value in C.
-    Entries above _REPEAT_MAX are multiplied in with map(mul) instead. Ints
-    only: on floats x + x + x rounds differently from 3 * x.
+    Each row becomes one itemgetter, so that sum(g(v)) computes the row's
+    value in C, on one of two routes (_scaled_route chooses). The repeat
+    route gathers each column as often as its entry. The scaled route
+    computes m * v[j] once per product for each distinct pair (j, m > 1),
+    appends these values to v, and gathers every nonzero entry exactly once.
+    Ints only: on floats x + x + x rounds differently from 3 * x.
     """
-    scaled = []  # (row, gather, entries) of the entries above _REPEAT_MAX
-    if max(map(itemgetter(1), chain.from_iterable(rows)), default=0) > _REPEAT_MAX:
-        small = []
-        for i, row in enumerate(rows):
-            big = [(j, m) for j, m in row if m > _REPEAT_MAX]
-            if big:
-                scaled.append((i, _gather([(j, 1) for j, _ in big]), [m for _, m in big]))
-            small.append([(j, m) for j, m in row if m <= _REPEAT_MAX])
-        rows = small
-    gathers = [_gather(row) for row in rows]
+    if not _scaled_route(rows):
+        gathers = [_gather(list(chain.from_iterable(starmap(repeat, row)))) for row in rows]
+        return lambda v: [sum(g(v)) for g in gathers]
+    k = len(rows)
+    slot = {}  # (j, m) -> the index of m * v[j] in v's extended copy
+    gathers = [
+        _gather([p[0] if p[1] == 1 else slot.setdefault(p, k + len(slot)) for p in row])
+        for row in rows
+    ]
+    scale = _gather([j for j, _ in slot])
+    factors = [m for _, m in slot]
 
     def times(v: list) -> list:
-        w = [sum(g(v)) for g in gathers]
-        for i, g, entries in scaled:
-            w[i] += sum(map(mul, entries, g(v)))
-        return w
+        ext = v + list(map(mul, factors, scale(v)))
+        return [sum(g(ext)) for g in gathers]
 
     return times
 
@@ -551,8 +577,11 @@ def pf_enclosure(
     The iterate is carried as an integer vector (scaling cancels out of the
     quotients). Mv comes from the matrix's exact product IntMatrix._times
     (_multiplier, built once per matrix and shared with the path counts,
-    whose latest M^d 1 sits in its count slot), which sums each row in C;
-    the quotients are compared by exact cross-multiplication.
+    whose latest M^d 1 sits in its count slot), which sums each row in C:
+    where enough entries exceed 1 (_scaled_route), it gathers each nonzero
+    entry m once, from the values m v_j scaled once per product; elsewhere
+    it gathers column j m times. The quotients are compared by exact
+    cross-multiplication.
     When the entries outgrow a bit cap they are right-shifted by a common
     amount (floor). The shifted vector is still strictly positive, and the
     bounds are exact for whatever positive vector is current, so truncation

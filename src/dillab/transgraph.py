@@ -48,8 +48,9 @@ def to_matrix(graph: IntMatrix) -> IntMatrix:
 
 
 def _check_vertex(matrix: IntMatrix, i: int) -> None:
-    if not (1 <= i <= matrix.k):
-        raise VertexOutOfRange(f"vertex {i} outside 1..{matrix.k}")
+    # vertices and path lengths are of type int exactly: True is not vertex 1
+    if type(i) is not int or not 1 <= i <= matrix.k:
+        raise VertexOutOfRange(f"vertex {i!r} outside the int labels 1..{matrix.k}")
 
 
 def path_count(matrix: IntMatrix, i: int, d: int) -> int:
@@ -61,8 +62,8 @@ def path_count(matrix: IntMatrix, i: int, d: int) -> int:
     d one above the last costs one matrix-vector product.
     """
     _check_vertex(matrix, i)
-    if d < 0:
-        raise DomainError("path length must be >= 0")
+    if type(d) is not int or d < 0:
+        raise DomainError(f"path length must be an int >= 0, got {d!r}")
     return matrix._counts(d)[i - 1]
 
 
@@ -70,8 +71,8 @@ def path_count_series(matrix: IntMatrix, i: int, d_max: int) -> tuple[int, ...]:
     """path_count(matrix, i, d) for every d = 0..d_max, in one sweep that
     leaves M^d_max 1 in the matrix's count slot."""
     _check_vertex(matrix, i)
-    if d_max < 0:
-        raise DomainError("path length must be >= 0")
+    if type(d_max) is not int or d_max < 0:
+        raise DomainError(f"path length must be an int >= 0, got {d_max!r}")
     return tuple([matrix._counts(d)[i - 1] for d in range(d_max + 1)])
 
 
@@ -99,8 +100,8 @@ def _limit_checks(matrix: IntMatrix, vertices, d_max: int, tol, max_iters: int) 
     """dilatation_limit_check for each of the given vertices, from one
     path-count vector (M^d 1 holds P(i, d) for every i at once, and resumes
     from the matrix's count slot) and one spectral enclosure."""
-    if d_max < 1:
-        raise DomainError("d_max must be >= 1")
+    if type(d_max) is not int or d_max < 1:
+        raise DomainError(f"d_max must be an int >= 1, got {d_max!r}")
     tol = Fraction(tol)
     if tol < 0:
         raise DomainError("tol must be >= 0")

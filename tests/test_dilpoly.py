@@ -663,7 +663,7 @@ def test_mu_compare_filter_with_a_zero_row():
 
 
 def test_mu_compare_filter_with_entries_past_the_repeat_cap():
-    # 2**1100 is multiplied in (the kernel's _REPEAT_MAX branch); mu is
+    # 2**1100 is above _REPEAT_MAX, so the kernel takes its scaled route; mu is
     # 2**1100 + sqrt(2) against 2**1100, separated at the first step, and
     # 2**1100 + 1 twice, which only the exact route can call equal
     big = 2**1100

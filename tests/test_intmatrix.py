@@ -17,9 +17,11 @@ from dillab.families import torus_matrix
 from dillab.suites import random_irreducible_rows
 from dillab.intmatrix import (
     DiagonalBoundReport,
+    _REPEAT_MAX,
     IntMatrix,
     _multiplier,
     _power_pattern,
+    _scaled_route,
     _shifted_solve,
     _steer_at,
     is_irreducible,
@@ -542,6 +544,53 @@ def test_multiplier_is_the_matrix_vector_product(rv):
 def test_multiplier_multiplies_large_entries_in():
     # repeating column 0 10**18 times would never return
     assert _multiplier((((0, 10**18),),))([3]) == [3 * 10**18]
+
+
+@st.composite
+def dense_rows_and_vectors(draw):
+    """Rows dense enough for the scaled route: k up to 40, entries 1..3 at a
+    drawn density, and now and then an entry of 10**18 or more, with an int
+    vector to multiply."""
+    k = draw(st.integers(min_value=1, max_value=40))
+    fill = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    dense = [[rng.randint(1, 3) if rng.random() < fill else 0 for _ in range(k)] for _ in range(k)]
+    cell = st.integers(0, k - 1)
+    huge = st.integers(min_value=10**18, max_value=10**30) | st.just(2**1100)
+    for i, j, big in draw(st.lists(st.tuples(cell, cell, huge), max_size=3)):
+        dense[i][j] = big
+    v = [rng.randrange(2**rng.randrange(1, 200)) for _ in range(k)]
+    return IntMatrix(dense).rows, v
+
+
+@given(dense_rows_and_vectors())
+@settings(max_examples=100, deadline=None)
+def test_multiplier_on_both_routes_is_the_matrix_vector_product(rv):
+    rows, v = rv
+    assert _multiplier(rows)(v) == [sum(m * v[j] for j, m in row) for row in rows]
+
+
+def test_route_choice_pins():
+    # dense rows of small entries, and any entry above _REPEAT_MAX, scale
+    assert _scaled_route(_random_rows("pin:120", 120, 3).rows)
+    assert _scaled_route((((0, _REPEAT_MAX + 1),),))
+    assert _scaled_route(IntMatrix(((2**1100, 1), (2, 2**1100))).rows)
+    assert _scaled_route(_random_rows("pin:40", 40, 10**30, 0.1).rows)
+    torus = torus_matrix(60).matrix.rows
+    assert _scaled_route(((((0, _REPEAT_MAX + 1),) + torus[0][1:]),) + torus[1:])
+    # the sparse torus family and oracle-sized spliced graphs repeat
+    assert not _scaled_route(torus)
+    assert not _scaled_route(((), ()))
+    for k in range(3, 10):
+        rng = random.Random(f"pin:spliced:{k}")
+        grid = [row + [0] for row in random_irreducible_rows(rng, k - 1, 3)] + [[0] * k]
+        grid[0][k - 1] = grid[k - 1][k - 2] = 1
+        assert not _scaled_route(IntMatrix(grid).rows), k
+    # at the margin: an all-3 k x k matrix saves 2k^2 - 2k items (k pairs),
+    # more than the 2k of set-up from k = 3 on
+    assert not _scaled_route(IntMatrix([[3]]).rows)
+    assert not _scaled_route(IntMatrix([[3] * 2] * 2).rows)
+    assert _scaled_route(IntMatrix([[3] * 3] * 3).rows)
 
 
 def test_pickle_and_deepcopy_carry_only_the_rows():

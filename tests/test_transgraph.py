@@ -251,6 +251,51 @@ def test_subdivide_degree_precondition():
             subdivide_out_edge(FIB, vertex)
 
 
+# A vertex or a path length whose type is not int is refused, bools too:
+# 2.5 had raised a bare TypeError from range or list indexing, and True had
+# been read as vertex 1 (or length 1).
+_NOT_INT = (1.0, 2.5, True, False, "1", None)
+
+
+def test_path_count_refuses_non_int_arguments():
+    m = IntMatrix(((0, 1), (1, 1)))
+    for bad in _NOT_INT:
+        with pytest.raises(VertexOutOfRange, match="outside the int labels"):
+            path_count(m, bad, 3)
+        with pytest.raises(DomainError, match="path length must be an int"):
+            path_count(m, 1, bad)
+    assert "_count_slot" not in m.__dict__
+    assert path_count(m, 1, 3) == 3
+
+
+def test_path_count_series_refuses_non_int_arguments():
+    m = IntMatrix(((0, 1), (1, 1)))
+    for bad in _NOT_INT:
+        with pytest.raises(VertexOutOfRange, match="outside the int labels"):
+            path_count_series(m, bad, 3)
+        with pytest.raises(DomainError, match="path length must be an int"):
+            path_count_series(m, 1, bad)
+    assert "_count_slot" not in m.__dict__
+    assert path_count_series(m, 1, 3) == (1, 1, 2, 3)
+
+
+def test_dilatation_limit_check_refuses_non_int_arguments():
+    for bad in _NOT_INT:
+        with pytest.raises(VertexOutOfRange, match="outside the int labels"):
+            dilatation_limit_check(FIB, bad, 5, tol=1)
+        with pytest.raises(DomainError, match="d_max must be an int"):
+            dilatation_limit_check(FIB, 1, bad, tol=1)
+        with pytest.raises(DomainError, match="d_max must be an int"):
+            _limit_checks(FIB, (1, 2), bad, 1, 100)
+
+
+def test_subdivide_out_edge_refuses_non_int_vertex():
+    for bad in _NOT_INT:
+        with pytest.raises(VertexOutOfRange, match="outside the int labels"):
+            subdivide_out_edge(FIB, bad)
+    assert subdivide_out_edge(FIB, 1) == IntMatrix(((0, 0, 1), (1, 1, 0), (0, 1, 0)))
+
+
 def test_path_shift_law_exact_enumeration():
     # after subdividing vertex 1, paths from 1 in the new graph match paths
     # from 1 in the old graph at shift 1 only while they avoid re-entering
