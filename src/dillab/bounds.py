@@ -74,7 +74,7 @@ def thm34_lower(g: int, n: int, alpha: int) -> Fraction:
         raise DomainError("thm34_lower requires g >= 2")
     if n < 0:
         raise DomainError("thm34_lower requires n >= 0")
-    if not isinstance(alpha, int) or not 1 <= alpha <= theta(g):
+    if type(alpha) is not int or not 1 <= alpha <= theta(g):  # bool too
         raise AlphaOutOfRange(f"alpha must be an integer in [1, theta({g})]")
     branch1 = log_enclosure(2).scale(Fraction(1, alpha * (12 * g - 12)))
     x = 18 * g + 6 * n - 18
@@ -99,7 +99,7 @@ def omega_constants(g: int, alpha: int) -> OmegaConstants:
     """
     if g < 2:
         raise DomainError("omega_constants requires g >= 2")
-    if not isinstance(alpha, int) or alpha < 1:
+    if type(alpha) is not int or alpha < 1:  # bool too: True is not read as 1
         raise DomainError("alpha must be an integer >= 1")
     log2 = log_enclosure(2)
     log3 = log_enclosure(3)

@@ -29,12 +29,11 @@ largest real root. What decides the half is a proof, never a sample:
   oracle route, also used to cross-check spectral enclosures. Its proofs
   are in integers: Faddeev-LeVerrier on the matrix's sparse rows, and
   primitive integer Sturm chains of p and p', evaluated at each probe's
-  numerator and denominator. A comparison isolates each largest
-  root (one root per interval), then decides, then refines. Floats steer
-  here too: a Newton root names each isolating cell and two Sturm counts
-  prove it, or Sturm bisection isolates. `isolate_largest_real_root`, the
-  bracket for a polynomial that `largest_root` refuses, always bisects, so
-  every bracket it returns is a bisection cell.
+  numerator and denominator. No float enters this route: Sturm bisection
+  (`_isolate`) isolates each largest root (one root per interval), then a
+  comparison decides, then refines. `isolate_largest_real_root`, the
+  bracket for a polynomial that `largest_root` refuses, bisects the same
+  way, so every bracket it returns is a bisection cell.
 """
 
 from __future__ import annotations
@@ -75,14 +74,6 @@ __all__ = [
 
 DEFAULT_ROOT_REL_WIDTH = Fraction(1, 10**10)
 _ISOLATE_WIDTH = Fraction(1, 2**80)
-# the oracle's steered cell is r -+ 2**-_CELL_BITS * max(1, |r|) around a
-# float root r: about 4,096 ulps each side, so a root a few rounding errors
-# off still falls inside
-_CELL_BITS = 40
-# from the row-sum bound a simple Perron root takes about a dozen Newton
-# steps; a multiple root converges only linearly, and past this the steer
-# gives up
-_NEWTON_STEPS = 100
 # the finest cell a float root steers to: about 256 ulps, so that a float
 # root a few rounding errors off still falls in the cell it names
 _FLOAT_CELL = Fraction(1, 2**44)
@@ -530,10 +521,14 @@ def count_real_roots_above(p: IntPoly, a: Fraction) -> int:
 def _isolate(p: IntPoly, hi_bound: Fraction, roots_above):
     """The first bisection interval (lo, hi) of (-|hi_bound| - 1, hi_bound)
     holding the largest real root of p and no other root, bisected on p's
-    Sturm counter roots_above."""
-    if roots_above(hi_bound) != 0:
-        raise DomainError("hi_bound does not dominate all real roots")
+    Sturm counter roots_above. DomainError unless p vanishes at neither end,
+    has no root above hi_bound and has one above -|hi_bound| - 1."""
     lo, hi = -abs(hi_bound) - 1, hi_bound
+    for x, name in ((hi, "hi_bound"), (lo, "-|hi_bound| - 1")):
+        if p.sign_at(x) == 0:
+            raise DomainError(f"polynomial vanishes at {name}")
+    if roots_above(hi) != 0:
+        raise DomainError("hi_bound does not dominate all real roots")
     above_lo = roots_above(lo)
     if above_lo < 1:
         raise DomainError("polynomial has no real root in range")
@@ -545,7 +540,8 @@ def _isolate(p: IntPoly, hi_bound: Fraction, roots_above):
 
 def isolate_largest_real_root(p: IntPoly, hi_bound) -> RatInterval:
     """Isolating interval, no wider than _ISOLATE_WIDTH, for the largest real
-    root of any p with at least one real root and none above hi_bound.
+    root of any p with no real root at or above hi_bound and at least one
+    above -|hi_bound| - 1, where p must not vanish either (else DomainError).
 
     Bisection on the exact Sturm count of roots above the probe isolates the
     root first, then refines the interval.
@@ -557,75 +553,22 @@ def isolate_largest_real_root(p: IntPoly, hi_bound) -> RatInterval:
     return RatInterval(lo, hi)
 
 
-def _float_largest_root(p: IntPoly, start: Fraction) -> float | None:
-    """A float near the largest real root of p, by Newton's iteration from
-    start while it moves down, or None on overflow, a non-finite value or no
-    convergence.
-
-    Above the modulus of every root, as above a nonnegative matrix's row-sum
-    bound, each term of p'/p = sum 1/(x - root) has a positive real part, and
-    the Perron root mu's term is 1/(x - mu); so each step falls, by at most
-    x - mu, and the iterates fall to mu. It only steers: the caller proves."""
-    try:
-        coeffs = [float(c) for c in reversed(_dense(p))]
-        x = float(start)
-    except OverflowError:
-        return None
-    for _ in range(_NEWTON_STEPS):
-        value = slope = 0.0
-        for c in coeffs:
-            slope = slope * x + value
-            value = value * x + c
-        if not (math.isfinite(value) and math.isfinite(slope)) or slope == 0:
-            return None
-        step = value / slope
-        if not x - step < x:
-            return x
-        x -= step
-    return None
-
-
-def _isolating_cell(p: IntPoly, hi_bound):
-    """An interval (lo, hi) holding the largest real root of p and no other
-    root, and p's Sturm counter, on the terms of _isolate.
-
-    A float root r names the cell r -+ 2**-40 * max(1, |r|), and it is taken
-    when it lies strictly inside (-|hi_bound| - 1, hi_bound), p vanishes at
-    none of hi_bound, -|hi_bound| - 1 (the points _isolate refuses) and the
-    cell's ends, and the Sturm counter proves 0 roots above the cell's hi and
-    1 above its lo. Otherwise _isolate bisects, and refuses as it would have.
-    """
-    hi_bound = Fraction(hi_bound)
-    roots_above = _sturm_counter(p)
-    r = _float_largest_root(p, hi_bound)
-    if r is not None:
-        r, half = Fraction(r), Fraction(math.ldexp(max(1.0, abs(r)), -_CELL_BITS))
-        lo_bound, lo, hi = -abs(hi_bound) - 1, r - half, r + half
-        if (
-            lo_bound < lo
-            and hi < hi_bound
-            and all(p.sign_at(x) for x in (hi_bound, lo_bound, lo, hi))
-            and roots_above(hi) == 0
-            and roots_above(lo) == 1
-        ):
-            return lo, hi, roots_above
-    return (*_isolate(p, hi_bound, roots_above), roots_above)
-
-
 def compare_largest_roots(pa: IntPoly, pb: IntPoly, hi_a, hi_b) -> int:
     """Exact trichotomy for the largest real roots: -1, 0, or +1.
 
-    Isolate, then decide, then refine. Each largest root gets a cell that
-    holds it and no other root of its polynomial (_isolating_cell): the cell
-    a float root names, proved by two Sturm counts, or else the first cell of
-    bisection from (-|hi| - 1, hi), which also refuses what that bisection
-    refuses. Disjoint cells decide at once. For overlapping cells the roots
-    are equal exactly when gcd(pa, pb) has a root in the overlap, since a
-    common root there is both largest roots; otherwise both cells are
-    bisected until they separate.
+    Each of hi_a, hi_b is a bound on the terms of isolate_largest_real_root:
+    no real root of its polynomial at or above it, at least one above
+    -|bound| - 1, and neither point a root (else DomainError). Isolate, then
+    decide, then refine. Sturm bisection from (-|hi| - 1, hi) gives each
+    largest root the first cell that holds it and no other root of its
+    polynomial (_isolate). Disjoint cells decide at once. For overlapping
+    cells the roots are equal exactly when gcd(pa, pb) has a root in the
+    overlap, since a common root there is both largest roots; otherwise both
+    cells are bisected until they separate.
     """
-    a_lo, a_hi, above_a = _isolating_cell(pa, hi_a)
-    b_lo, b_hi, above_b = _isolating_cell(pb, hi_b)
+    above_a, above_b = _sturm_counter(pa), _sturm_counter(pb)
+    a_lo, a_hi = _isolate(pa, Fraction(hi_a), above_a)
+    b_lo, b_hi = _isolate(pb, Fraction(hi_b), above_b)
     if a_hi < b_lo or b_hi < a_lo:
         return -1 if a_hi < b_lo else 1
     above_g = _sturm_counter(_sparse(_poly_gcd(_dense(pa), _dense(pb))))
@@ -650,11 +593,9 @@ def mu_compare(a: IntMatrix, b: IntMatrix) -> int:
     pair within the filter's step budget; those go on to the characteristic
     polynomials. The Perron root is the largest real root of the
     characteristic polynomial, and max row sum + 1 lies above every root's
-    modulus. From there compare_largest_roots' float Newton root names each
-    cell, and two Sturm counts per matrix prove it, so unequal radii are
-    decided from the two disjoint cells. A cell the counts refuse, as a
-    float root of a multiple Perron root may be too far off for, is
-    bisected instead.
+    modulus, so it is a bound compare_largest_roots accepts. There Sturm
+    bisection isolates both Perron roots, and only the sign of the
+    comparison comes back.
     """
     sign = _cw_compare(a, b)
     if sign is not None:

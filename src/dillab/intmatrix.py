@@ -532,9 +532,9 @@ def _cw_advance(w: list, u: list) -> list:
 # The Collatz-Wielandt filter of mu_compare gives up after this many steps.
 # A step pair, two products and two quotient scans, costs about 9 us on the
 # oracle's 3..9-vertex graphs (2-vCPU host, Python 3.11): the whole budget
-# is a third of the exact route's 0.47 ms. 97% of spliced-graph pairs
-# separate within it, in 4..16 steps; equal radii never do, and pay it on
-# top of the exact route.
+# is an eighth of the exact route's 0.85-1.2 ms per unequal spliced pair.
+# 97% of spliced-graph pairs separate within it, in 4..16 steps; equal
+# radii never do, and pay it on top of the exact route.
 _FILTER_STEPS = 16
 
 

@@ -44,7 +44,7 @@ class HomologyClass:
     def __post_init__(self) -> None:
         if len(self.coords) == 0 or len(self.coords) % 2 != 0:
             raise ValueError("coordinates must have even positive length 2g")
-        if not all(isinstance(x, int) for x in self.coords):
+        if not all(type(x) is int for x in self.coords):  # bool too
             raise ValueError("coordinates must be integers")
         object.__setattr__(self, "coords", tuple(self.coords))
 
@@ -95,7 +95,7 @@ class SympAction:
         n = 2 * self.g
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValueError(f"matrix must be {n}x{n}")
-        if not all(isinstance(x, int) for row in self.matrix for x in row):
+        if not all(type(x) is int for row in self.matrix for x in row):  # bool too
             raise ValueError("matrix entries must be integers")
         object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
         g = self.g
@@ -179,7 +179,7 @@ def _check_twists(twists, g: int) -> None:
     for idx, (gamma, power) in enumerate(twists):
         if gamma.g != g:
             raise GenusMismatch(f"twist {idx}: class has genus {gamma.g}, expected {g}")
-        if not isinstance(power, int) or power == 0:
+        if type(power) is not int or power == 0:  # bool too: True is not read as 1
             raise DomainError(f"twist {idx}: power must be a nonzero integer")
         classes.append(gamma)
     for a in range(len(classes)):

@@ -60,6 +60,12 @@ def test_thm34_lower_validation():
         thm34_lower(2, 0, theta(2) + 1)
 
 
+def test_thm34_lower_refuses_a_bool_alpha():
+    assert thm34_lower(2, 40, 1) > 0
+    with pytest.raises(AlphaOutOfRange):
+        thm34_lower(2, 40, True)
+
+
 def test_omega_constants_g2():
     oc = omega_constants(2, 1)
     # omega' = 12 log3 / (3 log2) = 4 log3/log2 = 6.339...
@@ -79,6 +85,12 @@ def test_omega_full_alpha_is_48_theta():
     # at g = 2 the max term is 48 alpha exactly for every alpha
     oc = omega_constants(2, theta(2))
     assert oc.omega.lo == 48 * 51840 == 2488320
+
+
+def test_omega_constants_refuses_a_bool_alpha():
+    assert omega_constants(2, 1).alpha == 1
+    with pytest.raises(DomainError):
+        omega_constants(2, True)
 
 
 def test_kappa_upper_constant_small_range():

@@ -483,16 +483,12 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _assert_routes_agree(call):
-    """call() gives the same value, or raises the same exception, whether
-    the float steer names the oracle's cells or gives up, so that every cell
-    comes from bisection."""
-    steered = _outcome(call)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dilpoly, "_float_largest_root", lambda p, start: None)
-        bisected = _outcome(call)
-    assert steered == bisected
-    return steered
+def _in_range(roots: dict, hi: int) -> bool:
+    """Whether hi is a bound compare_largest_roots accepts for a polynomial
+    with these real roots: the largest lies in (-|hi| - 1, hi), and
+    -|hi| - 1 is no root."""
+    low = -abs(hi) - 1
+    return low < max(roots) < hi and low not in roots
 
 
 def _times_x2_plus_1(p: IntPoly, power: int) -> IntPoly:
@@ -520,32 +516,47 @@ _bounds = st.one_of(st.just(7), st.integers(-8, 8))
 @example(((1, {-5: 1}), 0), ((1, {2: 1}), 0), False, 2, 7)  # real roots only below it
 @example(((1, {2: 1}), 0), ((-1, {-4: 1}), 1), False, 7, 3)  # and for pb
 @example(((2, {2: 2, -1: 1}), 1), ((3, {2: 1}), 0), True, 7, 7)  # equal, one double
-def test_steered_compare_matches_bisection(fa, fb, share, hi_a, hi_b):
+def test_compare_decides_or_refuses_drawn_polynomials(fa, fb, share, hi_a, hi_b):
     # repeated roots, equal largest roots (share), complex pairs, negative
-    # leading coefficients, and the bounds the bisection route refuses
+    # leading coefficients, and the bounds the oracle refuses
     ((ca, ra), pair_a), ((cb, rb), pair_b) = fa, fb
     if share:
         top = max(ra)
         rb = {**rb, top: rb.get(top, 0) + 1}
     pa = _times_x2_plus_1(_from_roots(ca, ra), pair_a)
     pb = _times_x2_plus_1(_from_roots(cb, rb), pair_b)
-    got = _assert_routes_agree(lambda: compare_largest_roots(pa, pb, hi_a, hi_b))
-    if hi_a == hi_b == 7:
+    got = _outcome(lambda: compare_largest_roots(pa, pb, hi_a, hi_b))
+    if _in_range(ra, hi_a) and _in_range(rb, hi_b):
         diff = max(ra) - max(rb)
         assert got == (diff > 0) - (diff < 0)
+    else:
+        assert got[0] is DomainError, got
 
 
-def test_steered_cells_that_reach_past_a_bound_are_refused():
-    # the float cell holds the root but reaches past hi_bound (root 3 +
-    # 2^-41, hi_bound 3) or past -|hi_bound| - 1 (root -4 - 2^-41): the
-    # bisection route refuses both, and so must the steered one
+def test_compare_refuses_a_root_just_past_a_bound():
+    # a root just past hi_bound (root 3 + 2^-41, hi_bound 3) or just past
+    # -|hi_bound| - 1 (root -4 - 2^-41) is refused, in either argument
     near_hi = IntPoly.from_dict({1: 2**41, 0: -(3 * 2**41 + 1)})
     near_lo = IntPoly.from_dict({1: 2**41, 0: 4 * 2**41 + 1})
     two = IntPoly.from_dict({1: 1, 0: -2})
     for p in (near_hi, near_lo):
         for pair in ((p, two, 3, 7), (two, p, 7, 3)):
-            got = _assert_routes_agree(lambda: compare_largest_roots(*pair))
+            got = _outcome(lambda: compare_largest_roots(*pair))
             assert got[0] is DomainError, (p, got)
+
+
+def test_a_root_on_a_bound_is_refused_by_name():
+    # the Sturm count is undefined at a root, so a root on hi_bound (x - 2)
+    # or on -|hi_bound| - 1 (x + 3) is refused with the bound it sits on
+    sqrt3 = IntPoly.from_dict({2: 1, 0: -3})
+    for root, name in ((2, "at hi_bound"), (-3, r"at -\|hi_bound\| - 1")):
+        p = IntPoly.from_dict({1: 1, 0: -root})
+        with pytest.raises(DomainError, match=name):
+            isolate_largest_real_root(p, hi_bound=2)
+        with pytest.raises(DomainError, match=name):
+            compare_largest_roots(p, sqrt3, 2, 2)
+        with pytest.raises(DomainError, match=name):
+            compare_largest_roots(sqrt3, p, 2, 2)
 
 
 @st.composite
@@ -572,16 +583,14 @@ def _exact_route(a: IntMatrix, b: IntMatrix) -> int:
 
 @settings(max_examples=100, deadline=None)
 @given(_nonnegative_matrices(), _nonnegative_matrices(), st.data())
-def test_steered_mu_compare_matches_bisection(rows, other, data):
+def test_mu_compare_conjugates_equal_and_exact_route_antisymmetric(rows, other, data):
     k = len(rows)
     a, b = IntMatrix.from_rows(rows), IntMatrix.from_rows(other)
     perm = data.draw(st.permutations(range(k)))
     conj = IntMatrix.from_rows([[rows[perm[i]][perm[j]] for j in range(k)] for i in range(k)])
-    assert _assert_routes_agree(lambda: mu_compare(a, conj)) == 0
+    assert mu_compare(a, conj) == 0
     # the exact route alone: mu_compare's filter decides most unequal radii
-    assert _assert_routes_agree(lambda: _exact_route(a, b)) == -_assert_routes_agree(
-        lambda: _exact_route(b, a)
-    )
+    assert _exact_route(a, b) == -_exact_route(b, a)
 
 
 def _subdivision_pairs(monkeypatch, cases: int) -> list:
@@ -597,10 +606,10 @@ def _subdivision_pairs(monkeypatch, cases: int) -> list:
 
 
 def test_mu_compare_work_count_on_spliced_graphs(monkeypatch):
-    # the characteristic polynomials have degree 3..9. The exact route
-    # decides each pair from disjoint steered cells: two Sturm counts per
-    # polynomial, no gcd (about 26 Sturm counts and one gcd per call by
-    # bisection alone)
+    # the characteristic polynomials have degree 3..9. Sturm bisection
+    # isolates both Perron roots in overlapping cells, one gcd shows no
+    # common root there, and refinement separates them: 21..32 Sturm counts
+    # per call, the gcd's two included
     pairs = _subdivision_pairs(monkeypatch, 36)
     counter, poly_gcd = dilpoly._sturm_counter, dilpoly._poly_gcd
     evals, gcds, calls = [], [], []
@@ -623,8 +632,8 @@ def test_mu_compare_work_count_on_spliced_graphs(monkeypatch):
     assert len(calls) == 36
     assert {k for a_k, b_k, _, _ in calls for k in (a_k, b_k)} == set(range(3, 10))
     assert [result for _, _, result, _ in calls] == [-1] * 36
-    assert max(n for *_, n in calls) <= 4
-    assert len(evals) == 4 * 36 and not gcds
+    assert min(n for *_, n in calls) == 21 and max(n for *_, n in calls) == 32
+    assert len(evals) == 892 and len(gcds) == 36
 
 
 def test_mu_compare_filter_decides_spliced_graphs(monkeypatch):

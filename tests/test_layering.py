@@ -177,6 +177,23 @@ def test_dense_powers_and_the_column_route_stay_out_of_the_library():
     assert _package_scopes(_dense_power_or_column_route) == {("intmatrix", "mat_power")}
 
 
+def _makes_a_float(node: ast.AST) -> bool:
+    """A call of float() or a float literal."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+
+
+def test_the_exact_oracle_holds_no_float():
+    # in dilpoly only the float root that steers largest_root's bisection
+    # makes a float; char_poly, the Sturm counts and the oracle's isolation
+    # and comparison are integer arithmetic
+    sample = "def f(p):\n    return float(p) + 1.0, int(p) + 1"
+    assert list(_scopes(ast.parse(sample), _makes_a_float)) == ["f"] * 2
+    makers = {scope for stem, scope in _package_scopes(_makes_a_float) if stem == "dilpoly"}
+    assert makers == {"_float_root"}
+
+
 POOL_PACKAGES = {"concurrent", "multiprocessing"}
 
 

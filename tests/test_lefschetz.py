@@ -35,6 +35,12 @@ def test_homology_class_basics():
         HomologyClass.alpha(3, 2)
 
 
+def test_homology_class_refuses_bool_coordinates():
+    assert HomologyClass((1, 0)).coords == (1, 0)
+    with pytest.raises(ValueError):
+        HomologyClass((True, False))
+
+
 def test_symp_form_dual_basis():
     g = 3
     for i in range(1, g + 1):
@@ -61,6 +67,12 @@ def test_symp_action_certifies_itself():
     ident = SympAction.identity(2)
     assert ident.trace == 4
     assert ident.apply(HomologyClass((1, 2, 3, 4))).coords == (1, 2, 3, 4)
+
+
+def test_symp_action_refuses_bool_entries():
+    assert SympAction(1, ((1, 0), (0, 1))).trace == 2
+    with pytest.raises(ValueError):
+        SympAction(1, ((True, False), (False, True)))
 
 
 def test_transvection_hand_computed():
@@ -182,6 +194,13 @@ def test_multitwist_rejects_crossing_classes():
         multitwist_action([(HomologyClass.alpha(1, 1), 0)], 1)
     with pytest.raises(GenusMismatch):
         multitwist_action([(HomologyClass.alpha(1, 2), 1)], 1)
+
+
+def test_multitwist_refuses_a_bool_power():
+    alpha = HomologyClass.alpha(1, 1)
+    assert multitwist_action([(alpha, 1)], 1).matrix == transvection(alpha, 1).matrix
+    with pytest.raises(DomainError):
+        multitwist_action([(alpha, True)], 1)
 
 
 def test_local_index_battery():
