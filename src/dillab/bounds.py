@@ -76,10 +76,19 @@ def thm34_lower(g: int, n: int, alpha: int) -> Fraction:
         raise DomainError("thm34_lower requires n >= 0")
     if type(alpha) is not int or not 1 <= alpha <= theta(g):  # bool too
         raise AlphaOutOfRange(f"alpha must be an integer in [1, theta({g})]")
-    branch1 = log_enclosure(2).scale(Fraction(1, alpha * (12 * g - 12)))
+    return _thm34_lower(g, n, alpha, _branch1_lo(g, alpha))
+
+
+def _branch1_lo(g: int, alpha: int) -> Fraction:
+    """lo of thm34_lower's n-independent branch, log(2)/(alpha*(12g-12))."""
+    return log_enclosure(2).scale(Fraction(1, alpha * (12 * g - 12))).lo
+
+
+def _thm34_lower(g: int, n: int, alpha: int, branch1_lo: Fraction) -> Fraction:
+    """thm34_lower for valid arguments, given its first branch's lo."""
     x = 18 * g + 6 * n - 18
     branch2 = log_enclosure(x).scale(Fraction(1, 2 * alpha * x))
-    return min(branch1.lo, branch2.lo)
+    return min(branch1_lo, branch2.lo)
 
 
 @dataclass(frozen=True)
@@ -214,9 +223,10 @@ def sandwich_table(
     omega = omega_constants(g, alpha).omega
     kappa = kappa_upper_constant(g).kappa_prime if n_hi >= threshold else None
     cover = None  # (m, report) of the latest row: m never falls along the ascending ns
+    branch1_lo = _branch1_lo(g, alpha)  # thm34_lower's branch that n does not move
     rows = []
     for n in ns:
-        lower = thm34_lower(g, n, alpha)
+        lower = _thm34_lower(g, n, alpha, branch1_lo)
         logn = log_enclosure(n)
         if lower < logn.lo / (omega.hi * n):
             raise ValidationFailed(f"n={n}: lower bound fell below its omega calibration")

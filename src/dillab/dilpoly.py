@@ -233,29 +233,28 @@ def build_Tm(m: int) -> IntPoly:
     return build_T(m // 2, (m + 1) // 2)
 
 
-def _nonroot_point(p: IntPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
-    """A point strictly inside (lo, hi) where p does not vanish, with its sign."""
-    span = hi - lo
-    for num, den in ((1, 2), (3, 7), (5, 9), (4, 13), (9, 17), (11, 23), (13, 31)):
-        x = lo + span * Fraction(num, den)
-        s = p.sign_at(x)
-        if s != 0:
-            return x, s
-    raise NoSignChange("could not find a non-root sample point; interval saturated with roots")
-
-
 def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, roots_above):
     """One bisection step that keeps the largest real root of p in (lo, hi).
 
-    Probes at a point where p does not vanish and returns (lo, hi, n): the
-    half holding the largest root, and the number n of distinct roots above
-    the probe, which is the new lo when n > 0. roots_above(x) counts them
-    exactly; when it is None, p must have exactly one root above lo, a simple
+    Probes at the first of a fixed sequence of points inside (lo, hi) where
+    p does not vanish and returns (lo, hi, n): the half holding the largest
+    root, and the number n of distinct roots above the probe, which is the
+    new lo when n > 0. roots_above(x) counts them exactly, and is None where
+    p(x) = 0 (_sturm_counter), so p's sign comes with the count; when
+    roots_above is None, p must have exactly one root above lo, a simple
     one, so that p < 0 at the probe exactly when the root lies above it.
     """
-    mid, s = _nonroot_point(p, lo, hi)
-    n = int(s < 0) if roots_above is None else roots_above(mid)
-    return (mid, hi, n) if n else (lo, mid, n)
+    span = hi - lo
+    for num, den in ((1, 2), (3, 7), (5, 9), (4, 13), (9, 17), (11, 23), (13, 31)):
+        mid = lo + span * Fraction(num, den)
+        if roots_above is None:
+            s = p.sign_at(mid)
+            n = None if s == 0 else int(s < 0)
+        else:
+            n = roots_above(mid)
+        if n is not None:
+            return (mid, hi, n) if n else (lo, mid, n)
+    raise NoSignChange("could not find a non-root sample point; interval saturated with roots")
 
 
 def _float_root(p: IntPoly, search_hi: Fraction) -> float | None:
@@ -493,18 +492,20 @@ def _sign_changes(values: list[int]) -> int:
 
 
 def _sturm_counter(p: IntPoly):
-    """Counter of the distinct real roots of p above a rational a with
-    p(a) != 0. The Sturm chain of p, p' is built once, here, and compared
-    against the signs at +infinity (leading coefficients). Its members share
-    the factor gcd(p, p'), nonzero wherever p is, so it changes no count."""
+    """Counter of the distinct real roots of p above a rational a, or None
+    where p(a) = 0. The Sturm chain of p, p' is built once, here, and
+    compared against the signs at +infinity (leading coefficients). Its
+    members share the factor gcd(p, p'), nonzero wherever p is, so it
+    changes no count. p is the chain's first member, so its value at a
+    tells the root apart with no evaluation of its own."""
     chain = _sturm_chain(p)
     at_inf = _sign_changes([q.leading_coefficient for q in chain])
 
-    def roots_above(a: Fraction) -> int:
+    def roots_above(a: Fraction) -> int | None:
         n, q = a.as_integer_ratio()
         values = [member._homogenised(n, q) for member in chain]
         if not values or values[0] == 0:
-            raise ValueError("count_real_roots_above requires p(a) != 0")
+            return None
         return _sign_changes(values) - at_inf
 
     return roots_above
@@ -513,9 +514,12 @@ def _sturm_counter(p: IntPoly):
 def count_real_roots_above(p: IntPoly, a: Fraction) -> int:
     """Number of distinct real roots of p strictly above the rational a.
 
-    Requires p(a) != 0. Sturm chain of p and p'.
+    Requires p(a) != 0 (else ValueError). Sturm chain of p and p'.
     """
-    return _sturm_counter(p)(Fraction(a))
+    n = _sturm_counter(p)(Fraction(a))
+    if n is None:
+        raise ValueError("count_real_roots_above requires p(a) != 0")
+    return n
 
 
 def _isolate(p: IntPoly, hi_bound: Fraction, roots_above):
@@ -524,12 +528,12 @@ def _isolate(p: IntPoly, hi_bound: Fraction, roots_above):
     Sturm counter roots_above. DomainError unless p vanishes at neither end,
     has no root above hi_bound and has one above -|hi_bound| - 1."""
     lo, hi = -abs(hi_bound) - 1, hi_bound
-    for x, name in ((hi, "hi_bound"), (lo, "-|hi_bound| - 1")):
-        if p.sign_at(x) == 0:
+    above_hi, above_lo = roots_above(hi), roots_above(lo)
+    for n, name in ((above_hi, "hi_bound"), (above_lo, "-|hi_bound| - 1")):
+        if n is None:
             raise DomainError(f"polynomial vanishes at {name}")
-    if roots_above(hi) != 0:
+    if above_hi != 0:
         raise DomainError("hi_bound does not dominate all real roots")
-    above_lo = roots_above(lo)
     if above_lo < 1:
         raise DomainError("polynomial has no real root in range")
     while above_lo != 1:

@@ -499,18 +499,19 @@ def _steer(rows, u: list[int], hi: Fraction) -> list[int] | None:
     return [max(1, int(v * _STEER_SCALE)) for v in best]
 
 
-def _cw_bounds(w: list, u: list) -> tuple[int, int, int, int]:
-    """(lo_n, lo_d, hi_n, hi_d): the least and the greatest quotient
-    w_i / u_i, for u > 0, compared by exact cross-multiplication; a tie
-    keeps the first."""
-    pairs = zip(w, u)
-    lo_n, lo_d = hi_n, hi_d = next(pairs)
-    for wn, ud in pairs:
+def _cw_bounds(w: list, u: list) -> tuple[int, int, int, int, int, int]:
+    """(lo_n, lo_d, hi_n, hi_d, lo_at, hi_at): the least and the greatest
+    quotient w_i / u_i, for u > 0, compared by exact cross-multiplication,
+    and the positions they sit at; a tie keeps the first."""
+    lo_n, lo_d = hi_n, hi_d = w[0], u[0]
+    lo_at = hi_at = 0
+    for i in range(1, len(w)):
+        wn, ud = w[i], u[i]
         if wn * lo_d < lo_n * ud:
-            lo_n, lo_d = wn, ud
+            lo_n, lo_d, lo_at = wn, ud, i
         if wn * hi_d > hi_n * ud:
-            hi_n, hi_d = wn, ud
-    return lo_n, lo_d, hi_n, hi_d
+            hi_n, hi_d, hi_at = wn, ud, i
+    return lo_n, lo_d, hi_n, hi_d, lo_at, hi_at
 
 
 def _cw_advance(w: list, u: list) -> list:
@@ -550,14 +551,26 @@ def _cw_compare(a: IntMatrix, b: IntMatrix) -> int | None:
     u, v = [1] * a.k, [1] * b.k
     for _ in range(_FILTER_STEPS):
         wa, wb = times_a(u), times_b(v)
-        a_lo_n, a_lo_d, a_hi_n, a_hi_d = _cw_bounds(wa, u)
-        b_lo_n, b_lo_d, b_hi_n, b_hi_d = _cw_bounds(wb, v)
+        a_lo_n, a_lo_d, a_hi_n, a_hi_d, _, _ = _cw_bounds(wa, u)
+        b_lo_n, b_lo_d, b_hi_n, b_hi_d, _, _ = _cw_bounds(wb, v)
         if a_hi_n * b_lo_d < b_lo_n * a_hi_d:
             return -1
         if b_hi_n * a_lo_d < a_lo_n * b_hi_d:
             return 1
         u, v = _cw_advance(wa, u), _cw_advance(wb, v)
     return None
+
+
+def _finite_fraction(name: str, x) -> Fraction:
+    """x as an exact Fraction. DomainError for None, a bool, a str (neither
+    is read as a number) and anything Fraction refuses: NaN, an infinity or
+    a non-number."""
+    if x is None or isinstance(x, (bool, str)):
+        raise DomainError(f"{name} must be a finite number, got {type(x).__name__}")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a finite number, got {x!r}") from None
 
 
 def pf_enclosure(
@@ -582,6 +595,16 @@ def pf_enclosure(
     entry m once, from the values m v_j scaled once per product; elsewhere
     it gathers column j m times. The quotients are compared by exact
     cross-multiplication.
+    Only the full quotient scan (_cw_bounds) can stop the loop, so it runs
+    behind a filter (a filtered exact predicate: Bronnimann, Burnikel and
+    Pion, Discrete Appl. Math. 109, 2001). The loop keeps the positions of
+    the last scan's least and greatest quotient; when the two quotients now
+    at those positions differ by more than rel_width times the lesser, so
+    do hi and lo, and the iteration cannot stop. Four exact products prove
+    this in either order of the two. The scan runs where they do not, at
+    the steer, on the last iteration max_iters allows, and on every
+    iteration when hi_target is given, so every stop, steer and bound is
+    the one a scan on every iteration gives.
     When the entries outgrow a bit cap they are right-shifted by a common
     amount (floor). The shifted vector is still strictly positive, and the
     bounds are exact for whatever positive vector is current, so truncation
@@ -589,7 +612,8 @@ def pf_enclosure(
     (hi - lo)/lo <= rel_width or after max_iters; either way the returned
     enclosure is valid, the caller inspects the width. rel_width <= 0 or
     max_iters < 1 raises DomainError: the first never stops, the second
-    certifies nothing.
+    certifies nothing. rel_width and hi_target are read exactly; a bool, a
+    str, NaN, an infinity or a None rel_width raises DomainError too.
 
     Power iteration converges slowly when the subdominant eigenvalues crowd
     the Perron root (the torus family's close in like 1/n^2). So if the loop
@@ -609,7 +633,9 @@ def pf_enclosure(
     and a tight enclosure would be wasted work. No library caller passes it;
     it is kept for the benchmark's column-route instance (perfbench).
     """
-    rel_width = Fraction(rel_width)
+    rel_width = _finite_fraction("rel_width", rel_width)
+    if hi_target is not None:
+        hi_target = _finite_fraction("hi_target", hi_target)
     if type(max_iters) is not int:  # bool too: True is not read as 1
         raise DomainError(f"max_iters must be int, got {type(max_iters).__name__}")
     if rel_width <= 0 or max_iters < 1:
@@ -620,6 +646,8 @@ def pf_enclosure(
     times = matrix._times
     u = [1] * matrix.k
     lo_n = lo_d = hi_n = hi_d = 1
+    lo_at = hi_at = 0  # where the last scan found its least and greatest quotient
+    rel_n, rel_d = rel_width.numerator, rel_width.denominator
     iterations = 0
     stop = "max_iters"
     steered = False
@@ -627,11 +655,24 @@ def pf_enclosure(
     steer_tol = _STEER_TOL.as_integer_ratio()
     for iterations in range(1, max_iters + 1):
         w = times(u)
-        lo_n, lo_d, hi_n, hi_d = _cw_bounds(w, u)
-        # (hi - lo) <= rel_width * lo, cross-multiplied
-        if (hi_n * lo_d - lo_n * hi_d) * rel_width.denominator <= (
-            rel_width.numerator * lo_n * hi_d
+        # the quotients now at lo_at and hi_at over a common denominator
+        # u[lo_at] * u[hi_at]: big is the greater numerator, small the lesser
+        big, small = w[lo_at] * u[hi_at], w[hi_at] * u[lo_at]
+        if big < small:
+            big, small = small, big
+        # when they differ by more than rel_width * the lesser, so do hi and
+        # lo, and nothing but a steer, the cap or hi_target needs the scan
+        if (
+            (big - small) * rel_d > rel_n * small
+            and iterations != steer_at
+            and iterations != max_iters
+            and hi_target is None
         ):
+            u = _cw_advance(w, u)
+            continue
+        lo_n, lo_d, hi_n, hi_d, lo_at, hi_at = _cw_bounds(w, u)
+        # (hi - lo) <= rel_width * lo, cross-multiplied
+        if (hi_n * lo_d - lo_n * hi_d) * rel_d <= rel_n * lo_n * hi_d:
             stop = "converged"
             break
         if hi_target is not None and hi_n * hi_target.denominator <= hi_target.numerator * hi_d:

@@ -216,6 +216,20 @@ def test_sandwich_table_isolates_each_index_once(monkeypatch, sample):
         assert row.lower == thm34_lower(2, row.n, theta(2))
 
 
+def test_sandwich_table_takes_the_log_2_branch_once(monkeypatch):
+    # thm34_lower's branch log 2 / (alpha (12g - 12)) does not depend on n:
+    # the log 2 enclosures a table asks for do not grow with its rows
+    asked = []
+    monkeypatch.setattr(bounds, "log_enclosure", lambda x: asked.append(x) or log_enclosure(x))
+    counts = []
+    for n_hi in (40, 400):
+        asked.clear()
+        rep = sandwich_table(2, 31, n_hi)
+        counts.append(asked.count(2))
+        assert [row.lower for row in rep.rows] == [thm34_lower(2, n, theta(2)) for n in range(31, n_hi + 1)]
+    assert counts[0] == counts[1] <= 2
+
+
 def test_sandwich_table_validation():
     with pytest.raises(DomainError):
         sandwich_table(1, 31, 40)

@@ -636,6 +636,37 @@ def test_mu_compare_work_count_on_spliced_graphs(monkeypatch):
     assert len(evals) == 892 and len(gcds) == 36
 
 
+def test_the_sturm_route_reads_p_sign_from_its_chain(monkeypatch):
+    # p is the Sturm chain's first member, so neither a probe nor a bound
+    # evaluates p on its own: equal radii, which only the exact route
+    # decides, make no sign_at call
+    pairs = _subdivision_pairs(monkeypatch, 6)
+    signs = []
+    sign_at = IntPoly.sign_at
+    monkeypatch.setattr(IntPoly, "sign_at", lambda p, x: signs.append(x) or sign_at(p, x))
+    for sub, graph in pairs:
+        for g in (sub, graph):
+            rows = g.entries
+            back = range(g.k - 1, -1, -1)
+            conj = IntMatrix.from_rows([[rows[i][j] for j in back] for i in back])
+            assert mu_compare(g, conj) == 0
+    assert signs == []
+
+
+def test_a_probe_on_a_root_moves_to_the_next_point(monkeypatch):
+    # (2x + 1)(x - 2) vanishes at -1/2, the midpoint of (-4, 3): the Sturm
+    # count there is None, and the probe moves on to -4 + 7 * 3/7 = -1
+    p = IntPoly.from_dict({2: 2, 1: -3, 0: -2})
+    counter = dilpoly._sturm_counter(p)
+    probes = []
+    assert counter(Fraction(-1, 2)) is None
+    with pytest.raises(ValueError, match="requires p"):
+        count_real_roots_above(p, Fraction(-1, 2))
+    counted = lambda a: probes.append(a) or counter(a)
+    assert dilpoly._isolate(p, Fraction(3), counted) == (1, 3)
+    assert probes == [3, -4, Fraction(-1, 2), -1, 1]
+
+
 def test_mu_compare_filter_decides_spliced_graphs(monkeypatch):
     # Collatz-Wielandt bounds separate every one of those 36 pairs, so
     # mu_compare builds no characteristic polynomial

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dillab import intmatrix
 from dillab.cli import main
 from dillab.dilpoly import IntPoly, char_poly, count_real_roots_above, isolate_largest_real_root
 from dillab.errors import DomainError, NoDiagonalEntry, NotIrreducible
@@ -239,6 +240,46 @@ def test_pf_enclosure_refuses_a_max_iters_that_is_not_int(max_iters):
     # range() would raise a bare TypeError on 2.5, and run True as 1
     with pytest.raises(DomainError, match="max_iters must be int"):
         pf_enclosure(FIB, max_iters=max_iters)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"rel_width": True}, "rel_width"),
+        ({"rel_width": "1/10"}, "rel_width"),
+        ({"rel_width": None}, "rel_width"),
+        ({"rel_width": math.nan}, "rel_width"),
+        ({"rel_width": math.inf}, "rel_width"),
+        ({"hi_target": True}, "hi_target"),
+        ({"hi_target": "9"}, "hi_target"),
+        ({"hi_target": math.nan}, "hi_target"),
+        ({"hi_target": -math.inf}, "hi_target"),
+    ],
+    ids=[
+        "rel_width-bool",
+        "rel_width-str",
+        "rel_width-None",
+        "rel_width-nan",
+        "rel_width-inf",
+        "hi_target-bool",
+        "hi_target-str",
+        "hi_target-nan",
+        "hi_target-inf",
+    ],
+)
+def test_pf_enclosure_refuses_a_width_or_target_that_is_not_a_finite_number(kwargs, name):
+    # True had run as 1, "1/10" had been parsed, and NaN, an infinity or
+    # None had raised ValueError, OverflowError or TypeError
+    with pytest.raises(DomainError, match=f"{name} must be a finite number"):
+        pf_enclosure(FIB, **kwargs)
+
+
+def test_pf_enclosure_takes_an_int_fraction_or_finite_float():
+    assert pf_enclosure(FIB, rel_width=1e-9) == pf_enclosure(FIB, rel_width=Fraction(1e-9))
+    assert pf_enclosure(FIB, rel_width=1) == pf_enclosure(FIB, rel_width=Fraction(1))
+    # a float target had raised a bare AttributeError
+    assert pf_enclosure(FIB, hi_target=9.0) == pf_enclosure(FIB, hi_target=Fraction(9))
+    assert pf_enclosure(FIB, hi_target=9) == pf_enclosure(FIB, hi_target=Fraction(9))
 
 
 def _brackets_phi(enc):
@@ -684,3 +725,114 @@ def _random_rows(seed: str, k: int, entry_max: int, extra_prob: float = 0.25) ->
 )
 def test_pf_enclosure_bytes_pinned(run, pin):
     assert _pin(run()) == pin
+
+
+def _scan_every_iteration(matrix, rel_width, max_iters, hi_target):
+    """pf_enclosure's loop as it reads with a full quotient scan on every
+    iteration: the reference that the two-position test must not move."""
+    times, sparse = matrix._times, matrix.rows
+    u = [1] * matrix.k
+    stop, steered, steer_at = "max_iters", False, None
+    tol_n, tol_d = intmatrix._STEER_TOL.as_integer_ratio()
+    for iterations in range(1, max_iters + 1):
+        w = times(u)
+        lo_n, lo_d, hi_n, hi_d, _, _ = intmatrix._cw_bounds(w, u)
+        lo, hi = Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
+        if hi - lo <= rel_width * lo:
+            stop = "converged"
+            break
+        if hi_target is not None and hi <= hi_target:
+            stop = "hi_target"
+            break
+        if steer_at is None:
+            steer_at = _steer_at(sparse)
+        if iterations == steer_at and iterations < max_iters:
+            steer_at *= 2
+            if not steered or (hi - lo) * tol_d > tol_n * lo:
+                guess = intmatrix._steer(sparse, u, hi)
+                if guess is not None:
+                    u, steered = guess, True
+                    continue
+        u = intmatrix._cw_advance(w, u)
+    return lo, hi, iterations, stop, steered
+
+
+@st.composite
+def filter_cases(draw):
+    """Irreducible k x k matrices, k = 1..12: a weighted k-cycle with chords
+    i -> j only where j - i - 1 is a multiple of a period p dividing k, so
+    p > 1 keeps the matrix periodic. Entries up to 2**70."""
+    k = draw(st.integers(min_value=1, max_value=12))
+    entry = st.one_of(st.integers(min_value=1, max_value=3), st.integers(min_value=4, max_value=2**70))
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        rows[i][(i + 1) % k] = draw(entry)
+    period = draw(st.sampled_from([p for p in range(1, k + 1) if k % p == 0]))
+    for _ in range(draw(st.integers(min_value=0, max_value=2 * k))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if (j - i - 1) % period == 0:
+            rows[i][j] = draw(entry)
+    rel_width = draw(
+        st.one_of(
+            st.sampled_from([Fraction(1, 2), Fraction(1, 10**9), Fraction(1, 10**30)]),
+            st.integers(min_value=1, max_value=99).map(lambda e: Fraction(1, 2**e)),
+        )
+    )
+    max_iters = draw(st.one_of(st.integers(1, 5), st.integers(6, 120)))
+    hi_target = draw(
+        st.one_of(
+            st.none(),
+            st.builds(Fraction, st.integers(1, 2**74), st.integers(1, 2**4)),
+        )
+    )
+    return IntMatrix.from_rows(rows), rel_width, max_iters, hi_target
+
+
+@given(filter_cases())
+@example((IntMatrix(((0, 1, 0), (0, 0, 1), (1, 0, 0))), Fraction(1, 10**30), 5, None))
+@example((IntMatrix(((0, 2**70), (1, 0))), Fraction(1, 2), 120, None))
+@example((FIB, Fraction(1, 10**30), 40, None))  # steers after iteration 11
+@settings(max_examples=150, deadline=None)
+def test_pf_enclosure_matches_a_scan_on_every_iteration(case):
+    matrix, rel_width, max_iters, hi_target = case
+    enc = pf_enclosure(matrix, rel_width=rel_width, max_iters=max_iters, hi_target=hi_target)
+    got = (enc.lo, enc.hi, enc.iterations, enc.stop, enc.steered)
+    assert got == _scan_every_iteration(matrix, rel_width, max_iters, hi_target)
+
+
+# The full scan runs where the two-position test cannot rule the stop out,
+# at the steer and at the cap: a few times per enclosure, where the loop
+# once scanned on every iteration.
+@pytest.mark.parametrize(
+    "run, scans, iterations",
+    [
+        (lambda: pf_enclosure(_random_rows("pin:120", 120, 3)), 3, 13),
+        (
+            lambda: pf_enclosure(_random_rows("pin:120", 120, 3), rel_width=Fraction(1, 10**30)),
+            3,
+            42,
+        ),
+        (
+            lambda: pf_enclosure(torus_matrix(60).matrix, rel_width=Fraction(1, 10**9)),
+            3,
+            27,
+        ),
+        (
+            lambda: pf_enclosure(torus_matrix(320).matrix, rel_width=Fraction(1, 10**9)),
+            5,
+            53,
+        ),
+        (
+            lambda: pf_enclosure(torus_matrix(60).matrix, rel_width=Fraction(1, 10**20)),
+            14,
+            5246,
+        ),
+    ],
+    ids=["random120", "random120-1e-30", "torus60-1e-9", "torus320-1e-9", "torus60-1e-20"],
+)
+def test_pf_enclosure_scans_only_where_it_can_stop(monkeypatch, run, scans, iterations):
+    calls = []
+    cw_bounds = intmatrix._cw_bounds
+    monkeypatch.setattr(intmatrix, "_cw_bounds", lambda w, u: calls.append(1) or cw_bounds(w, u))
+    assert run().iterations == iterations
+    assert len(calls) <= scans
