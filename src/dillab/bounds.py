@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enclosures import RatInterval, log_enclosure, nth_root_enclosure
+from .enclosures import RatInterval, _log_end, log_enclosure, nth_root_enclosure
 from .errors import AlphaOutOfRange, DomainError, ValidationFailed
 from .families import cover_index, cover_threshold, cover_upper_bound
 
@@ -87,8 +87,7 @@ def _branch1_lo(g: int, alpha: int) -> Fraction:
 def _thm34_lower(g: int, n: int, alpha: int, branch1_lo: Fraction) -> Fraction:
     """thm34_lower for valid arguments, given its first branch's lo."""
     x = 18 * g + 6 * n - 18
-    branch2 = log_enclosure(x).scale(Fraction(1, 2 * alpha * x))
-    return min(branch1_lo, branch2.lo)
+    return min(branch1_lo, _log_end(x, 1, False) / (2 * alpha * x))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from math import gcd
 from .enclosures import (
     DYADIC_ONE,
     RatInterval,
+    _finite_fraction,
     dyadic_enclosure,
     dyadic_mul,
     dyadic_pow,
@@ -156,7 +157,12 @@ class IntPoly:
         sum excludes 0. Otherwise, a tie included, it is the sign of the
         integer _homogenised. Low-degree probes, such as the oracle's Sturm
         bisection on characteristic polynomials, stay exact."""
-        n, q = Fraction(x).as_integer_ratio()
+        if type(x) is not Fraction and type(x) is not int:
+            x = Fraction(x)
+        return self._sign(*x.as_integer_ratio())
+
+    def _sign(self, n: int, q: int) -> int:
+        """sign_at(n / q) for integers n and q > 0, not necessarily coprime."""
         if n > 0 and self.degree > _INTERVAL_DEGREE:
             sign = self._interval_sign(n, q)
             if sign is not None:
@@ -210,8 +216,8 @@ def build_T(s: int, t: int) -> IntPoly:
 
     Symmetric in (s, t); value at 1 is -4 identically.
     """
-    if s < 1 or t < 1:
-        raise DomainError("build_T requires s >= 1 and t >= 1")
+    if type(s) is not int or type(t) is not int or s < 1 or t < 1:  # bool too
+        raise DomainError(f"build_T requires ints s >= 1 and t >= 1, got {s!r}, {t!r}")
     acc: dict[int, int] = {}
 
     def add(e: int, c: int) -> None:
@@ -228,8 +234,8 @@ def build_T(s: int, t: int) -> IntPoly:
 
 def build_Tm(m: int) -> IntPoly:
     """Balanced member T_m = T(floor(m/2), ceil(m/2)), m >= 2."""
-    if m < 2:
-        raise DomainError("build_Tm requires m >= 2")
+    if type(m) is not int or m < 2:  # bool too: True is not read as 1
+        raise DomainError(f"build_Tm requires an int m >= 2, got {m!r}")
     return build_T(m // 2, (m + 1) // 2)
 
 
@@ -258,11 +264,19 @@ def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, roots_above):
 
 
 def _float_root(p: IntPoly, search_hi: Fraction) -> float | None:
-    """A float near the root of p in (1, search_hi), by float bisection of
-    p(x) / x**d, or None if a value is not finite.
+    """A float near the root of p in (1, search_hi), by Illinois false
+    position (Dowell and Jarratt, BIT 11, 1971) on p(x) / x**d, or None if a
+    value is not finite.
 
-    For x >= 1 no term c * x**(e - d) of the quotient exceeds |c|, so it
-    stays finite where p(x) itself would overflow; a coefficient or
+    False position keeps a bracket lo < hi with f(lo) < 0 < f(hi) and
+    probes where the chord through both ends crosses 0; Illinois halves the
+    value kept at an end that two probes in a row have left in place, so
+    that both ends close in. Whenever three probes together fail to halve
+    the bracket, the next one is its midpoint, and so is every probe that
+    the chord does not put strictly inside it. The float returned is the
+    one where the bracket holds no float strictly inside, or a probe where
+    f is 0. For x >= 1 no term c * x**(e - d) of the quotient exceeds |c|,
+    so it stays finite where p(x) itself would overflow; a coefficient or
     search_hi beyond float range gives None as well. It only steers: the
     caller proves."""
     d = p.degree
@@ -271,17 +285,37 @@ def _float_root(p: IntPoly, search_hi: Fraction) -> float | None:
         lo, hi = 1.0, float(search_hi)
     except OverflowError:
         return None
+    f_lo = sum([c for _, c in terms])
+    f_hi = sum([c * hi**e for e, c in terms])
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
+        return None
+    kept = 0  # the end the last probe left in place: -1 lo, 1 hi, 0 none
+    probes, width = 0, hi - lo
     while True:
         mid = lo + (hi - lo) / 2
         if not lo < mid < hi:
             return mid
-        value = sum([c * mid**e for e, c in terms])
+        x = mid
+        if probes < 3 and f_lo < 0 < f_hi:
+            chord = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            if lo < chord < hi:
+                x = chord
+        value = sum([c * x**e for e, c in terms])
         if not math.isfinite(value):
             return None
+        if value == 0:
+            return x
         if value < 0:
-            lo = mid
+            if kept == 1:
+                f_hi /= 2
+            lo, f_lo, kept = x, value, 1
         else:
-            hi = mid
+            if kept == -1:
+                f_lo /= 2
+            hi, f_hi, kept = x, value, -1
+        probes += 1
+        if hi - lo <= width / 2:
+            probes, width = 0, hi - lo
 
 
 def _steered_cell(p: IntPoly, search_hi: Fraction, rel_width: Fraction):
@@ -293,32 +327,36 @@ def _steered_cell(p: IntPoly, search_hi: Fraction, rel_width: Fraction):
     root r sits at depth k at index j_k = floor(t * 2**k), t = (r - 1) / span;
     the walk stops at the first depth that meets bisection's own test
     hi - lo <= rel_width * lo, with rel_width raised to _FLOAT_CELL if it is
-    finer than a float resolves. Two exact signs, p(lo) < 0 < p(hi), prove
-    the root strictly inside the cell, hence inside every ancestor and off
-    every ancestor's midpoint: bisection from the top takes exactly this
-    path. If there is no float, or a sign refuses the cell it names (a float
-    a cell off, or past search_hi, where p > 0), the start is
-    (1, search_hi)."""
-    start = (Fraction(1), search_hi)
+    finer than a float resolves. The walk runs on integers: with
+    search_hi = sn / sd and r = rn / rd, span = (sn - sd) / sd and the
+    unreduced t = (rn - rd) * sd / (rd * (sn - sd)), and the cell's ends
+    share the denominator sd * 2**k. Two exact signs on those integers,
+    p(lo) < 0 < p(hi) (IntPoly._sign), prove the root strictly inside the
+    cell, hence inside every ancestor and off every ancestor's midpoint:
+    bisection from the top takes exactly this path. Only then are lo and hi
+    built, one Fraction each. If there is no float, or a sign refuses the
+    cell it names (a float a cell off, or past search_hi, where p > 0), the
+    start is (1, search_hi)."""
     r = _float_root(p, search_hi)
     if r is None:
-        return start
-    span = search_hi - 1
-    sn, sd = span.numerator, span.denominator
+        return Fraction(1), search_hi
+    sd = search_hi.denominator
+    sn = search_hi.numerator - sd  # span = sn / sd
     target = max(rel_width, _FLOAT_CELL)
     wn, wd = target.numerator, target.denominator
-    tn, td = ((Fraction(r) - 1) / span).as_integer_ratio()
+    rn, rd = r.as_integer_ratio()
+    tn, td = (rn - rd) * sd, rd * sn
     # at depth k the cell is 1 + span * (j, j + 1) / 2**k; stop once
     # span / 2**k <= target * (1 + span * j / 2**k), cross-multiplied
     k = j = 0
     while sn * wd > wn * ((sd << k) + sn * j):
         k += 1
         j = (tn << k) // td
-    lo = 1 + Fraction(sn * j, sd << k)
-    hi = lo + Fraction(sn, sd << k)
-    if p.sign_at(lo) < 0 < p.sign_at(hi):
-        return lo, hi
-    return start
+    den = sd << k
+    lo_n = den + sn * j
+    if p._sign(lo_n, den) < 0 < p._sign(lo_n + sn, den):
+        return Fraction(lo_n, den), Fraction(lo_n + sn, den)
+    return Fraction(1), search_hi
 
 
 def largest_root(p: IntPoly, search_hi, rel_width: Fraction = DEFAULT_ROOT_REL_WIDTH) -> RootEnclosure:
@@ -335,7 +373,8 @@ def largest_root(p: IntPoly, search_hi, rel_width: Fraction = DEFAULT_ROOT_REL_W
     (_steered_cell), so bisection starts there. The bracket is the one that
     bisecting (1, search_hi) until hi - lo <= rel_width * lo returns.
     """
-    search_hi, rel_width = Fraction(search_hi), Fraction(rel_width)
+    search_hi = _finite_fraction("search_hi", search_hi)
+    rel_width = _finite_fraction("rel_width", rel_width)
     if rel_width <= 0:
         raise DomainError("largest_root requires rel_width > 0")
     if search_hi <= 1:
@@ -357,8 +396,8 @@ def largest_root(p: IntPoly, search_hi, rel_width: Fraction = DEFAULT_ROOT_REL_W
 
 def m_cubed_root_enclosure(m: int) -> RatInterval:
     """Certified rational enclosure [a, b] with a**m < m**3 < b**m."""
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    if type(m) is not int or m < 1:  # bool too: True is not read as 1
+        raise DomainError(f"m must be an int >= 1, got {m!r}")
     return nth_root_enclosure(m**3, m)
 
 
@@ -374,8 +413,8 @@ def verify_lroot(m: int) -> LrootReport:
     equality, which is why the endpoint is evaluated exactly rather than
     through an outward interval.
     """
-    if m < 5:
-        raise DomainError("verify_lroot requires m >= 5")
+    if type(m) is not int or m < 5:
+        raise DomainError(f"verify_lroot requires an int m >= 5, got {m!r}")
     mp = m_cubed_root_enclosure(m)
     root = largest_root(build_Tm(m), search_hi=mp.hi + 1)
     bound_holds = root.hi < mp.lo

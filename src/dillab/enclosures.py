@@ -232,19 +232,34 @@ def inth_root(x: int, n: int) -> int:
     return _exact_root(x, n) if r is None else r
 
 
+def _finite_fraction(name: str, x) -> Fraction:
+    """x as an exact Fraction, x itself when it is one. DomainError for None,
+    a bool, a str (neither is read as a number) and anything Fraction
+    refuses: NaN, an infinity or a non-number."""
+    if type(x) is Fraction:
+        return x
+    if x is None or isinstance(x, (bool, str)):
+        raise DomainError(f"{name} must be a finite number, got {type(x).__name__}")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a finite number, got {x!r}") from None
+
+
 def nth_root_enclosure(q, n: int, bits: int = 48) -> RatInterval:
     """Rational [a, b] with a**n <= q <= b**n and b - a <= 2**-bits.
 
     For irrational roots both bounds are strict; if q is an exact n-th power
-    of a dyadic rational the interval degenerates to the exact point.
+    of a dyadic rational the interval degenerates to the exact point. q must
+    be a finite number (_finite_fraction), n and bits of type int.
     """
-    q = Fraction(q)
+    q = _finite_fraction("q", q)
     if q < 0:
         raise DomainError("nth_root_enclosure requires q >= 0")
-    if n < 1:
-        raise DomainError("nth_root_enclosure requires n >= 1")
-    if bits < 0:
-        raise DomainError("nth_root_enclosure requires bits >= 0")
+    if type(n) is not int or n < 1:  # bool too: True is not read as 1
+        raise DomainError(f"nth_root_enclosure requires an int n >= 1, got {n!r}")
+    if type(bits) is not int or bits < 0:
+        raise DomainError(f"nth_root_enclosure requires an int bits >= 0, got {bits!r}")
     scaled = q.numerator << (n * bits)
     # dividing a long integer by 1 still costs a pass over it
     y = scaled if q.denominator == 1 else scaled // q.denominator
@@ -259,11 +274,12 @@ def nth_root_enclosure(q, n: int, bits: int = 48) -> RatInterval:
     return RatInterval(Fraction(t, den), Fraction(t + 1, den))
 
 
-def _atanh_core(num: int, den: int, width: Fraction) -> RatInterval:
+def _atanh_core(num: int, den: int, width: Fraction) -> tuple[int, int, int]:
     # log r for r = num/den in [3/4, 3/2) via log r = 2 atanh(u), with
     # u = a/b = (r-1)/(r+1) in lowest terms, |u| <= 1/5 here. Partial sum plus
     # a geometric tail bound gives the two-sided certificate regardless of the
-    # sign of u. J is the least term count with 2 * tail <= width / 2, where
+    # sign of u, as (lo_n, hi_n, common): log r in [lo_n, hi_n] / common. J is
+    # the least term count with 2 * tail <= width / 2, where
     # tail = |u|^(2J+1) / ((2J+1)(1 - u^2)), cross-multiplied into integers.
     a, b = num - den, num + den
     g = gcd(a, b)
@@ -283,33 +299,20 @@ def _atanh_core(num: int, den: int, width: Fraction) -> RatInterval:
         term *= a2
     # 2 * (s -+ tail) for s = total / (odd * bpow), over one denominator
     tail_den = (2 * j + 1) * one_minus
-    mid, rad, common = 2 * total * tail_den, 2 * apow * odd, odd * bpow * tail_den
-    return RatInterval(Fraction(mid - rad, common), Fraction(mid + rad, common))
+    mid, rad = 2 * total * tail_den, 2 * apow * odd
+    return mid - rad, mid + rad, odd * bpow * tail_den
 
 
 @functools.cache
-def _log2_interval() -> RatInterval:
+def _log2_ints() -> tuple[int, int, int]:
     # log 2 = 2 atanh(1/3); cached far tighter than any requested width
     return _atanh_core(2, 1, Fraction(1, 10**40))
 
 
-def log_enclosure(q, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
-    """Certified enclosure of log(q) for rational q > 0, of width <= width.
-
-    Argument reduction q = 2**k * r with r in [3/4, 3/2): k is first taken
-    from the bit lengths of q's numerator and denominator, then fixed by
-    exact integer comparisons with 3/4 and 3/2. The atanh series for log r
-    is summed in integers over one common denominator, with an explicit tail
-    bound. The log 2 enclosure is cached at width 1e-40, so the k * log2
-    contribution is negligible against any practical width request.
-    """
-    q = Fraction(q)
-    if q <= 0:
-        raise DomainError("log_enclosure requires q > 0")
-    width = Fraction(width)
-    if width <= 0:
-        raise DomainError("log_enclosure requires width > 0")
-    qn, qd = q.numerator, q.denominator
+def _log_ints(qn: int, qd: int, width: Fraction = _DEFAULT_LOG_WIDTH) -> tuple[int, int, int]:
+    """(lo_n, hi_n, common) with log(qn/qd) in [lo_n, hi_n] / common, for
+    integers qn, qd > 0 and width > 0: the integers of log_enclosure, which
+    builds each end from them with one Fraction."""
     k = qn.bit_length() - qd.bit_length()
     while True:  # r = num/den = q / 2**k
         num, den = (qn, qd << k) if k >= 0 else (qn << -k, qd)
@@ -319,21 +322,66 @@ def log_enclosure(q, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
             k -= 1
         else:
             break
-    core = _atanh_core(num, den, width)
+    lo_n, hi_n, common = _atanh_core(num, den, width)
     if k == 0:
-        return core
-    return core + _log2_interval().scale(k)
+        return lo_n, hi_n, common
+    # k * log 2 over the product of the two denominators; for k < 0 the
+    # upper end of log 2 lowers the sum, so the ends trade places
+    l2_lo, l2_hi, l2_common = _log2_ints()
+    if k < 0:
+        l2_lo, l2_hi = l2_hi, l2_lo
+    return (
+        lo_n * l2_common + k * l2_lo * common,
+        hi_n * l2_common + k * l2_hi * common,
+        common * l2_common,
+    )
+
+
+def _log_end(qn: int, qd: int, upper: bool, width: Fraction = _DEFAULT_LOG_WIDTH) -> Fraction:
+    """The upper (or lower) end of log_enclosure(qn/qd, width), alone."""
+    lo_n, hi_n, common = _log_ints(qn, qd, width)
+    return Fraction(hi_n if upper else lo_n, common)
+
+
+def log_enclosure(q, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
+    """Certified enclosure of log(q) for rational q > 0, of width <= width.
+
+    Argument reduction q = 2**k * r with r in [3/4, 3/2): k is first taken
+    from the bit lengths of q's numerator and denominator, then fixed by
+    exact integer comparisons with 3/4 and 3/2. The atanh series for log r
+    is summed in integers over one common denominator, with an explicit tail
+    bound, and k * log 2 is added over that denominator times log 2's, so
+    each end is normalised once, by a single Fraction: the one that adding
+    the interval k * log 2 to the reduced ends would give. The log 2
+    enclosure is cached at width 1e-40, so the k * log2 contribution is
+    negligible against any practical width request. q and width must be
+    finite numbers (_finite_fraction).
+    """
+    q = _finite_fraction("q", q)
+    if q <= 0:
+        raise DomainError("log_enclosure requires q > 0")
+    width = _finite_fraction("width", width)
+    if width <= 0:
+        raise DomainError("log_enclosure requires width > 0")
+    lo_n, hi_n, common = _log_ints(q.numerator, q.denominator, width)
+    return RatInterval(Fraction(lo_n, common), Fraction(hi_n, common))
 
 
 def log_interval(iv: RatInterval, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
-    """Enclosure of {log x : x in iv} for a positive rational interval."""
+    """Enclosure of {log x : x in iv} for a positive rational interval: the
+    lower end of log(iv.lo) and the upper end of log(iv.hi), each computed
+    alone (_log_end)."""
     if iv.lo <= 0:
         raise DomainError("log_interval requires a positive interval")
-    lo = log_enclosure(iv.lo, width)
-    if iv.hi == iv.lo:
-        return lo
-    hi = log_enclosure(iv.hi, width)
-    return RatInterval(lo.lo, hi.hi)
+    width = _finite_fraction("width", width)
+    if width <= 0:
+        raise DomainError("log_interval requires width > 0")
+    lo, hi = iv.lo, iv.hi
+    if hi == lo:
+        return log_enclosure(lo, width)
+    return RatInterval(
+        _log_end(lo.numerator, lo.denominator, False, width), _log_end(hi.numerator, hi.denominator, True, width)
+    )
 
 
 def interval_gap(a: RatInterval, b: RatInterval) -> Fraction:

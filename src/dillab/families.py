@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dilpoly import RootEnclosure, build_Tm, largest_root, m_cubed_root_enclosure
-from .enclosures import RatInterval, log_enclosure, log_interval
+from .enclosures import RatInterval, _log_ints, log_enclosure, log_interval
 from .errors import DomainError, ValidationFailed
 from .intmatrix import IntMatrix, is_irreducible
 
@@ -41,6 +41,8 @@ def cover_threshold(g: int) -> int:
 def cover_index(g: int, n: int) -> int:
     """Index m of the balanced polynomial T_m certifying (g, n); the bound
     depends on n only through m."""
+    if type(g) is not int or type(n) is not int:  # bool too: True is not read as 1
+        raise DomainError(f"cover_index requires int g and n, got {g!r}, {n!r}")
     return (n - 1) // (2 * g + 1) - 1
 
 
@@ -66,6 +68,8 @@ def cover_upper_bound(g: int, n: int) -> CoverBoundReport:
     3 log(m)/m and 3 log(q)/q, q = (n-4g-3)/(2g+1). Both comparisons are
     asserted endpoint-to-endpoint before the report is returned.
     """
+    if type(g) is not int or type(n) is not int:  # bool too: True is not read as 1
+        raise DomainError(f"cover family requires int g and n, got {g!r}, {n!r}")
     if g < 2:
         raise DomainError("cover family requires genus >= 2")
     if n < cover_threshold(g):
@@ -77,11 +81,15 @@ def cover_upper_bound(g: int, n: int) -> CoverBoundReport:
     mp = m_cubed_root_enclosure(m)
     root = largest_root(build_Tm(m), search_hi=mp.hi + 1)
     log_root = log_interval(root.interval)
-    logm = log_enclosure(m)
-    closed_m = logm.scale(Fraction(3, m))
-    q = Fraction(n - 4 * g - 3, 2 * g + 1)
-    logq = log_enclosure(q)
-    closed_n = logq.scale(3).div_positive(RatInterval.point(q))
+    # the closed forms from log_enclosure's integers, one Fraction per end:
+    # log m / m over m * common, and log q / q = log q * qd / qn over
+    # common * qn. Both logs are positive (m >= 5, q >= 4 from the
+    # threshold on), so dividing keeps each end's side
+    lo_n, hi_n, common = _log_ints(m, 1)
+    closed_m = RatInterval(Fraction(3 * lo_n, m * common), Fraction(3 * hi_n, m * common))
+    qn, qd = n - 4 * g - 3, 2 * g + 1
+    lo_n, hi_n, common = _log_ints(qn, qd)
+    closed_n = RatInterval(Fraction(3 * lo_n * qd, common * qn), Fraction(3 * hi_n * qd, common * qn))
     if not log_root.hi <= closed_m.lo:
         raise AssertionError(f"certified log root exceeds 3 log(m)/m at g={g}, n={n}")
     if not log_root.hi <= closed_n.lo:

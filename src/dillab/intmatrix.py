@@ -22,6 +22,7 @@ from functools import cached_property, reduce
 from itertools import chain, repeat, starmap
 from operator import add, itemgetter, mul, or_
 
+from .enclosures import _finite_fraction
 from .errors import DomainError, NoDiagonalEntry, NotIrreducible
 
 __all__ = [
@@ -559,18 +560,6 @@ def _cw_compare(a: IntMatrix, b: IntMatrix) -> int | None:
             return 1
         u, v = _cw_advance(wa, u), _cw_advance(wb, v)
     return None
-
-
-def _finite_fraction(name: str, x) -> Fraction:
-    """x as an exact Fraction. DomainError for None, a bool, a str (neither
-    is read as a number) and anything Fraction refuses: NaN, an infinity or
-    a non-number."""
-    if x is None or isinstance(x, (bool, str)):
-        raise DomainError(f"{name} must be a finite number, got {type(x).__name__}")
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be a finite number, got {x!r}") from None
 
 
 def pf_enclosure(

@@ -14,6 +14,7 @@ from dillab.dilpoly import (
     IntPoly,
     RootEnclosure,
     _bisect,
+    _float_root,
     _steered_cell,
     build_T,
     build_Tm,
@@ -197,6 +198,88 @@ def test_steered_bracket_recovers_a_float_one_cell_off():
     for m in (1036, 1225, 1254, 1503, 1627, 1875, 1937, 2091, 2860, 2998):
         hi = _production_search_hi(m)
         assert largest_root(build_Tm(m), hi, width) == _bisected(build_Tm(m), hi, width), m
+
+
+def test_steered_cell_signs_are_taken_on_integers_at_m_1998(monkeypatch):
+    # the cell's two signs go to IntPoly._sign on its unreduced integers,
+    # and sign_at passes p(1) and p(search_hi) on without a Fraction
+    calls = []
+    sign = IntPoly._sign
+    monkeypatch.setattr(IntPoly, "_sign", lambda self, n, q: calls.append((n, q)) or sign(self, n, q))
+    hi = _production_search_hi(1998)
+    root = largest_root(build_Tm(1998), hi)
+    assert calls[:2] == [(1, 1), hi.as_integer_ratio()]
+    lo_n, den = calls[2]
+    assert len(calls) == 4 and calls[3] == (lo_n + hi.numerator - hi.denominator, den)
+    assert (root.lo, root.hi) == (Fraction(lo_n, den), Fraction(calls[3][0], den))
+
+
+def test_steered_bracket_equals_plain_bisection_on_a_stride_to_2000():
+    width = Fraction(1, 10**10)
+    for m in range(401, 2001, 13):
+        hi = _production_search_hi(m)
+        assert largest_root(build_Tm(m), hi) == _bisected(build_Tm(m), hi, width), m
+
+
+def test_float_steer_evaluations_per_call(monkeypatch):
+    # _float_root checks every value it computes with math.isfinite, once;
+    # float bisection of the same quotient took 52.1 values a call here
+    inputs = [(build_Tm(m), _production_search_hi(m)) for m in range(5, 2001)]
+    values = []
+    isfinite = math.isfinite
+    monkeypatch.setattr(dilpoly.math, "isfinite", lambda v: values.append(v) or isfinite(v))
+    roots = [_float_root(p, hi) for p, hi in inputs]
+    monkeypatch.undo()
+    assert all(1 < r < hi for r, (_, hi) in zip(roots, inputs))
+    assert len(values) <= 30 * len(inputs)
+
+
+@pytest.mark.parametrize(
+    "search_hi, rel_width",
+    [
+        (3, True),
+        ("3", Fraction(1, 10**10)),
+        (math.nan, Fraction(1, 10**10)),
+        (math.inf, Fraction(1, 10**10)),
+        (None, Fraction(1, 10**10)),
+        (3, math.nan),
+        (3, math.inf),
+        (3, None),
+    ],
+)
+def test_largest_root_refuses_what_is_not_a_finite_number(search_hi, rel_width):
+    with pytest.raises(DomainError, match="must be a finite number"):
+        largest_root(build_Tm(5), search_hi, rel_width)
+
+
+def test_largest_root_reads_ints_fractions_and_finite_floats_exactly():
+    p = build_Tm(5)
+    expected = largest_root(p, Fraction(3), Fraction(1e-10))
+    assert largest_root(p, 3, Fraction(1e-10)) == largest_root(p, 3.0, 1e-10) == expected
+
+
+@pytest.mark.parametrize("s, t", [(1.5, 2), (2, 2.0), (True, 2), (2, "3")])
+def test_build_T_refuses_parameters_not_of_type_int(s, t):
+    with pytest.raises(DomainError, match="ints s >= 1"):
+        build_T(s, t)
+
+
+@pytest.mark.parametrize("m", [5.0, True, "5"])
+def test_build_Tm_refuses_an_index_not_of_type_int(m):
+    with pytest.raises(DomainError, match="int m >= 2"):
+        build_Tm(m)
+
+
+@pytest.mark.parametrize("m", [5.0, True, Fraction(5)])
+def test_m_cubed_root_enclosure_refuses_an_index_not_of_type_int(m):
+    with pytest.raises(DomainError, match="int >= 1"):
+        m_cubed_root_enclosure(m)
+
+
+@pytest.mark.parametrize("m", [5.0, True, Fraction(5)])
+def test_verify_lroot_refuses_an_index_not_of_type_int(m):
+    with pytest.raises(DomainError, match="int m >= 5"):
+        verify_lroot(m)
 
 
 _sparse_polys = st.dictionaries(

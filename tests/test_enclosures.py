@@ -1,3 +1,5 @@
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -305,3 +307,84 @@ def test_m_cubed_radicands_are_decided_in_intervals():
         x = (m**3) << (48 * m)
         r = _float_named_root(x, m)
         assert r is not None and r**m < x < (r + 1) ** m, m
+
+
+@pytest.mark.parametrize(
+    "q, width",
+    [
+        (True, Fraction(1, 10**12)),
+        ("3", Fraction(1, 10**12)),
+        (3, True),
+        (3, "1/1000"),
+        (math.nan, Fraction(1, 10**12)),
+        (math.inf, Fraction(1, 10**12)),
+        (None, Fraction(1, 10**12)),
+        (3, math.nan),
+        (3, math.inf),
+        (3, None),
+    ],
+)
+def test_log_enclosure_refuses_what_is_not_a_finite_number(q, width):
+    with pytest.raises(DomainError, match="must be a finite number"):
+        log_enclosure(q, width)
+
+
+def test_log_interval_refuses_a_width_that_is_not_a_finite_number():
+    for width in (True, "1/1000", math.nan, None):
+        with pytest.raises(DomainError, match="must be a finite number"):
+            log_interval(RatInterval(Fraction(1), Fraction(2)), width)
+
+
+def test_log_enclosure_reads_ints_fractions_and_finite_floats_exactly():
+    assert log_enclosure(3) == log_enclosure(Fraction(3)) == log_enclosure(3.0)
+    assert log_enclosure(0.1, 1e-9) == log_enclosure(Fraction(0.1), Fraction(1e-9))
+
+
+@pytest.mark.parametrize("n, bits", [(True, 48), (2.5, 48), (2, 2.5), (2, True), (2.0, 48)])
+def test_nth_root_enclosure_refuses_n_and_bits_not_of_type_int(n, bits):
+    with pytest.raises(DomainError, match="int"):
+        nth_root_enclosure(2, n, bits)
+
+
+_positive_fractions = st.fractions(min_value=Fraction(1, 10**9), max_value=10**9).filter(lambda x: x > 0)
+
+
+@given(_positive_fractions, st.one_of(st.just(Fraction(0)), _positive_fractions), _widths)
+@settings(max_examples=200, deadline=None)
+def test_log_interval_is_the_outer_ends_of_two_enclosures(lo, delta, width):
+    iv = RatInterval(lo, lo + delta)
+    expected = RatInterval(log_enclosure(iv.lo, width).lo, log_enclosure(iv.hi, width).hi)
+    assert log_interval(iv, width) == expected
+
+
+_PIN_WIDTHS = (Fraction(1, 10**3), Fraction(1, 10**12), Fraction(1, 10**40))
+
+
+def _log_pin_digest() -> str:
+    """sha256 of both ends of log_enclosure over the ints 1..3000, the cover
+    family's q = (n - 4g - 3)/(2g + 1) for g = 2..4, and j/3001 (k <= 0),
+    and of log_interval over the T_m brackets for m = 5..400, at each width."""
+    from dillab.dilpoly import build_Tm, largest_root, m_cubed_root_enclosure
+    from dillab.families import cover_threshold
+
+    args = [Fraction(x) for x in range(1, 3001)]
+    args += [Fraction(n - 4 * g - 3, 2 * g + 1) for g in (2, 3, 4) for n in range(cover_threshold(g), 2001, 3)]
+    args += [Fraction(j, 3001) for j in range(1, 3001)]
+    brackets = [
+        largest_root(build_Tm(m), m_cubed_root_enclosure(m).hi + 1).interval for m in range(5, 401)
+    ]
+    digest = hashlib.sha256()
+    for width in _PIN_WIDTHS:
+        for q in args:
+            enc = log_enclosure(q, width)
+            digest.update(f"{q} {enc.lo} {enc.hi}\n".encode())
+        for iv in brackets:
+            enc = log_interval(iv, width)
+            digest.update(f"{iv.lo} {iv.hi} {enc.lo} {enc.hi}\n".encode())
+    return digest.hexdigest()
+
+
+def test_log_enclosure_bytes_pinned():
+    # recorded on the Fraction-sum kernel: an integer kernel must name the
+    # same Fraction at every end
+    assert _log_pin_digest() == "c16f5a4e6e28ceacb68ab217178ed1fd55164cd76212a88c0a7f5ca8316dad4c"

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -164,3 +165,52 @@ def test_cover_upper_bound_shrinks_with_n():
     u101 = cover_upper_bound(2, 101).log_root.hi
     u1001 = cover_upper_bound(2, 1001).log_root.hi
     assert u31 > u101 > u1001
+
+
+def test_cover_upper_bound_builds_at_most_20_fractions(monkeypatch):
+    # every reported end is built once from the kernels' integers; the
+    # interval arithmetic before took about 60 Fractions a report
+    log_enclosure(3)  # fills the cached log 2, which is no report's work
+    grid = [(g, n) for g in (2, 3, 4) for n in range(cover_threshold(g), (2 * g + 1) * 2001, 101)]
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    counts = []
+    for g, n in grid:
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        built.clear()
+        cover_upper_bound(g, n)
+        monkeypatch.undo()
+        counts.append(len(built))
+    assert 0 < max(counts) <= 20
+
+
+@pytest.mark.parametrize("g, n", [(2.0, 40), (2, 40.0), (True, 40), (2, Fraction(40)), (2, "40")])
+def test_cover_upper_bound_refuses_parameters_not_of_type_int(g, n):
+    with pytest.raises(DomainError, match="int g and n"):
+        cover_upper_bound(g, n)
+
+
+@pytest.mark.parametrize("g, n", [(2, 40.5), (2.0, 40), (2, True), (2, Fraction(81, 2))])
+def test_cover_index_refuses_parameters_not_of_type_int(g, n):
+    with pytest.raises(DomainError, match="int g and n"):
+        cover_index(g, n)
+
+
+def _cover_pin_digest() -> str:
+    """sha256 of the reports' repr over a fixed (g, n) grid, m = 5..2000."""
+    digest = hashlib.sha256()
+    for g in (2, 3, 4):
+        for n in range(cover_threshold(g), (2 * g + 1) * 2001 + 1, 97):
+            digest.update(f"{cover_upper_bound(g, n)!r}\n".encode())
+    return digest.hexdigest()
+
+
+def test_cover_upper_bound_bytes_pinned():
+    # recorded on the interval-arithmetic certificate: every endpoint built
+    # from the kernels' integers must be the same Fraction
+    assert _cover_pin_digest() == "c8e8fc131084e0557835689928841fe57c69c9293331d5c0430319cb4f8d9a6a"
