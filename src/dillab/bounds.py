@@ -9,10 +9,10 @@ so rounding error can only make published claims weaker, never wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .enclosures import RatInterval, _log_end, log_enclosure, nth_root_enclosure
+from ._record import record
+from .enclosures import RatInterval, _log_end, _require_ints, log_enclosure, nth_root_enclosure
 from .errors import AlphaOutOfRange, DomainError, ValidationFailed
 from .families import cover_index, cover_threshold, cover_upper_bound
 
@@ -40,6 +40,7 @@ def theta(g: int) -> int:
     as an assumption in the README). g = 1 is cross-checked against brute
     enumeration by count_sl2_z3.
     """
+    _require_ints("theta", g=g)
     if g < 1:
         raise DomainError("theta requires g >= 1")
     out = 3 ** (g * g)
@@ -70,6 +71,7 @@ def thm34_lower(g: int, n: int, alpha: int) -> Fraction:
     alpha is the congruence-cover degree parameter; passing alpha = theta(g)
     gives the universal worst case.
     """
+    _require_ints("thm34_lower", g=g, n=n)
     if g < 2:
         raise DomainError("thm34_lower requires g >= 2")
     if n < 0:
@@ -90,7 +92,7 @@ def _thm34_lower(g: int, n: int, alpha: int, branch1_lo: Fraction) -> Fraction:
     return min(branch1_lo, _log_end(x, 1, False) / (2 * alpha * x))
 
 
-@dataclass(frozen=True)
+@record
 class OmegaConstants:
     g: int
     alpha: int
@@ -105,6 +107,7 @@ def omega_constants(g: int, alpha: int) -> OmegaConstants:
     maximum of omega_prime, 48*alpha, and
     48*alpha*(g-1)*log(3)/(3*log(24*(g-1))). Every term is linear in alpha.
     """
+    _require_ints("omega_constants", g=g)
     if g < 2:
         raise DomainError("omega_constants requires g >= 2")
     if type(alpha) is not int or alpha < 1:  # bool too: True is not read as 1
@@ -119,7 +122,7 @@ def omega_constants(g: int, alpha: int) -> OmegaConstants:
     return OmegaConstants(g=g, alpha=alpha, omega_prime=omega_prime, omega=omega)
 
 
-@dataclass(frozen=True)
+@record
 class KappaReport:
     g: int
     kappa_prime: Fraction
@@ -139,6 +142,7 @@ def kappa_upper_constant(g: int) -> KappaReport:
     hold for every n >= witness_n = cover_threshold(g) once two exact integer
     comparisons hold there; if either fails, ValidationFailed. No monotonicity
     is assumed and no log is evaluated."""
+    _require_ints("kappa_upper_constant", g=g)
     if g < 2:
         raise DomainError("kappa_upper_constant requires g >= 2")
     threshold = cover_threshold(g)
@@ -148,7 +152,7 @@ def kappa_upper_constant(g: int) -> KappaReport:
     return KappaReport(g=g, kappa_prime=Fraction(3 * q), witness_n=threshold)
 
 
-@dataclass(frozen=True)
+@record
 class BoundRow:
     """lower is the congruence two-branch minimum; upper is the certified
     cover value, None below the construction threshold."""
@@ -159,7 +163,7 @@ class BoundRow:
     upper: Fraction | None
 
 
-@dataclass(frozen=True)
+@record
 class SandwichReport:
     g: int
     alpha: int
@@ -171,6 +175,7 @@ class SandwichReport:
 def log_uniform_sample(n_lo: int, n_hi: int, count: int) -> tuple[int, ...]:
     """At least `count` distinct integers spread geometrically over
     [n_lo, n_hi], endpoints included, fully deterministic (no floats)."""
+    _require_ints("log_uniform_sample", n_lo=n_lo, n_hi=n_hi, count=count)
     if n_lo < 1 or n_hi < n_lo:
         raise DomainError("need 1 <= n_lo <= n_hi")
     span = n_hi - n_lo + 1
@@ -208,6 +213,9 @@ def sandwich_table(
     and upper <= kappa' * hi(log n)/n; a failure raises ValidationFailed
     naming n.
     """
+    _require_ints("sandwich_table", g=g, n_lo=n_lo, n_hi=n_hi)
+    if sample is not None:
+        _require_ints("sandwich_table", sample=sample)
     if g < 2:
         raise DomainError("sandwich_table requires g >= 2")
     if n_lo < 3 or n_hi < n_lo:

@@ -39,10 +39,10 @@ largest real root. What decides the half is a proof, never a sample:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import record
 from .enclosures import (
     DYADIC_ONE,
     RatInterval,
@@ -85,7 +85,7 @@ _FLOAT_CELL = Fraction(1, 2**44)
 _INTERVAL_DEGREE = 64
 
 
-@dataclass(frozen=True)
+@record
 class IntPoly:
     """Sparse integer polynomial: sorted tuple of (exponent, coefficient)."""
 
@@ -185,7 +185,7 @@ class IntPoly:
         return dyadic_sum_sign(terms)
 
 
-@dataclass(frozen=True)
+@record
 class RootEnclosure:
     """Bracket lo < root < hi around the largest real root, with the exact
     signs of p at both endpoints."""
@@ -200,7 +200,7 @@ class RootEnclosure:
         return RatInterval(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
+@record
 class LrootReport:
     m: int
     bound_holds: bool
@@ -322,8 +322,9 @@ def _steered_cell(p: IntPoly, search_hi: Fraction, rel_width: Fraction):
     """The cell of bisection's dyadic tree over (1, search_hi) at which
     bisection of p stops, or a coarser ancestor of it, or (1, search_hi).
 
-    Requires exactly one root of p in (1, search_hi), with p(1) < 0 <
-    p(search_hi), so p < 0 exactly on (1, root). The cell holding the float
+    Requires largest_root's preconditions up to p(1) < 0, so p has exactly
+    one root above 1, a simple one, and p < 0 exactly on (1, root). The
+    cell holding the float
     root r sits at depth k at index j_k = floor(t * 2**k), t = (r - 1) / span;
     the walk stops at the first depth that meets bisection's own test
     hi - lo <= rel_width * lo, with rel_width raised to _FLOAT_CELL if it is
@@ -334,28 +335,31 @@ def _steered_cell(p: IntPoly, search_hi: Fraction, rel_width: Fraction):
     p(lo) < 0 < p(hi) (IntPoly._sign), prove the root strictly inside the
     cell, hence inside every ancestor and off every ancestor's midpoint:
     bisection from the top takes exactly this path. Only then are lo and hi
-    built, one Fraction each. If there is no float, or a sign refuses the
-    cell it names (a float a cell off, or past search_hi, where p > 0), the
-    start is (1, search_hi)."""
-    r = _float_root(p, search_hi)
-    if r is None:
-        return Fraction(1), search_hi
+    built, one Fraction each. A proven cell inside (1, search_hi] also
+    proves p(search_hi) > 0: p has one root above 1, and the cell holds it.
+    If there is no float, or the cell it names reaches past search_hi, or a
+    sign refuses it (a float a cell off), the start is (1, search_hi), and
+    only then is p(search_hi) > 0 checked (else NoSignChange)."""
     sd = search_hi.denominator
     sn = search_hi.numerator - sd  # span = sn / sd
-    target = max(rel_width, _FLOAT_CELL)
-    wn, wd = target.numerator, target.denominator
-    rn, rd = r.as_integer_ratio()
-    tn, td = (rn - rd) * sd, rd * sn
-    # at depth k the cell is 1 + span * (j, j + 1) / 2**k; stop once
-    # span / 2**k <= target * (1 + span * j / 2**k), cross-multiplied
-    k = j = 0
-    while sn * wd > wn * ((sd << k) + sn * j):
-        k += 1
-        j = (tn << k) // td
-    den = sd << k
-    lo_n = den + sn * j
-    if p._sign(lo_n, den) < 0 < p._sign(lo_n + sn, den):
-        return Fraction(lo_n, den), Fraction(lo_n + sn, den)
+    r = _float_root(p, search_hi)
+    if r is not None:
+        target = max(rel_width, _FLOAT_CELL)
+        wn, wd = target.numerator, target.denominator
+        rn, rd = r.as_integer_ratio()
+        tn, td = (rn - rd) * sd, rd * sn
+        # at depth k the cell is 1 + span * (j, j + 1) / 2**k; stop once
+        # span / 2**k <= target * (1 + span * j / 2**k), cross-multiplied
+        k = j = 0
+        while sn * wd > wn * ((sd << k) + sn * j):
+            k += 1
+            j = (tn << k) // td
+        den = sd << k
+        lo_n = den + sn * j
+        if j < 1 << k and p._sign(lo_n, den) < 0 < p._sign(lo_n + sn, den):
+            return Fraction(lo_n, den), Fraction(lo_n + sn, den)
+    if p._sign(search_hi.numerator, sd) <= 0:
+        raise NoSignChange(f"p(search_hi) <= 0 at search_hi={search_hi}; enlarge search_hi")
     return Fraction(1), search_hi
 
 
@@ -370,7 +374,9 @@ def largest_root(p: IntPoly, search_hi, rel_width: Fraction = DEFAULT_ROOT_REL_W
     above 1, and Descartes' rule leaves exactly one, a simple one, in
     (1, search_hi); sign-change bisection keeps it. A float root names the
     cell where that bisection would stop, and two exact signs prove it
-    (_steered_cell), so bisection starts there. The bracket is the one that
+    (_steered_cell), so bisection starts there. Such a cell holds the one
+    root above 1, so p(search_hi) > 0 is evaluated only when bisection
+    starts from (1, search_hi) instead. The bracket is the one that
     bisecting (1, search_hi) until hi - lo <= rel_width * lo returns.
     """
     search_hi = _finite_fraction("search_hi", search_hi)
@@ -385,8 +391,6 @@ def largest_root(p: IntPoly, search_hi, rel_width: Fraction = DEFAULT_ROOT_REL_W
         raise DomainError("largest_root requires at most two coefficient sign changes; use isolate_largest_real_root")
     if p.sign_at(1) >= 0:
         raise DomainError("largest_root requires p(1) < 0")
-    if p.sign_at(search_hi) <= 0:
-        raise NoSignChange(f"p(search_hi) <= 0 at search_hi={search_hi}; enlarge search_hi")
     lo, hi = _steered_cell(p, search_hi, rel_width)
     while hi - lo > rel_width * lo:
         lo, hi, _ = _bisect(p, lo, hi, None)

@@ -12,10 +12,10 @@ so an order they decide is proved as well; the callers go exact on a tie.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, ldexp
 
+from ._record import record
 from .errors import DomainError
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
 _DEFAULT_LOG_WIDTH = Fraction(1, 10**12)
 
 
-@dataclass(frozen=True)
+@record
 class RatInterval:
     """Closed rational interval [lo, hi]."""
 
@@ -244,6 +244,14 @@ def _finite_fraction(name: str, x) -> Fraction:
         return Fraction(x)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be a finite number, got {x!r}") from None
+
+
+def _require_ints(where: str, **values) -> None:
+    """DomainError unless every value is of type int exactly: a bool, float
+    or str is refused, never read as an integer."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise DomainError(f"{where} requires an int {name}, got {value!r}")
 
 
 def nth_root_enclosure(q, n: int, bits: int = 48) -> RatInterval:

@@ -12,11 +12,11 @@ those constraints on every instance rather than trusting the generator.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .dilpoly import RootEnclosure, build_Tm, largest_root, m_cubed_root_enclosure
-from .enclosures import RatInterval, _log_ints, log_enclosure, log_interval
+from .enclosures import RatInterval, _log_ints, _require_ints, log_enclosure, log_interval
 from .errors import DomainError, ValidationFailed
 from .intmatrix import IntMatrix, is_irreducible
 
@@ -35,6 +35,7 @@ __all__ = [
 def cover_threshold(g: int) -> int:
     """Smallest n the branched-cover family accepts at genus g: the n whose
     index m is 5, the first m with a certified m^(3/m) ceiling."""
+    _require_ints("cover_threshold", g=g)
     return 6 * (2 * g + 1) + 1
 
 
@@ -46,7 +47,7 @@ def cover_index(g: int, n: int) -> int:
     return (n - 1) // (2 * g + 1) - 1
 
 
-@dataclass(frozen=True)
+@record
 class CoverBoundReport:
     g: int
     n: int
@@ -106,7 +107,7 @@ def cover_upper_bound(g: int, n: int) -> CoverBoundReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class TorusMatrixSpec:
     n: int
     matrix: IntMatrix
@@ -145,7 +146,7 @@ def torus_matrix(n: int) -> TorusMatrixSpec:
     return TorusMatrixSpec(n=n, matrix=matrix)
 
 
-@dataclass(frozen=True)
+@record
 class TorusBoundsReport:
     n: int
     max_col_sum: int

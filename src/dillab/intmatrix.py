@@ -16,12 +16,12 @@ did.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, repeat, starmap
 from operator import add, itemgetter, mul, or_
 
+from ._record import record
 from .enclosures import _finite_fraction
 from .errors import DomainError, NoDiagonalEntry, NotIrreducible
 
@@ -49,7 +49,7 @@ DEFAULT_MAX_ITERS = 10**6
 # upward over many constructions.
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@record
 class IntMatrix:
     """Square matrix of nonnegative arbitrary-precision integers.
 
@@ -214,7 +214,7 @@ class IntMatrix:
         return IntMatrix._of(tuple(out))
 
 
-@dataclass(frozen=True)
+@record
 class PFEnclosure:
     """Certified spectral-radius enclosure lo <= mu <= hi with exact rationals.
 
@@ -235,7 +235,7 @@ class PFEnclosure:
         return (self.hi - self.lo) / self.lo
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalBoundReport:
     """For irreducible k x k M with a nonzero diagonal entry: M^(2k) > 0,
     which Holladay-Varga (Proc. AMS 9, 1958) prove, so only a code bug gives

@@ -8,9 +8,9 @@ suites cross-check the winding number against the sign(det(A - I)) oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import (
     DomainError,
     FixedPointOnCircle,
@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class HomologyClass:
     """Integer vector in the basis (a_1..a_g, b_1..b_g) with <a_i, b_j> = delta_ij.
 
@@ -80,7 +80,7 @@ def _form_on_vectors(u: tuple[int, ...], v: tuple[int, ...], g: int) -> int:
     return sum(u[t] * v[g + t] - u[g + t] * v[t] for t in range(g))
 
 
-@dataclass(frozen=True)
+@record
 class SympAction:
     """2g x 2g integer matrix preserving the standard symplectic form.
 
@@ -219,7 +219,7 @@ def multitwist_lefschetz(twists, g: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LinearPlaneMap:
     """Plane map (x, y) -> (a x + b y, c x + d y) with an isolated fixed
     point at the origin when det(A - I) != 0.

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import os
 import random
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
+from ._record import record
 from .bounds import count_sl2_z3, sandwich_table, theta
 from .dilpoly import (
     IntPoly,
@@ -560,7 +560,7 @@ def _run_sandwich(seed: int, cases: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SuiteSpec:
     # runner(seed, cases) -> (cases run, failures, extra report fields)
     runner: Callable

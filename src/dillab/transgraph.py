@@ -9,9 +9,9 @@ serialization is simply the matrix formats of intmatrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .enclosures import RatInterval, interval_gap, nth_root_enclosure
 from .errors import DegreePreconditionViolated, DomainError, NotIrreducible, VertexOutOfRange
 from .intmatrix import DEFAULT_MAX_ITERS, IntMatrix, is_irreducible, pf_enclosure
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class LimitCheckReport:
     converged: bool
     last_gap: Fraction

@@ -244,3 +244,31 @@ def test_sandwich_calibration_failure_raises_validation_failed(monkeypatch):
     monkeypatch.setattr(bounds, "omega_constants", lambda g, alpha: SimpleNamespace(omega=tiny))
     with pytest.raises(ValidationFailed, match="n=31"):
         sandwich_table(2, 31, 40)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (cover_threshold, (2.0,)),
+        (cover_threshold, (True,)),
+        (theta, (True,)),
+        (theta, (2.0,)),
+        (thm34_lower, (2.0, 31, 1)),
+        (thm34_lower, (2, 31.5, 1)),
+        (thm34_lower, (2, True, 1)),
+        (omega_constants, (2.0, 1)),
+        (kappa_upper_constant, (2.0,)),
+        (kappa_upper_constant, (True,)),
+        (sandwich_table, (2.0, 31, 40)),
+        (sandwich_table, (2, 31.0, 40)),
+        (sandwich_table, (2, 31, "40")),
+        (sandwich_table, (2, 31, 40, 3.0)),
+        (log_uniform_sample, (1.5, 10, 3)),
+        (log_uniform_sample, (1, 10.0, 3)),
+        (log_uniform_sample, (1, 10, True)),
+    ],
+)
+def test_integer_parameters_refuse_every_other_type(call, args):
+    # a float, str or bool is refused, never read as the integer it equals
+    with pytest.raises(DomainError, match="requires an int"):
+        call(*args)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -186,7 +187,8 @@ def test_steered_bracket_work_at_m_1998():
     p = Counted(build_Tm(1998).coeffs)
     hi = _production_search_hi(1998)
     assert largest_root(p, hi) == _bisected(build_Tm(1998), hi, Fraction(1, 10**10))
-    # p(1), p(search_hi) and the two signs that prove the steered cell
+    # p(1), then bisection below the steered cell, whose two signs (and the
+    # p(search_hi) > 0 they imply) go to IntPoly._sign without sign_at
     assert len(calls) <= 6
 
 
@@ -202,16 +204,50 @@ def test_steered_bracket_recovers_a_float_one_cell_off():
 
 def test_steered_cell_signs_are_taken_on_integers_at_m_1998(monkeypatch):
     # the cell's two signs go to IntPoly._sign on its unreduced integers,
-    # and sign_at passes p(1) and p(search_hi) on without a Fraction
+    # sign_at passes p(1) on without a Fraction, and the proven cell makes
+    # p(search_hi) > 0 a consequence rather than a third sign
     calls = []
     sign = IntPoly._sign
     monkeypatch.setattr(IntPoly, "_sign", lambda self, n, q: calls.append((n, q)) or sign(self, n, q))
     hi = _production_search_hi(1998)
     root = largest_root(build_Tm(1998), hi)
-    assert calls[:2] == [(1, 1), hi.as_integer_ratio()]
-    lo_n, den = calls[2]
-    assert len(calls) == 4 and calls[3] == (lo_n + hi.numerator - hi.denominator, den)
-    assert (root.lo, root.hi) == (Fraction(lo_n, den), Fraction(calls[3][0], den))
+    assert calls[0] == (1, 1)
+    lo_n, den = calls[1]
+    assert len(calls) == 3 and calls[2] == (lo_n + hi.numerator - hi.denominator, den)
+    assert (root.lo, root.hi) == (Fraction(lo_n, den), Fraction(calls[2][0], den))
+
+
+def test_search_hi_sign_is_taken_only_from_the_top(monkeypatch):
+    # where the float names a neighbour of the root's cell, bisection starts
+    # from (1, search_hi), and only that path evaluates p(search_hi); the
+    # bracket is bisection's either way
+    calls = []
+    sign = IntPoly._sign
+    monkeypatch.setattr(IntPoly, "_sign", lambda self, n, q: calls.append((n, q)) or sign(self, n, q))
+    width, from_top = Fraction(1, 10**14), []
+    for m in (1036, 1225, 1254, 1503, 1627, 1875, 1937, 2091, 2860, 2998):
+        hi = _production_search_hi(m)
+        want = _bisected(build_Tm(m), hi, width)
+        top = _steered_cell(build_Tm(m), hi, width) == (1, hi)
+        calls.clear()
+        assert largest_root(build_Tm(m), hi, width) == want, m
+        assert (hi.as_integer_ratio() in calls) == top, m
+        from_top.append(top)
+    assert any(from_top) and not all(from_top)
+
+
+def test_a_search_hi_at_or_below_the_root_still_raises_no_sign_change():
+    # steering first refuses nothing new: no cell inside (1, search_hi] can
+    # prove a root there, so the sign of p(search_hi) is taken and refuses
+    cases = [(IntPoly.from_dict({2: 1, 0: -4}), Fraction(2))]  # p(search_hi) = 0
+    for m in (5, 50, 1998):
+        p = build_Tm(m)
+        root = largest_root(p, _production_search_hi(m))
+        cases += [(p, root.lo), (p, (1 + root.lo) / 2)]
+    for p, search_hi in cases:
+        message = f"p(search_hi) <= 0 at search_hi={search_hi}; enlarge search_hi"
+        with pytest.raises(NoSignChange, match=re.escape(message)):
+            largest_root(p, search_hi)
 
 
 def test_steered_bracket_equals_plain_bisection_on_a_stride_to_2000():

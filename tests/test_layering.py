@@ -224,10 +224,29 @@ def _modules_after(code: str) -> set:
     return set(done.stdout.splitlines()[-1].split())
 
 
+# what `dataclasses` would pull in; the package's records come from
+# dillab._record, and suites takes Callable from collections.abc
+RECORD_TOOLING = {"dataclasses", "inspect", "typing"}
+
+
 def test_import_dillab_loads_neither_the_pool_stack_nor_json():
     loaded = _modules_after("import dillab\ndillab.log_enclosure(3)")
     assert "dillab.suites" in loaded
-    assert loaded.isdisjoint(POOL_PACKAGES | {"json"})
+    assert loaded.isdisjoint(POOL_PACKAGES | {"json"} | RECORD_TOOLING)
+
+
+def _imports_dataclasses(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "dataclasses"
+
+
+def test_no_module_imports_dataclasses():
+    # each dataclass decorator compiles its methods on import; dillab._record
+    # builds the same frozen records from closures
+    sample = "import dataclasses\ndef f():\n    from dataclasses import dataclass"
+    assert list(_scopes(ast.parse(sample), _imports_dataclasses)) == ["", "f"]
+    assert _package_scopes(_imports_dataclasses) == set()
 
 
 def test_a_serial_verify_loads_no_pool_stack():
