@@ -43,7 +43,6 @@ from .intmatrix import (
     is_irreducible,
     is_positive,
     load_matrix,
-    mat_power,
     parse_matrix_json,
     parse_matrix_text,
     pf_enclosure,

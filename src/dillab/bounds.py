@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record
-from .enclosures import RatInterval, _log_end, _require_ints, log_enclosure, nth_root_enclosure
+from .enclosures import RatInterval, _log_end, _log_ints, _require_ints, log_enclosure, nth_root_enclosure
 from .errors import AlphaOutOfRange, DomainError, ValidationFailed
 from .families import cover_index, cover_threshold, cover_upper_bound
 
@@ -83,7 +83,8 @@ def thm34_lower(g: int, n: int, alpha: int) -> Fraction:
 
 def _branch1_lo(g: int, alpha: int) -> Fraction:
     """lo of thm34_lower's n-independent branch, log(2)/(alpha*(12g-12))."""
-    return log_enclosure(2).scale(Fraction(1, alpha * (12 * g - 12))).lo
+    lo_n, _, common = _log_ints(2, 1)
+    return Fraction(lo_n, common * alpha * (12 * g - 12))
 
 
 def _thm34_lower(g: int, n: int, alpha: int, branch1_lo: Fraction) -> Fraction:
@@ -106,19 +107,25 @@ def omega_constants(g: int, alpha: int) -> OmegaConstants:
     omega_prime = alpha*(12g-12) * log(3) / (3*log(2)); omega is the interval
     maximum of omega_prime, 48*alpha, and
     48*alpha*(g-1)*log(3)/(3*log(24*(g-1))). Every term is linear in alpha.
+    Each end of c*log(3)/(3*log(y)) comes from the integer log ends
+    (_log_ints) with one Fraction: lo(log 3) over hi(log y), and hi over lo.
     """
     _require_ints("omega_constants", g=g)
     if g < 2:
         raise DomainError("omega_constants requires g >= 2")
     if type(alpha) is not int or alpha < 1:  # bool too: True is not read as 1
         raise DomainError("alpha must be an integer >= 1")
-    log2 = log_enclosure(2)
-    log3 = log_enclosure(3)
-    omega_prime = log3.div_positive(log2.scale(3)).scale(alpha * (12 * g - 12))
-    term2 = RatInterval.point(48 * alpha)
-    log24g = log_enclosure(24 * (g - 1))
-    term3 = log3.div_positive(log24g.scale(3)).scale(48 * alpha * (g - 1))
-    omega = RatInterval.imax(RatInterval.imax(omega_prime, term2), term3)
+    l3_lo, l3_hi, l3_common = _log_ints(3, 1)
+
+    def log3_over(c: int, y: int) -> RatInterval:
+        lo_n, hi_n, common = _log_ints(y, 1)
+        den = 3 * l3_common
+        return RatInterval(Fraction(c * l3_lo * common, den * hi_n), Fraction(c * l3_hi * common, den * lo_n))
+
+    omega_prime = log3_over(alpha * (12 * g - 12), 2)
+    term2 = Fraction(48 * alpha)
+    term3 = log3_over(48 * alpha * (g - 1), 24 * (g - 1))
+    omega = RatInterval(max(omega_prime.lo, term2, term3.lo), max(omega_prime.hi, term2, term3.hi))
     return OmegaConstants(g=g, alpha=alpha, omega_prime=omega_prime, omega=omega)
 
 

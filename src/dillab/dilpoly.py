@@ -27,7 +27,7 @@ largest real root. What decides the half is a proof, never a sample:
 * The Sturm-chain machinery (`char_poly`, `count_real_roots_above`,
   `isolate_largest_real_root`, `compare_largest_roots`) is that exact
   oracle route, also used to cross-check spectral enclosures. Its proofs
-  are in integers: Faddeev-LeVerrier on the matrix's sparse rows, and
+  are in integers: Faddeev-LeVerrier on the matrix's exact product, and
   primitive integer Sturm chains of p and p', evaluated at each probe's
   numerator and denominator. No float enters this route: Sturm bisection
   (`_isolate`) isolates each largest root (one root per interval), then a
@@ -450,26 +450,23 @@ def verify_lroot(m: int) -> LrootReport:
 def char_poly(matrix: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(xI - M), exact, by Faddeev-LeVerrier.
 
-    Each iterate n is a coefficient of adj(xI - M), so an integer matrix, and
-    each trace divides exactly by i: the loop never leaves the integers.
+    Each iterate N is a coefficient of adj(xI - M), so an integer matrix, and
+    each trace divides exactly by i: the loop never leaves the integers. N is
+    held by columns, so M N is the matrix's exact product IntMatrix._times
+    on each of them.
     """
     k = matrix.k
-    n = [[int(i == j) for j in range(k)] for i in range(k)]
+    times = matrix._times
+    cols = [[int(i == t) for i in range(k)] for t in range(k)]
     coeffs = [0] * k + [1]
     for i in range(1, k + 1):
-        prod = []
-        for row in matrix.rows:
-            acc = [0] * k
-            for l, m in row:
-                acc = [a + m * b for a, b in zip(acc, n[l])]
-            prod.append(acc)
-        n = prod
-        ci, rem = divmod(-sum(n[t][t] for t in range(k)), i)
+        cols = [times(col) for col in cols]
+        ci, rem = divmod(-sum([cols[t][t] for t in range(k)]), i)
         if rem:
             raise AssertionError("Faddeev-LeVerrier produced a non-integer coefficient")
         coeffs[k - i] = ci
         for t in range(k):
-            n[t][t] += ci
+            cols[t][t] += ci
     return _sparse(coeffs)
 
 

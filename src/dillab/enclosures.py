@@ -52,30 +52,6 @@ class RatInterval:
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
-    def __add__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def scale(self, c: Fraction) -> "RatInterval":
-        # multiplication by an exact rational, sign-aware
-        c = Fraction(c)
-        if c >= 0:
-            return RatInterval(self.lo * c, self.hi * c)
-        return RatInterval(self.hi * c, self.lo * c)
-
-    def div_positive(self, other: "RatInterval") -> "RatInterval":
-        # self / other for other strictly positive; outward by construction
-        if other.lo <= 0:
-            raise DomainError("division requires a strictly positive interval")
-        if self.lo >= 0:
-            return RatInterval(self.lo / other.hi, self.hi / other.lo)
-        if self.hi <= 0:
-            return RatInterval(self.lo / other.lo, self.hi / other.hi)
-        return RatInterval(self.lo / other.lo, self.hi / other.lo)
-
-    @staticmethod
-    def imax(a: "RatInterval", b: "RatInterval") -> "RatInterval":
-        return RatInterval(max(a.lo, b.lo), max(a.hi, b.hi))
-
     @staticmethod
     def point(x) -> "RatInterval":
         x = Fraction(x)

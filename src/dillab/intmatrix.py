@@ -29,7 +29,6 @@ __all__ = [
     "IntMatrix",
     "PFEnclosure",
     "DiagonalBoundReport",
-    "mat_power",
     "is_irreducible",
     "is_positive",
     "pf_enclosure",
@@ -141,10 +140,6 @@ class IntMatrix:
         """IntMatrix(rows), for rows given as any sequences of int entries."""
         return IntMatrix(rows)
 
-    @staticmethod
-    def identity(k: int) -> "IntMatrix":
-        return IntMatrix.from_sparse([((i, 1),) for i in range(k)])
-
     def row_sums(self) -> tuple[int, ...]:
         return tuple([sum([m for _, m in row]) for row in self.rows])
 
@@ -201,18 +196,6 @@ class IntMatrix:
             out.__dict__["_irreducible"] = self._irreducible
         return out
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.k != other.k:
-            raise ValueError("dimension mismatch")
-        out = []
-        for row in self.rows:
-            acc: dict[int, int] = {}
-            for l, a in row:
-                for j, b in other.rows[l]:
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append(tuple(sorted(acc.items())))
-        return IntMatrix._of(tuple(out))
-
 
 @record
 class PFEnclosure:
@@ -244,20 +227,6 @@ class DiagonalBoundReport:
 
     positive_power: bool
     mu_bound_holds: bool
-
-
-def mat_power(matrix: IntMatrix, r: int) -> IntMatrix:
-    """Exact matrix power by repeated squaring, r >= 0."""
-    if r < 0:
-        raise ValueError("power must be >= 0")
-    result = IntMatrix.identity(matrix.k)
-    base = matrix
-    while r:
-        if r & 1:
-            result = result @ base
-        base = base @ base if r > 1 else base
-        r >>= 1
-    return result
 
 
 # An entry up to this may be gathered as its column repeated that many times;

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record
+from .enclosures import _finite_fraction, _require_ints
 from .errors import (
     DomainError,
     FixedPointOnCircle,
@@ -54,16 +55,19 @@ class HomologyClass:
 
     @staticmethod
     def zero(g: int) -> "HomologyClass":
+        _require_ints("HomologyClass.zero", g=g)
         return HomologyClass((0,) * (2 * g))
 
     @staticmethod
     def alpha(i: int, g: int) -> "HomologyClass":
+        _require_ints("HomologyClass.alpha", i=i, g=g)
         if not 1 <= i <= g:
             raise ValueError(f"alpha index {i} outside 1..{g}")
         return HomologyClass(tuple(1 if t == i - 1 else 0 for t in range(2 * g)))
 
     @staticmethod
     def beta(i: int, g: int) -> "HomologyClass":
+        _require_ints("HomologyClass.beta", i=i, g=g)
         if not 1 <= i <= g:
             raise ValueError(f"beta index {i} outside 1..{g}")
         return HomologyClass(tuple(1 if t == g + i - 1 else 0 for t in range(2 * g)))
@@ -92,6 +96,8 @@ class SympAction:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if type(self.g) is not int:  # bool too: True is not genus 1
+            raise ValueError(f"g must be int, got {type(self.g).__name__}")
         n = 2 * self.g
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValueError(f"matrix must be {n}x{n}")
@@ -112,8 +118,7 @@ class SympAction:
     @classmethod
     def _unchecked(cls, g: int, matrix: tuple[tuple[int, ...], ...]) -> "SympAction":
         """Build without the A^T J A = J check, for operations that keep the
-        form by a theorem: the identity, products of symplectic maps, and
-        their twists."""
+        form by a theorem: the identity and its twists."""
         action = object.__new__(cls)
         object.__setattr__(action, "g", g)
         object.__setattr__(action, "matrix", matrix)
@@ -121,6 +126,7 @@ class SympAction:
 
     @staticmethod
     def identity(g: int) -> "SympAction":
+        _require_ints("SympAction.identity", g=g)
         n = 2 * g
         return SympAction._unchecked(
             g, tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
@@ -130,17 +136,8 @@ class SympAction:
     def trace(self) -> int:
         return sum(self.matrix[t][t] for t in range(2 * self.g))
 
-    def __matmul__(self, other: "SympAction") -> "SympAction":
-        if self.g != other.g:
-            raise GenusMismatch(f"genus mismatch: {self.g} vs {other.g}")
-        cols = list(zip(*other.matrix))
-        prod = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.matrix
-        )
-        return SympAction._unchecked(self.g, prod)
-
     def twist(self, gamma: HomologyClass, power: int) -> "SympAction":
-        """self @ transvection(gamma, power), as a rank-one update.
+        """The product self * transvection(gamma, power), as a rank-one update.
 
         The transvection is I + power * gamma w^T with w^T v = <v, gamma>,
         so the product is A + power * (A gamma) w^T: one matrix-vector
@@ -194,6 +191,7 @@ def multitwist_action(twists, g: int) -> SympAction:
     """Product of the transvections of a pairwise-orthogonal twist system,
     each applied as a rank-one update (SympAction.twist), checked once
     through the public constructor."""
+    _require_ints("multitwist_action", g=g)
     if g < 1:
         raise DomainError("genus must be >= 1")
     _check_twists(twists, g)
@@ -225,7 +223,8 @@ class LinearPlaneMap:
     point at the origin when det(A - I) != 0.
 
     Entries are stored as Fractions; int, float and Fraction input converts
-    exactly, so a float entry means the rational value of that float.
+    exactly, so a float entry means the rational value of that float. A bool,
+    a str, NaN or an infinity raises DomainError (_finite_fraction).
     """
 
     a: Fraction
@@ -235,7 +234,7 @@ class LinearPlaneMap:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, _finite_fraction(name, getattr(self, name)))
 
     def det_minus_identity(self) -> Fraction:
         return (self.a - 1) * (self.d - 1) - self.b * self.c

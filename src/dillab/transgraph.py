@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record
-from .enclosures import RatInterval, interval_gap, nth_root_enclosure
+from .enclosures import RatInterval, _finite_fraction, interval_gap, nth_root_enclosure
 from .errors import DegreePreconditionViolated, DomainError, NotIrreducible, VertexOutOfRange
 from .intmatrix import DEFAULT_MAX_ITERS, IntMatrix, is_irreducible, pf_enclosure
 
@@ -88,8 +88,9 @@ def dilatation_limit_check(
 
     The d-th root of P(i, d) is bracketed by exact integer root extraction
     (no floating point), and convergence means that bracket overlaps the
-    spectral enclosure widened by tol >= 0 on each side. last_gap is the
-    distance between the two unwidened intervals, 0 when they already
+    spectral enclosure widened by tol >= 0 on each side; tol is read exactly,
+    and a bool, a str, NaN or an infinity raises DomainError. last_gap is
+    the distance between the two unwidened intervals, 0 when they already
     overlap.
     """
     _check_vertex(matrix, i)
@@ -102,7 +103,7 @@ def _limit_checks(matrix: IntMatrix, vertices, d_max: int, tol, max_iters: int) 
     from the matrix's count slot) and one spectral enclosure."""
     if type(d_max) is not int or d_max < 1:
         raise DomainError(f"d_max must be an int >= 1, got {d_max!r}")
-    tol = Fraction(tol)
+    tol = _finite_fraction("tol", tol)
     if tol < 0:
         raise DomainError("tol must be >= 0")
     if not is_irreducible(matrix):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -85,6 +86,17 @@ def test_omega_full_alpha_is_48_theta():
     # at g = 2 the max term is 48 alpha exactly for every alpha
     oc = omega_constants(2, theta(2))
     assert oc.omega.lo == 48 * 51840 == 2488320
+
+
+def test_omega_constants_bytes_pinned():
+    # digests of the reprs that RatInterval arithmetic on log_enclosure gave;
+    # the integer log ends must give the same bytes
+    reprs = [repr(omega_constants(g, a)) for g in range(2, 9) for a in (1, 2, 3, 48, theta(g))]
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == "8e088c8c77969223f854ef11d469e43aa49037a706f1fa23c61098144a8f2b2e"
+    branch1 = [repr(bounds._branch1_lo(g, a)) for g in range(2, 9) for a in (1, 2, 3, 48, theta(g))]
+    digest = hashlib.sha256("\n".join(branch1).encode()).hexdigest()
+    assert digest == "ac39fbecb09a9c9b0abc958f4b7a222b47aca4dd1d16494036c2c7e42e1e7242"
 
 
 def test_omega_constants_refuses_a_bool_alpha():

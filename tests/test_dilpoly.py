@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dillab
+from dense_reference import faddeev_leverrier_rows, identity
 from dillab import dilpoly, enclosures, suites
 from dillab.dilpoly import (
     IntPoly,
@@ -30,7 +31,7 @@ from dillab.dilpoly import (
 )
 from dillab.errors import DomainError, NoSignChange
 from dillab.families import cover_upper_bound
-from dillab.intmatrix import IntMatrix, _cw_compare
+from dillab.intmatrix import _REPEAT_MAX, IntMatrix, _cw_compare, _scaled_route
 
 
 def test_intpoly_basics():
@@ -194,11 +195,12 @@ def test_steered_bracket_work_at_m_1998():
 
 def test_steered_bracket_recovers_a_float_one_cell_off():
     # at this width the float root names a neighbour of the root's cell for
-    # these m; a sign refuses it, and bisection from the top returns the
-    # same bracket
+    # these m; a sign refuses it, so the start is (1, search_hi), and
+    # bisection from the top returns the same bracket
     width = Fraction(1, 10**14)
-    for m in (1036, 1225, 1254, 1503, 1627, 1875, 1937, 2091, 2860, 2998):
+    for m in (1036, 1254, 1627, 1875, 1937, 2860, 2998):
         hi = _production_search_hi(m)
+        assert _steered_cell(build_Tm(m), hi, width) == (1, hi), m
         assert largest_root(build_Tm(m), hi, width) == _bisected(build_Tm(m), hi, width), m
 
 
@@ -898,9 +900,41 @@ def test_char_poly_companion():
     # companion matrix of x^3 - 2x^2 - 7x - 5
     m = IntMatrix(((0, 1, 0), (0, 0, 1), (5, 7, 2)))
     assert char_poly(m) == IntPoly.from_dict({3: 1, 2: -2, 1: -7, 0: -5})
-    assert char_poly(IntMatrix.identity(3)) == IntPoly.from_dict(
+    assert char_poly(identity(3)) == IntPoly.from_dict(
         {3: 1, 2: -3, 1: 3, 0: -1}
     )
+
+
+# (matrix, whether IntMatrix._times takes the scaled route on it)
+_CHAR_POLY_ROUTES = [
+    (IntMatrix(((7,),)), True),  # k = 1, an entry above _REPEAT_MAX
+    (IntMatrix(((0,),)), False),  # k = 1, an empty row
+    (IntMatrix(((0, 2**70), (1, 3))), True),
+    (IntMatrix(((2, 3, 1), (3, 2, 3), (1, 3, 2))), False),  # small dense entries repeat
+    (IntMatrix([[4] * 8] * 8), True),  # dense entries of 4 scale
+    (IntMatrix(((0, 1, 0), (0, 0, 1), (1, 1, 0))), False),
+]
+
+
+def test_char_poly_equals_the_row_loop_on_both_product_routes():
+    for m, scaled in _CHAR_POLY_ROUTES:
+        assert _scaled_route(m.rows) is scaled, m
+        assert char_poly(m) == faddeev_leverrier_rows(m), m
+
+
+@st.composite
+def _char_poly_matrices(draw):
+    k = draw(st.integers(min_value=1, max_value=7))
+    top = draw(st.sampled_from((1, 3, _REPEAT_MAX, _REPEAT_MAX + 1, 2**70)))
+    return IntMatrix([[draw(st.integers(min_value=0, max_value=top)) for _ in range(k)] for _ in range(k)])
+
+
+@given(_char_poly_matrices())
+@settings(max_examples=150, deadline=None)
+def test_char_poly_on_the_exact_product_equals_the_row_loop(m):
+    # char_poly multiplies the iterate's columns by IntMatrix._times; the
+    # reference multiplies its rows by hand, as char_poly once did
+    assert char_poly(m) == faddeev_leverrier_rows(m)
 
 
 def test_mu_compare_known_pairs():

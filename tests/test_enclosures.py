@@ -36,10 +36,12 @@ def test_interval_basics():
 
 
 def test_interval_arithmetic():
+    # an interval carries no arithmetic: its callers compute each end in
+    # integers (enclosures._log_ints) and build it once
     a = RatInterval(Fraction(1), Fraction(2))
-    b = RatInterval(Fraction(3), Fraction(5))
-    assert (a + b).lo == 4 and (a + b).hi == 7
-    assert a.scale(Fraction(3)).hi == 6
+    for name in ("__add__", "scale", "div_positive", "imax"):
+        assert not hasattr(a, name), name
+    assert RatInterval(1, 2) == a and type(RatInterval(1, 2).lo) is Fraction
 
 
 def test_interval_gap():

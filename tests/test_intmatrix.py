@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import identity, mat_mul, mat_power
 from dillab import intmatrix
 from dillab.cli import main
 from dillab.dilpoly import IntPoly, char_poly, count_real_roots_above, isolate_largest_real_root
@@ -27,7 +28,6 @@ from dillab.intmatrix import (
     _steer_at,
     is_irreducible,
     is_positive,
-    mat_power,
     parse_matrix_json,
     parse_matrix_text,
     pf_enclosure,
@@ -55,7 +55,7 @@ def test_sparse_storage_keeps_dense_meaning():
     assert same == FIB and hash(same) == hash(FIB)
     assert IntMatrix.from_sparse([[(1, 1)], [(0, 1), (1, 1)]]) == FIB
     assert IntMatrix(((0, 1), (1, 2))) != FIB
-    assert len({FIB, same, IntMatrix.identity(2)}) == 2
+    assert len({FIB, same, identity(2)}) == 2
     assert repr(FIB) == "IntMatrix(entries=((0, 1), (1, 1)))"
     assert IntMatrix(((0, 0), (0, 0))).rows == ((), ())
     assert FIB.edges == ((1, 2, 1), (2, 1, 1), (2, 2, 1))
@@ -137,16 +137,17 @@ def test_non_int_entries_are_refused_not_coerced(bad):
 
 
 def test_matmul_and_power():
-    sq = FIB @ FIB
+    # the tests' dense reference, checked against Fibonacci numbers:
+    # F^10 = [[F9, F10], [F10, F11]]
+    sq = mat_mul(FIB, FIB)
     assert sq.entries == ((1, 1), (1, 2))
-    # Fibonacci numbers appear in powers: F^10 = [[F9, F10], [F10, F11]]
     p10 = mat_power(FIB, 10)
     assert p10.entries == ((34, 55), (55, 89))
     assert mat_power(FIB, 0).entries == ((1, 0), (0, 1))
     with pytest.raises(ValueError):
         mat_power(FIB, -1)
     with pytest.raises(ValueError):
-        FIB @ IntMatrix(((1,),))
+        mat_mul(FIB, IntMatrix(((1,),)))
 
 
 def test_transpose_and_sums():
@@ -166,7 +167,7 @@ def test_irreducibility():
     cyc = IntMatrix(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
     assert is_irreducible(cyc)
     assert not is_positive(cyc)
-    assert mat_power(cyc, 3) == IntMatrix.identity(3)
+    assert mat_power(cyc, 3) == identity(3)
 
 
 def test_pf_enclosure_rejects_reducible():
@@ -485,7 +486,7 @@ def small_matrices(draw, max_k=4):
 @given(small_matrices(), st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
 @settings(max_examples=60, deadline=None)
 def test_mat_power_additivity(m, a, b):
-    assert mat_power(m, a) @ mat_power(m, b) == mat_power(m, a + b)
+    assert mat_mul(mat_power(m, a), mat_power(m, b)) == mat_power(m, a + b)
 
 
 @given(small_matrices(max_k=6))

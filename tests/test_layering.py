@@ -170,11 +170,31 @@ def _dense_power_or_column_route(node: ast.AST) -> bool:
 
 def test_dense_powers_and_the_column_route_stay_out_of_the_library():
     # verify certifies the diagonal bound and the torus cap from their
-    # lemmas; mat_power is the dense reference the tests compare against,
-    # and hi_target serves the benchmark's column-route instance
+    # lemmas; the dense products and mat_power are the tests' reference
+    # (tests/dense_reference.py), and hi_target serves the benchmark's
+    # column-route instance, so the package has no `@` at all
     sample = "def f(m):\n    return mat_power(m, 2) @ m, pf_enclosure(m, hi_target=9)"
     assert list(_scopes(ast.parse(sample), _dense_power_or_column_route)) == ["f"] * 3
-    assert _package_scopes(_dense_power_or_column_route) == {("intmatrix", "mat_power")}
+    assert _package_scopes(_dense_power_or_column_route) == set()
+
+
+def _reads_rows(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "rows"
+
+
+# these scopes read SandwichReport.rows, a table of bounds, not a matrix's
+SANDWICH_ROW_READERS = {("cli", "_cmd_bounds_table"), ("suites", "_run_sandwich")}
+
+
+def test_only_intmatrix_walks_a_matrix_rows():
+    # every exact product over an IntMatrix goes through IntMatrix._times,
+    # char_poly's Faddeev-LeVerrier included; outside intmatrix only the
+    # subdivision, which splices one row, reads the sparse rows
+    sample = "def f(m):\n    return [row for row in m.rows]"
+    assert list(_scopes(ast.parse(sample), _reads_rows)) == ["f"]
+    readers = {scope for scope in _package_scopes(_reads_rows) if scope[0] != "intmatrix"}
+    assert SANDWICH_ROW_READERS <= readers
+    assert readers - SANDWICH_ROW_READERS == {("transgraph", "subdivide_out_edge")}
 
 
 def _makes_a_float(node: ast.AST) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import symp_mul
 from dillab.errors import (
     DomainError,
     FixedPointOnCircle,
@@ -97,7 +98,7 @@ def test_transvection_zero_class_and_power():
 
 def test_transvection_inverse():
     gamma = HomologyClass((1, 2, 0, -1))
-    prod = transvection(gamma, 4) @ transvection(gamma, -4)
+    prod = symp_mul(transvection(gamma, 4), transvection(gamma, -4))
     assert prod.matrix == SympAction.identity(2).matrix
 
 
@@ -165,8 +166,8 @@ def test_rank_one_multitwist_equals_the_dense_chain(system):
     dense = SympAction.identity(g)
     for gamma, power in twists:
         assert transvection(gamma, power) == _dense_transvection(gamma, power)
-        assert dense.twist(gamma, power) == dense @ _dense_transvection(gamma, power)
-        dense = dense @ _dense_transvection(gamma, power)
+        assert dense.twist(gamma, power) == symp_mul(dense, _dense_transvection(gamma, power))
+        dense = symp_mul(dense, _dense_transvection(gamma, power))
     assert multitwist_action(twists, g) == dense
 
 
@@ -201,6 +202,49 @@ def test_multitwist_refuses_a_bool_power():
     assert multitwist_action([(alpha, 1)], 1).matrix == transvection(alpha, 1).matrix
     with pytest.raises(DomainError):
         multitwist_action([(alpha, True)], 1)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [(True, 0, 0, 3), (2, False, 0, 3), ("2", 0, 0, 3), (2, 0, 0, "3/2"), (float("nan"), 0, 0, 3), (2, 0, 0, float("inf")), (None, 0, 0, 3)],
+)
+def test_linear_plane_map_refuses_what_is_not_a_finite_number(entries):
+    with pytest.raises(DomainError, match="must be a finite number"):
+        LinearPlaneMap(*entries)
+
+
+def test_linear_plane_map_reads_ints_fractions_and_floats_exactly():
+    model = LinearPlaneMap(2, Fraction(1, 3), 0.25, 3.0)
+    assert (model.a, model.b, model.c, model.d) == (2, Fraction(1, 3), Fraction(1, 4), 3)
+    assert all(type(x) is Fraction for x in (model.a, model.b, model.c, model.d))
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (HomologyClass.alpha, (True, 2)),
+        (HomologyClass.alpha, (1, 2.0)),
+        (HomologyClass.beta, (1.0, 2)),
+        (HomologyClass.beta, (1, True)),
+        (HomologyClass.zero, (True,)),
+        (HomologyClass.zero, ("2",)),
+        (SympAction.identity, (True,)),
+        (multitwist_action, ([(HomologyClass.alpha(1, 1), 1)], True)),
+        (multitwist_action, ([(HomologyClass.alpha(1, 1), 1)], 1.0)),
+        (multitwist_lefschetz, ([(HomologyClass.alpha(1, 1), 1)], True)),
+    ],
+)
+def test_lefschetz_integer_parameters_refuse_every_other_type(call, args):
+    # True is not index or genus 1, and 1.0 is not the integer it equals
+    with pytest.raises(DomainError, match="requires an int"):
+        call(*args)
+
+
+def test_symp_action_refuses_a_genus_that_is_not_an_int():
+    assert SympAction(1, ((1, 0), (0, 1))).g == 1
+    for g in (True, 1.0):
+        with pytest.raises(ValueError, match="g must be int"):
+            SympAction(g, ((1, 0), (0, 1)))
 
 
 def test_local_index_battery():

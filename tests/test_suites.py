@@ -96,8 +96,9 @@ def test_torus_family_suite_small():
 
 def test_diag_power_and_torus_family_certify_from_the_lemmas(monkeypatch):
     # diag-power reads M^(2k) 1 and a bitset zero pattern, and the torus cap
-    # 9 comes from the contract's column sums: neither builds a dense power,
-    # a transpose or a hi_target enclosure
+    # 9 comes from the contract's column sums: neither builds a transpose or
+    # a hi_target enclosure (the library has no dense power to build:
+    # tests/test_layering.py pins that)
     from dillab import intmatrix
 
     calls = []
@@ -109,8 +110,6 @@ def test_diag_power_and_torus_family_certify_from_the_lemmas(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(intmatrix, "mat_power", spy("mat_power", intmatrix.mat_power))
-    monkeypatch.setattr(IntMatrix, "__matmul__", spy("@", IntMatrix.__matmul__))
     monkeypatch.setattr(IntMatrix, "transpose", spy("transpose", IntMatrix.transpose))
     pf_enclosure = spy("pf_enclosure", intmatrix.pf_enclosure)
     for module in (intmatrix, suites):

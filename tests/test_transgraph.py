@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_reference import mat_power
 from dillab.dilpoly import IntPoly, char_poly, mu_compare
 from dillab.errors import (
     DegreePreconditionViolated,
@@ -11,7 +12,7 @@ from dillab.errors import (
     VertexOutOfRange,
 )
 from dillab.enclosures import nth_root_enclosure
-from dillab.intmatrix import IntMatrix, mat_power, pf_enclosure
+from dillab.intmatrix import IntMatrix, pf_enclosure
 from dillab.suites import random_irreducible_rows
 from dillab.transgraph import (
     _limit_checks,
@@ -79,6 +80,18 @@ def test_dilatation_limit_check_errors():
         with pytest.raises(DomainError):
             dilatation_limit_check(IntMatrix(((1, 1), (1, 1))), 1, 5, tol=tol)
     assert dilatation_limit_check(FIB, 1, 60, tol=0).d == 60
+
+
+@pytest.mark.parametrize("tol", [True, False, "1/20", None, float("nan"), float("inf"), -float("inf")])
+def test_dilatation_limit_check_refuses_a_tol_that_is_not_a_finite_number(tol):
+    # a bool is not read as 1 or 0, nor a str parsed: tol is a width like
+    # every other, read exactly by enclosures._finite_fraction
+    with pytest.raises(DomainError, match="tol must be a finite number"):
+        dilatation_limit_check(FIB, 1, 60, tol=tol)
+
+
+def test_dilatation_limit_check_reads_a_float_tol_exactly():
+    assert dilatation_limit_check(FIB, 1, 60, tol=0.05) == dilatation_limit_check(FIB, 1, 60, tol=Fraction(0.05))
 
 
 def test_shared_limit_checks_match_the_per_vertex_check():
