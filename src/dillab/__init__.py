@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 from .enclosures import (
     RatInterval,
-    decimal_str,
     interval_gap,
     log_enclosure,
     log_interval,

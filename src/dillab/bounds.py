@@ -185,6 +185,8 @@ def log_uniform_sample(n_lo: int, n_hi: int, count: int) -> tuple[int, ...]:
     _require_ints("log_uniform_sample", n_lo=n_lo, n_hi=n_hi, count=count)
     if n_lo < 1 or n_hi < n_lo:
         raise DomainError("need 1 <= n_lo <= n_hi")
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
     span = n_hi - n_lo + 1
     if count > span:
         raise DomainError(f"cannot pick {count} distinct integers from {span}")

@@ -30,7 +30,6 @@ from fractions import Fraction
 
 from .bounds import sandwich_table
 from .dilpoly import DEFAULT_ROOT_REL_WIDTH, build_T, build_Tm, largest_root, verify_lroot
-from .enclosures import decimal_str
 from .errors import DillabError
 from .families import cover_upper_bound, torus_matrix, verify_torus_bounds
 from .intmatrix import (
@@ -101,12 +100,23 @@ def _csv_line(row) -> str:
 # ---------------------------------------------------------------------------
 
 
+_PLACES = 10**30  # every decimal is printed to 30 places
+
+
 def _floor(x: Fraction) -> str:
-    return decimal_str(x, rounding="floor")
+    """x rounded toward -inf, so a printed lower end is still a lower bound."""
+    return _decimal(x.numerator * _PLACES // x.denominator)
 
 
 def _ceil(x: Fraction) -> str:
-    return decimal_str(x, rounding="ceil")
+    """x rounded toward +inf, so a printed upper end is still an upper bound."""
+    return _decimal(-(-x.numerator * _PLACES // x.denominator))
+
+
+def _decimal(q: int) -> str:
+    """The integer q / 10**30 written with all 30 places."""
+    whole, frac = divmod(abs(q), _PLACES)
+    return f"{'-' if q < 0 else ''}{whole}.{frac:030d}"
 
 
 def _enclosure_json(lo: Fraction, hi: Fraction, **extra) -> dict:
@@ -419,7 +429,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     else:
         raise UsageError("need --all or --suite NAME")
     with shared_pool(ns.jobs):
-        reports = [run_suite(name, seed=ns.seed, cases=ns.cases, jobs=ns.jobs) for name in names]
+        reports = [run_suite(name, seed=ns.seed, cases=ns.cases) for name in names]
     payload = {
         "seed": ns.seed,
         "suites": reports,

@@ -146,7 +146,7 @@ class IntPoly:
         return acc * n**e
 
     def __call__(self, x) -> Fraction:
-        n, q = Fraction(x).as_integer_ratio()
+        n, q = _finite_fraction("x", x).as_integer_ratio()
         return Fraction(self._homogenised(n, q), q ** max(self.degree, 0))
 
     def sign_at(self, x) -> int:
@@ -158,7 +158,7 @@ class IntPoly:
         integer _homogenised. Low-degree probes, such as the oracle's Sturm
         bisection on characteristic polynomials, stay exact."""
         if type(x) is not Fraction and type(x) is not int:
-            x = Fraction(x)
+            x = _finite_fraction("x", x)
         return self._sign(*x.as_integer_ratio())
 
     def _sign(self, n: int, q: int) -> int:
@@ -554,9 +554,10 @@ def _sturm_counter(p: IntPoly):
 def count_real_roots_above(p: IntPoly, a: Fraction) -> int:
     """Number of distinct real roots of p strictly above the rational a.
 
-    Requires p(a) != 0 (else ValueError). Sturm chain of p and p'.
+    Requires p(a) != 0 (else ValueError) and a finite number a
+    (_finite_fraction). Sturm chain of p and p'.
     """
-    n = _sturm_counter(p)(Fraction(a))
+    n = _sturm_counter(p)(_finite_fraction("a", a))
     if n is None:
         raise ValueError("count_real_roots_above requires p(a) != 0")
     return n
@@ -586,12 +587,13 @@ def isolate_largest_real_root(p: IntPoly, hi_bound) -> RatInterval:
     """Isolating interval, no wider than _ISOLATE_WIDTH, for the largest real
     root of any p with no real root at or above hi_bound and at least one
     above -|hi_bound| - 1, where p must not vanish either (else DomainError).
+    hi_bound must be a finite number (_finite_fraction).
 
     Bisection on the exact Sturm count of roots above the probe isolates the
     root first, then refines the interval.
     """
     roots_above = _sturm_counter(p)
-    lo, hi = _isolate(p, Fraction(hi_bound), roots_above)
+    lo, hi = _isolate(p, _finite_fraction("hi_bound", hi_bound), roots_above)
     while hi - lo > _ISOLATE_WIDTH:
         lo, hi, _ = _bisect(p, lo, hi, roots_above)
     return RatInterval(lo, hi)
@@ -602,7 +604,8 @@ def compare_largest_roots(pa: IntPoly, pb: IntPoly, hi_a, hi_b) -> int:
 
     Each of hi_a, hi_b is a bound on the terms of isolate_largest_real_root:
     no real root of its polynomial at or above it, at least one above
-    -|bound| - 1, and neither point a root (else DomainError). Isolate, then
+    -|bound| - 1, neither point a root, and each a finite number
+    (_finite_fraction), else DomainError. Isolate, then
     decide, then refine. Sturm bisection from (-|hi| - 1, hi) gives each
     largest root the first cell that holds it and no other root of its
     polynomial (_isolate). Disjoint cells decide at once. For overlapping
@@ -611,8 +614,8 @@ def compare_largest_roots(pa: IntPoly, pb: IntPoly, hi_a, hi_b) -> int:
     cells are bisected until they separate.
     """
     above_a, above_b = _sturm_counter(pa), _sturm_counter(pb)
-    a_lo, a_hi = _isolate(pa, Fraction(hi_a), above_a)
-    b_lo, b_hi = _isolate(pb, Fraction(hi_b), above_b)
+    a_lo, a_hi = _isolate(pa, _finite_fraction("hi_a", hi_a), above_a)
+    b_lo, b_hi = _isolate(pb, _finite_fraction("hi_b", hi_b), above_b)
     if a_hi < b_lo or b_hi < a_lo:
         return -1 if a_hi < b_lo else 1
     above_g = _sturm_counter(_sparse(_poly_gcd(_dense(pa), _dense(pb))))

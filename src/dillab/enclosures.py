@@ -25,7 +25,6 @@ __all__ = [
     "log_enclosure",
     "log_interval",
     "interval_gap",
-    "decimal_str",
 ]
 
 _DEFAULT_LOG_WIDTH = Fraction(1, 10**12)
@@ -40,8 +39,8 @@ class RatInterval:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-            object.__setattr__(self, "hi", Fraction(self.hi))
+            object.__setattr__(self, "lo", _finite_fraction("lo", self.lo))
+            object.__setattr__(self, "hi", _finite_fraction("hi", self.hi))
         if self.lo > self.hi:
             raise ValueError(f"empty interval: {self.lo} > {self.hi}")
 
@@ -54,7 +53,7 @@ class RatInterval:
 
     @staticmethod
     def point(x) -> "RatInterval":
-        x = Fraction(x)
+        x = _finite_fraction("x", x)
         return RatInterval(x, x)
 
 
@@ -361,8 +360,6 @@ def log_interval(iv: RatInterval, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
     if width <= 0:
         raise DomainError("log_interval requires width > 0")
     lo, hi = iv.lo, iv.hi
-    if hi == lo:
-        return log_enclosure(lo, width)
     return RatInterval(
         _log_end(lo.numerator, lo.denominator, False, width), _log_end(hi.numerator, hi.denominator, True, width)
     )
@@ -371,25 +368,3 @@ def log_interval(iv: RatInterval, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
 def interval_gap(a: RatInterval, b: RatInterval) -> Fraction:
     """Separation between two intervals; 0 exactly when they overlap."""
     return max(Fraction(0), a.lo - b.hi, b.lo - a.hi)
-
-
-def decimal_str(x: Fraction, digits: int = 30, rounding: str = "floor") -> str:
-    """Decimal rendering with directed rounding, for enclosure endpoints.
-
-    rounding="floor" rounds toward -inf, "ceil" toward +inf, so a printed
-    (lo floor, hi ceil) pair is still a valid enclosure in decimal form.
-    """
-    x = Fraction(x)
-    scale = 10**digits
-    n = x.numerator * scale
-    d = x.denominator
-    if rounding == "floor":
-        q = n // d
-    elif rounding == "ceil":
-        q = -((-n) // d)
-    else:
-        raise ValueError("rounding must be 'floor' or 'ceil'")
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    whole, frac = divmod(q, scale)
-    return f"{sign}{whole}.{frac:0{digits}d}"

@@ -113,6 +113,7 @@ class TorusMatrixSpec:
     matrix: IntMatrix
 
     def __post_init__(self) -> None:
+        _require_ints("TorusMatrixSpec", n=self.n)
         if self.n < 5:
             raise DomainError("torus family matrix is defined for n >= 5")
         if self.matrix.k != 2 * self.n:
@@ -130,6 +131,7 @@ def torus_matrix(n: int) -> TorusMatrixSpec:
       row 2n-1 : 1@1  2@2  1@4  2@(2n-1) 1@(2n)
       row 2n   : 1@1  2@2  1@4  1@(2n-3) 1@(2n-2) 2@(2n-1) 3@(2n)
     """
+    _require_ints("torus_matrix", n=n)
     if n < 5:
         raise DomainError("torus family matrix is defined for n >= 5")
     k = 2 * n

@@ -77,11 +77,8 @@ def symp_form(u: HomologyClass, v: HomologyClass) -> int:
     """The standard symplectic pairing u^T J v, exactly."""
     if u.g != v.g:
         raise GenusMismatch(f"genus mismatch: {u.g} vs {v.g}")
-    return _form_on_vectors(u.coords, v.coords, u.g)
-
-
-def _form_on_vectors(u: tuple[int, ...], v: tuple[int, ...], g: int) -> int:
-    return sum(u[t] * v[g + t] - u[g + t] * v[t] for t in range(g))
+    a, b, g = u.coords, v.coords, u.g
+    return sum(a[t] * b[g + t] - a[g + t] * b[t] for t in range(g))
 
 
 @record
@@ -142,7 +139,9 @@ class SympAction:
         The transvection is I + power * gamma w^T with w^T v = <v, gamma>,
         so the product is A + power * (A gamma) w^T: one matrix-vector
         product and one update, O(n^2) where a dense product is O(n^3).
+        power is any int, 0 included; a bool, float or str raises DomainError.
         """
+        _require_ints("SympAction.twist", power=power)
         g = self.g
         if g != gamma.g:
             raise GenusMismatch(f"genus mismatch: {g} vs {gamma.g}")

@@ -174,7 +174,7 @@ def _path_growth_case(arg: tuple) -> tuple:
     graph = IntMatrix.from_rows(rows)
     fails = []
     worst = Fraction(0)
-    reports = _limit_checks(graph, range(1, k + 1), _PATH_GROWTH_D, _PATH_GROWTH_TOL, 20000)
+    reports = _limit_checks(graph, range(1, k + 1), _PATH_GROWTH_D, _PATH_GROWTH_TOL)
     for i, rep in enumerate(reports, 1):
         worst = max(worst, rep.last_gap)
         if not rep.converged:
@@ -439,8 +439,8 @@ def _subdivision_case(arg: tuple) -> dict:
             )
             break
 
-    mu = pf_enclosure(graph, max_iters=50000)
-    mu1 = pf_enclosure(sub, max_iters=50000)
+    mu = pf_enclosure(graph)
+    mu1 = pf_enclosure(sub)
     if mu1.hi > mu.hi:
         out["fails"].append(
             f"case {idx}: hi(mu) rose after subdivision ({_frs(mu1.hi)} > {_frs(mu.hi)})"
@@ -633,7 +633,7 @@ SUITES: dict[str, SuiteSpec] = {
 }
 
 
-def run_suite(name: str, seed: int = 7, cases: int | None = None, jobs: int = 1) -> dict:
+def run_suite(name: str, seed: int = 7, cases: int | None = None) -> dict:
     if name not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise KeyError(f"unknown suite {name!r}; known: {known}")
@@ -641,8 +641,7 @@ def run_suite(name: str, seed: int = 7, cases: int | None = None, jobs: int = 1)
     n = spec.default_cases if cases is None else cases
     if n < 1:
         raise ValueError("cases must be >= 1")
-    with shared_pool(jobs):
-        count, failures, extra = spec.runner(seed, n)
+    count, failures, extra = spec.runner(seed, n)
     return {
         "suite": name,
         "seed": seed,

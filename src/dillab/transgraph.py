@@ -14,7 +14,7 @@ from fractions import Fraction
 from ._record import record
 from .enclosures import RatInterval, _finite_fraction, interval_gap, nth_root_enclosure
 from .errors import DegreePreconditionViolated, DomainError, NotIrreducible, VertexOutOfRange
-from .intmatrix import DEFAULT_MAX_ITERS, IntMatrix, is_irreducible, pf_enclosure
+from .intmatrix import IntMatrix, is_irreducible, pf_enclosure
 
 __all__ = [
     "LimitCheckReport",
@@ -76,15 +76,9 @@ def path_count_series(matrix: IntMatrix, i: int, d_max: int) -> tuple[int, ...]:
     return tuple([matrix._counts(d)[i - 1] for d in range(d_max + 1)])
 
 
-def dilatation_limit_check(
-    matrix: IntMatrix,
-    i: int,
-    d_max: int,
-    tol,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> LimitCheckReport:
+def dilatation_limit_check(matrix: IntMatrix, i: int, d_max: int, tol) -> LimitCheckReport:
     """Compare the d-th root of the path count against the certified
-    spectral enclosure.
+    spectral enclosure, pf_enclosure at its defaults.
 
     The d-th root of P(i, d) is bracketed by exact integer root extraction
     (no floating point), and convergence means that bracket overlaps the
@@ -94,10 +88,10 @@ def dilatation_limit_check(
     overlap.
     """
     _check_vertex(matrix, i)
-    return _limit_checks(matrix, (i,), d_max, tol, max_iters)[0]
+    return _limit_checks(matrix, (i,), d_max, tol)[0]
 
 
-def _limit_checks(matrix: IntMatrix, vertices, d_max: int, tol, max_iters: int) -> list:
+def _limit_checks(matrix: IntMatrix, vertices, d_max: int, tol) -> list:
     """dilatation_limit_check for each of the given vertices, from one
     path-count vector (M^d 1 holds P(i, d) for every i at once, and resumes
     from the matrix's count slot) and one spectral enclosure."""
@@ -109,7 +103,7 @@ def _limit_checks(matrix: IntMatrix, vertices, d_max: int, tol, max_iters: int) 
     if not is_irreducible(matrix):
         raise NotIrreducible("dilatation_limit_check requires an irreducible graph")
     counts = matrix._counts(d_max)
-    mu = pf_enclosure(matrix, max_iters=max_iters)
+    mu = pf_enclosure(matrix)
     mu_iv = RatInterval(mu.lo, mu.hi)
     widened = RatInterval(mu.lo - tol, mu.hi + tol)
     reports = []

@@ -216,6 +216,15 @@ def test_subdivide_degree_violation_exit_1(capsys, fib_file):
     assert "multiplicity" in err
 
 
+def test_decimals_round_outward():
+    # every decimal is printed to 30 places, lower ends down and upper ends up
+    third = "3" * 29
+    assert cli._floor(Fraction(1, 3)) == f"0.{third}3"
+    assert cli._ceil(Fraction(1, 3)) == f"0.{third}4"
+    assert cli._floor(Fraction(-1, 3)) == f"-0.{third}4"
+    assert cli._floor(Fraction(5, 4)) == cli._ceil(Fraction(5, 4)) == "1.25" + "0" * 28
+
+
 def test_hk_root_m_mode(capsys):
     code, out, _ = run(capsys, "hk-root", "--m", "5")
     assert code == 0

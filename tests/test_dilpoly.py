@@ -290,6 +290,29 @@ def test_largest_root_refuses_what_is_not_a_finite_number(search_hi, rel_width):
         largest_root(build_Tm(5), search_hi, rel_width)
 
 
+@pytest.mark.parametrize("bad", ["4", "1/2", True, math.nan, math.inf, None])
+def test_oracle_bounds_and_evaluation_refuse_what_is_not_a_finite_number(bad):
+    p = IntPoly.from_dict({0: -2, 2: 1})
+    for call in (
+        lambda: isolate_largest_real_root(p, bad),
+        lambda: count_real_roots_above(p, bad),
+        lambda: compare_largest_roots(p, p, bad, 4),
+        lambda: compare_largest_roots(p, p, 4, bad),
+        lambda: p.sign_at(bad),
+        lambda: p(bad),
+    ):
+        with pytest.raises(DomainError, match="must be a finite number"):
+            call()
+
+
+def test_oracle_bounds_and_evaluation_read_ints_fractions_and_floats_exactly():
+    p = IntPoly.from_dict({0: -2, 2: 1})
+    assert isolate_largest_real_root(p, 4) == isolate_largest_real_root(p, 4.0)
+    assert count_real_roots_above(p, 0.5) == count_real_roots_above(p, Fraction(1, 2)) == 1
+    assert compare_largest_roots(p, p, 4.0, Fraction(4)) == 0
+    assert (p.sign_at(0.5), p(0.5)) == (p.sign_at(Fraction(1, 2)), Fraction(-7, 4))
+
+
 def test_largest_root_reads_ints_fractions_and_finite_floats_exactly():
     p = build_Tm(5)
     expected = largest_root(p, Fraction(3), Fraction(1e-10))

@@ -11,7 +11,6 @@ from dillab.enclosures import (
     RatInterval,
     _exact_root,
     _float_named_root,
-    decimal_str,
     dyadic_enclosure,
     dyadic_mul,
     dyadic_pow,
@@ -85,14 +84,6 @@ def test_log_interval_monotone():
     iv = log_interval(RatInterval(Fraction(2), Fraction(10)))
     assert iv.lo < Fraction(6932, 10 ** 4)
     assert iv.hi > Fraction(23025, 10 ** 4)
-
-
-def test_decimal_str_rounding():
-    x = Fraction(1, 3)
-    assert decimal_str(x, digits=5, rounding="floor") == "0.33333"
-    assert decimal_str(x, digits=5, rounding="ceil") == "0.33334"
-    assert decimal_str(Fraction(-1, 3), digits=3, rounding="floor") == "-0.334"
-    assert decimal_str(Fraction(5, 4), digits=2) == "1.25"
 
 
 @given(st.integers(min_value=2, max_value=10 ** 6), st.integers(min_value=2, max_value=12))
@@ -329,6 +320,23 @@ def test_m_cubed_radicands_are_decided_in_intervals():
 def test_log_enclosure_refuses_what_is_not_a_finite_number(q, width):
     with pytest.raises(DomainError, match="must be a finite number"):
         log_enclosure(q, width)
+
+
+@pytest.mark.parametrize("lo, hi", [("1/3", 1), (Fraction(1, 3), True), (math.nan, 1), (0, math.inf), (None, 1)])
+def test_rat_interval_refuses_ends_that_are_not_finite_numbers(lo, hi):
+    with pytest.raises(DomainError, match="must be a finite number"):
+        RatInterval(lo, hi)
+
+
+@pytest.mark.parametrize("x", ["2", True, math.nan, None])
+def test_rat_interval_point_refuses_what_is_not_a_finite_number(x):
+    with pytest.raises(DomainError, match="must be a finite number"):
+        RatInterval.point(x)
+
+
+def test_rat_interval_reads_ints_fractions_and_finite_floats_exactly():
+    assert RatInterval(1, 0.5 + 1) == RatInterval(Fraction(1), Fraction(3, 2))
+    assert RatInterval.point(0.25) == RatInterval(Fraction(1, 4), Fraction(1, 4))
 
 
 def test_log_interval_refuses_a_width_that_is_not_a_finite_number():

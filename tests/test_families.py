@@ -189,6 +189,14 @@ def test_cover_upper_bound_builds_at_most_20_fractions(monkeypatch):
     assert 0 < max(counts) <= 20
 
 
+@pytest.mark.parametrize("n", [5.0, "5", True, Fraction(5)])
+def test_torus_matrix_refuses_an_n_not_of_type_int(n):
+    with pytest.raises(DomainError, match="requires an int n"):
+        torus_matrix(n)
+    with pytest.raises(DomainError, match="requires an int n"):
+        TorusMatrixSpec(n, torus_matrix(5).matrix)
+
+
 @pytest.mark.parametrize("g, n", [(2.0, 40), (2, 40.0), (True, 40), (2, Fraction(40)), (2, "40")])
 def test_cover_upper_bound_refuses_parameters_not_of_type_int(g, n):
     with pytest.raises(DomainError, match="int g and n"):

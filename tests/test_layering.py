@@ -45,9 +45,10 @@ def test_only_cli_renders_output():
     assert renderers <= {"cli"}
     constants = {stem for stem, names in modules.items() if names & OUTPUT_CONSTANTS}
     assert constants == {"cli"}
-    # enclosures defines decimal_str and __init__ exports it; cli prints with it
-    printers = {stem for stem, names in modules.items() if "decimal_str" in names}
-    assert printers == {"cli", "enclosures", "__init__"}
+    # the directed decimal printer is cli's _floor and _ceil; no name is left
+    # for another module to print with
+    printers = {stem for stem, names in modules.items() if names & {"decimal_str", "_floor", "_ceil"}}
+    assert printers == {"cli"}
 
 
 def _scopes(tree: ast.AST, match, scope: str = ""):
@@ -226,6 +227,21 @@ def _imports_pool_stack(node: ast.AST) -> bool:
     else:
         return False
     return any(name.split(".")[0] in POOL_PACKAGES for name in names)
+
+
+def _enters_shared_pool(node: ast.AST) -> bool:
+    if not isinstance(node, ast.With):
+        return False
+    calls = [item.context_expr for item in node.items if isinstance(item.context_expr, ast.Call)]
+    return any(getattr(call.func, "id", getattr(call.func, "attr", None)) == "shared_pool" for call in calls)
+
+
+def test_only_verify_opens_a_pool():
+    # `verify --jobs` is the one worker setting: run_suite and the suites
+    # map over whatever block the caller opened, and open none themselves
+    sample = "def f():\n    with shared_pool(2):\n        pass\n    with suites.shared_pool(1), open(p):\n        pass"
+    assert list(_scopes(ast.parse(sample), _enters_shared_pool)) == ["f", "f"]
+    assert _package_scopes(_enters_shared_pool) == {("cli", "_cmd_verify")}
 
 
 def test_the_pool_stack_is_imported_only_where_a_pool_opens():

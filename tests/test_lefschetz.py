@@ -232,6 +232,11 @@ def test_linear_plane_map_reads_ints_fractions_and_floats_exactly():
         (multitwist_action, ([(HomologyClass.alpha(1, 1), 1)], True)),
         (multitwist_action, ([(HomologyClass.alpha(1, 1), 1)], 1.0)),
         (multitwist_lefschetz, ([(HomologyClass.alpha(1, 1), 1)], True)),
+        # a twist by a power that is not an int is no integer matrix
+        (transvection, (HomologyClass((1, 0)), 1.5)),
+        (transvection, (HomologyClass((1, 0)), True)),
+        (transvection, (HomologyClass((1, 0)), "2")),
+        (SympAction.identity(1).twist, (HomologyClass((1, 0)), 1.0)),
     ],
 )
 def test_lefschetz_integer_parameters_refuse_every_other_type(call, args):

@@ -70,8 +70,9 @@ def test_same_seed_same_report():
 
 def test_jobs_do_not_change_report():
     for name, cases in (("diag-power", 12), ("path-growth", 4), ("subdivision", 6)):
-        a = run_suite(name, seed=7, cases=cases, jobs=1)
-        b = run_suite(name, seed=7, cases=cases, jobs=2)
+        a = run_suite(name, seed=7, cases=cases)
+        with shared_pool(2):
+            b = run_suite(name, seed=7, cases=cases)
         assert a == b, name
 
 
@@ -176,16 +177,12 @@ def built(monkeypatch):
     return sizes
 
 
-def test_run_suite_outside_a_block_opens_one_pool_and_closes_it(built):
-    assert run_suite("diag-power", seed=7, cases=12, jobs=2)["passed"] is True
-    assert built == [2]
-    assert multiprocessing.active_children() == []
-
-
 def test_run_suites_inside_a_block_share_its_pool(built):
+    run_suite("diag-power", seed=7, cases=12)
+    assert built == []  # outside a block run_suite maps in-process
     with shared_pool(2):
-        run_suite("diag-power", seed=7, cases=12, jobs=2)
-        run_suite("multitwist", seed=7, cases=12, jobs=2)
+        run_suite("diag-power", seed=7, cases=12)
+        run_suite("multitwist", seed=7, cases=12)
     assert built == [2]
     assert multiprocessing.active_children() == []
 

@@ -101,10 +101,8 @@ def test_shared_limit_checks_match_the_per_vertex_check():
         k = rng.randint(2, 8)
         graph = IntMatrix.from_rows(random_irreducible_rows(rng, k, 2, extra_prob=0.7))
         tol = Fraction(1, 20)
-        shared = _limit_checks(graph, range(1, k + 1), 200, tol, 20000)
-        assert shared == [
-            dilatation_limit_check(graph, i, 200, tol, max_iters=20000) for i in range(1, k + 1)
-        ]
+        shared = _limit_checks(graph, range(1, k + 1), 200, tol)
+        assert shared == [dilatation_limit_check(graph, i, 200, tol) for i in range(1, k + 1)]
         # and the one sweep gives every vertex its own path count
         mu = pf_enclosure(graph, max_iters=20000)
         for i, rep in enumerate(shared, 1):
@@ -223,11 +221,11 @@ def test_path_count_with_a_huge_entry():
 
 def test_limit_check_resumes_from_the_series():
     graph = _spliced_graph()
-    fresh = _limit_checks(_spliced_graph(), range(1, 8), 30, Fraction(1, 20), 20000)
+    fresh = _limit_checks(_spliced_graph(), range(1, 8), 30, Fraction(1, 20))
     path_count_series(graph, 3, 30)
     products = _counting(graph)
     iterations = pf_enclosure(_spliced_graph(), max_iters=20000).iterations
-    assert _limit_checks(graph, range(1, 8), 30, Fraction(1, 20), 20000) == fresh
+    assert _limit_checks(graph, range(1, 8), 30, Fraction(1, 20)) == fresh
     # the spectral enclosure's products only: the counts were already there
     assert len(products) == iterations
 
@@ -299,7 +297,7 @@ def test_dilatation_limit_check_refuses_non_int_arguments():
         with pytest.raises(DomainError, match="d_max must be an int"):
             dilatation_limit_check(FIB, 1, bad, tol=1)
         with pytest.raises(DomainError, match="d_max must be an int"):
-            _limit_checks(FIB, (1, 2), bad, 1, 100)
+            _limit_checks(FIB, (1, 2), bad, 1)
 
 
 def test_subdivide_out_edge_refuses_non_int_vertex():
