@@ -11,8 +11,9 @@ omega_hi, kappa_prime, the torus bounds) is a directed-rounded decimal
 only. File writes go through a temp file and os.replace; CSV appends take
 an exclusive lock.
 
-Exit status: 0 success, 1 failed assertion or domain error, 2 usage error,
-3 IO error.
+Exit status: 0 success, 1 a DillabError (a refused input or a failed
+certificate), 2 usage error, 3 IO error. Any other exception is a bug and
+keeps its traceback.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def _append_csv_row(path: str, header, row) -> None:
     fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o666)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
-        existing = os.read(fd, os.fstat(fd).st_size).decode()
+        existing = os.read(fd, os.fstat(fd).st_size).decode(errors="replace")
         if not existing:
             prefix = header_line
         elif existing.startswith(header_line.rstrip("\n")):
@@ -380,8 +381,11 @@ def _parse_twists(spec_text: str, g: int):
         name = name.strip()
         if name == "0":
             cls = HomologyClass.zero(g)
-        elif name[:1] in ("a", "b") and name[1:].isdigit():
-            index = int(name[1:])
+        elif name[:1] in ("a", "b") and name[1:].isdecimal():
+            try:
+                index = int(name[1:])
+            except ValueError:  # more digits than int() reads, so above g
+                index = 0
             if not 1 <= index <= g:
                 raise UsageError(f"twist {token!r}: index outside 1..{g}")
             maker = HomologyClass.alpha if name[0] == "a" else HomologyClass.beta
@@ -548,7 +552,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return 3
-    except (DillabError, AssertionError, ValueError, KeyError) as exc:
+    except DillabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -47,6 +47,7 @@ from .enclosures import (
     DYADIC_ONE,
     RatInterval,
     _finite_fraction,
+    _require_type,
     dyadic_enclosure,
     dyadic_mul,
     dyadic_pow,
@@ -54,7 +55,7 @@ from .enclosures import (
     log_enclosure,
     nth_root_enclosure,
 )
-from .errors import DomainError, NoSignChange
+from .errors import DomainError, NoSignChange, ValidationFailed
 from .intmatrix import IntMatrix, _cw_compare
 
 __all__ = [
@@ -92,16 +93,17 @@ class IntPoly:
     coeffs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        _require_type((tuple, list), coeffs=self.coeffs)
         seen = {}
         for e, c in self.coeffs:
             if type(e) is not int or type(c) is not int:  # bool too: True is not read as 1
-                raise ValueError("exponents and coefficients must be int")
+                raise DomainError("exponents and coefficients must be int")
             if e < 0:
-                raise ValueError("exponents must be >= 0")
+                raise DomainError("exponents must be >= 0")
             if c == 0:
                 continue
             if e in seen:
-                raise ValueError(f"duplicate exponent {e}")
+                raise DomainError(f"duplicate exponent {e}")
             seen[e] = c
         object.__setattr__(self, "coeffs", tuple(sorted(seen.items())))
 
@@ -379,6 +381,7 @@ def largest_root(p: IntPoly, search_hi, rel_width: Fraction = DEFAULT_ROOT_REL_W
     starts from (1, search_hi) instead. The bracket is the one that
     bisecting (1, search_hi) until hi - lo <= rel_width * lo returns.
     """
+    _require_type(IntPoly, p=p)
     search_hi = _finite_fraction("search_hi", search_hi)
     rel_width = _finite_fraction("rel_width", rel_width)
     if rel_width <= 0:
@@ -455,6 +458,7 @@ def char_poly(matrix: IntMatrix) -> IntPoly:
     held by columns, so M N is the matrix's exact product IntMatrix._times
     on each of them.
     """
+    _require_type(IntMatrix, matrix=matrix)
     k = matrix.k
     times = matrix._times
     cols = [[int(i == t) for i in range(k)] for t in range(k)]
@@ -463,7 +467,7 @@ def char_poly(matrix: IntMatrix) -> IntPoly:
         cols = [times(col) for col in cols]
         ci, rem = divmod(-sum([cols[t][t] for t in range(k)]), i)
         if rem:
-            raise AssertionError("Faddeev-LeVerrier produced a non-integer coefficient")
+            raise ValidationFailed("Faddeev-LeVerrier produced a non-integer coefficient")
         coeffs[k - i] = ci
         for t in range(k):
             cols[t][t] += ci
@@ -538,6 +542,7 @@ def _sturm_counter(p: IntPoly):
     members share the factor gcd(p, p'), nonzero wherever p is, so it
     changes no count. p is the chain's first member, so its value at a
     tells the root apart with no evaluation of its own."""
+    _require_type(IntPoly, p=p)
     chain = _sturm_chain(p)
     at_inf = _sign_changes([q.leading_coefficient for q in chain])
 
@@ -554,12 +559,12 @@ def _sturm_counter(p: IntPoly):
 def count_real_roots_above(p: IntPoly, a: Fraction) -> int:
     """Number of distinct real roots of p strictly above the rational a.
 
-    Requires p(a) != 0 (else ValueError) and a finite number a
+    Requires p(a) != 0 (else DomainError) and a finite number a
     (_finite_fraction). Sturm chain of p and p'.
     """
     n = _sturm_counter(p)(_finite_fraction("a", a))
     if n is None:
-        raise ValueError("count_real_roots_above requires p(a) != 0")
+        raise DomainError("count_real_roots_above requires p(a) != 0")
     return n
 
 
@@ -628,7 +633,7 @@ def compare_largest_roots(pa: IntPoly, pb: IntPoly, hi_a, hi_b) -> int:
             return 1
         a_lo, a_hi, _ = _bisect(pa, a_lo, a_hi, above_a)
         b_lo, b_hi, _ = _bisect(pb, b_lo, b_hi, above_b)
-    raise AssertionError("compare_largest_roots failed to separate unequal roots")
+    raise ValidationFailed("compare_largest_roots failed to separate unequal roots")
 
 
 def mu_compare(a: IntMatrix, b: IntMatrix) -> int:
@@ -644,6 +649,7 @@ def mu_compare(a: IntMatrix, b: IntMatrix) -> int:
     bisection isolates both Perron roots, and only the sign of the
     comparison comes back.
     """
+    _require_type(IntMatrix, a=a, b=b)
     sign = _cw_compare(a, b)
     if sign is not None:
         return sign

@@ -42,7 +42,7 @@ class RatInterval:
             object.__setattr__(self, "lo", _finite_fraction("lo", self.lo))
             object.__setattr__(self, "hi", _finite_fraction("hi", self.hi))
         if self.lo > self.hi:
-            raise ValueError(f"empty interval: {self.lo} > {self.hi}")
+            raise DomainError(f"empty interval: {self.lo} > {self.hi}")
 
     @property
     def width(self) -> Fraction:
@@ -196,9 +196,9 @@ def inth_root(x: int, n: int) -> int:
     bisection then Newton (_exact_root).
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError("n must be >= 1")
     if x < 0:
-        raise ValueError("x must be >= 0")
+        raise DomainError("x must be >= 0")
     if x == 0:
         return 0
     if n == 1:
@@ -227,6 +227,15 @@ def _require_ints(where: str, **values) -> None:
     for name, value in values.items():
         if type(value) is not int:
             raise DomainError(f"{where} requires an int {name}, got {value!r}")
+
+
+def _require_type(kind, **values) -> None:
+    """DomainError unless every value is an instance of kind: a type, or a
+    tuple of types as isinstance takes them."""
+    for name, value in values.items():
+        if not isinstance(value, kind):
+            kinds = " or ".join([k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))])
+            raise DomainError(f"{name} must be of type {kinds}, got {type(value).__name__}")
 
 
 def nth_root_enclosure(q, n: int, bits: int = 48) -> RatInterval:
@@ -354,6 +363,7 @@ def log_interval(iv: RatInterval, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
     """Enclosure of {log x : x in iv} for a positive rational interval: the
     lower end of log(iv.lo) and the upper end of log(iv.hi), each computed
     alone (_log_end)."""
+    _require_type(RatInterval, iv=iv)
     if iv.lo <= 0:
         raise DomainError("log_interval requires a positive interval")
     width = _finite_fraction("width", width)
@@ -367,4 +377,5 @@ def log_interval(iv: RatInterval, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
 
 def interval_gap(a: RatInterval, b: RatInterval) -> Fraction:
     """Separation between two intervals; 0 exactly when they overlap."""
+    _require_type(RatInterval, a=a, b=b)
     return max(Fraction(0), a.lo - b.hi, b.lo - a.hi)

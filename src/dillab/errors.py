@@ -2,7 +2,8 @@
 
 Every error raised on a violated precondition or failed certificate derives
 from DillabError so callers (and the CLI) can separate contract violations
-from programming bugs.
+from programming bugs. DomainError, the refusal of a malformed argument, is
+also a ValueError, so a caller that catches ValueError still catches it.
 """
 
 
@@ -30,7 +31,7 @@ class NoSignChange(DillabError):
     """No sign change found; caller must enlarge the search interval."""
 
 
-class DomainError(DillabError):
+class DomainError(DillabError, ValueError):
     """Parameter outside the domain where the result is defined."""
 
 

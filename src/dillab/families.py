@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from ._record import record
 from .dilpoly import RootEnclosure, build_Tm, largest_root, m_cubed_root_enclosure
-from .enclosures import RatInterval, _log_ints, _require_ints, log_enclosure, log_interval
+from .enclosures import RatInterval, _log_ints, _require_ints, _require_type, log_enclosure, log_interval
 from .errors import DomainError, ValidationFailed
 from .intmatrix import IntMatrix, is_irreducible
 
@@ -92,9 +92,9 @@ def cover_upper_bound(g: int, n: int) -> CoverBoundReport:
     lo_n, hi_n, common = _log_ints(qn, qd)
     closed_n = RatInterval(Fraction(3 * lo_n * qd, common * qn), Fraction(3 * hi_n * qd, common * qn))
     if not log_root.hi <= closed_m.lo:
-        raise AssertionError(f"certified log root exceeds 3 log(m)/m at g={g}, n={n}")
+        raise ValidationFailed(f"certified log root exceeds 3 log(m)/m at g={g}, n={n}")
     if not log_root.hi <= closed_n.lo:
-        raise AssertionError(f"certified log root exceeds the n-form ceiling at g={g}, n={n}")
+        raise ValidationFailed(f"certified log root exceeds the n-form ceiling at g={g}, n={n}")
     return CoverBoundReport(
         g=g,
         n=n,
@@ -114,10 +114,11 @@ class TorusMatrixSpec:
 
     def __post_init__(self) -> None:
         _require_ints("TorusMatrixSpec", n=self.n)
+        _require_type(IntMatrix, matrix=self.matrix)
         if self.n < 5:
             raise DomainError("torus family matrix is defined for n >= 5")
         if self.matrix.k != 2 * self.n:
-            raise ValueError(f"matrix must be {2 * self.n}x{2 * self.n}")
+            raise DomainError(f"matrix must be {2 * self.n}x{2 * self.n}")
 
 
 def torus_matrix(n: int) -> TorusMatrixSpec:
@@ -166,6 +167,7 @@ def verify_torus_bounds(spec: TorusMatrixSpec) -> TorusBoundsReport:
     claim. Max row and column sums bound mu (Collatz-Wielandt, v = 1 on M
     and its transpose): the log bounds divide log enclosures of 11 and 9 by n.
     """
+    _require_type(TorusMatrixSpec, spec=spec)
     m = spec.matrix
     max_col = max(m.col_sums())
     max_row = max(m.row_sums())

@@ -16,13 +16,14 @@ did.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, repeat, starmap
 from operator import add, itemgetter, mul, or_
 
 from ._record import record
-from .enclosures import _finite_fraction
+from .enclosures import _finite_fraction, _require_type
 from .errors import DomainError, NoDiagonalEntry, NotIrreducible
 
 __all__ = [
@@ -62,18 +63,19 @@ class IntMatrix:
     rows: tuple[tuple[tuple[int, int], ...], ...]
 
     def __init__(self, entries) -> None:
+        _require_type((tuple, list), entries=entries)
         k = len(entries)
         if k == 0:
-            raise ValueError("matrix must have dimension >= 1")
+            raise DomainError("matrix must have dimension >= 1")
         rows = []
         for row in entries:
             if len(row) != k:
-                raise ValueError("matrix must be square")
+                raise DomainError("matrix must be square")
             for x in row:
                 if type(x) is not int:  # bool too: true is not read as 1
-                    raise ValueError(f"entries must be int, got {type(x).__name__}")
+                    raise DomainError(f"entries must be int, got {type(x).__name__}")
             if min(row) < 0:
-                raise ValueError("entries must be nonnegative")
+                raise DomainError("entries must be nonnegative")
             rows.append(tuple([(j, x) for j, x in enumerate(row) if x]))
         object.__setattr__(self, "rows", tuple(rows))
 
@@ -84,18 +86,18 @@ class IntMatrix:
         of rows."""
         k = len(rows)
         if k == 0:
-            raise ValueError("matrix must have dimension >= 1")
+            raise DomainError("matrix must have dimension >= 1")
         out = []
         for row in rows:
             row = tuple([(j, m) for j, m in row])
             last = -1
             for j, m in row:
                 if type(j) is not int or type(m) is not int:
-                    raise ValueError("sparse rows hold int (column, entry) pairs")
+                    raise DomainError("sparse rows hold int (column, entry) pairs")
                 if not last < j < k:
-                    raise ValueError("sparse columns must increase within 0..k-1")
+                    raise DomainError("sparse columns must increase within 0..k-1")
                 if m <= 0:
-                    raise ValueError("sparse entries must be positive")
+                    raise DomainError("sparse entries must be positive")
                 last = j
             out.append(row)
         return IntMatrix._of(tuple(out))
@@ -327,10 +329,12 @@ def is_irreducible(matrix: IntMatrix) -> bool:
     The 1x1 matrix [0] is reducible by convention; [n] with n >= 1 is
     irreducible (the vertex carries a loop).
     """
+    _require_type(IntMatrix, matrix=matrix)
     return matrix._irreducible
 
 
 def is_positive(matrix: IntMatrix) -> bool:
+    _require_type(IntMatrix, matrix=matrix)
     k = matrix.k
     return all([len(row) == k for row in matrix.rows])
 
@@ -672,23 +676,32 @@ def verify_diagonal_bound(matrix: IntMatrix) -> DiagonalBoundReport:
 
 
 def parse_matrix_text(text: str) -> IntMatrix:
-    """Line 1: dimension k; then k lines of k space-separated integers."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    """Line 1: dimension k; then k lines of k space-separated integers.
+    Blank lines are skipped; a line with anything else is refused by number."""
+    _require_type(str, text=text)
+    lines = []
+    for number, line in enumerate(text.splitlines(), 1):
+        try:
+            row = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise DomainError(f"line {number}: expected integers, got {line.strip()!r}") from None
+        if row:
+            lines.append(row)
     if not lines:
-        raise ValueError("empty matrix text")
-    k = int(lines[0])
+        raise DomainError("empty matrix text")
+    if len(lines[0]) != 1:
+        raise DomainError(f"the first line must hold k alone, found {len(lines[0])} numbers")
+    k = lines[0][0]
     if len(lines) != k + 1:
-        raise ValueError(f"expected {k} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        row = [int(tok) for tok in ln.split()]
+        raise DomainError(f"expected {k} rows, found {len(lines) - 1}")
+    for row in lines[1:]:
         if len(row) != k:
-            raise ValueError(f"expected {k} entries per row, found {len(row)}")
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
+            raise DomainError(f"expected {k} entries per row, found {len(row)}")
+    return IntMatrix.from_rows(lines[1:])
 
 
 def render_matrix_text(matrix: IntMatrix) -> str:
+    _require_type(IntMatrix, matrix=matrix)
     lines = [str(matrix.k)]
     lines.extend(" ".join(str(x) for x in row) for row in matrix.entries)
     return "\n".join(lines) + "\n"
@@ -699,31 +712,39 @@ def parse_matrix_json(obj) -> IntMatrix:
     if isinstance(obj, str):
         import json  # imported here, so that `import dillab` does not load it
 
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except ValueError as exc:
+            raise DomainError(f"cannot read matrix JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise ValueError("matrix JSON must be an object with the fields 'k' and 'rows'")
+        raise DomainError("matrix JSON must be an object with the fields 'k' and 'rows'")
     for field in ("k", "rows"):
         if field not in obj:
-            raise ValueError(f"matrix JSON lacks the field {field!r}")
+            raise DomainError(f"matrix JSON lacks the field {field!r}")
     k = obj["k"]
     rows = obj["rows"]
     if type(k) is not int:  # bool too: true is not read as 1
-        raise ValueError(f"k must be int, got {type(k).__name__}")
+        raise DomainError(f"k must be int, got {type(k).__name__}")
     if type(rows) is not list or any(type(row) is not list for row in rows):
-        raise ValueError("rows must be a list of lists of int")
+        raise DomainError("rows must be a list of lists of int")
     if len(rows) != k:
-        raise ValueError(f"k={k} but {len(rows)} rows given")
+        raise DomainError(f"k={k} but {len(rows)} rows given")
     return IntMatrix.from_rows(rows)
 
 
 def render_matrix_json(matrix: IntMatrix) -> dict:
+    _require_type(IntMatrix, matrix=matrix)
     return {"k": matrix.k, "rows": [list(row) for row in matrix.entries]}
 
 
 def load_matrix(path: str) -> IntMatrix:
-    """Load either format; JSON is detected by a leading '{' or '['."""
+    """Load either format from UTF-8 text; JSON is detected by a leading '{' or '['."""
+    _require_type((str, os.PathLike), path=path)
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path} is not UTF-8 text ({exc.reason})") from None
     stripped = text.lstrip()
     if stripped.startswith(("{", "[")):
         return parse_matrix_json(stripped)

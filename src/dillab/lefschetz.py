@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record
-from .enclosures import _finite_fraction, _require_ints
+from .enclosures import _finite_fraction, _require_ints, _require_type
 from .errors import (
     DomainError,
     FixedPointOnCircle,
@@ -43,10 +43,11 @@ class HomologyClass:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _require_type((tuple, list), coords=self.coords)
         if len(self.coords) == 0 or len(self.coords) % 2 != 0:
-            raise ValueError("coordinates must have even positive length 2g")
+            raise DomainError("coordinates must have even positive length 2g")
         if not all(type(x) is int for x in self.coords):  # bool too
-            raise ValueError("coordinates must be integers")
+            raise DomainError("coordinates must be integers")
         object.__setattr__(self, "coords", tuple(self.coords))
 
     @property
@@ -62,19 +63,20 @@ class HomologyClass:
     def alpha(i: int, g: int) -> "HomologyClass":
         _require_ints("HomologyClass.alpha", i=i, g=g)
         if not 1 <= i <= g:
-            raise ValueError(f"alpha index {i} outside 1..{g}")
+            raise DomainError(f"alpha index {i} outside 1..{g}")
         return HomologyClass(tuple(1 if t == i - 1 else 0 for t in range(2 * g)))
 
     @staticmethod
     def beta(i: int, g: int) -> "HomologyClass":
         _require_ints("HomologyClass.beta", i=i, g=g)
         if not 1 <= i <= g:
-            raise ValueError(f"beta index {i} outside 1..{g}")
+            raise DomainError(f"beta index {i} outside 1..{g}")
         return HomologyClass(tuple(1 if t == g + i - 1 else 0 for t in range(2 * g)))
 
 
 def symp_form(u: HomologyClass, v: HomologyClass) -> int:
     """The standard symplectic pairing u^T J v, exactly."""
+    _require_type(HomologyClass, u=u, v=v)
     if u.g != v.g:
         raise GenusMismatch(f"genus mismatch: {u.g} vs {v.g}")
     a, b, g = u.coords, v.coords, u.g
@@ -94,12 +96,13 @@ class SympAction:
 
     def __post_init__(self) -> None:
         if type(self.g) is not int:  # bool too: True is not genus 1
-            raise ValueError(f"g must be int, got {type(self.g).__name__}")
+            raise DomainError(f"g must be int, got {type(self.g).__name__}")
+        _require_type((tuple, list), matrix=self.matrix)
         n = 2 * self.g
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
-            raise ValueError(f"matrix must be {n}x{n}")
+            raise DomainError(f"matrix must be {n}x{n}")
         if not all(type(x) is int for row in self.matrix for x in row):  # bool too
-            raise ValueError("matrix entries must be integers")
+            raise DomainError("matrix entries must be integers")
         object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
         g = self.g
         cols = list(zip(*self.matrix))
@@ -110,7 +113,7 @@ class SympAction:
             for b in range(a + 1, n):
                 want = 1 if b == a + g else 0
                 if sum([x * y for x, y in zip(cols[a], j_cols[b])]) != want:
-                    raise ValueError("matrix does not preserve the symplectic form")
+                    raise DomainError("matrix does not preserve the symplectic form")
 
     @classmethod
     def _unchecked(cls, g: int, matrix: tuple[tuple[int, ...], ...]) -> "SympAction":
@@ -167,12 +170,17 @@ def transvection(gamma: HomologyClass, power: int) -> SympAction:
     Symplectic for every integer power; the zero class and power 0 both give
     the identity.
     """
+    _require_type(HomologyClass, gamma=gamma)
     return SympAction.identity(gamma.g).twist(gamma, power)
 
 
 def _check_twists(twists, g: int) -> None:
+    _require_type((tuple, list), twists=twists)
     classes = []
-    for idx, (gamma, power) in enumerate(twists):
+    for idx, twist in enumerate(twists):
+        if not (isinstance(twist, (tuple, list)) and len(twist) == 2 and isinstance(twist[0], HomologyClass)):
+            raise DomainError(f"twist {idx} must be a (HomologyClass, power) pair")
+        gamma, power = twist
         if gamma.g != g:
             raise GenusMismatch(f"twist {idx}: class has genus {gamma.g}, expected {g}")
         if type(power) is not int or power == 0:  # bool too: True is not read as 1
@@ -253,6 +261,7 @@ def local_index(model: LinearPlaneMap) -> int:
     by exact cross products. The origin lies on an edge exactly when B is
     singular, that is when det(A - I) = 0, and then there is no index.
     """
+    _require_type(LinearPlaneMap, model=model)
     p, q, r, s = model.a - 1, model.b, model.c, model.d - 1
     corners = [(p * x + q * y, r * x + s * y) for x, y in _SQUARE]
     winding = 0
@@ -274,6 +283,7 @@ def local_index(model: LinearPlaneMap) -> int:
 def linear_index_oracle(model: LinearPlaneMap) -> int:
     """Independent classical identity: for linear A with det(A - I) != 0 the
     index at the origin is the sign of det(A - I)."""
+    _require_type(LinearPlaneMap, model=model)
     d = model.det_minus_identity()
     if d > 0:
         return 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record
-from .enclosures import RatInterval, _finite_fraction, interval_gap, nth_root_enclosure
+from .enclosures import RatInterval, _finite_fraction, _require_type, interval_gap, nth_root_enclosure
 from .errors import DegreePreconditionViolated, DomainError, NotIrreducible, VertexOutOfRange
 from .intmatrix import IntMatrix, is_irreducible, pf_enclosure
 
@@ -39,15 +39,18 @@ class LimitCheckReport:
 
 def from_matrix(matrix: IntMatrix) -> IntMatrix:
     """Compatibility name: a matrix is already its own transition graph."""
+    _require_type(IntMatrix, matrix=matrix)
     return matrix
 
 
 def to_matrix(graph: IntMatrix) -> IntMatrix:
     """Compatibility name: a transition graph is already its own matrix."""
+    _require_type(IntMatrix, graph=graph)
     return graph
 
 
 def _check_vertex(matrix: IntMatrix, i: int) -> None:
+    _require_type(IntMatrix, matrix=matrix)
     # vertices and path lengths are of type int exactly: True is not vertex 1
     if type(i) is not int or not 1 <= i <= matrix.k:
         raise VertexOutOfRange(f"vertex {i!r} outside the int labels 1..{matrix.k}")

@@ -178,6 +178,38 @@ def test_json_that_is_not_an_object_exit_1(capsys, tmp_path):
             assert err == "error: matrix JSON must be an object with the fields 'k' and 'rows'\n", (text, argv)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"2\n1 1\n\n1 x\n", "error: line 4: expected integers, got '1 x'\n"),
+        (b'{"k": 2 "rows": [[1, 1], [1, 0]]}', "error: cannot read matrix JSON: Expecting ',' delimiter"),
+        (b"2\n1 1\n1 0\n\xd0\xff\n", "is not UTF-8 text"),
+    ],
+    ids=["token", "json-syntax", "not-utf-8"],
+)
+def test_a_matrix_file_that_does_not_read_exit_1(capsys, tmp_path, data, message):
+    # each once printed the bare text of the stdlib's ValueError
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "pf", str(path))
+    assert code == 1 and out == "", err
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+    assert message in err, err
+
+
+@pytest.mark.parametrize("bug", [TypeError, ValueError, KeyError, AssertionError])
+def test_a_library_bug_is_not_reported_as_a_refusal(capsys, monkeypatch, bug):
+    # exit 1 means a DillabError; any other exception is a bug, and keeps its
+    # traceback instead of an error line
+    def broken(n):
+        raise bug("a bug")
+
+    monkeypatch.setattr(cli, "torus_matrix", broken)
+    with pytest.raises(bug, match="a bug"):
+        main(["torus-matrix", "--n", "6"])
+    assert "error:" not in capsys.readouterr().err
+
+
 def test_paths_negative_tol_is_usage_error(capsys, tmp_path):
     path = tmp_path / "ones.txt"
     path.write_text("2\n1 1\n1 1\n")
@@ -388,11 +420,14 @@ def test_cover_bound_csv_concurrent_appends_keep_every_row(tmp_path):
 
 def test_cover_bound_csv_header_mismatch_exit_1(capsys, tmp_path):
     csv_path = tmp_path / "other.csv"
-    csv_path.write_text("completely,different,header\n")
-    code, _, err = run(
-        capsys, "cover-bound", "--g", "2", "--n", "31", "--csv", str(csv_path)
-    )
-    assert code == 1
+    # a file that is not UTF-8 has no header of ours either
+    for data in (b"completely,different,header\n", b"\xd0\xff,header\n"):
+        csv_path.write_bytes(data)
+        code, _, err = run(
+            capsys, "cover-bound", "--g", "2", "--n", "31", "--csv", str(csv_path)
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "different header" in err, err
 
 
 def test_bounds_table_row_count(capsys):
@@ -463,6 +498,11 @@ def test_lefschetz_grammar_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "lefschetz", "--g", "2", "--twists", "a1:zero")
     assert code == 2
+    # "²" is a digit that int() does not read, and int() reads no index of
+    # 5,000 digits
+    for twists in ("a\u00b2:1", "a" + "1" * 5000 + ":1"):
+        code, _, err = run(capsys, "lefschetz", "--g", "2", "--twists", twists)
+        assert code == 2 and err.startswith("usage error: "), err
     # crossing classes are a domain failure, not a usage failure
     code, _, _ = run(capsys, "lefschetz", "--g", "2", "--twists", "a1:1,b1:1")
     assert code == 1

@@ -289,3 +289,37 @@ def test_a_serial_verify_loads_no_pool_stack():
     loaded = _modules_after('from dillab import cli\nassert cli.main(["verify", "--suite", "quartic-root", "--seed", "7"]) == 0')
     assert "json" in loaded
     assert loaded.isdisjoint(POOL_PACKAGES)
+
+
+# the exceptions a refused input must not raise: a caller catches DillabError
+NOT_A_REFUSAL = {"ValueError", "TypeError", "AssertionError", "KeyError"}
+
+
+def _raises_a_builtin_refusal(node: ast.AST) -> bool:
+    """A `raise` of one of NOT_A_REFUSAL, called or bare."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id in NOT_A_REFUSAL
+
+
+def test_the_package_refuses_only_with_dillab_errors():
+    # _record's TypeErrors mirror the ones Python raises for a bad call
+    sample = "def f(x):\n    raise ValueError(x)\n\ndef g():\n    raise KeyError\n    raise DomainError('x')"
+    assert list(_scopes(ast.parse(sample), _raises_a_builtin_refusal)) == ["f", "g"]
+    raisers = {stem for stem, _ in _package_scopes(_raises_a_builtin_refusal)}
+    assert raisers == {"_record"}
+
+
+def test_main_exits_1_on_dillab_errors_alone():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    exit_1 = [
+        handler
+        for node in ast.walk(main)
+        if isinstance(node, ast.Try)
+        for handler in node.handlers
+        if any(isinstance(s, ast.Return) and isinstance(s.value, ast.Constant) and s.value.value == 1 for s in handler.body)
+    ]
+    assert len(exit_1) == 1
+    assert isinstance(exit_1[0].type, ast.Name) and exit_1[0].type.id == "DillabError"

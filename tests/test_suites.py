@@ -7,6 +7,7 @@ import pytest
 
 from dillab import suites
 from dillab.cli import main
+from dillab.errors import DillabError
 from dillab.suites import SUITES, parallel_map, random_irreducible_rows, run_suite, shared_pool
 from dillab.intmatrix import IntMatrix, is_irreducible
 
@@ -29,7 +30,7 @@ def test_registry_names():
 
 
 def test_unknown_suite_raises_with_listing():
-    with pytest.raises(KeyError) as exc:
+    with pytest.raises(DillabError) as exc:
         run_suite("no-such-suite")
     assert "diag-power" in str(exc.value)
     with pytest.raises(ValueError):
