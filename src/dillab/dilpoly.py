@@ -95,7 +95,10 @@ class IntPoly:
     def __post_init__(self) -> None:
         _require_type((tuple, list), coeffs=self.coeffs)
         seen = {}
-        for e, c in self.coeffs:
+        for term in self.coeffs:
+            if not isinstance(term, (tuple, list)) or len(term) != 2:
+                raise DomainError("terms must be (exponent, coefficient) pairs")
+            e, c = term
             if type(e) is not int or type(c) is not int:  # bool too: True is not read as 1
                 raise DomainError("exponents and coefficients must be int")
             if e < 0:
@@ -111,6 +114,7 @@ class IntPoly:
     def from_dict(d: dict) -> "IntPoly":
         """From {exponent: coefficient}, both of type int exactly: a bool,
         float or str is refused, never coerced."""
+        _require_type(dict, d=d)
         return IntPoly(tuple(d.items()))
 
     @staticmethod

@@ -69,6 +69,8 @@ class IntMatrix:
             raise DomainError("matrix must have dimension >= 1")
         rows = []
         for row in entries:
+            if not isinstance(row, (tuple, list)):
+                raise DomainError(f"rows must be of type tuple or list, got {type(row).__name__}")
             if len(row) != k:
                 raise DomainError("matrix must be square")
             for x in row:
@@ -84,12 +86,16 @@ class IntMatrix:
         """Build from sparse rows of (column, entry) pairs, 0-based, columns
         strictly increasing and entries positive; the dimension is the number
         of rows."""
+        _require_type((tuple, list), rows=rows)
         k = len(rows)
         if k == 0:
             raise DomainError("matrix must have dimension >= 1")
         out = []
         for row in rows:
-            row = tuple([(j, m) for j, m in row])
+            try:
+                row = tuple([(j, m) for j, m in row])
+            except (TypeError, ValueError):
+                raise DomainError("sparse rows hold int (column, entry) pairs") from None
             last = -1
             for j, m in row:
                 if type(j) is not int or type(m) is not int:
@@ -139,7 +145,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        """IntMatrix(rows), for rows given as any sequences of int entries."""
+        """IntMatrix(rows), for rows given as tuples or lists of int entries."""
         return IntMatrix(rows)
 
     def row_sums(self) -> tuple[int, ...]:
@@ -716,6 +722,8 @@ def parse_matrix_json(obj) -> IntMatrix:
             obj = json.loads(obj)
         except ValueError as exc:
             raise DomainError(f"cannot read matrix JSON: {exc}") from None
+        except RecursionError:
+            raise DomainError("cannot read matrix JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise DomainError("matrix JSON must be an object with the fields 'k' and 'rows'")
     for field in ("k", "rows"):

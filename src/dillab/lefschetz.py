@@ -99,7 +99,9 @@ class SympAction:
             raise DomainError(f"g must be int, got {type(self.g).__name__}")
         _require_type((tuple, list), matrix=self.matrix)
         n = 2 * self.g
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+        if len(self.matrix) != n or any(
+            not isinstance(row, (tuple, list)) or len(row) != n for row in self.matrix
+        ):
             raise DomainError(f"matrix must be {n}x{n}")
         if not all(type(x) is int for row in self.matrix for x in row):  # bool too
             raise DomainError("matrix entries must be integers")
@@ -145,6 +147,7 @@ class SympAction:
         power is any int, 0 included; a bool, float or str raises DomainError.
         """
         _require_ints("SympAction.twist", power=power)
+        _require_type(HomologyClass, gamma=gamma)
         g = self.g
         if g != gamma.g:
             raise GenusMismatch(f"genus mismatch: {g} vs {gamma.g}")
@@ -157,6 +160,7 @@ class SympAction:
         return SympAction._unchecked(g, tuple(out))
 
     def apply(self, v: HomologyClass) -> HomologyClass:
+        _require_type(HomologyClass, v=v)
         if self.g != v.g:
             raise GenusMismatch(f"genus mismatch: {self.g} vs {v.g}")
         return HomologyClass(

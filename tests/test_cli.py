@@ -725,3 +725,12 @@ def test_bounds_table_bytes_pinned_at_large_m(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "4dc5f8cb6322630115c9ecce4af3968d4dce608e4ae8c12b31c50c7d906792ed"
     )
+
+
+def test_matrix_json_nested_too_deeply_exit_1(capsys, tmp_path):
+    # json.loads once raised a RecursionError here, which main does not catch
+    path = tmp_path / "deep.json"
+    path.write_text('{"k": 1, "rows": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run(capsys, "pf", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: cannot read matrix JSON: nested too deeply\n"

@@ -3,9 +3,12 @@ and `dillab.cli` alone turns them into decimals, JSON fields and CSV rows.
 This parses every module of the package and pins that layering."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dillab
 
@@ -266,9 +269,123 @@ RECORD_TOOLING = {"dataclasses", "inspect", "typing"}
 
 
 def test_import_dillab_loads_neither_the_pool_stack_nor_json():
-    loaded = _modules_after("import dillab\ndillab.log_enclosure(3)")
+    loaded = _modules_after("import dillab\ndillab.log_enclosure(3)\ndillab.run_suite")
     assert "dillab.suites" in loaded
     assert loaded.isdisjoint(POOL_PACKAGES | {"json"} | RECORD_TOOLING)
+
+
+def _submodules_after(code: str) -> set:
+    return {name for name in _modules_after(code) if name.startswith("dillab.")}
+
+
+def test_import_dillab_loads_no_submodule():
+    assert _submodules_after("import dillab") == set()
+
+
+def test_the_first_call_loads_only_its_home_module():
+    loaded = _submodules_after("import dillab\ndillab.log_enclosure(3)")
+    assert loaded == {"dillab.enclosures", "dillab.errors", "dillab._record"}
+
+
+# every exported name, by the submodule that defines it
+EXPORTS = {
+    "enclosures": ("RatInterval", "interval_gap", "log_enclosure", "log_interval", "nth_root_enclosure"),
+    "errors": (
+        "AlphaOutOfRange",
+        "DegreePreconditionViolated",
+        "DillabError",
+        "DomainError",
+        "FixedPointOnCircle",
+        "GenusMismatch",
+        "NoDiagonalEntry",
+        "NoSignChange",
+        "NotIrreducible",
+        "NotPairwiseOrthogonal",
+        "ValidationFailed",
+        "VertexOutOfRange",
+    ),
+    "intmatrix": (
+        "IntMatrix",
+        "PFEnclosure",
+        "is_irreducible",
+        "is_positive",
+        "load_matrix",
+        "parse_matrix_json",
+        "parse_matrix_text",
+        "pf_enclosure",
+        "render_matrix_json",
+        "render_matrix_text",
+        "verify_diagonal_bound",
+    ),
+    "transgraph": (
+        "dilatation_limit_check",
+        "from_matrix",
+        "path_count",
+        "path_count_series",
+        "subdivide_out_edge",
+        "to_matrix",
+    ),
+    "dilpoly": (
+        "IntPoly",
+        "RootEnclosure",
+        "build_T",
+        "build_Tm",
+        "char_poly",
+        "compare_largest_roots",
+        "count_real_roots_above",
+        "isolate_largest_real_root",
+        "largest_root",
+        "mu_compare",
+        "verify_lroot",
+    ),
+    "families": ("CoverBoundReport", "TorusMatrixSpec", "cover_upper_bound", "torus_matrix", "verify_torus_bounds"),
+    "bounds": (
+        "kappa_upper_constant",
+        "log_uniform_sample",
+        "omega_constants",
+        "sandwich_table",
+        "theta",
+        "thm34_lower",
+    ),
+    "lefschetz": (
+        "HomologyClass",
+        "LinearPlaneMap",
+        "SympAction",
+        "linear_index_oracle",
+        "local_index",
+        "multitwist_action",
+        "multitwist_lefschetz",
+        "symp_form",
+        "transvection",
+    ),
+    "suites": ("SUITES", "run_suite"),
+}
+
+
+def test_all_lists_the_exported_names_once():
+    pinned = [name for names in EXPORTS.values() for name in names]
+    assert len(pinned) == len(set(pinned)) == 67
+    assert sorted(dillab.__all__) == sorted(pinned)
+    assert "annotations" not in dillab.__all__
+    assert not set(dillab.__all__) & {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def test_each_name_is_its_home_modules_object():
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"dillab.{module}")
+        for name in names:
+            assert getattr(dillab, name) is getattr(home, name), name
+
+
+def test_the_namespace_behaves_like_a_module():
+    assert "__all__" in dir(dillab)
+    assert set(dillab.__all__) <= set(dir(dillab))
+    with pytest.raises(AttributeError, match="'nope'"):
+        dillab.nope
+    assert _submodules_after("import dillab\nassert dillab.suites is sys.modules['dillab.suites']") >= {"dillab.suites"}
+    star = {}
+    exec("from dillab import *", star)
+    assert set(star) - {"__builtins__"} == set(dillab.__all__)
 
 
 def _imports_dataclasses(node: ast.AST) -> bool:

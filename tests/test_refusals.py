@@ -23,10 +23,12 @@ from dillab import (
     IntPoly,
     LinearPlaneMap,
     RatInterval,
+    SympAction,
     build_T,
+    parse_matrix_json,
     torus_matrix,
 )
-from dillab.errors import DillabError
+from dillab.errors import DillabError, DomainError
 
 NAN, INF = math.nan, math.inf
 
@@ -154,9 +156,8 @@ UNCHECKED = {
 def _exported_callables() -> set:
     return {
         name
-        for name, obj in vars(dillab).items()
-        if not name.startswith("_")
-        and callable(obj)
+        for name in dillab.__all__
+        if callable(obj := getattr(dillab, name))
         and not (isinstance(obj, type) and issubclass(obj, BaseException))
     }
 
@@ -207,3 +208,26 @@ def test_every_bad_argument_is_refused_with_a_dillab_error(name, tmp_path):
                 except Exception as exc:
                     pytest.fail(f"{name}({param}={bad!r}) raised {type(exc).__name__}: {exc}")
             pytest.fail(f"{name}({param}={bad!r}) returned {result!r}")
+
+
+DEEP_JSON = '{"k": 1, "rows": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+# refusals below the top level of an argument, and on methods outside TABLE
+NESTED = {
+    "IntPoly(((1, 2, 3),))": lambda: IntPoly(((1, 2, 3),)),
+    "IntPoly((5,))": lambda: IntPoly((5,)),
+    "IntMatrix(((1, 2), None))": lambda: IntMatrix(((1, 2), None)),
+    "IntMatrix.from_sparse(True)": lambda: IntMatrix.from_sparse(True),
+    "IntMatrix.from_sparse(((5,),))": lambda: IntMatrix.from_sparse(((5,),)),
+    "IntPoly.from_dict(True)": lambda: IntPoly.from_dict(True),
+    "SympAction.identity(1).twist(True, 1)": lambda: SympAction.identity(1).twist(True, 1),
+    "SympAction.identity(1).apply(True)": lambda: SympAction.identity(1).apply(True),
+    "SympAction(1, ((1, 0), None))": lambda: SympAction(1, ((1, 0), None)),
+    "parse_matrix_json(DEEP_JSON)": lambda: parse_matrix_json(DEEP_JSON),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NESTED))
+def test_a_malformed_part_is_refused_with_a_domain_error(call):
+    with _time_limit(10), pytest.raises(DomainError):
+        NESTED[call]()
