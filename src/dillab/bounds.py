@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record
-from .enclosures import RatInterval, _log_end, _log_ints, _require_ints, log_enclosure, nth_root_enclosure
+from .enclosures import RatInterval, _log_end, _log_ints, _require_int, log_enclosure, nth_root_enclosure
 from .errors import AlphaOutOfRange, DomainError, ValidationFailed
 from .families import cover_index, cover_threshold, cover_upper_bound
 
@@ -40,9 +40,7 @@ def theta(g: int) -> int:
     as an assumption in the README). g = 1 is cross-checked against brute
     enumeration by count_sl2_z3.
     """
-    _require_ints("theta", g=g)
-    if g < 1:
-        raise DomainError("theta requires g >= 1")
+    _require_int("theta", "g", g, 1)
     out = 3 ** (g * g)
     for i in range(1, g + 1):
         out *= 3 ** (2 * i) - 1
@@ -71,11 +69,8 @@ def thm34_lower(g: int, n: int, alpha: int) -> Fraction:
     alpha is the congruence-cover degree parameter; passing alpha = theta(g)
     gives the universal worst case.
     """
-    _require_ints("thm34_lower", g=g, n=n)
-    if g < 2:
-        raise DomainError("thm34_lower requires g >= 2")
-    if n < 0:
-        raise DomainError("thm34_lower requires n >= 0")
+    _require_int("thm34_lower", "g", g, 2)
+    _require_int("thm34_lower", "n", n, 0)
     if type(alpha) is not int or not 1 <= alpha <= theta(g):  # bool too
         raise AlphaOutOfRange(f"alpha must be an integer in [1, theta({g})]")
     return _thm34_lower(g, n, alpha, _branch1_lo(g, alpha))
@@ -110,11 +105,8 @@ def omega_constants(g: int, alpha: int) -> OmegaConstants:
     Each end of c*log(3)/(3*log(y)) comes from the integer log ends
     (_log_ints) with one Fraction: lo(log 3) over hi(log y), and hi over lo.
     """
-    _require_ints("omega_constants", g=g)
-    if g < 2:
-        raise DomainError("omega_constants requires g >= 2")
-    if type(alpha) is not int or alpha < 1:  # bool too: True is not read as 1
-        raise DomainError("alpha must be an integer >= 1")
+    _require_int("omega_constants", "g", g, 2)
+    _require_int("omega_constants", "alpha", alpha, 1)
     l3_lo, l3_hi, l3_common = _log_ints(3, 1)
 
     def log3_over(c: int, y: int) -> RatInterval:
@@ -149,9 +141,7 @@ def kappa_upper_constant(g: int) -> KappaReport:
     hold for every n >= witness_n = cover_threshold(g) once two exact integer
     comparisons hold there; if either fails, ValidationFailed. No monotonicity
     is assumed and no log is evaluated."""
-    _require_ints("kappa_upper_constant", g=g)
-    if g < 2:
-        raise DomainError("kappa_upper_constant requires g >= 2")
+    _require_int("kappa_upper_constant", "g", g, 2)
     threshold = cover_threshold(g)
     q = 2 * g + 1
     if not (threshold >= 5 * q and q**threshold >= threshold ** (2 * q)):
@@ -182,11 +172,11 @@ class SandwichReport:
 def log_uniform_sample(n_lo: int, n_hi: int, count: int) -> tuple[int, ...]:
     """At least `count` distinct integers spread geometrically over
     [n_lo, n_hi], endpoints included, fully deterministic (no floats)."""
-    _require_ints("log_uniform_sample", n_lo=n_lo, n_hi=n_hi, count=count)
-    if n_lo < 1 or n_hi < n_lo:
+    _require_int("log_uniform_sample", "n_lo", n_lo, 1)
+    _require_int("log_uniform_sample", "n_hi", n_hi)
+    _require_int("log_uniform_sample", "count", count, 1)
+    if n_hi < n_lo:
         raise DomainError("need 1 <= n_lo <= n_hi")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
     span = n_hi - n_lo + 1
     if count > span:
         raise DomainError(f"cannot pick {count} distinct integers from {span}")
@@ -222,12 +212,12 @@ def sandwich_table(
     and upper <= kappa' * hi(log n)/n; a failure raises ValidationFailed
     naming n.
     """
-    _require_ints("sandwich_table", g=g, n_lo=n_lo, n_hi=n_hi)
+    _require_int("sandwich_table", "g", g, 2)
+    _require_int("sandwich_table", "n_lo", n_lo, 3)
+    _require_int("sandwich_table", "n_hi", n_hi)
     if sample is not None:
-        _require_ints("sandwich_table", sample=sample)
-    if g < 2:
-        raise DomainError("sandwich_table requires g >= 2")
-    if n_lo < 3 or n_hi < n_lo:
+        _require_int("sandwich_table", "sample", sample, 1)
+    if n_hi < n_lo:
         raise DomainError("need 3 <= n_lo <= n_hi")
     alpha = theta(g)
     threshold = cover_threshold(g)

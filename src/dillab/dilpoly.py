@@ -47,6 +47,7 @@ from .enclosures import (
     DYADIC_ONE,
     RatInterval,
     _finite_fraction,
+    _require_int,
     _require_type,
     dyadic_enclosure,
     dyadic_mul,
@@ -222,8 +223,8 @@ def build_T(s: int, t: int) -> IntPoly:
 
     Symmetric in (s, t); value at 1 is -4 identically.
     """
-    if type(s) is not int or type(t) is not int or s < 1 or t < 1:  # bool too
-        raise DomainError(f"build_T requires ints s >= 1 and t >= 1, got {s!r}, {t!r}")
+    _require_int("build_T", "s", s, 1)
+    _require_int("build_T", "t", t, 1)
     acc: dict[int, int] = {}
 
     def add(e: int, c: int) -> None:
@@ -240,8 +241,7 @@ def build_T(s: int, t: int) -> IntPoly:
 
 def build_Tm(m: int) -> IntPoly:
     """Balanced member T_m = T(floor(m/2), ceil(m/2)), m >= 2."""
-    if type(m) is not int or m < 2:  # bool too: True is not read as 1
-        raise DomainError(f"build_Tm requires an int m >= 2, got {m!r}")
+    _require_int("build_Tm", "m", m, 2)
     return build_T(m // 2, (m + 1) // 2)
 
 
@@ -407,8 +407,7 @@ def largest_root(p: IntPoly, search_hi, rel_width: Fraction = DEFAULT_ROOT_REL_W
 
 def m_cubed_root_enclosure(m: int) -> RatInterval:
     """Certified rational enclosure [a, b] with a**m < m**3 < b**m."""
-    if type(m) is not int or m < 1:  # bool too: True is not read as 1
-        raise DomainError(f"m must be an int >= 1, got {m!r}")
+    _require_int("m_cubed_root_enclosure", "m", m, 1)
     return nth_root_enclosure(m**3, m)
 
 
@@ -424,8 +423,7 @@ def verify_lroot(m: int) -> LrootReport:
     equality, which is why the endpoint is evaluated exactly rather than
     through an outward interval.
     """
-    if type(m) is not int or m < 5:
-        raise DomainError(f"verify_lroot requires an int m >= 5, got {m!r}")
+    _require_int("verify_lroot", "m", m, 5)
     mp = m_cubed_root_enclosure(m)
     root = largest_root(build_Tm(m), search_hi=mp.hi + 1)
     bound_holds = root.hi < mp.lo

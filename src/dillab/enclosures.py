@@ -48,7 +48,8 @@ class RatInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x: Fraction) -> bool:
+    def contains(self, x) -> bool:
+        x = _finite_fraction("x", x)
         return self.lo <= x <= self.hi
 
     @staticmethod
@@ -195,10 +196,8 @@ def inth_root(x: int, n: int) -> int:
     a guess the intervals do not prove goes the exact integer route,
     bisection then Newton (_exact_root).
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if x < 0:
-        raise DomainError("x must be >= 0")
+    _require_int("inth_root", "x", x, 0)
+    _require_int("inth_root", "n", n, 1)
     if x == 0:
         return 0
     if n == 1:
@@ -221,12 +220,13 @@ def _finite_fraction(name: str, x) -> Fraction:
         raise DomainError(f"{name} must be a finite number, got {x!r}") from None
 
 
-def _require_ints(where: str, **values) -> None:
-    """DomainError unless every value is of type int exactly: a bool, float
-    or str is refused, never read as an integer."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise DomainError(f"{where} requires an int {name}, got {value!r}")
+def _require_int(where: str, name: str, value, least: int | None = None) -> None:
+    """DomainError unless value is of type int exactly and, when least is
+    given, value >= least: a bool, float or str is refused, never read as
+    an integer."""
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{where} requires an int {name}{bound}, got {value!r}")
 
 
 def _require_type(kind, **values) -> None:
@@ -248,10 +248,8 @@ def nth_root_enclosure(q, n: int, bits: int = 48) -> RatInterval:
     q = _finite_fraction("q", q)
     if q < 0:
         raise DomainError("nth_root_enclosure requires q >= 0")
-    if type(n) is not int or n < 1:  # bool too: True is not read as 1
-        raise DomainError(f"nth_root_enclosure requires an int n >= 1, got {n!r}")
-    if type(bits) is not int or bits < 0:
-        raise DomainError(f"nth_root_enclosure requires an int bits >= 0, got {bits!r}")
+    _require_int("nth_root_enclosure", "n", n, 1)
+    _require_int("nth_root_enclosure", "bits", bits, 0)
     scaled = q.numerator << (n * bits)
     # dividing a long integer by 1 still costs a pass over it
     y = scaled if q.denominator == 1 else scaled // q.denominator

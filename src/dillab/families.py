@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from ._record import record
 from .dilpoly import RootEnclosure, build_Tm, largest_root, m_cubed_root_enclosure
-from .enclosures import RatInterval, _log_ints, _require_ints, _require_type, log_enclosure, log_interval
+from .enclosures import RatInterval, _log_ints, _require_int, _require_type, log_enclosure, log_interval
 from .errors import DomainError, ValidationFailed
 from .intmatrix import IntMatrix, is_irreducible
 
@@ -35,15 +35,15 @@ __all__ = [
 def cover_threshold(g: int) -> int:
     """Smallest n the branched-cover family accepts at genus g: the n whose
     index m is 5, the first m with a certified m^(3/m) ceiling."""
-    _require_ints("cover_threshold", g=g)
+    _require_int("cover_threshold", "g", g, 2)
     return 6 * (2 * g + 1) + 1
 
 
 def cover_index(g: int, n: int) -> int:
     """Index m of the balanced polynomial T_m certifying (g, n); the bound
     depends on n only through m."""
-    if type(g) is not int or type(n) is not int:  # bool too: True is not read as 1
-        raise DomainError(f"cover_index requires int g and n, got {g!r}, {n!r}")
+    _require_int("cover_index", "g", g, 2)
+    _require_int("cover_index", "n", n)
     return (n - 1) // (2 * g + 1) - 1
 
 
@@ -69,10 +69,8 @@ def cover_upper_bound(g: int, n: int) -> CoverBoundReport:
     3 log(m)/m and 3 log(q)/q, q = (n-4g-3)/(2g+1). Both comparisons are
     asserted endpoint-to-endpoint before the report is returned.
     """
-    if type(g) is not int or type(n) is not int:  # bool too: True is not read as 1
-        raise DomainError(f"cover family requires int g and n, got {g!r}, {n!r}")
-    if g < 2:
-        raise DomainError("cover family requires genus >= 2")
+    _require_int("cover_upper_bound", "g", g, 2)
+    _require_int("cover_upper_bound", "n", n)
     if n < cover_threshold(g):
         raise DomainError(f"cover family requires n >= {cover_threshold(g)} for g={g}")
     # n = (2g+1)(m+1) + 1 + c with 0 <= c <= 2g; the c leftover marked points
@@ -113,10 +111,8 @@ class TorusMatrixSpec:
     matrix: IntMatrix
 
     def __post_init__(self) -> None:
-        _require_ints("TorusMatrixSpec", n=self.n)
+        _require_int("TorusMatrixSpec", "n", self.n, 5)
         _require_type(IntMatrix, matrix=self.matrix)
-        if self.n < 5:
-            raise DomainError("torus family matrix is defined for n >= 5")
         if self.matrix.k != 2 * self.n:
             raise DomainError(f"matrix must be {2 * self.n}x{2 * self.n}")
 
@@ -132,9 +128,7 @@ def torus_matrix(n: int) -> TorusMatrixSpec:
       row 2n-1 : 1@1  2@2  1@4  2@(2n-1) 1@(2n)
       row 2n   : 1@1  2@2  1@4  1@(2n-3) 1@(2n-2) 2@(2n-1) 3@(2n)
     """
-    _require_ints("torus_matrix", n=n)
-    if n < 5:
-        raise DomainError("torus family matrix is defined for n >= 5")
+    _require_int("torus_matrix", "n", n, 5)
     k = 2 * n
     # 0-based: band pair j starts at c = 2j - 2; the rows below are sorted
     # sparse rows by construction, and verify_torus_bounds checks the contract

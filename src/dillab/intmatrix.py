@@ -23,7 +23,7 @@ from itertools import chain, repeat, starmap
 from operator import add, itemgetter, mul, or_
 
 from ._record import record
-from .enclosures import _finite_fraction, _require_type
+from .enclosures import _finite_fraction, _require_int, _require_type
 from .errors import DomainError, NoDiagonalEntry, NotIrreducible
 
 __all__ = [
@@ -604,10 +604,9 @@ def pf_enclosure(
     rel_width = _finite_fraction("rel_width", rel_width)
     if hi_target is not None:
         hi_target = _finite_fraction("hi_target", hi_target)
-    if type(max_iters) is not int:  # bool too: True is not read as 1
-        raise DomainError(f"max_iters must be int, got {type(max_iters).__name__}")
-    if rel_width <= 0 or max_iters < 1:
-        raise DomainError("pf_enclosure requires rel_width > 0 and max_iters >= 1")
+    _require_int("pf_enclosure", "max_iters", max_iters, 1)
+    if rel_width <= 0:
+        raise DomainError("pf_enclosure requires rel_width > 0")
     if not is_irreducible(matrix):
         raise NotIrreducible("pf_enclosure requires an irreducible matrix")
     sparse = matrix.rows

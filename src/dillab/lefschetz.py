@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record
-from .enclosures import _finite_fraction, _require_ints, _require_type
+from .enclosures import _finite_fraction, _require_int, _require_type
 from .errors import (
     DomainError,
     FixedPointOnCircle,
@@ -56,19 +56,21 @@ class HomologyClass:
 
     @staticmethod
     def zero(g: int) -> "HomologyClass":
-        _require_ints("HomologyClass.zero", g=g)
+        _require_int("HomologyClass.zero", "g", g, 1)
         return HomologyClass((0,) * (2 * g))
 
     @staticmethod
     def alpha(i: int, g: int) -> "HomologyClass":
-        _require_ints("HomologyClass.alpha", i=i, g=g)
+        _require_int("HomologyClass.alpha", "i", i)
+        _require_int("HomologyClass.alpha", "g", g)
         if not 1 <= i <= g:
             raise DomainError(f"alpha index {i} outside 1..{g}")
         return HomologyClass(tuple(1 if t == i - 1 else 0 for t in range(2 * g)))
 
     @staticmethod
     def beta(i: int, g: int) -> "HomologyClass":
-        _require_ints("HomologyClass.beta", i=i, g=g)
+        _require_int("HomologyClass.beta", "i", i)
+        _require_int("HomologyClass.beta", "g", g)
         if not 1 <= i <= g:
             raise DomainError(f"beta index {i} outside 1..{g}")
         return HomologyClass(tuple(1 if t == g + i - 1 else 0 for t in range(2 * g)))
@@ -95,8 +97,7 @@ class SympAction:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if type(self.g) is not int:  # bool too: True is not genus 1
-            raise DomainError(f"g must be int, got {type(self.g).__name__}")
+        _require_int("SympAction", "g", self.g, 1)
         _require_type((tuple, list), matrix=self.matrix)
         n = 2 * self.g
         if len(self.matrix) != n or any(
@@ -128,7 +129,7 @@ class SympAction:
 
     @staticmethod
     def identity(g: int) -> "SympAction":
-        _require_ints("SympAction.identity", g=g)
+        _require_int("SympAction.identity", "g", g, 1)
         n = 2 * g
         return SympAction._unchecked(
             g, tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
@@ -146,7 +147,7 @@ class SympAction:
         product and one update, O(n^2) where a dense product is O(n^3).
         power is any int, 0 included; a bool, float or str raises DomainError.
         """
-        _require_ints("SympAction.twist", power=power)
+        _require_int("SympAction.twist", "power", power)
         _require_type(HomologyClass, gamma=gamma)
         g = self.g
         if g != gamma.g:
@@ -202,9 +203,7 @@ def multitwist_action(twists, g: int) -> SympAction:
     """Product of the transvections of a pairwise-orthogonal twist system,
     each applied as a rank-one update (SympAction.twist), checked once
     through the public constructor."""
-    _require_ints("multitwist_action", g=g)
-    if g < 1:
-        raise DomainError("genus must be >= 1")
+    _require_int("multitwist_action", "g", g, 1)
     _check_twists(twists, g)
     action = SympAction.identity(g)
     for gamma, power in twists:

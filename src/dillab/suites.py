@@ -30,7 +30,7 @@ from .dilpoly import (
     mu_compare,
     verify_lroot,
 )
-from .enclosures import RatInterval, _require_ints, interval_gap, nth_root_enclosure
+from .enclosures import RatInterval, _require_int, interval_gap, nth_root_enclosure
 from .errors import DillabError, DomainError, NoSignChange, NotPairwiseOrthogonal
 from .families import torus_matrix, verify_torus_bounds
 from .intmatrix import IntMatrix, pf_enclosure, verify_diagonal_bound
@@ -639,9 +639,8 @@ def run_suite(name: str, seed: int = 7, cases: int | None = None) -> dict:
         raise DomainError(f"unknown suite {name!r}; known: {known}")
     spec = SUITES[name]
     n = spec.default_cases if cases is None else cases
-    _require_ints("run_suite", seed=seed, cases=n)
-    if n < 1:
-        raise DomainError("cases must be >= 1")
+    _require_int("run_suite", "seed", seed)
+    _require_int("run_suite", "cases", n, 1)
     count, failures, extra = spec.runner(seed, n)
     return {
         "suite": name,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record
-from .enclosures import RatInterval, _finite_fraction, _require_type, interval_gap, nth_root_enclosure
+from .enclosures import RatInterval, _finite_fraction, _require_int, _require_type, interval_gap, nth_root_enclosure
 from .errors import DegreePreconditionViolated, DomainError, NotIrreducible, VertexOutOfRange
 from .intmatrix import IntMatrix, is_irreducible, pf_enclosure
 
@@ -51,7 +51,7 @@ def to_matrix(graph: IntMatrix) -> IntMatrix:
 
 def _check_vertex(matrix: IntMatrix, i: int) -> None:
     _require_type(IntMatrix, matrix=matrix)
-    # vertices and path lengths are of type int exactly: True is not vertex 1
+    # a vertex is of type int exactly: True is not vertex 1
     if type(i) is not int or not 1 <= i <= matrix.k:
         raise VertexOutOfRange(f"vertex {i!r} outside the int labels 1..{matrix.k}")
 
@@ -65,8 +65,7 @@ def path_count(matrix: IntMatrix, i: int, d: int) -> int:
     d one above the last costs one matrix-vector product.
     """
     _check_vertex(matrix, i)
-    if type(d) is not int or d < 0:
-        raise DomainError(f"path length must be an int >= 0, got {d!r}")
+    _require_int("path_count", "d", d, 0)
     return matrix._counts(d)[i - 1]
 
 
@@ -74,8 +73,7 @@ def path_count_series(matrix: IntMatrix, i: int, d_max: int) -> tuple[int, ...]:
     """path_count(matrix, i, d) for every d = 0..d_max, in one sweep that
     leaves M^d_max 1 in the matrix's count slot."""
     _check_vertex(matrix, i)
-    if type(d_max) is not int or d_max < 0:
-        raise DomainError(f"path length must be an int >= 0, got {d_max!r}")
+    _require_int("path_count_series", "d_max", d_max, 0)
     return tuple([matrix._counts(d)[i - 1] for d in range(d_max + 1)])
 
 
@@ -98,8 +96,7 @@ def _limit_checks(matrix: IntMatrix, vertices, d_max: int, tol) -> list:
     """dilatation_limit_check for each of the given vertices, from one
     path-count vector (M^d 1 holds P(i, d) for every i at once, and resumes
     from the matrix's count slot) and one spectral enclosure."""
-    if type(d_max) is not int or d_max < 1:
-        raise DomainError(f"d_max must be an int >= 1, got {d_max!r}")
+    _require_int("dilatation_limit_check", "d_max", d_max, 1)
     tol = _finite_fraction("tol", tol)
     if tol < 0:
         raise DomainError("tol must be >= 0")

@@ -289,7 +289,7 @@ def test_integer_parameters_refuse_every_other_type(call, args):
 @pytest.mark.parametrize("count", [0, -1])
 def test_a_sample_below_one_is_refused(count):
     # `bounds table --sample 0` is a usage error; the library refuses it too
-    with pytest.raises(DomainError, match="count must be >= 1"):
+    with pytest.raises(DomainError, match="requires an int count >= 1"):
         log_uniform_sample(31, 40, count)
-    with pytest.raises(DomainError, match="count must be >= 1"):
+    with pytest.raises(DomainError, match="requires an int sample >= 1"):
         sandwich_table(2, 31, 40, sample=count)

@@ -321,7 +321,7 @@ def test_largest_root_reads_ints_fractions_and_finite_floats_exactly():
 
 @pytest.mark.parametrize("s, t", [(1.5, 2), (2, 2.0), (True, 2), (2, "3")])
 def test_build_T_refuses_parameters_not_of_type_int(s, t):
-    with pytest.raises(DomainError, match="ints s >= 1"):
+    with pytest.raises(DomainError, match="requires an int [st] >= 1"):
         build_T(s, t)
 
 
@@ -333,7 +333,7 @@ def test_build_Tm_refuses_an_index_not_of_type_int(m):
 
 @pytest.mark.parametrize("m", [5.0, True, Fraction(5)])
 def test_m_cubed_root_enclosure_refuses_an_index_not_of_type_int(m):
-    with pytest.raises(DomainError, match="int >= 1"):
+    with pytest.raises(DomainError, match="requires an int m >= 1"):
         m_cubed_root_enclosure(m)
 
 

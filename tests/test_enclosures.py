@@ -29,6 +29,7 @@ def test_interval_basics():
     assert iv.width == Fraction(1, 6)
     assert iv.contains(Fraction(2, 5))
     assert not iv.contains(Fraction(2, 3))
+    assert iv.contains(0.5) and not iv.contains(1)
     assert RatInterval.point(Fraction(7)).width == 0
     with pytest.raises(ValueError):
         RatInterval(Fraction(1), Fraction(0))
@@ -227,12 +228,13 @@ def test_enclosure_preconditions_raise_domain_error():
         lambda: nth_root_enclosure(2, 0),
         lambda: nth_root_enclosure(2, -3),
         lambda: nth_root_enclosure(2, 2, bits=-1),
+        lambda: inth_root(2, 0),
+        lambda: inth_root(-1, 2),
     ):
         with pytest.raises(DomainError):
             call()
-    # the integer kernel keeps its plain ValueError
-    with pytest.raises(ValueError):
-        inth_root(2, 0)
+    # the least valid values are answered
+    assert inth_root(0, 5) == 0 and inth_root(7, 1) == 7
 
 
 def _dyadic_holds(a, x: Fraction) -> bool:

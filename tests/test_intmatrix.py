@@ -239,7 +239,7 @@ def test_pf_enclosure_capped_iterations_still_sound():
 @pytest.mark.parametrize("max_iters", [2.5, True])
 def test_pf_enclosure_refuses_a_max_iters_that_is_not_int(max_iters):
     # range() would raise a bare TypeError on 2.5, and run True as 1
-    with pytest.raises(DomainError, match="max_iters must be int"):
+    with pytest.raises(DomainError, match="requires an int max_iters >= 1"):
         pf_enclosure(FIB, max_iters=max_iters)
 
 

@@ -440,3 +440,73 @@ def test_main_exits_1_on_dillab_errors_alone():
     ]
     assert len(exit_1) == 1
     assert isinstance(exit_1[0].type, ast.Name) and exit_1[0].type.id == "DillabError"
+
+
+def _own_nodes(func: ast.AST):
+    """The nodes of a function's body, without those of the functions
+    defined inside it."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _tests_a_parameter_for_int(test: ast.AST, func: ast.AST) -> bool:
+    """Whether test compares `type(p) is not int` for one of func's own
+    parameters p, or for a field self.<p> in a __post_init__."""
+    args = func.args
+    params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+    for node in ast.walk(test):
+        if not (
+            isinstance(node, ast.Compare)
+            and isinstance(node.ops[0], ast.IsNot)
+            and isinstance(node.comparators[0], ast.Name)
+            and node.comparators[0].id == "int"
+            and isinstance(node.left, ast.Call)
+            and isinstance(node.left.func, ast.Name)
+            and node.left.func.id == "type"
+        ):
+            continue
+        arg = node.left.args[0]
+        if isinstance(arg, ast.Name) and arg.id in params:
+            return True
+        if func.name == "__post_init__" and isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name) and arg.value.id == "self":
+            return True
+    return False
+
+
+def _inline_int_checks(tree: ast.AST):
+    """Every function with an `if` that tests one of its own parameters for
+    type int and raises in its body."""
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            isinstance(node, ast.If)
+            and _tests_a_parameter_for_int(node.test, func)
+            and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))
+            for node in _own_nodes(func)
+        ):
+            yield func.name
+
+
+def test_int_parameters_are_checked_by_one_helper():
+    # a loop over entries and a check that does not raise are not parameter checks
+    sample = (
+        "def f(n):\n    if type(n) is not int or n < 1:\n        raise DomainError(n)\n"
+        "def g(rows):\n    for x in rows:\n        if type(x) is not int:\n            raise DomainError(x)\n"
+        "def h(x):\n    if type(x) is not int:\n        x = int(x)\n"
+        "class C:\n    def __post_init__(self):\n        if type(self.g) is not int:\n            raise DomainError(self.g)\n"
+    )
+    assert set(_inline_int_checks(ast.parse(sample))) == {"f", "__post_init__"}
+    checks = {
+        (path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _inline_int_checks(ast.parse(path.read_text()))
+    }
+    # the helper, and two checks that raise their own, more specific classes
+    assert checks == {
+        ("enclosures", "_require_int"),
+        ("transgraph", "_check_vertex"),
+        ("bounds", "thm34_lower"),
+    }

@@ -200,6 +200,7 @@ def test_multitwist_rejects_crossing_classes():
 def test_multitwist_refuses_a_bool_power():
     alpha = HomologyClass.alpha(1, 1)
     assert multitwist_action([(alpha, 1)], 1).matrix == transvection(alpha, 1).matrix
+    assert multitwist_action([], 1).matrix == SympAction.identity(1).matrix == ((1, 0), (0, 1))
     with pytest.raises(DomainError):
         multitwist_action([(alpha, True)], 1)
 
@@ -248,7 +249,7 @@ def test_lefschetz_integer_parameters_refuse_every_other_type(call, args):
 def test_symp_action_refuses_a_genus_that_is_not_an_int():
     assert SympAction(1, ((1, 0), (0, 1))).g == 1
     for g in (True, 1.0):
-        with pytest.raises(ValueError, match="g must be int"):
+        with pytest.raises(ValueError, match="requires an int g >= 1"):
             SympAction(g, ((1, 0), (0, 1)))
 
 

@@ -273,7 +273,7 @@ def test_path_count_refuses_non_int_arguments():
     for bad in _NOT_INT:
         with pytest.raises(VertexOutOfRange, match="outside the int labels"):
             path_count(m, bad, 3)
-        with pytest.raises(DomainError, match="path length must be an int"):
+        with pytest.raises(DomainError, match="requires an int d >= 0"):
             path_count(m, 1, bad)
     assert "_count_slot" not in m.__dict__
     assert path_count(m, 1, 3) == 3
@@ -284,7 +284,7 @@ def test_path_count_series_refuses_non_int_arguments():
     for bad in _NOT_INT:
         with pytest.raises(VertexOutOfRange, match="outside the int labels"):
             path_count_series(m, bad, 3)
-        with pytest.raises(DomainError, match="path length must be an int"):
+        with pytest.raises(DomainError, match="requires an int d_max >= 0"):
             path_count_series(m, 1, bad)
     assert "_count_slot" not in m.__dict__
     assert path_count_series(m, 1, 3) == (1, 1, 2, 3)
@@ -294,9 +294,9 @@ def test_dilatation_limit_check_refuses_non_int_arguments():
     for bad in _NOT_INT:
         with pytest.raises(VertexOutOfRange, match="outside the int labels"):
             dilatation_limit_check(FIB, bad, 5, tol=1)
-        with pytest.raises(DomainError, match="d_max must be an int"):
+        with pytest.raises(DomainError, match="requires an int d_max >= 1"):
             dilatation_limit_check(FIB, 1, bad, tol=1)
-        with pytest.raises(DomainError, match="d_max must be an int"):
+        with pytest.raises(DomainError, match="requires an int d_max >= 1"):
             _limit_checks(FIB, (1, 2), bad, 1)
 
 
