@@ -7,14 +7,23 @@ the exact class and the field tuple, `__hash__` of that tuple, the same
 `__repr__`, and `__setattr__` and `__delattr__` that refuse a field. Its
 methods are closures over the field names, so decorating a class compiles
 nothing, and a method the class defines itself is kept. Fields live in the
-instance `__dict__`, so pickle, deepcopy and `cached_property` work as on a
-plain object; set a field in a constructor with `object.__setattr__`.
+instance `__dict__`, so `cached_property` works as on a plain object; set a
+field in a constructor with `object.__setattr__`.
+
+`_of(*values)` is the package's one unchecked constructor: it builds an
+instance from field values that are valid by construction, in field order,
+without running `__init__` or `__post_init__`. `__reduce__` returns
+`(cls._of, field values)`, so pickle, `copy` and `deepcopy` carry the fields
+alone and leave every cache behind; pickle finds `_of` by reference, under
+its class's module and qualified name. An instance of a plain subclass
+pickles as a plain object instead, keeping its class and attributes.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
+_new = object.__new__
 _set = object.__setattr__
 
 
@@ -55,10 +64,22 @@ def record(cls):
             raise AttributeError(f"cannot delete field {name!r}")
         object.__delattr__(self, name)
 
-    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+    def _of(*args):
+        self = _new(cls)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        return self
+
+    def __reduce__(self):
+        if self.__class__ is cls:
+            return _of, values(self)
+        return object.__reduce__(self)
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__, _of, __reduce__):
         if method.__name__ not in cls.__dict__:
+            method.__module__ = cls.__module__
             method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-            setattr(cls, method.__name__, method)
+            setattr(cls, method.__name__, staticmethod(method) if method is _of else method)
     cls.__match_args__ = names
     return cls
 

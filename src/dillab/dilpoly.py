@@ -118,14 +118,6 @@ class IntPoly:
         _require_type(dict, d=d)
         return IntPoly(tuple(d.items()))
 
-    @staticmethod
-    def _of(coeffs: tuple) -> "IntPoly":
-        """Wrap (exponent, coefficient) pairs that are canonical by
-        construction (exponents increasing, coefficients nonzero), unchecked."""
-        poly = object.__new__(IntPoly)
-        object.__setattr__(poly, "coeffs", coeffs)
-        return poly
-
     @property
     def degree(self) -> int:
         return self.coeffs[-1][0] if self.coeffs else -1

@@ -2,8 +2,10 @@
 
 Every error raised on a violated precondition or failed certificate derives
 from DillabError so callers (and the CLI) can separate contract violations
-from programming bugs. DomainError, the refusal of a malformed argument, is
-also a ValueError, so a caller that catches ValueError still catches it.
+from programming bugs. DomainError, the refusal of a malformed or
+out-of-range argument, is also a ValueError, so a caller that catches
+ValueError still catches it; the three narrower refusals of an argument
+(VertexOutOfRange, AlphaOutOfRange, GenusMismatch) are DomainErrors.
 """
 
 
@@ -19,10 +21,6 @@ class NoDiagonalEntry(DillabError):
     """Matrix has no nonzero diagonal entry."""
 
 
-class VertexOutOfRange(DillabError):
-    """Vertex label outside 1..vertex_count."""
-
-
 class DegreePreconditionViolated(DillabError):
     """Subdivision requires in-multiplicity 1 and out-multiplicity 1."""
 
@@ -35,7 +33,11 @@ class DomainError(DillabError, ValueError):
     """Parameter outside the domain where the result is defined."""
 
 
-class AlphaOutOfRange(DillabError):
+class VertexOutOfRange(DomainError):
+    """Vertex label outside 1..vertex_count."""
+
+
+class AlphaOutOfRange(DomainError):
     """alpha must be an integer in [1, theta(g)]."""
 
 
@@ -43,7 +45,7 @@ class ValidationFailed(DillabError):
     """A validation contract or certified assertion failed."""
 
 
-class GenusMismatch(DillabError):
+class GenusMismatch(DomainError):
     """Vectors or classes of different genus were combined."""
 
 

@@ -41,9 +41,13 @@ def cover_threshold(g: int) -> int:
 
 def cover_index(g: int, n: int) -> int:
     """Index m of the balanced polynomial T_m certifying (g, n); the bound
-    depends on n only through m."""
+    depends on n only through m. Below cover_threshold(g), where no
+    certificate exists, DomainError."""
     _require_int("cover_index", "g", g, 2)
     _require_int("cover_index", "n", n)
+    threshold = cover_threshold(g)
+    if n < threshold:
+        raise DomainError(f"cover family requires n >= {threshold} for g={g}")
     return (n - 1) // (2 * g + 1) - 1
 
 
@@ -71,8 +75,6 @@ def cover_upper_bound(g: int, n: int) -> CoverBoundReport:
     """
     _require_int("cover_upper_bound", "g", g, 2)
     _require_int("cover_upper_bound", "n", n)
-    if n < cover_threshold(g):
-        raise DomainError(f"cover family requires n >= {cover_threshold(g)} for g={g}")
     # n = (2g+1)(m+1) + 1 + c with 0 <= c <= 2g; the c leftover marked points
     # ride along without increasing the dilatation, so the bound is a
     # function of m alone

@@ -108,13 +108,6 @@ class IntMatrix:
             out.append(row)
         return IntMatrix._of(tuple(out))
 
-    @staticmethod
-    def _of(rows: tuple) -> "IntMatrix":
-        """Wrap sparse rows that are valid by construction, unchecked."""
-        matrix = object.__new__(IntMatrix)
-        object.__setattr__(matrix, "rows", rows)
-        return matrix
-
     @property
     def k(self) -> int:
         return len(self.rows)
@@ -157,11 +150,6 @@ class IntMatrix:
             for j, m in row:
                 sums[j] += m
         return tuple(sums)
-
-    def __reduce__(self):
-        # only the rows travel: _times is a closure, and neither it nor the
-        # count slot is part of the value
-        return IntMatrix._of, (self.rows,)
 
     @cached_property
     def _times(self):

@@ -90,7 +90,8 @@ class SympAction:
     """2g x 2g integer matrix preserving the standard symplectic form.
 
     Construction checks A^T J A = J exactly and refuses anything else, so a
-    SympAction in hand is itself the certificate.
+    SympAction in hand is itself the certificate. `identity` and `twist`
+    keep the form by a theorem and build their result unchecked, by `_of`.
     """
 
     g: int
@@ -118,20 +119,11 @@ class SympAction:
                 if sum([x * y for x, y in zip(cols[a], j_cols[b])]) != want:
                     raise DomainError("matrix does not preserve the symplectic form")
 
-    @classmethod
-    def _unchecked(cls, g: int, matrix: tuple[tuple[int, ...], ...]) -> "SympAction":
-        """Build without the A^T J A = J check, for operations that keep the
-        form by a theorem: the identity and its twists."""
-        action = object.__new__(cls)
-        object.__setattr__(action, "g", g)
-        object.__setattr__(action, "matrix", matrix)
-        return action
-
     @staticmethod
     def identity(g: int) -> "SympAction":
         _require_int("SympAction.identity", "g", g, 1)
         n = 2 * g
-        return SympAction._unchecked(
+        return SympAction._of(
             g, tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
         )
 
@@ -158,7 +150,7 @@ class SympAction:
         for row in self.matrix:
             s = power * sum([a * b for a, b in zip(row, coords)])
             out.append(tuple([a + s * b for a, b in zip(row, w)]) if s else row)
-        return SympAction._unchecked(g, tuple(out))
+        return SympAction._of(g, tuple(out))
 
     def apply(self, v: HomologyClass) -> HomologyClass:
         _require_type(HomologyClass, v=v)

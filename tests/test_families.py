@@ -134,20 +134,37 @@ def test_cover_spec_parameter_split():
     # the threshold is the first n with index 5, for every genus
     for g in (2, 3, 4):
         assert cover_index(g, cover_threshold(g)) == 5
-        assert cover_index(g, cover_threshold(g) - 1) == 4
+        with pytest.raises(DomainError):
+            cover_index(g, cover_threshold(g) - 1)
         assert cover_upper_bound(g, cover_threshold(g)).m == 5
+
+
+@pytest.mark.parametrize("g, n", [(2, 30), (2, 0), (2, -5), (3, 42), (8, 102)])
+def test_cover_index_refuses_n_below_the_threshold(g, n):
+    # below cover_threshold(g) the index would fall under 5, where T_m has no
+    # certified ceiling; cover_index and cover_upper_bound refuse alike
+    message = f"cover family requires n >= {cover_threshold(g)} for g={g}"
+    with pytest.raises(DomainError, match=message):
+        cover_index(g, n)
+    with pytest.raises(DomainError, match=message):
+        cover_upper_bound(g, n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 8), st.integers(1, 10**6))
 def test_cover_split_is_an_identity(g, n):
     # the split cover_upper_bound relies on: n = q(m+1) + 1 + c with
-    # c = (n-1) mod q in [0, 2g], and m >= 5 exactly from the threshold on
+    # c = (n-1) mod q in [0, 2g], and m >= 5 exactly from the threshold on,
+    # below which cover_index refuses
     q = 2 * g + 1
+    if n < cover_threshold(g):
+        with pytest.raises(DomainError):
+            cover_index(g, n)
+        return
     m, c = cover_index(g, n), (n - 1) % q
     assert q * (m + 1) + 1 + c == n
     assert 0 <= c <= 2 * g
-    assert (m >= 5) == (n >= cover_threshold(g))
+    assert m >= 5 and (m == 5) == (n - q < cover_threshold(g))
 
 
 def test_cover_upper_bound_certificate_chain():

@@ -510,3 +510,38 @@ def test_int_parameters_are_checked_by_one_helper():
         ("transgraph", "_check_vertex"),
         ("bounds", "thm34_lower"),
     }
+
+
+# the members `record` generates as the one unchecked constructor, and the
+# name the last hand-written one went by
+RECORD_DOORS = {"_of", "_unchecked", "__reduce__"}
+
+
+def _unchecked_doors(tree: ast.AST):
+    """Every reference to `object.__new__`, and every member in RECORD_DOORS
+    that a class body defines, as a def or an assignment."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "__new__":
+            if isinstance(node.value, ast.Name) and node.value.id == "object":
+                yield "object.__new__"
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [stmt.name]
+                else:
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                yield from (f"{node.name}.{name}" for name in names if name in RECORD_DOORS)
+
+
+def test_only_record_builds_a_value_unchecked():
+    # every value either passed its constructor's checks or came from
+    # record's generated _of, which pickle, copy and deepcopy also go through
+    sample = (
+        "new = object.__new__\n"
+        "class C:\n    @staticmethod\n    def _of(rows):\n        return new(C)\n"
+        "    __reduce__ = f\n    def keep(self):\n        return object.__new__(C)\n"
+    )
+    assert sorted(_unchecked_doors(ast.parse(sample))) == ["C.__reduce__", "C._of", "object.__new__", "object.__new__"]
+    doors = {(path.stem, door) for path in sorted(PACKAGE.glob("*.py")) for door in _unchecked_doors(ast.parse(path.read_text()))}
+    assert doors == {("_record", "object.__new__")}

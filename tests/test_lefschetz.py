@@ -121,7 +121,7 @@ def test_multitwist_refuses_a_non_symplectic_product(monkeypatch):
     # caught only where multitwist_action checks its product
     def broken(self, gamma, power):
         doubled = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        return SympAction._unchecked(gamma.g, doubled)
+        return SympAction._of(gamma.g, doubled)
 
     monkeypatch.setattr(SympAction, "twist", broken)
     with pytest.raises(ValueError, match="symplectic"):

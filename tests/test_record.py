@@ -1,7 +1,9 @@
 """The package's 19 record types behave as `dataclass(frozen=True)` would:
 the same repr, equality and hash as a frozen dataclass holding the same
 values, refused assignment and deletion, TypeError for a bad constructor
-call, and pickle and deepcopy round trips."""
+call, and pickle and deepcopy round trips. Each also has the generated
+unchecked constructor `_of`, which builds the value its checked constructor
+builds, and which every pickle, copy and deepcopy goes through."""
 
 import copy
 import dataclasses
@@ -54,10 +56,15 @@ def _names(cls) -> tuple:
     return tuple(cls.__annotations__)
 
 
-def _build(cls, values):
-    """The record from field values; IntMatrix's own constructor takes the
-    dense entries, so its rows go through the unchecked wrapper."""
-    return IntMatrix._of(values[0]) if cls is IntMatrix else cls(*values)
+def _checked(cls):
+    """The constructor that checks field values: the class, but for
+    IntMatrix, whose own constructor takes the dense entries, from_sparse."""
+    return IntMatrix.from_sparse if cls is IntMatrix else cls
+
+
+# a plain subclass of a record, at module level so that pickle finds it
+class _Counted(IntPoly):
+    pass
 
 
 def _reference(cls, values):
@@ -73,24 +80,24 @@ def test_every_record_type_is_sampled():
 
 @pytest.mark.parametrize("cls, values", SAMPLES, ids=IDS)
 def test_repr_eq_and_hash_match_a_frozen_dataclass(cls, values):
-    obj = _build(cls, values)
+    obj = cls._of(*values)
     ref_cls, ref = _reference(cls, values)
     assert tuple(getattr(obj, name) for name in _names(cls)) == values
+    assert type(obj) is cls and obj == _checked(cls)(*values) and tuple(obj.__dict__) == _names(cls)
     if cls is not IntMatrix:  # IntMatrix prints its dense entries instead
         assert repr(obj) == repr(ref)
     assert hash(obj) == hash(ref)
-    assert obj == _build(cls, values) and ref == ref_cls(*values)
-    assert not obj != _build(cls, values)
+    assert obj == cls._of(*values) and ref == ref_cls(*values)
+    assert not obj != cls._of(*values)
     assert obj.__eq__(ref) is NotImplemented and obj != ref
-    if "__post_init__" not in cls.__dict__ and cls is not IntMatrix:
-        other = values[:-1] + (object(),)  # differs in the last field only
-        assert obj != cls(*other) and ref != ref_cls(*other)
-        assert hash(cls(*other)) == hash(ref_cls(*other))
+    other = values[:-1] + (object(),)  # differs in the last field only
+    assert obj != cls._of(*other) and ref != ref_cls(*other)
+    assert hash(cls._of(*other)) == hash(ref_cls(*other))
 
 
 @pytest.mark.parametrize("cls, values", SAMPLES, ids=IDS)
 def test_fields_are_frozen(cls, values):
-    obj = _build(cls, values)
+    obj = cls._of(*values)
     for name in _names(cls):
         with pytest.raises(AttributeError):
             setattr(obj, name, values[0])
@@ -128,9 +135,15 @@ def test_intmatrix_keeps_its_own_constructor():
 
 @pytest.mark.parametrize("cls, values", SAMPLES, ids=IDS)
 def test_pickle_and_deepcopy_round_trip(cls, values):
-    obj = _build(cls, values)
+    obj = cls._of(*values)
     for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
         assert type(twin) is cls and twin == obj and hash(twin) == hash(obj)
+        assert tuple(twin.__dict__) == _names(cls)
+    # pickle, copy and deepcopy all ask __reduce_ex__ first, and pickle finds
+    # _of by reference, under its class's module and qualified name
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert obj.__reduce_ex__(protocol) == (cls._of, values)
+    assert (cls._of.__module__, cls._of.__qualname__) == (cls.__module__, f"{cls.__qualname__}._of")
 
 
 def test_intmatrix_caches_stay_out_of_its_value():
@@ -166,3 +179,11 @@ def test_a_subclass_keeps_the_fields_frozen_but_may_add_attributes():
     p.calls = 0
     with pytest.raises(AttributeError):
         p.coeffs = ()
+
+
+def test_a_subclass_pickles_with_its_class_and_attributes():
+    # IntPoly._of builds an IntPoly, so a subclass does not go through it
+    p = _Counted(((0, -1), (2, 1)))
+    p.calls = 3
+    for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert type(twin) is _Counted and twin == p and twin.calls == 3

@@ -27,6 +27,8 @@ from dillab import (
     SympAction,
     build_T,
     parse_matrix_json,
+    path_count,
+    thm34_lower,
     torus_matrix,
 )
 from dillab.enclosures import inth_root
@@ -245,6 +247,11 @@ NESTED = {
     "cover_threshold(0)": lambda: cover_threshold(0),
     "cover_threshold(1)": lambda: cover_threshold(1),
     "cover_index(1, 40)": lambda: cover_index(1, 40),
+    # the narrower refusals of an argument out of range, a DomainError each
+    "path_count(FIB, 0, 2)": lambda: path_count(FIB, 0, 2),
+    "path_count(FIB, True, 2)": lambda: path_count(FIB, True, 2),
+    "thm34_lower(2, 5, 0)": lambda: thm34_lower(2, 5, 0),
+    "SympAction.identity(1).twist(alpha(1, 2), 1)": lambda: SympAction.identity(1).twist(HomologyClass.alpha(1, 2), 1),
     # True is not read as 1, nor a float as an int
     "inth_root(True, 2)": lambda: inth_root(True, 2),
     "inth_root(10, True)": lambda: inth_root(10, True),
