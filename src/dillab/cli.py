@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .bounds import sandwich_table
 from .dilpoly import DEFAULT_ROOT_REL_WIDTH, build_T, build_Tm, largest_root, verify_lroot
+from .enclosures import _require_int
 from .errors import DillabError
 from .families import cover_upper_bound, torus_matrix, verify_torus_bounds
 from .intmatrix import (
@@ -400,6 +401,7 @@ def _parse_twists(spec_text: str, g: int):
 
 
 def _cmd_lefschetz(ns: argparse.Namespace) -> int:
+    _require_int("multitwist_action", "g", ns.g, 1)  # before a twist names a class of genus g
     twists, echo = _parse_twists(ns.twists, ns.g)
     action = multitwist_action(twists, ns.g)
     payload = {

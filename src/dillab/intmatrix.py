@@ -73,12 +73,15 @@ class IntMatrix:
                 raise DomainError(f"rows must be of type tuple or list, got {type(row).__name__}")
             if len(row) != k:
                 raise DomainError("matrix must be square")
-            for x in row:
+            nonzero = []
+            for j, x in enumerate(row):
                 if type(x) is not int:  # bool too: true is not read as 1
                     raise DomainError(f"entries must be int, got {type(x).__name__}")
+                if x:
+                    nonzero.append((j, x))
             if min(row) < 0:
                 raise DomainError("entries must be nonnegative")
-            rows.append(tuple([(j, x) for j, x in enumerate(row) if x]))
+            rows.append(tuple(nonzero))
         object.__setattr__(self, "rows", tuple(rows))
 
     @staticmethod
@@ -302,6 +305,7 @@ def _power_pattern(matrix: IntMatrix, r: int) -> list[int]:
 
 
 def _reach(adj: list[list[int]], start: int) -> int:
+    """The vertices reachable from start over adj, counted until all are seen."""
     seen = [False] * len(adj)
     seen[start] = True
     stack = [start]
@@ -312,6 +316,8 @@ def _reach(adj: list[list[int]], start: int) -> int:
             if not seen[w]:
                 seen[w] = True
                 count += 1
+                if count == len(adj):
+                    return count
                 stack.append(w)
     return count
 
@@ -347,22 +353,24 @@ def _steer_at(rows) -> int:
 
     Elimination without pivoting fills only inside the matrix's envelope:
     row r of L starts at row r's first nonzero column, column c of U at
-    column c's first nonzero row. Pivot i therefore updates at most
-    L_i * U_i entries, where L_i counts the rows r > i that start at or
-    before i and U_i the columns c > i that do. A banded matrix with a few
-    wrap-around rows costs O(k); a dense one k^3 / 3.
+    column c's first nonzero row, sought until every column has one. So
+    pivot i updates at most L_i * U_i entries, L_i counting the rows r > i
+    that start at or before i and U_i the columns c > i that do: O(k) for a
+    band with a few wrap-around rows, k^3 / 3 for a dense matrix.
     """
     k = len(rows)
-    first_row = [k] * k
+    first_row, unseen = [k] * k, k  # unseen: the columns with no first row yet
     rise = [0] * (k + 1)  # difference arrays of L_i and U_i over i
     fall = [0] * (k + 1)
     for r, row in enumerate(rows):
         if row and row[0][0] < r:
             rise[row[0][0]] += 1
             rise[r] -= 1
-        for j, _ in row:
-            if r < first_row[j]:
-                first_row[j] = r
+        if unseen:
+            for j, _ in row:
+                if r < first_row[j]:
+                    first_row[j] = r
+                    unseen -= 1
     for c, r in enumerate(first_row):
         if r < c:
             fall[r] += 1

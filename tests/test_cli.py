@@ -508,6 +508,15 @@ def test_lefschetz_grammar_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("g, twists", [("0", "a1:1"), ("0", "0:1"), ("-2", "b1:1")])
+def test_lefschetz_refuses_a_genus_below_1_before_reading_the_twists(capsys, g, twists):
+    # the genus is refused before any twist is read, so neither a basis
+    # curve's index (a usage error) nor a separating curve picks the message
+    code, out, err = run(capsys, "lefschetz", "--g", g, "--twists", twists)
+    assert (code, out) == (1, "")
+    assert err == f"error: multitwist_action requires an int g >= 1, got {g}\n"
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "--list")
     assert code == 0

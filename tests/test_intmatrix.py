@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -123,10 +124,11 @@ def test_parse_matrix_json_refuses_a_top_level_that_is_not_an_object(obj):
         parse_matrix_json(obj)
 
 
-@pytest.mark.parametrize("bad", [1.5, True, "3", 2.0, Fraction(1)])
+@pytest.mark.parametrize("bad", [1.5, True, "3", 2.0, Fraction(1), False, 0.0])
 def test_non_int_entries_are_refused_not_coerced(bad):
     # int() would truncate 1.7 to 1 and read true as 1, certifying a
-    # different matrix than the file holds
+    # different matrix than the file holds; false and 0.0 are refused where
+    # a 0 would be stored as no entry at all
     with pytest.raises(ValueError):
         parse_matrix_json({"k": 2, "rows": [[bad, 1], [1, 1]]})
     with pytest.raises(ValueError):
@@ -134,6 +136,30 @@ def test_non_int_entries_are_refused_not_coerced(bad):
     with pytest.raises(ValueError):
         IntMatrix.from_sparse([((0, bad),)])
     assert IntMatrix.from_rows([[0, 1], [1, 1]]) == FIB
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # the first bad row wins, whatever a later row holds
+        (((1, -1), (1.5, 0)), "entries must be nonnegative"),
+        (((0, 2.5), (-1, 0)), "entries must be int, got float"),
+        (((1, 1), (1,), ("x", 1)), "matrix must be square"),
+        (((1, None, 0), [1, 2], (-1, 0, 0)), "entries must be int, got NoneType"),
+        (((1, 0), 7), "rows must be of type tuple or list, got int"),
+        # within a row a non-int is refused before a negative, wherever each sits
+        (((-1, "2"), (0, 0)), "entries must be int, got str"),
+        (((0, 0), (Fraction(1), -3)), "entries must be int, got Fraction"),
+        (((1, 0, 0), (0, -2, None), (0, 0, 1)), "entries must be int, got NoneType"),
+        # a false or 0.0 where the sparse rows keep no entry
+        (((0, False), (1, 1)), "entries must be int, got bool"),
+        (((1, 1), (0.0, 1)), "entries must be int, got float"),
+        ((), "matrix must have dimension >= 1"),
+    ],
+)
+def test_constructor_refusal_order_and_messages(entries, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        IntMatrix(entries)
 
 
 def test_matmul_and_power():
@@ -202,6 +228,108 @@ def test_irreducibility_is_decided_once(monkeypatch):
     fresh = IntMatrix(spec.matrix.entries)
     assert fresh == spec.matrix and hash(fresh) == hash(spec.matrix)
     assert repr(fresh) == repr(spec.matrix)
+
+
+def _strongly_connected(entries) -> bool:
+    """Strong connectivity read from the dense reference: (I + M)^(k-1) > 0,
+    and for k = 1 a loop on the vertex ([0] is reducible by convention)."""
+    k = len(entries)
+    if k == 1:
+        return entries[0][0] > 0
+    shifted = IntMatrix([[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(entries)])
+    return all(x > 0 for row in mat_power(shifted, k - 1).entries for x in row)
+
+
+@st.composite
+def _digraphs(draw):
+    """Nonnegative k x k matrices, k = 1..12, from empty to positive, half of
+    them with a reducible shape planted: a one-way bridge between two
+    parts, a zero row or a zero column."""
+    k = draw(st.integers(1, 12))
+    zeros = draw(st.integers(0, 8))  # 0: positive; 8: about 1 entry in 4 nonzero
+    values = st.sampled_from([0] * zeros + [1, 2, 3])
+    rows = [[draw(values) for _ in range(k)] for _ in range(k)]
+    shape = draw(st.sampled_from(["none", "bridge", "zero row", "zero column"]))
+    at = draw(st.integers(0, k - 1))
+    if shape == "bridge" and k > 1:
+        split = max(at, 1)  # vertices < split reach the rest, never the reverse
+        rows = [[0 if i >= split > j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        rows[0][split] = 1
+    elif shape == "zero row":
+        rows[at] = [0] * k
+    elif shape == "zero column":
+        for row in rows:
+            row[at] = 0
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs())
+@example([[0]])
+@example([[5]])
+@example([[1, 1, 0], [0, 1, 1], [0, 0, 1]])  # one-way bridges
+@example([[1, 1, 1], [0, 0, 0], [1, 1, 1]])  # a zero row
+@example([[1, 0, 1], [1, 0, 1], [1, 0, 1]])  # a zero column
+@example([[1] * 12] * 12)
+def test_irreducibility_is_strong_connectivity(rows):
+    # both searches stop once they have seen every vertex, which must not
+    # change a verdict on any graph, dense or not
+    assert is_irreducible(IntMatrix(rows)) == _strongly_connected(rows)
+
+
+def test_reach_returns_once_every_vertex_is_seen():
+    # an out-list is not read past the entry that completes the count: the
+    # index 99 would raise if the search looked at it
+    assert intmatrix._reach([[1, 2, 99], [0], [0]], 0) == 3
+    assert intmatrix._reach([[1], [2, 0, 99], [1]], 0) == 3
+    assert intmatrix._reach([[1], [0], [0, 1]], 0) == 2  # 2 is never reached
+
+
+def _steer_at_full_scan(rows) -> int:
+    """_steer_at's cost model read from the whole matrix: every row's first
+    column and every column's first row, with L_i and U_i counted apart."""
+    k = len(rows)
+    row_start = [row[0][0] if row else k for row in rows]
+    col_start = [min([r for r, row in enumerate(rows) for j, _ in row if j == c], default=k) for c in range(k)]
+    work = 0
+    for i in range(k):
+        lower = sum([1 for r in range(i + 1, k) if row_start[r] <= i])
+        upper = sum([1 for c in range(i + 1, k) if col_start[c] <= i])
+        work += lower * upper
+    nnz = sum([len(row) for row in rows])
+    return math.ceil(intmatrix._STEER_ROUNDS * (work + nnz) / nnz)
+
+
+@st.composite
+def _sparse_rows(draw):
+    """Sparse rows of k = 1..15 with at least one entry; empty rows and empty
+    columns are common at low density."""
+    k = draw(st.integers(1, 15))
+    density = draw(st.sampled_from([0.05, 0.15, 0.4, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [tuple([(j, rng.randint(1, 3)) for j in range(k) if rng.random() < density]) for _ in range(k)]
+    if not any(rows):
+        at = draw(st.integers(0, k - 1))
+        rows[at] = ((draw(st.integers(0, k - 1)), 1),)
+    return tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_rows())
+@example((((0, 1),),))
+@example((((1, 1),), (), ((0, 1), (1, 1))))  # an empty row
+@example((((1, 1),), ((1, 1), (2, 1)), ((1, 2),)))  # an empty column
+def test_steer_at_equals_its_full_scan(rows):
+    # the first-row-per-column scan stops at the row that gives the last
+    # column its first row; the steer point must be the full scan's
+    assert _steer_at(rows) == _steer_at_full_scan(rows)
+
+
+def test_steer_at_reads_no_column_after_the_last_first_row():
+    # every column has its first row by row 1, so row 2 is read only for
+    # where it starts: the column 99 would raise if it were scanned
+    head = (((0, 1), (2, 1)), ((1, 1),))
+    assert _steer_at(head + (((0, 1), (99, 1)),)) == _steer_at(head + (((0, 1),),))
 
 
 def test_pf_enclosure_fibonacci_dual_route():
