@@ -409,7 +409,7 @@ def _cmd_lefschetz(ns: argparse.Namespace) -> int:
         "twists": echo,
         "matrix": [list(row) for row in action.matrix],
         "trace": action.trace,
-        "lefschetz_number": 2 - action.trace,
+        "lefschetz_number": action.lefschetz_number,
     }
     _emit(ns, _canonical_json(payload))
     return 0

@@ -74,12 +74,15 @@ class IntMatrix:
             if len(row) != k:
                 raise DomainError("matrix must be square")
             nonzero = []
+            negative = False  # raised after the loop: a later non-int wins
             for j, x in enumerate(row):
                 if type(x) is not int:  # bool too: true is not read as 1
                     raise DomainError(f"entries must be int, got {type(x).__name__}")
                 if x:
+                    if x < 0:
+                        negative = True
                     nonzero.append((j, x))
-            if min(row) < 0:
+            if negative:
                 raise DomainError("entries must be nonnegative")
             rows.append(tuple(nonzero))
         object.__setattr__(self, "rows", tuple(rows))
@@ -157,7 +160,7 @@ class IntMatrix:
     @cached_property
     def _times(self):
         """The exact product v -> M v (_multiplier), built once per matrix
-        on the route _scaled_route picks from its rows."""
+        on the route _scaled_plan picks in one pass over its rows."""
         return _multiplier(self.rows)
 
     def _counts(self, d: int) -> list[int]:
@@ -242,28 +245,41 @@ def _gather(indices: list):
     return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0, 0))
 
 
-def _scaled_route(rows) -> bool:
-    """Whether _multiplier takes the scaled route for these sparse rows,
-    by a count of the items one product gathers.
+def _scaled_plan(rows) -> tuple[list, list, list] | None:
+    """The scaled route for these sparse rows, laid out in one pass over
+    their entries: each row's gather indices into v's extended copy, and the
+    column and factor of each distinct pair (j, m > 1) in slot order k,
+    k + 1, ...; or None, where the repeat route gathers no more items.
 
     The repeat route gathers sum(m) items, m over the nonzero entries. The
-    scaled route gathers nnz, each entry once, and two more for each
-    distinct pair (j, m > 1): v[j] to scale, and m * v[j] into v's copy.
-    The pairs number at most P = min(#entries > 1, k * #distinct values
-    > 1), so scaling saves at least sum(m) - nnz - 2P items. It is taken
-    when that exceeds 2k: k for the copy of v, and k more for its set-up,
-    which small graphs (the oracle's 3..9 vertices) and the sparse torus
-    family would not earn back. An entry above _REPEAT_MAX always scales.
+    scaled route gathers nnz, each entry once; two more for each distinct
+    pair, keyed by the int m * k + j (v[j] to scale, and m * v[j] into v's
+    copy); and 2k: k for the copy of v, and k more for its set-up, which
+    small graphs (the oracle's 3..9 vertices) and the sparse torus family
+    would not earn back. An entry above _REPEAT_MAX always scales.
     """
-    values = [m for row in rows for _, m in row]
-    if max(values, default=0) > _REPEAT_MAX:
-        return True
-    margin = sum(values) - len(values) - 2 * len(rows)
-    if margin <= 0:  # P >= 0: small and sparse graphs stop here
-        return False
-    distinct = set(values)
-    distinct.discard(1)
-    return margin > 2 * min(len(values) - values.count(1), len(rows) * len(distinct))
+    k = len(rows)
+    slot = {}  # m * k + j -> the index of m * v[j] in v's extended copy
+    cols, factors, lists = [], [], []
+    extra = 0  # sum(m - 1): the items the repeat route gathers beyond nnz
+    for row in rows:
+        at = []
+        for j, m in row:
+            if m == 1:
+                at.append(j)
+                continue
+            extra += m - 1
+            key = m * k + j
+            s = slot.get(key)
+            if s is None:
+                s = slot[key] = k + len(cols)
+                cols.append(j)
+                factors.append(m)
+            at.append(s)
+        lists.append(at)
+    if extra > 2 * (len(cols) + k) or max(factors, default=0) > _REPEAT_MAX:
+        return lists, cols, factors
+    return None
 
 
 def _multiplier(rows):
@@ -271,23 +287,19 @@ def _multiplier(rows):
     on a list of ints; an empty row gives 0.
 
     Each row becomes one itemgetter, so that sum(g(v)) computes the row's
-    value in C, on one of two routes (_scaled_route chooses). The repeat
+    value in C, on one of two routes (_scaled_plan chooses). The repeat
     route gathers each column as often as its entry. The scaled route
     computes m * v[j] once per product for each distinct pair (j, m > 1),
     appends these values to v, and gathers every nonzero entry exactly once.
     Ints only: on floats x + x + x rounds differently from 3 * x.
     """
-    if not _scaled_route(rows):
+    plan = _scaled_plan(rows)
+    if plan is None:
         gathers = [_gather(list(chain.from_iterable(starmap(repeat, row)))) for row in rows]
         return lambda v: [sum(g(v)) for g in gathers]
-    k = len(rows)
-    slot = {}  # (j, m) -> the index of m * v[j] in v's extended copy
-    gathers = [
-        _gather([p[0] if p[1] == 1 else slot.setdefault(p, k + len(slot)) for p in row])
-        for row in rows
-    ]
-    scale = _gather([j for j, _ in slot])
-    factors = [m for _, m in slot]
+    lists, cols, factors = plan
+    gathers = [_gather(at) for at in lists]
+    scale = _gather(cols)
 
     def times(v: list) -> list:
         ext = v + list(map(mul, factors, scale(v)))
@@ -555,7 +567,7 @@ def pf_enclosure(
     quotients). Mv comes from the matrix's exact product IntMatrix._times
     (_multiplier, built once per matrix and shared with the path counts,
     whose latest M^d 1 sits in its count slot), which sums each row in C:
-    where enough entries exceed 1 (_scaled_route), it gathers each nonzero
+    where that gathers fewer items (_scaled_plan), it gathers each nonzero
     entry m once, from the values m v_j scaled once per product; elsewhere
     it gathers column j m times. The quotients are compared by exact
     cross-multiplication.

@@ -131,6 +131,12 @@ class SympAction:
     def trace(self) -> int:
         return sum(self.matrix[t][t] for t in range(2 * self.g))
 
+    @property
+    def lefschetz_number(self) -> int:
+        """The Lefschetz number of a surface map acting so on H_1: degrees
+        0 and 2 contribute a trace of 1 each, degree 1 minus this trace."""
+        return 2 - self.trace
+
     def twist(self, gamma: HomologyClass, power: int) -> "SympAction":
         """The product self * transvection(gamma, power), as a rank-one update.
 
@@ -204,14 +210,13 @@ def multitwist_action(twists, g: int) -> SympAction:
 
 
 def multitwist_lefschetz(twists, g: int) -> int:
-    """Lefschetz number of a multitwist on the closed genus-g surface.
-
-    Degree 0 and 2 contribute a trace of 1 each, higher degrees vanish, so
-    the number is 2 - trace of the product of transvections. Under the
-    pairwise-orthogonality hypothesis that trace is 2g and the result is the
-    Euler characteristic 2 - 2g; the hypothesis is enforced, not assumed.
+    """Lefschetz number of a multitwist on the closed genus-g surface: the
+    lefschetz_number of its action, 2 - trace of the product of
+    transvections. Under the pairwise-orthogonality hypothesis that trace is
+    2g and the result is the Euler characteristic 2 - 2g; the hypothesis is
+    enforced, not assumed.
     """
-    return 2 - multitwist_action(twists, g).trace
+    return multitwist_action(twists, g).lefschetz_number
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .lefschetz import (
     linear_index_oracle,
     local_index,
     multitwist_action,
-    multitwist_lefschetz,
 )
 from .transgraph import _limit_checks, path_count_series, subdivide_out_edge
 
@@ -224,7 +223,7 @@ def _multitwist_case(arg: tuple) -> str | None:
         return f"case {idx}: g={g} rejected valid system: {exc}"
     if action.trace != 2 * g:
         return f"case {idx}: g={g} trace {action.trace} != {2 * g}"
-    lef = multitwist_lefschetz(twists, g)
+    lef = action.lefschetz_number
     if lef != 2 - 2 * g:
         return f"case {idx}: g={g} Lefschetz {lef} != {2 - 2 * g}"
     shuffled = rng.sample(twists, len(twists))

@@ -24,7 +24,7 @@ from dillab.intmatrix import (
     IntMatrix,
     _multiplier,
     _power_pattern,
-    _scaled_route,
+    _scaled_plan,
     _shifted_solve,
     _steer_at,
     is_irreducible,
@@ -740,27 +740,104 @@ def test_multiplier_on_both_routes_is_the_matrix_vector_product(rv):
     assert _multiplier(rows)(v) == [sum(m * v[j] for j, m in row) for row in rows]
 
 
+def _scaled(rows) -> bool:
+    """Whether _multiplier takes the scaled route on these sparse rows."""
+    return _scaled_plan(rows) is not None
+
+
+def _fewer_items_scaled(rows) -> bool:
+    """The route rule from its definition: scale when an entry exceeds
+    _REPEAT_MAX, or when one product gathers fewer items scaled (nnz, two
+    per distinct pair (j, m > 1), and 2k) than repeated (the sum of the
+    entries)."""
+    entries = [(j, m) for row in rows for j, m in row]
+    values = [m for _, m in entries]
+    pairs = len({(j, m) for j, m in entries if m > 1})
+    return max(values, default=0) > _REPEAT_MAX or len(values) + 2 * pairs + 2 * len(rows) < sum(values)
+
+
+@st.composite
+def _route_rows(draw):
+    """Sparse rows of k = 1..12, empty rows common, entries 1..top with top
+    from 1 to 2**70, so that both routes and their margin are drawn."""
+    k = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    top = draw(st.sampled_from([1, 2, 3, _REPEAT_MAX, _REPEAT_MAX + 1, 2**70]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = tuple(
+        tuple([(j, rng.randint(1, top)) for j in range(k) if rng.random() < density]) for _ in range(k)
+    )
+    v = [rng.randrange(2**rng.randrange(1, 100)) for _ in range(k)]
+    return rows, v
+
+
+@given(_route_rows())
+@example(rv=(((),), [3]))
+@example(rv=((((0, 3),), ((1, 3),)), [1, 2]))  # 4 items saved, 4 + 4 to pay: repeat
+@example(rv=((((0, 3), (1, 3)), ((0, 3), (1, 3))), [1, 2]))  # 8 saved, 4 + 4 to pay: repeat
+@example(rv=((((0, 3), (1, 3)), ((0, 3), (1, 4))), [1, 2]))  # 9 saved, 6 + 4 to pay: repeat
+@example(rv=((((0, 2**70),), ()), [5, 1]))
+@settings(max_examples=300, deadline=None)
+def test_route_is_the_item_count_rule_and_both_routes_multiply(rv):
+    rows, v = rv
+    assert _scaled(rows) is _fewer_items_scaled(rows)
+    dense = IntMatrix.from_sparse(rows).entries
+    assert _multiplier(rows)(v) == [sum([dense[i][j] * v[j] for j in range(len(v))]) for i in range(len(v))]
+
+
+class _CountingRow(tuple):
+    """A tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        _CountingRow.iterations += 1
+        return super().__iter__()
+
+
+def test_constructor_iterates_each_dense_row_once():
+    entries = tuple([_CountingRow(row) for row in ((0, 2, 1), (1, 0, 0), (3, 0, 4))])
+    _CountingRow.iterations = 0
+    assert IntMatrix(entries).rows == (((1, 2), (2, 1)), ((0, 1),), ((0, 3), (2, 4)))
+    assert _CountingRow.iterations == 3
+
+
+def test_multiplier_iterates_each_sparse_row_once_on_the_scaled_route():
+    rows = tuple([_CountingRow(row) for row in _random_rows("pin:40", 40, 10**30, 0.1).rows])
+    assert _scaled(rows)
+    _CountingRow.iterations = 0
+    times = _multiplier(rows)
+    assert _CountingRow.iterations == 40
+    v = list(range(1, 41))
+    assert times(v) == [sum([m * v[j] for j, m in row]) for row in rows]
+
+
 def test_route_choice_pins():
     # dense rows of small entries, and any entry above _REPEAT_MAX, scale
-    assert _scaled_route(_random_rows("pin:120", 120, 3).rows)
-    assert _scaled_route((((0, _REPEAT_MAX + 1),),))
-    assert _scaled_route(IntMatrix(((2**1100, 1), (2, 2**1100))).rows)
-    assert _scaled_route(_random_rows("pin:40", 40, 10**30, 0.1).rows)
+    assert _scaled(_random_rows("pin:120", 120, 3).rows)
+    assert _scaled((((0, _REPEAT_MAX + 1),),))
+    assert _scaled(IntMatrix(((2**1100, 1), (2, 2**1100))).rows)
+    assert _scaled(_random_rows("pin:40", 40, 10**30, 0.1).rows)
     torus = torus_matrix(60).matrix.rows
-    assert _scaled_route(((((0, _REPEAT_MAX + 1),) + torus[0][1:]),) + torus[1:])
+    assert _scaled(((((0, _REPEAT_MAX + 1),) + torus[0][1:]),) + torus[1:])
     # the sparse torus family and oracle-sized spliced graphs repeat
-    assert not _scaled_route(torus)
-    assert not _scaled_route(((), ()))
+    assert not _scaled(torus)
+    assert not _scaled(((), ()))
     for k in range(3, 10):
         rng = random.Random(f"pin:spliced:{k}")
         grid = [row + [0] for row in random_irreducible_rows(rng, k - 1, 3)] + [[0] * k]
         grid[0][k - 1] = grid[k - 1][k - 2] = 1
-        assert not _scaled_route(IntMatrix(grid).rows), k
+        assert not _scaled(IntMatrix(grid).rows), k
     # at the margin: an all-3 k x k matrix saves 2k^2 - 2k items (k pairs),
     # more than the 2k of set-up from k = 3 on
-    assert not _scaled_route(IntMatrix([[3]]).rows)
-    assert not _scaled_route(IntMatrix([[3] * 2] * 2).rows)
-    assert _scaled_route(IntMatrix([[3] * 3] * 3).rows)
+    assert not _scaled(IntMatrix([[3]]).rows)
+    assert not _scaled(IntMatrix([[3] * 2] * 2).rows)
+    assert _scaled(IntMatrix([[3] * 3] * 3).rows)
+    # the pairs are counted, not bounded: one pair (0, 4) in three rows
+    # saves 9 items against 2 + 6, where bounding the pairs by the entries
+    # above 1 (3) charged 6 + 6
+    assert _scaled(IntMatrix([[4, 0, 0]] * 3).rows)
+    assert not _scaled(IntMatrix([[4, 0, 0], [0, 4, 0], [0, 0, 4]]).rows)
 
 
 def test_pickle_and_deepcopy_carry_only_the_rows():

@@ -110,6 +110,7 @@ def test_multitwist_trace_and_lefschetz():
     ]
     action = multitwist_action(twists, g)
     assert action.trace == 2 * g
+    assert action.lefschetz_number == 2 - 2 * g
     assert multitwist_lefschetz(twists, g) == 2 - 2 * g
     # zero class in the system changes nothing
     with_zero = twists + [(HomologyClass.zero(g), 7)]

@@ -10,6 +10,7 @@ from dillab.cli import main
 from dillab.errors import DillabError
 from dillab.suites import SUITES, parallel_map, random_irreducible_rows, run_suite, shared_pool
 from dillab.intmatrix import IntMatrix, is_irreducible
+from dillab.lefschetz import SympAction
 
 
 def test_registry_names():
@@ -67,6 +68,23 @@ def test_same_seed_same_report():
     assert a == b
     c = run_suite("multitwist", seed=4, cases=25)
     assert c["seed"] == 4
+
+
+def test_multitwist_case_checks_each_product_once(monkeypatch):
+    # one symplectic check for the system's action and one for its shuffled
+    # twin; the Lefschetz number is read from the action already checked
+    checks = []
+    check = SympAction.__post_init__
+
+    def counting(self):
+        checks.append(self.g)
+        check(self)
+
+    monkeypatch.setattr(SympAction, "__post_init__", counting)
+    for idx in range(20):  # idx 0 and 10 add the crossing-pair control
+        checks.clear()
+        assert suites._multitwist_case(("multitwist", 7, idx)) is None
+        assert len(checks) == 2, idx
 
 
 def test_jobs_do_not_change_report():
