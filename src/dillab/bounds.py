@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record
-from .enclosures import RatInterval, _log_end, _log_ints, _require_int, log_enclosure, nth_root_enclosure
+from .enclosures import RatInterval, _log2_ints, _log_end, _log_ints, _require_int, log_enclosure, nth_root_enclosure
 from .errors import AlphaOutOfRange, DomainError, ValidationFailed
 from .families import cover_index, cover_threshold, cover_upper_bound
 
@@ -67,25 +67,21 @@ def thm34_lower(g: int, n: int, alpha: int) -> Fraction:
     log(2)/(alpha*(12g-12)) and log(18g+6n-18)/(2*alpha*(18g+6n-18)).
 
     alpha is the congruence-cover degree parameter; passing alpha = theta(g)
-    gives the universal worst case.
+    gives the universal worst case. The first branch's lo comes from the
+    cached ends of log 2, the second's from the lower end of log x alone.
     """
     _require_int("thm34_lower", "g", g, 2)
     _require_int("thm34_lower", "n", n, 0)
     if type(alpha) is not int or not 1 <= alpha <= theta(g):  # bool too
         raise AlphaOutOfRange(f"alpha must be an integer in [1, theta({g})]")
-    return _thm34_lower(g, n, alpha, _branch1_lo(g, alpha))
+    x = 18 * g + 6 * n - 18
+    return min(_branch1_lo(g, alpha), _log_end(x, 1, False) / (2 * alpha * x))
 
 
 def _branch1_lo(g: int, alpha: int) -> Fraction:
     """lo of thm34_lower's n-independent branch, log(2)/(alpha*(12g-12))."""
-    lo_n, _, common = _log_ints(2, 1)
+    lo_n, _, common = _log2_ints()
     return Fraction(lo_n, common * alpha * (12 * g - 12))
-
-
-def _thm34_lower(g: int, n: int, alpha: int, branch1_lo: Fraction) -> Fraction:
-    """thm34_lower for valid arguments, given its first branch's lo."""
-    x = 18 * g + 6 * n - 18
-    return min(branch1_lo, _log_end(x, 1, False) / (2 * alpha * x))
 
 
 @record
@@ -206,7 +202,8 @@ def sandwich_table(
     """Per-n certified lower and upper bounds, with the calibration claims
     checked on every row.
 
-    lower = thm34_lower(g, n, theta(g)); upper = the certified cover value
+    lower = thm34_lower(g, n, theta(g)), called on every row, so the row's
+    lower bound has one code path; upper = the certified cover value
     where the construction applies (n above its threshold), None below it.
     Each applicable row asserts lower < upper, lower >= lo(log n)/(omega_hi*n),
     and upper <= kappa' * hi(log n)/n; a failure raises ValidationFailed
@@ -229,10 +226,9 @@ def sandwich_table(
     omega = omega_constants(g, alpha).omega
     kappa = kappa_upper_constant(g).kappa_prime if n_hi >= threshold else None
     cover = None  # (m, report) of the latest row: m never falls along the ascending ns
-    branch1_lo = _branch1_lo(g, alpha)  # thm34_lower's branch that n does not move
     rows = []
     for n in ns:
-        lower = _thm34_lower(g, n, alpha, branch1_lo)
+        lower = thm34_lower(g, n, alpha)
         logn = log_enclosure(n)
         if lower < logn.lo / (omega.hi * n):
             raise ValidationFailed(f"n={n}: lower bound fell below its omega calibration")

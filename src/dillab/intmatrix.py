@@ -231,12 +231,6 @@ class DiagonalBoundReport:
     mu_bound_holds: bool
 
 
-# An entry up to this may be gathered as its column repeated that many times;
-# a larger one puts its matrix on the scaled route, so memory stays O(nnz)
-# for entries like 2**1100.
-_REPEAT_MAX = 4
-
-
 def _gather(indices: list):
     """v -> a sequence holding v[i] for each i of indices. itemgetter of one
     index returns the bare item, so one index or none reads a slice instead."""
@@ -256,7 +250,9 @@ def _scaled_plan(rows) -> tuple[list, list, list] | None:
     pair, keyed by the int m * k + j (v[j] to scale, and m * v[j] into v's
     copy); and 2k: k for the copy of v, and k more for its set-up, which
     small graphs (the oracle's 3..9 vertices) and the sparse torus family
-    would not earn back. An entry above _REPEAT_MAX always scales.
+    would not earn back. So the repeat route is taken only when sum(m) <=
+    nnz + 2 * pairs + 2k <= 3 * nnz + 2k, and its memory stays O(nnz + k):
+    an entry like 2**1100 scales by the count alone.
     """
     k = len(rows)
     slot = {}  # m * k + j -> the index of m * v[j] in v's extended copy
@@ -277,7 +273,7 @@ def _scaled_plan(rows) -> tuple[list, list, list] | None:
                 factors.append(m)
             at.append(s)
         lists.append(at)
-    if extra > 2 * (len(cols) + k) or max(factors, default=0) > _REPEAT_MAX:
+    if extra > 2 * (len(cols) + k):
         return lists, cols, factors
     return None
 

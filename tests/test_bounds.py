@@ -242,6 +242,22 @@ def test_sandwich_table_takes_the_log_2_branch_once(monkeypatch):
     assert counts[0] == counts[1] <= 2
 
 
+def test_sandwich_table_computes_each_lower_bound_through_thm34_lower(monkeypatch):
+    # one code path for the row's lower bound, so a wrapper on the public
+    # name sees every row, and the rows do not move
+    plain = sandwich_table(2, 31, 60)
+    calls = []
+
+    def counted(g, n, alpha):
+        calls.append((g, n, alpha))
+        return thm34_lower(g, n, alpha)
+
+    monkeypatch.setattr(bounds, "thm34_lower", counted)
+    rep = sandwich_table(2, 31, 60)
+    assert calls == [(2, n, theta(2)) for n in range(31, 61)]
+    assert rep == plain
+
+
 def test_sandwich_table_validation():
     with pytest.raises(DomainError):
         sandwich_table(1, 31, 40)

@@ -20,7 +20,6 @@ from dillab.families import torus_matrix
 from dillab.suites import random_irreducible_rows
 from dillab.intmatrix import (
     DiagonalBoundReport,
-    _REPEAT_MAX,
     IntMatrix,
     _multiplier,
     _power_pattern,
@@ -746,14 +745,13 @@ def _scaled(rows) -> bool:
 
 
 def _fewer_items_scaled(rows) -> bool:
-    """The route rule from its definition: scale when an entry exceeds
-    _REPEAT_MAX, or when one product gathers fewer items scaled (nnz, two
-    per distinct pair (j, m > 1), and 2k) than repeated (the sum of the
-    entries)."""
+    """The route rule from its definition: scale when one product gathers
+    fewer items scaled (nnz, two per distinct pair (j, m > 1), and 2k) than
+    repeated (the sum of the entries)."""
     entries = [(j, m) for row in rows for j, m in row]
     values = [m for _, m in entries]
     pairs = len({(j, m) for j, m in entries if m > 1})
-    return max(values, default=0) > _REPEAT_MAX or len(values) + 2 * pairs + 2 * len(rows) < sum(values)
+    return len(values) + 2 * pairs + 2 * len(rows) < sum(values)
 
 
 @st.composite
@@ -762,7 +760,7 @@ def _route_rows(draw):
     from 1 to 2**70, so that both routes and their margin are drawn."""
     k = draw(st.integers(1, 12))
     density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
-    top = draw(st.sampled_from([1, 2, 3, _REPEAT_MAX, _REPEAT_MAX + 1, 2**70]))
+    top = draw(st.sampled_from([1, 2, 3, 4, 5, 2**70]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     rows = tuple(
         tuple([(j, rng.randint(1, top)) for j in range(k) if rng.random() < density]) for _ in range(k)
@@ -783,6 +781,17 @@ def test_route_is_the_item_count_rule_and_both_routes_multiply(rv):
     assert _scaled(rows) is _fewer_items_scaled(rows)
     dense = IntMatrix.from_sparse(rows).entries
     assert _multiplier(rows)(v) == [sum([dense[i][j] * v[j] for j in range(len(v))]) for i in range(len(v))]
+
+
+@given(_route_rows())
+@example(rv=((((0, 5),),), [1]))  # 5 = nnz + 2 pairs + 2k: repeat, at the bound
+@settings(max_examples=300, deadline=None)
+def test_the_repeat_route_gathers_at_most_three_per_entry_and_two_per_row(rv):
+    # the item count alone bounds the repeat route's memory, for any entry
+    rows, _ = rv
+    if _scaled_plan(rows) is None:
+        nnz = sum(map(len, rows))
+        assert sum(m for row in rows for _, m in row) <= 3 * nnz + 2 * len(rows)
 
 
 class _CountingRow(tuple):
@@ -813,13 +822,19 @@ def test_multiplier_iterates_each_sparse_row_once_on_the_scaled_route():
 
 
 def test_route_choice_pins():
-    # dense rows of small entries, and any entry above _REPEAT_MAX, scale
+    # dense rows of small entries, and large entries, scale by the count
     assert _scaled(_random_rows("pin:120", 120, 3).rows)
-    assert _scaled((((0, _REPEAT_MAX + 1),),))
+    assert _scaled(IntMatrix([[7]]).rows)
     assert _scaled(IntMatrix(((2**1100, 1), (2, 2**1100))).rows)
     assert _scaled(_random_rows("pin:40", 40, 10**30, 0.1).rows)
+    # an entry of 5 repeats where its 4 extra items cost no more than
+    # scaling would: 4 <= 2 (1 pair + k)
+    assert not _scaled((((0, 5),),))
+    five = IntMatrix(((0, 5), (1, 0)))
+    assert not _scaled(five.rows)
+    assert five._times([3, 2**70]) == [5 * 2**70, 3]
     torus = torus_matrix(60).matrix.rows
-    assert _scaled(((((0, _REPEAT_MAX + 1),) + torus[0][1:]),) + torus[1:])
+    assert not _scaled(((((0, 5),) + torus[0][1:]),) + torus[1:])
     # the sparse torus family and oracle-sized spliced graphs repeat
     assert not _scaled(torus)
     assert not _scaled(((), ()))
