@@ -309,7 +309,7 @@ def _cmd_cover_bound(ns: argparse.Namespace) -> int:
 
 
 def _append_csv_row(path: str, header, row) -> None:
-    """Append one row, writing the header first when the file is empty.
+    """Append one row under the header, written first into an empty file.
 
     The header check and the single O_APPEND write both run under an
     exclusive flock, so concurrent appenders neither lose rows nor repeat
@@ -321,7 +321,7 @@ def _append_csv_row(path: str, header, row) -> None:
         existing = os.read(fd, os.fstat(fd).st_size).decode(errors="replace")
         if not existing:
             prefix = header_line
-        elif existing.startswith(header_line.rstrip("\n")):
+        elif existing.partition("\n")[0] == header_line.rstrip("\n"):
             prefix = "" if existing.endswith("\n") else "\n"
         else:
             raise DillabError(f"{path} exists with a different header")

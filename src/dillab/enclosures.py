@@ -155,16 +155,19 @@ def _float_named_root(x: int, n: int) -> int | None:
 
 
 def _exact_root(x: int, n: int) -> int:
-    """floor(x ** (1/n)) for x >= 1 and n >= 2, in integers.
+    """floor(x ** (1/n)) for integers x >= 0 and n >= 1, in integers.
 
-    The root has c = ceil(bits(x) / n) bits. Its top
-    min(c, n.bit_length() + 2) bits t are bisected on y = x >> (n * s), s the
-    remaining low bits, which keeps lo**n <= x < hi**n for the root's bounds
-    lo = t << s and hi = (t + 1) << s. Newton's iteration then runs from
-    above, from hi: its relative error is below 1/(2n), so the steps converge
-    quadratically at once instead of shrinking r by about 1 - 1/n each from
-    a power of two. Two exact correction loops settle the last unit.
+    x <= 1 and n = 1 are their own roots. Otherwise the root has
+    c = ceil(bits(x) / n) bits. Its top min(c, n.bit_length() + 2) bits t
+    are bisected on y = x >> (n * s), s the remaining low bits, which keeps
+    lo**n <= x < hi**n for the root's bounds lo = t << s and
+    hi = (t + 1) << s. Newton's iteration then runs from above, from hi: its
+    relative error is below 1/(2n), so the steps converge quadratically at
+    once instead of shrinking r by about 1 - 1/n each from a power of two.
+    Two exact correction loops settle the last unit.
     """
+    if x <= 1 or n == 1:
+        return x
     c = (x.bit_length() + n - 1) // n
     s = max(c - n.bit_length() - 2, 0)
     y = x >> (n * s)
@@ -198,10 +201,6 @@ def inth_root(x: int, n: int) -> int:
     """
     _require_int("inth_root", "x", x, 0)
     _require_int("inth_root", "n", n, 1)
-    if x == 0:
-        return 0
-    if n == 1:
-        return x
     r = _float_named_root(x, n)
     return _exact_root(x, n) if r is None else r
 
@@ -258,7 +257,7 @@ def nth_root_enclosure(q, n: int, bits: int = 48) -> RatInterval:
     # q is no exact power; only the exact route can find the point
     t = _float_named_root(y, n)
     if t is None:
-        t = inth_root(y, n)
+        t = _exact_root(y, n)
         if t**n * q.denominator == scaled:
             return RatInterval.point(Fraction(t, den))
     return RatInterval(Fraction(t, den), Fraction(t + 1, den))

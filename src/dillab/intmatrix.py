@@ -55,9 +55,10 @@ class IntMatrix:
 
     Stored as sparse rows: rows[i] holds the (column, entry) pairs of row i's
     nonzero entries, 0-based and by increasing column, so equal matrices have
-    equal rows and equal hashes. IntMatrix(entries) takes the dense tuple of
-    tuples of entries of type int exactly: a bool, float or str is refused,
-    never coerced. `entries` rebuilds that tuple on every access.
+    equal rows and equal hashes. IntMatrix(entries), the one checked
+    constructor, takes the dense tuple of tuples of entries of type int
+    exactly: a bool, float or str is refused, never coerced. `entries`
+    rebuilds that tuple on every access.
     """
 
     rows: tuple[tuple[tuple[int, int], ...], ...]
@@ -86,33 +87,6 @@ class IntMatrix:
                 raise DomainError("entries must be nonnegative")
             rows.append(tuple(nonzero))
         object.__setattr__(self, "rows", tuple(rows))
-
-    @staticmethod
-    def from_sparse(rows) -> "IntMatrix":
-        """Build from sparse rows of (column, entry) pairs, 0-based, columns
-        strictly increasing and entries positive; the dimension is the number
-        of rows."""
-        _require_type((tuple, list), rows=rows)
-        k = len(rows)
-        if k == 0:
-            raise DomainError("matrix must have dimension >= 1")
-        out = []
-        for row in rows:
-            try:
-                row = tuple([(j, m) for j, m in row])
-            except (TypeError, ValueError):
-                raise DomainError("sparse rows hold int (column, entry) pairs") from None
-            last = -1
-            for j, m in row:
-                if type(j) is not int or type(m) is not int:
-                    raise DomainError("sparse rows hold int (column, entry) pairs")
-                if not last < j < k:
-                    raise DomainError("sparse columns must increase within 0..k-1")
-                if m <= 0:
-                    raise DomainError("sparse entries must be positive")
-                last = j
-            out.append(row)
-        return IntMatrix._of(tuple(out))
 
     @property
     def k(self) -> int:
@@ -144,7 +118,8 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        """IntMatrix(rows), for rows given as tuples or lists of int entries."""
+        """IntMatrix(rows), with the same checks. No library module calls it;
+        it stays while perfbench calls and traces this name."""
         return IntMatrix(rows)
 
     def row_sums(self) -> tuple[int, ...]:
@@ -706,7 +681,7 @@ def parse_matrix_text(text: str) -> IntMatrix:
     for row in lines[1:]:
         if len(row) != k:
             raise DomainError(f"expected {k} entries per row, found {len(row)}")
-    return IntMatrix.from_rows(lines[1:])
+    return IntMatrix(lines[1:])
 
 
 def render_matrix_text(matrix: IntMatrix) -> str:
@@ -740,7 +715,7 @@ def parse_matrix_json(obj) -> IntMatrix:
         raise DomainError("rows must be a list of lists of int")
     if len(rows) != k:
         raise DomainError(f"k={k} but {len(rows)} rows given")
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(rows)
 
 
 def render_matrix_json(matrix: IntMatrix) -> dict:

@@ -177,35 +177,28 @@ def transvection(gamma: HomologyClass, power: int) -> SympAction:
     return SympAction.identity(gamma.g).twist(gamma, power)
 
 
-def _check_twists(twists, g: int) -> None:
-    _require_type((tuple, list), twists=twists)
-    classes = []
-    for idx, twist in enumerate(twists):
-        if not (isinstance(twist, (tuple, list)) and len(twist) == 2 and isinstance(twist[0], HomologyClass)):
-            raise DomainError(f"twist {idx} must be a (HomologyClass, power) pair")
-        gamma, power = twist
-        if gamma.g != g:
-            raise GenusMismatch(f"twist {idx}: class has genus {gamma.g}, expected {g}")
-        if type(power) is not int or power == 0:  # bool too: True is not read as 1
-            raise DomainError(f"twist {idx}: power must be a nonzero integer")
-        classes.append(gamma)
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            if symp_form(classes[a], classes[b]) != 0:
-                raise NotPairwiseOrthogonal(
-                    f"classes {a} and {b} pair to {symp_form(classes[a], classes[b])} != 0"
-                )
-
-
 def multitwist_action(twists, g: int) -> SympAction:
     """Product of the transvections of a pairwise-orthogonal twist system,
-    each applied as a rank-one update (SympAction.twist), checked once
-    through the public constructor."""
+    each applied as a rank-one update (SympAction.twist, which checks its
+    class and power), checked once through the public constructor. The same
+    loop refuses power 0 and a class pairing nonzero with an earlier one;
+    of several faults, the first one met is raised."""
     _require_int("multitwist_action", "g", g, 1)
-    _check_twists(twists, g)
+    _require_type((tuple, list), twists=twists)
     action = SympAction.identity(g)
-    for gamma, power in twists:
+    classes = []
+    for idx, twist in enumerate(twists):
+        if not (isinstance(twist, (tuple, list)) and len(twist) == 2):
+            raise DomainError(f"twist {idx} must be a (HomologyClass, power) pair")
+        gamma, power = twist
         action = action.twist(gamma, power)
+        if power == 0:
+            raise DomainError(f"twist {idx}: power must be a nonzero integer")
+        for a, earlier in enumerate(classes):
+            x = symp_form(earlier, gamma)
+            if x != 0:
+                raise NotPairwiseOrthogonal(f"classes {a} and {idx} pair to {x} != 0")
+        classes.append(gamma)
     return SympAction(g, action.matrix)
 
 

@@ -137,7 +137,7 @@ def _diag_power_case(arg: tuple) -> str | None:
     rng = _case_rng(name, seed, idx)
     k = rng.randint(2, 12)
     rows = random_irreducible_rows(rng, k, 4, extra_prob=0.2, force_diagonal=True)
-    rep = verify_diagonal_bound(IntMatrix.from_rows(rows))
+    rep = verify_diagonal_bound(IntMatrix(rows))
     if rep.positive_power and rep.mu_bound_holds:
         return None
     return (
@@ -170,7 +170,7 @@ def _path_growth_case(arg: tuple) -> tuple:
     # d = 200 checkpoint meaningful; sparse heavy graphs converge too slowly
     # for the checkpoint while still satisfying the limit statement
     rows = random_irreducible_rows(rng, k, 2, extra_prob=0.7)
-    graph = IntMatrix.from_rows(rows)
+    graph = IntMatrix(rows)
     fails = []
     worst = Fraction(0)
     reports = _limit_checks(graph, range(1, k + 1), _PATH_GROWTH_D, _PATH_GROWTH_TOL)
@@ -422,7 +422,7 @@ def _subdivision_case(arg: tuple) -> dict:
     grid = [row + [0] for row in rows] + [[0] * k]
     grid[u][k - 1] = 1
     grid[k - 1][w] = 1
-    graph = IntMatrix.from_rows(grid)
+    graph = IntMatrix(grid)
     i = k
     sub = subdivide_out_edge(graph, i)
 

@@ -128,7 +128,8 @@ def subdivide_out_edge(matrix: IntMatrix, i: int) -> IntMatrix:
 
     Requires vertex i to have total in-multiplicity 1 (column sum) and total
     out-multiplicity 1 (row sum). A self-loop at i qualifies and becomes the
-    2-cycle i -> w -> i.
+    2-cycle i -> w -> i. The result's rows are the input's and ((k, 1),),
+    valid by construction, so `_of` builds it unchecked.
     """
     _check_vertex(matrix, i)
     row = matrix.rows[i - 1]
@@ -143,4 +144,4 @@ def subdivide_out_edge(matrix: IntMatrix, i: int) -> IntMatrix:
     rows = list(matrix.rows)
     rows[i - 1] = ((k, 1),)
     rows.append(row)
-    return IntMatrix.from_sparse(rows)
+    return IntMatrix._of(tuple(rows))

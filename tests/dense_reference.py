@@ -12,7 +12,7 @@ from dillab.lefschetz import SympAction
 
 
 def identity(k: int) -> IntMatrix:
-    return IntMatrix.from_sparse([((i, 1),) for i in range(k)])
+    return IntMatrix([[int(i == j) for j in range(k)] for i in range(k)])
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -21,12 +21,12 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         raise ValueError("dimension mismatch")
     out = []
     for row in a.rows:
-        acc: dict[int, int] = {}
+        acc = [0] * a.k
         for l, x in row:
             for j, y in b.rows[l]:
-                acc[j] = acc.get(j, 0) + x * y
-        out.append(tuple(sorted(acc.items())))
-    return IntMatrix.from_sparse(out)
+                acc[j] += x * y
+        out.append(acc)
+    return IntMatrix(out)
 
 
 def mat_power(matrix: IntMatrix, r: int) -> IntMatrix:

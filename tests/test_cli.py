@@ -430,6 +430,18 @@ def test_cover_bound_csv_header_mismatch_exit_1(capsys, tmp_path):
         assert err.startswith("error: ") and "different header" in err, err
 
 
+def test_cover_bound_csv_refuses_a_header_that_only_starts_with_its_own(capsys, tmp_path):
+    # a seventh column after the six is another header: no six-field row
+    # goes under it, and the file is left as it was
+    csv_path = tmp_path / "bounds.csv"
+    data = b"g,n,m,c,certified_log_root_hi,closed_form_bound,note\n2,31,5,0,1,2,x\n"
+    csv_path.write_bytes(data)
+    code, _, err = run(capsys, "cover-bound", "--g", "2", "--n", "31", "--csv", str(csv_path))
+    assert code == 1
+    assert err.startswith("error: ") and "exists with a different header" in err, err
+    assert csv_path.read_bytes() == data
+
+
 def test_bounds_table_row_count(capsys):
     code, out, _ = run(capsys, "bounds", "table", "--g", "2", "--n", "31:100")
     assert code == 0
@@ -506,6 +518,17 @@ def test_lefschetz_grammar_errors(capsys):
     # crossing classes are a domain failure, not a usage failure
     code, _, _ = run(capsys, "lefschetz", "--g", "2", "--twists", "a1:1,b1:1")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "twists, err",
+    [
+        ("a1:0", "error: twist 0: power must be a nonzero integer\n"),
+        ("a1:1,b1:1", "error: classes 0 and 1 pair to 1 != 0\n"),
+    ],
+)
+def test_lefschetz_error_lines_are_pinned(capsys, twists, err):
+    assert run(capsys, "lefschetz", "--g", "1", "--twists", twists) == (1, "", err)
 
 
 @pytest.mark.parametrize("g, twists", [("0", "a1:1"), ("0", "0:1"), ("-2", "b1:1")])

@@ -297,6 +297,25 @@ def test_perfect_power_falls_back_to_the_exact_point(a, k, n):
     assert calls == [n]
 
 
+@pytest.mark.parametrize("q, n, point", [(4, 2, 2), (Fraction(1, 8), 3, Fraction(1, 2))])
+def test_an_exact_power_makes_one_float_attempt(q, n, point):
+    # the float route names no exact power; the exact route follows at once,
+    # without a second float attempt
+    calls = []
+    named = enclosures._float_named_root
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enclosures, "_float_named_root", lambda x, n: calls.append(n) or named(x, n))
+        assert nth_root_enclosure(q, n) == RatInterval.point(Fraction(point))
+    assert calls == [n]
+
+
+def test_the_exact_route_takes_zero_one_and_the_first_root():
+    assert [_exact_root(x, 5) for x in (0, 1)] == [0, 1]
+    assert _exact_root(10**40 + 3, 1) == 10**40 + 3
+    assert nth_root_enclosure(0, 3) == RatInterval.point(0)
+    assert nth_root_enclosure(Fraction(3, 4), 1, bits=2) == RatInterval.point(Fraction(3, 4))
+
+
 def test_m_cubed_radicands_are_decided_in_intervals():
     for m in list(range(5, 400)) + [1998, 2999, 19998]:
         x = (m**3) << (48 * m)

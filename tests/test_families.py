@@ -71,10 +71,12 @@ def _dense(rows) -> bytearray:
 
 def test_torus_rows_are_valid_sparse_rows():
     # torus_matrix builds its rows unchecked; the checked constructor must
-    # accept them unchanged, and they must spell out the documented layout
+    # rebuild them unchanged from the dense view, which an unsorted,
+    # repeated, out-of-range or zero entry would change, and they must
+    # spell out the documented layout
     for n in range(5, 401):
         m = torus_matrix(n).matrix
-        assert m == IntMatrix.from_sparse(m.rows)
+        assert m == IntMatrix(m.entries)
         assert _dense(m.rows) == _torus_layout(n), n
 
 

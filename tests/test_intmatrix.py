@@ -53,27 +53,11 @@ def test_sparse_storage_keeps_dense_meaning():
     assert FIB.entries == ((0, 1), (1, 1))
     same = IntMatrix.from_rows([[0, 1], [1, 1]])
     assert same == FIB and hash(same) == hash(FIB)
-    assert IntMatrix.from_sparse([[(1, 1)], [(0, 1), (1, 1)]]) == FIB
     assert IntMatrix(((0, 1), (1, 2))) != FIB
     assert len({FIB, same, identity(2)}) == 2
     assert repr(FIB) == "IntMatrix(entries=((0, 1), (1, 1)))"
     assert IntMatrix(((0, 0), (0, 0))).rows == ((), ())
     assert FIB.edges == ((1, 2, 1), (2, 1, 1), (2, 2, 1))
-
-
-def test_from_sparse_validation():
-    for bad in (
-        [],
-        [[(1, 1), (0, 1)], []],  # columns out of order
-        [[(0, 1), (0, 2)], []],  # repeated column
-        [[(2, 1)], []],  # column outside 0..k-1
-        [[(-1, 1)], []],
-        [[(0, 0)], []],  # stored zero
-        [[(0, -1)], []],
-        [[(0, 1.0)], []],
-    ):
-        with pytest.raises(ValueError):
-            IntMatrix.from_sparse(bad)
 
 
 def test_parse_render_round_trip():
@@ -132,8 +116,6 @@ def test_non_int_entries_are_refused_not_coerced(bad):
         parse_matrix_json({"k": 2, "rows": [[bad, 1], [1, 1]]})
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 1], [1, bad]])
-    with pytest.raises(ValueError):
-        IntMatrix.from_sparse([((0, bad),)])
     assert IntMatrix.from_rows([[0, 1], [1, 1]]) == FIB
 
 
@@ -779,7 +761,7 @@ def _route_rows(draw):
 def test_route_is_the_item_count_rule_and_both_routes_multiply(rv):
     rows, v = rv
     assert _scaled(rows) is _fewer_items_scaled(rows)
-    dense = IntMatrix.from_sparse(rows).entries
+    dense = [[dict(row).get(j, 0) for j in range(len(v))] for row in rows]
     assert _multiplier(rows)(v) == [sum([dense[i][j] * v[j] for j in range(len(v))]) for i in range(len(v))]
 
 

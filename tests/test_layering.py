@@ -201,6 +201,25 @@ def test_only_intmatrix_walks_a_matrix_rows():
     assert readers - SANDWICH_ROW_READERS == {("transgraph", "subdivide_out_edge")}
 
 
+def _calls_of(tree: ast.AST, attr: str) -> int:
+    return sum(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr
+        for node in ast.walk(tree)
+    )
+
+
+def test_each_matrix_is_checked_by_one_constructor():
+    # IntMatrix(entries) checks; _of builds what is valid by construction;
+    # from_rows is an alias that no module of the package calls
+    assert _calls_of(ast.parse("m = IntMatrix.from_rows(rows)"), "from_rows") == 1
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert _calls_of(tree, "from_rows") == 0, path.stem
+        assert "from_sparse" not in set(_names(tree)), path.stem
+    static = {name for name, v in vars(dillab.IntMatrix).items() if isinstance(v, staticmethod)}
+    assert static == {"from_rows", "_of"}
+
+
 def _makes_a_float(node: ast.AST) -> bool:
     """A call of float() or a float literal."""
     if isinstance(node, ast.Constant):

@@ -198,6 +198,43 @@ def test_multitwist_rejects_crossing_classes():
         multitwist_action([(HomologyClass.alpha(1, 2), 1)], 1)
 
 
+A1, B1 = HomologyClass.alpha(1, 1), HomologyClass.beta(1, 1)
+
+# twist systems at g = 1 with one fault each, and the class it raises
+SINGLE_FAULTS = [
+    ("ab", DomainError),
+    (None, DomainError),
+    ([(A1,)], DomainError),
+    ([[A1, 1, 2]], DomainError),
+    ([True], DomainError),
+    ([(True, 1)], DomainError),
+    ([(5, 1)], DomainError),
+    ([(A1, 0)], DomainError),
+    ([(A1, False)], DomainError),
+    ([(A1, 0.0)], DomainError),
+    ([(A1, True)], DomainError),
+    ([(A1, 1.5)], DomainError),
+    ([(A1, "1")], DomainError),
+    ([(HomologyClass.alpha(1, 2), 1)], GenusMismatch),
+    ([(A1, 1), (B1, 1)], NotPairwiseOrthogonal),
+]
+
+
+@pytest.mark.parametrize("twists, cls", SINGLE_FAULTS, ids=[repr(t) for t, _ in SINGLE_FAULTS])
+def test_multitwist_refuses_each_single_fault_with_its_class(twists, cls):
+    with pytest.raises(cls) as info:
+        multitwist_action(twists, 1)
+    assert type(info.value) is cls
+
+
+def test_multitwist_reports_the_first_fault_its_one_pass_meets():
+    # the crossing pair comes before the zero power, so it is reported
+    with pytest.raises(NotPairwiseOrthogonal, match="^classes 0 and 1 pair to 1 != 0$"):
+        multitwist_action([(A1, 1), (B1, 1), (A1, 0)], 1)
+    with pytest.raises(DomainError, match="^twist 1: power must be a nonzero integer$"):
+        multitwist_action([(A1, 1), (A1, 0), (B1, 1)], 1)
+
+
 def test_multitwist_refuses_a_bool_power():
     alpha = HomologyClass.alpha(1, 1)
     assert multitwist_action([(alpha, 1)], 1).matrix == transvection(alpha, 1).matrix

@@ -58,8 +58,8 @@ def _names(cls) -> tuple:
 
 def _checked(cls):
     """The constructor that checks field values: the class, but for
-    IntMatrix, whose own constructor takes the dense entries, from_sparse."""
-    return IntMatrix.from_sparse if cls is IntMatrix else cls
+    IntMatrix, whose own constructor takes the dense entries of its rows."""
+    return (lambda rows: IntMatrix(IntMatrix._of(rows).entries)) if cls is IntMatrix else cls
 
 
 # a plain subclass of a record, at module level so that pickle finds it

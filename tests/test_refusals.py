@@ -231,8 +231,6 @@ NESTED = {
     "IntPoly(((1, 2, 3),))": lambda: IntPoly(((1, 2, 3),)),
     "IntPoly((5,))": lambda: IntPoly((5,)),
     "IntMatrix(((1, 2), None))": lambda: IntMatrix(((1, 2), None)),
-    "IntMatrix.from_sparse(True)": lambda: IntMatrix.from_sparse(True),
-    "IntMatrix.from_sparse(((5,),))": lambda: IntMatrix.from_sparse(((5,),)),
     "IntPoly.from_dict(True)": lambda: IntPoly.from_dict(True),
     "SympAction.identity(1).twist(True, 1)": lambda: SympAction.identity(1).twist(True, 1),
     "SympAction.identity(1).apply(True)": lambda: SympAction.identity(1).apply(True),

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_reference import mat_power
 from dillab.dilpoly import IntPoly, char_poly, mu_compare
@@ -246,6 +248,36 @@ def test_subdivide_self_loop():
     sub = subdivide_out_edge(g, 1)
     assert sub == IntMatrix(((0, 0, 1), (0, 2, 0), (1, 0, 0)))
     assert sub.edges == ((1, 3, 1), (2, 2, 2), (3, 1, 1))
+
+
+def _dense_splice(matrix: IntMatrix, i: int) -> IntMatrix:
+    """subdivide_out_edge by its definition, on the dense entries."""
+    dense = [list(row) + [0] for row in matrix.entries]
+    old = dense[i - 1]
+    dense[i - 1] = [0] * matrix.k + [1]
+    return IntMatrix(dense + [old])
+
+
+@given(st.integers(0, 2**32), st.integers(2, 9), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_subdivision_is_the_dense_splice_and_carries_no_cache(seed, k, entry_max):
+    # a fresh vertex spliced onto an edge of a random irreducible graph has
+    # in- and out-multiplicity 1, as the subdivision suite builds it
+    rng = random.Random(seed)
+    rows = random_irreducible_rows(rng, k, entry_max, extra_prob=0.4)
+    u, w = rng.choice([(a, b) for a in range(k) for b in range(k) if rows[a][b]])
+    grid = [row + [0] for row in rows] + [[0] * (k + 1)]
+    grid[u][k] = grid[k][w] = 1
+    graph = IntMatrix(grid)
+    # warm every cache of the input: none may come with the result
+    assert graph._irreducible and graph._counts(3) and graph._times
+    sub = subdivide_out_edge(graph, k + 1)
+    assert sub == _dense_splice(graph, k + 1)
+    assert sub.rows == IntMatrix(sub.entries).rows
+    assert set(vars(sub)) == {"rows"}
+    # the fresh vertex of the result qualifies in turn
+    again = subdivide_out_edge(sub, k + 2)
+    assert again == _dense_splice(sub, k + 2) and set(vars(again)) == {"rows"}
 
 
 def test_subdivide_degree_precondition():
