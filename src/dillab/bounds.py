@@ -207,8 +207,17 @@ def sandwich_table(
     where the construction applies (n above its threshold), None below it.
     Each applicable row asserts lower < upper, lower >= lo(log n)/(omega_hi*n),
     and upper <= kappa' * hi(log n)/n; a failure raises ValidationFailed
-    naming n.
+    naming n. It collects the rows of _sandwich_rows.
     """
+    alpha, omega, kappa, rows = _sandwich_rows(g, n_lo, n_hi, sample)
+    return SandwichReport(g=g, alpha=alpha, rows=tuple(rows), omega=omega, kappa_prime=kappa)
+
+
+def _sandwich_rows(g: int, n_lo: int, n_hi: int, sample: int | None):
+    """(alpha, omega, kappa', rows) of sandwich_table, with the arguments
+    checked and the constants computed here, and rows an iterator that
+    certifies each row as it is taken, so a caller that writes rows as
+    they come holds one at a time."""
     _require_int("sandwich_table", "g", g, 2)
     _require_int("sandwich_table", "n_lo", n_lo, 3)
     _require_int("sandwich_table", "n_hi", n_hi)
@@ -218,31 +227,29 @@ def sandwich_table(
         raise DomainError("need 3 <= n_lo <= n_hi")
     alpha = theta(g)
     threshold = cover_threshold(g)
-    ns = (
-        tuple(range(n_lo, n_hi + 1))
-        if sample is None
-        else log_uniform_sample(n_lo, n_hi, sample)
-    )
+    ns = range(n_lo, n_hi + 1) if sample is None else log_uniform_sample(n_lo, n_hi, sample)
     omega = omega_constants(g, alpha).omega
     kappa = kappa_upper_constant(g).kappa_prime if n_hi >= threshold else None
-    cover = None  # (m, report) of the latest row: m never falls along the ascending ns
-    rows = []
-    for n in ns:
-        lower = thm34_lower(g, n, alpha)
-        logn = log_enclosure(n)
-        if lower < logn.lo / (omega.hi * n):
-            raise ValidationFailed(f"n={n}: lower bound fell below its omega calibration")
-        upper = None
-        if n >= threshold:
-            # the certified upper value depends on n only through m,
-            # so one root isolation per distinct m serves every row
-            m = cover_index(g, n)
-            if cover is None or cover[0] != m:
-                cover = (m, cover_upper_bound(g, n))
-            upper = cover[1].log_root.hi
-            if not lower < upper:
-                raise ValidationFailed(f"n={n}: lower bound not strictly below upper bound")
-            if not upper <= kappa * logn.hi / n:
-                raise ValidationFailed(f"n={n}: upper bound exceeded its kappa calibration")
-        rows.append(BoundRow(g=g, n=n, lower=lower, upper=upper))
-    return SandwichReport(g=g, alpha=alpha, rows=tuple(rows), omega=omega, kappa_prime=kappa)
+
+    def rows():
+        cover = None  # (m, report) of the latest row: m never falls along the ascending ns
+        for n in ns:
+            lower = thm34_lower(g, n, alpha)
+            logn = log_enclosure(n)
+            if lower < logn.lo / (omega.hi * n):
+                raise ValidationFailed(f"n={n}: lower bound fell below its omega calibration")
+            upper = None
+            if n >= threshold:
+                # the certified upper value depends on n only through m,
+                # so one root isolation per distinct m serves every row
+                m = cover_index(g, n)
+                if cover is None or cover[0] != m:
+                    cover = (m, cover_upper_bound(g, n))
+                upper = cover[1].log_root.hi
+                if not lower < upper:
+                    raise ValidationFailed(f"n={n}: lower bound not strictly below upper bound")
+                if not upper <= kappa * logn.hi / n:
+                    raise ValidationFailed(f"n={n}: upper bound exceeded its kappa calibration")
+            yield BoundRow(g=g, n=n, lower=lower, upper=upper)
+
+    return alpha, omega, kappa, rows()

@@ -29,7 +29,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from .bounds import sandwich_table
+from .bounds import _sandwich_rows
 from .dilpoly import DEFAULT_ROOT_REL_WIDTH, build_T, build_Tm, largest_root, verify_lroot
 from .enclosures import _require_int
 from .errors import DillabError
@@ -336,16 +336,16 @@ def _cmd_bounds_table(ns: argparse.Namespace) -> int:
     n_lo, n_hi = _parse_range(ns.n)
     if ns.sample is not None and ns.sample < 1:
         raise UsageError("--sample must be >= 1")
-    report = sandwich_table(ns.g, n_lo, n_hi, sample=ns.sample)
-    # CSV and text rows are rendered as they are written: no rendered copy of the table is held
-    rows = (_sandwich_row(row) for row in report.rows)
+    alpha, omega, kappa, rows = _sandwich_rows(ns.g, n_lo, n_hi, ns.sample)
+    # each row is certified and rendered as it is written: CSV and text hold no copy of the table
+    rows = map(_sandwich_row, rows)
     with _output(ns) as fh:
         if ns.format == "json":
             payload = {
-                "g": report.g,
-                "alpha": report.alpha,
-                "omega_hi": _ceil(report.omega.hi),
-                "kappa_prime": None if report.kappa_prime is None else _ceil(report.kappa_prime),
+                "g": ns.g,
+                "alpha": alpha,
+                "omega_hi": _ceil(omega.hi),
+                "kappa_prime": None if kappa is None else _ceil(kappa),
                 "rows": [
                     {**dict(zip(SANDWICH_CSV_HEADER, row)), "upper_hi": row[3] or None} for row in rows
                 ],

@@ -81,9 +81,9 @@ _ISOLATE_WIDTH = Fraction(1, 2**80)
 # root a few rounding errors off still falls in the cell it names
 _FLOAT_CELL = Fraction(1, 2**44)
 # the degree above which sign_at tries outward intervals first: the exact
-# integers grow with the degree, the intervals' stay at 96 bits. On T_m's four
-# signs (at 1, at search_hi and at a cell's ends) the two routes cost the
-# same near degree 64
+# integers grow with the degree, the intervals' stay at 96 bits. On T_m's
+# signs (at search_hi and at a cell's ends) the two routes cost the same
+# near degree 64
 _INTERVAL_DEGREE = 64
 
 
@@ -217,18 +217,11 @@ def build_T(s: int, t: int) -> IntPoly:
     """
     _require_int("build_T", "s", s, 1)
     _require_int("build_T", "t", t, 1)
-    acc: dict[int, int] = {}
-
-    def add(e: int, c: int) -> None:
-        acc[e] = acc.get(e, 0) + c
-
-    add(s + t + 2, 1)
-    add(s + t + 1, -1)
-    add(s + 1, -2)
-    add(t + 1, -2)
-    add(1, -1)
-    add(0, 1)
-    return IntPoly(tuple(acc.items()))
+    # exponents 0 < 1 < a + 1 <= b + 1 < a + b + 1 < a + b + 2: sorted, and
+    # distinct but for a = b, where the two middle terms merge
+    a, b = min(s, t), max(s, t)
+    middle = ((a + 1, -4),) if a == b else ((a + 1, -2), (b + 1, -2))
+    return IntPoly._of(((0, 1), (1, -1)) + middle + ((a + b + 1, -1), (a + b + 2, 1)))
 
 
 def build_Tm(m: int) -> IntPoly:
@@ -272,11 +265,13 @@ def _float_root(p: IntPoly, search_hi: Fraction) -> float | None:
     that both ends close in. Whenever three probes together fail to halve
     the bracket, the next one is its midpoint, and so is every probe that
     the chord does not put strictly inside it. The float returned is the
-    one where the bracket holds no float strictly inside, or a probe where
-    f is 0. For x >= 1 no term c * x**(e - d) of the quotient exceeds |c|,
-    so it stays finite where p(x) itself would overflow; a coefficient or
-    search_hi beyond float range gives None as well. It only steers: the
-    caller proves."""
+    bracket's midpoint once hi - lo <= lo * _FLOAT_CELL / 4, or a probe
+    where f is 0: a cell of the walk in _steered_cell is at least about
+    _FLOAT_CELL / 2 relative, so a float that close names the root's cell
+    or, rarely, a neighbour that the cell's exact signs refuse. For x >= 1
+    no term c * x**(e - d) of the quotient exceeds |c|, so it stays finite
+    where p(x) itself would overflow; a coefficient or search_hi beyond
+    float range gives None as well. It only steers: the caller proves."""
     d = p.degree
     try:
         terms = [(e - d, float(c)) for e, c in p.coeffs]
@@ -287,13 +282,11 @@ def _float_root(p: IntPoly, search_hi: Fraction) -> float | None:
     f_hi = sum([c * hi**e for e, c in terms])
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         return None
+    cell = float(_FLOAT_CELL) / 4
     kept = 0  # the end the last probe left in place: -1 lo, 1 hi, 0 none
     probes, width = 0, hi - lo
-    while True:
-        mid = lo + (hi - lo) / 2
-        if not lo < mid < hi:
-            return mid
-        x = mid
+    while hi - lo > lo * cell:
+        x = lo + (hi - lo) / 2
         if probes < 3 and f_lo < 0 < f_hi:
             chord = hi - f_hi * (hi - lo) / (f_hi - f_lo)
             if lo < chord < hi:
@@ -314,6 +307,7 @@ def _float_root(p: IntPoly, search_hi: Fraction) -> float | None:
         probes += 1
         if hi - lo <= width / 2:
             probes, width = 0, hi - lo
+    return lo + (hi - lo) / 2
 
 
 def _steered_cell(p: IntPoly, search_hi: Fraction, rel_width: Fraction):
@@ -322,22 +316,23 @@ def _steered_cell(p: IntPoly, search_hi: Fraction, rel_width: Fraction):
 
     Requires largest_root's preconditions up to p(1) < 0, so p has exactly
     one root above 1, a simple one, and p < 0 exactly on (1, root). The
-    cell holding the float
-    root r sits at depth k at index j_k = floor(t * 2**k), t = (r - 1) / span;
-    the walk stops at the first depth that meets bisection's own test
-    hi - lo <= rel_width * lo, with rel_width raised to _FLOAT_CELL if it is
-    finer than a float resolves. The walk runs on integers: with
-    search_hi = sn / sd and r = rn / rd, span = (sn - sd) / sd and the
-    unreduced t = (rn - rd) * sd / (rd * (sn - sd)), and the cell's ends
-    share the denominator sd * 2**k. Two exact signs on those integers,
-    p(lo) < 0 < p(hi) (IntPoly._sign), prove the root strictly inside the
-    cell, hence inside every ancestor and off every ancestor's midpoint:
-    bisection from the top takes exactly this path. Only then are lo and hi
-    built, one Fraction each. A proven cell inside (1, search_hi] also
-    proves p(search_hi) > 0: p has one root above 1, and the cell holds it.
-    If there is no float, or the cell it names reaches past search_hi, or a
-    sign refuses it (a float a cell off), the start is (1, search_hi), and
-    only then is p(search_hi) > 0 checked (else NoSignChange)."""
+    cell holding the float root r sits at depth k at index
+    j_k = floor(t * 2**k), t = (r - 1) / span; the walk stops at the first
+    depth that meets bisection's own test hi - lo <= rel_width * lo, with
+    rel_width raised to _FLOAT_CELL if it is finer than a float resolves.
+    As j_k <= t * 2**k, the test needs span / 2**k <= that width times r, so
+    the walk starts at the first depth bit lengths leave open. It runs on
+    integers: with search_hi = sn / sd and r = rn / rd, span is
+    (sn - sd) / sd, the unreduced t = (rn - rd) * sd / (rd * (sn - sd)), the
+    cell's ends share the denominator sd * 2**k. Two exact signs on those
+    integers, p(lo) < 0 < p(hi) (IntPoly._sign), prove the root strictly
+    inside the cell, hence inside every ancestor and off every ancestor's
+    midpoint: bisection from the top takes exactly this path. Only then are
+    lo and hi built, one Fraction each. A proven cell inside (1, search_hi]
+    also proves p(search_hi) > 0: p has one root above 1, and the cell holds
+    it. If there is no float, or the cell it names reaches past search_hi,
+    or a sign refuses it (a float a cell off), the start is (1, search_hi),
+    and only then is p(search_hi) > 0 checked (else NoSignChange)."""
     sd = search_hi.denominator
     sn = search_hi.numerator - sd  # span = sn / sd
     r = _float_root(p, search_hi)
@@ -348,7 +343,8 @@ def _steered_cell(p: IntPoly, search_hi: Fraction, rel_width: Fraction):
         tn, td = (rn - rd) * sd, rd * sn
         # at depth k the cell is 1 + span * (j, j + 1) / 2**k; stop once
         # span / 2**k <= target * (1 + span * j / 2**k), cross-multiplied
-        k = j = 0
+        k = max(0, (sn * wd * rd).bit_length() - (wn * sd * rn).bit_length())
+        j = (tn << k) // td if k else 0
         while sn * wd > wn * ((sd << k) + sn * j):
             k += 1
             j = (tn << k) // td
@@ -388,10 +384,11 @@ def largest_root(p: IntPoly, search_hi, rel_width: Fraction = DEFAULT_ROOT_REL_W
         raise DomainError("largest_root requires a positive leading coefficient")
     if _sign_changes([c for _, c in p.coeffs]) > 2:
         raise DomainError("largest_root requires at most two coefficient sign changes; use isolate_largest_real_root")
-    if p.sign_at(1) >= 0:
+    if sum([c for _, c in p.coeffs]) >= 0:  # the coefficient sum is p(1)
         raise DomainError("largest_root requires p(1) < 0")
     lo, hi = _steered_cell(p, search_hi, rel_width)
-    while hi - lo > rel_width * lo:
+    wn, wd = rel_width.numerator, rel_width.denominator  # hi - lo > rel_width * lo, cross-multiplied:
+    while hi.numerator * lo.denominator * wd > lo.numerator * hi.denominator * (wd + wn):
         lo, hi, _ = _bisect(p, lo, hi, None)
     # p < 0 on (1, root) and p > 0 above it
     return RootEnclosure(lo, hi, -1, 1)

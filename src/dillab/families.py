@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from ._record import record
 from .dilpoly import RootEnclosure, build_Tm, largest_root, m_cubed_root_enclosure
-from .enclosures import RatInterval, _log_ints, _require_int, _require_type, log_enclosure, log_interval
+from .enclosures import RatInterval, _log_end, _log_ints, _require_int, _require_type, log_enclosure
 from .errors import DomainError, ValidationFailed
 from .intmatrix import IntMatrix, is_irreducible
 
@@ -81,7 +81,7 @@ def cover_upper_bound(g: int, n: int) -> CoverBoundReport:
     m, c = cover_index(g, n), (n - 1) % (2 * g + 1)
     mp = m_cubed_root_enclosure(m)
     root = largest_root(build_Tm(m), search_hi=mp.hi + 1)
-    log_root = log_interval(root.interval)
+    log_root = RatInterval._of(_log_end(*root.lo.as_integer_ratio(), False), _log_end(*root.hi.as_integer_ratio(), True))
     # the closed forms from log_enclosure's integers, one Fraction per end:
     # log m / m over m * common, and log q / q = log q * qd / qn over
     # common * qn. Both logs are positive (m >= 5, q >= 4 from the

@@ -258,6 +258,23 @@ def test_sandwich_table_computes_each_lower_bound_through_thm34_lower(monkeypatc
     assert rep == plain
 
 
+def test_sandwich_rows_certify_each_row_as_it_is_taken(monkeypatch):
+    calls = []
+    lower = bounds.thm34_lower
+    monkeypatch.setattr(bounds, "thm34_lower", lambda g, n, alpha: calls.append(n) or lower(g, n, alpha))
+    alpha, omega, kappa, rows = bounds._sandwich_rows(2, 28, 10**6, None)
+    assert calls == []
+    taken = [next(rows) for _ in range(5)]
+    assert calls == [28, 29, 30, 31, 32]
+    # sandwich_table is the same rows, collected, with the same constants
+    report = sandwich_table(2, 28, 32)
+    assert report.rows == tuple(taken)
+    assert (report.alpha, report.omega, report.kappa_prime) == (alpha, omega, kappa)
+    # the arguments are refused before any row is asked for
+    with pytest.raises(DomainError):
+        bounds._sandwich_rows(2, 40, 39, None)
+
+
 def test_sandwich_table_validation():
     with pytest.raises(DomainError):
         sandwich_table(1, 31, 40)

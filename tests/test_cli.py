@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import dillab
-from dillab import cli
+from dillab import bounds, cli
 from dillab.cli import main
 from dillab.errors import DomainError
 from dillab.intmatrix import IntMatrix, pf_enclosure
@@ -480,6 +480,22 @@ def test_bounds_table_json_and_sample(capsys):
     assert len(payload["rows"]) >= 10
     assert payload["rows"][0]["n"] == 31
     assert payload["rows"][-1]["n"] == 500
+
+
+def test_bounds_table_streams_csv_and_text_rows(monkeypatch):
+    # each row is certified after the header and every earlier row are
+    # written, so the table is never held; JSON is one document, written
+    # once every row is in
+    lower = bounds.thm34_lower
+    for fmt, written in (("csv", list(range(1, 34))), ("text", list(range(1, 34))), ("json", [0] * 33)):
+        out, seen = io.StringIO(), []
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(
+            bounds, "thm34_lower", lambda g, n, alpha: seen.append(out.getvalue().count("\n")) or lower(g, n, alpha)
+        )
+        assert main(["bounds", "table", "--g", "2", "--n", "28:60", "--format", fmt]) == 0, fmt
+        assert seen == written, fmt
+        monkeypatch.undo()
 
 
 def test_bounds_table_bad_range(capsys):

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dillab
@@ -78,6 +78,17 @@ def test_build_T_shape_and_symmetry():
     assert build_T(7, 7)(1) == -4
     with pytest.raises(DomainError):
         build_T(0, 1)
+
+
+def test_build_T_equals_the_checked_construction():
+    # build_T lays its terms out sorted and merged by hand; the checked
+    # constructor sorts, merges and drops zeros itself
+    for s in range(1, 61):
+        for t in range(1, 61):
+            terms = {}
+            for e, c in ((s + t + 2, 1), (s + t + 1, -1), (s + 1, -2), (t + 1, -2), (1, -1), (0, 1)):
+                terms[e] = terms.get(e, 0) + c
+            assert build_T(s, t) == IntPoly(tuple(terms.items())), (s, t)
 
 
 def test_build_Tm_balanced_split():
@@ -188,35 +199,95 @@ def test_steered_bracket_work_at_m_1998():
     p = Counted(build_Tm(1998).coeffs)
     hi = _production_search_hi(1998)
     assert largest_root(p, hi) == _bisected(build_Tm(1998), hi, Fraction(1, 10**10))
-    # p(1), then bisection below the steered cell, whose two signs (and the
-    # p(search_hi) > 0 they imply) go to IntPoly._sign without sign_at
+    # bisection below the steered cell alone: p(1) is the coefficient sum,
+    # and the cell's two signs (and the p(search_hi) > 0 they imply) go to
+    # IntPoly._sign without sign_at
     assert len(calls) <= 6
 
 
-def test_steered_bracket_recovers_a_float_one_cell_off():
-    # at this width the float root names a neighbour of the root's cell for
-    # these m; a sign refuses it, so the start is (1, search_hi), and
-    # bisection from the top returns the same bracket
+def test_steered_bracket_recovers_a_float_one_cell_off(monkeypatch):
+    # a float in the cell just below the root's names a cell whose top end
+    # lies below the root, at any depth the walk reaches; a sign refuses it,
+    # so the start is (1, search_hi), and bisection from the top returns the
+    # same bracket
     width = Fraction(1, 10**14)
     for m in (1036, 1254, 1627, 1875, 1937, 2860, 2998):
         hi = _production_search_hi(m)
+        cell = _bisected(build_Tm(m), hi, max(width, dilpoly._FLOAT_CELL))
+        below = float(cell.lo - (cell.hi - cell.lo) / 2)
+        monkeypatch.setattr(dilpoly, "_float_root", lambda p, search_hi: below)
         assert _steered_cell(build_Tm(m), hi, width) == (1, hi), m
         assert largest_root(build_Tm(m), hi, width) == _bisected(build_Tm(m), hi, width), m
 
 
 def test_steered_cell_signs_are_taken_on_integers_at_m_1998(monkeypatch):
     # the cell's two signs go to IntPoly._sign on its unreduced integers,
-    # sign_at passes p(1) on without a Fraction, and the proven cell makes
+    # p(1) is read from the coefficients, and the proven cell makes
     # p(search_hi) > 0 a consequence rather than a third sign
     calls = []
     sign = IntPoly._sign
     monkeypatch.setattr(IntPoly, "_sign", lambda self, n, q: calls.append((n, q)) or sign(self, n, q))
     hi = _production_search_hi(1998)
     root = largest_root(build_Tm(1998), hi)
-    assert calls[0] == (1, 1)
-    lo_n, den = calls[1]
-    assert len(calls) == 3 and calls[2] == (lo_n + hi.numerator - hi.denominator, den)
-    assert (root.lo, root.hi) == (Fraction(lo_n, den), Fraction(calls[2][0], den))
+    lo_n, den = calls[0]
+    assert len(calls) == 2 and calls[1] == (lo_n + hi.numerator - hi.denominator, den)
+    assert (root.lo, root.hi) == (Fraction(lo_n, den), Fraction(calls[1][0], den))
+
+
+def _linear_walk(search_hi: Fraction, r: float, target: Fraction) -> tuple[int, int]:
+    """(k, j) of the cell walk from depth 0, one depth at a time."""
+    sd = search_hi.denominator
+    sn = search_hi.numerator - sd
+    rn, rd = r.as_integer_ratio()
+    tn, td = (rn - rd) * sd, rd * sn
+    k = j = 0
+    while sn * target.denominator > target.numerator * ((sd << k) + sn * j):
+        k += 1
+        j = (tn << k) // td
+    return k, j
+
+
+class _Signs:
+    """A polynomial stand-in that records the integers _steered_cell asks
+    signs at and proves every cell it is offered."""
+
+    def __init__(self):
+        self.calls = []
+
+    def _sign(self, n, q):
+        self.calls.append((n, q))
+        return -1 if len(self.calls) == 1 else 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 1) + Fraction(1, 10**6), max_value=64, max_denominator=10**9),
+    st.integers(1, 60),
+    st.data(),
+    st.integers(-3, 3),
+    st.integers(1, 10**6),
+    st.integers(6, 44),
+)
+def test_walk_start_depth_gives_the_linear_walk_cell(search_hi, depth, data, ulps, num, exp):
+    # the float sits on a cell edge of the dyadic tree over (1, search_hi),
+    # a few ulps either side, and the width runs from 1e-6 down to 2^-44
+    # and below, where _FLOAT_CELL takes over
+    span = search_hi - 1
+    j = data.draw(st.integers(1, (1 << depth) - 1))
+    r = float(1 + span * Fraction(j, 1 << depth))
+    for _ in range(abs(ulps)):
+        r = math.nextafter(r, math.inf if ulps > 0 else 1.0)
+    width = Fraction(num, 10**6) * Fraction(1, 2**exp)
+    assume(1 < r < search_hi)
+    k, j = _linear_walk(search_hi, r, max(width, dilpoly._FLOAT_CELL))
+    p = _Signs()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dilpoly, "_float_root", lambda p, search_hi: r)
+        got = _steered_cell(p, search_hi, width)
+    sd = search_hi.denominator
+    den, sn = sd << k, search_hi.numerator - sd
+    assert p.calls == [(den + sn * j, den), (den + sn * (j + 1), den)]
+    assert got == (Fraction(den + sn * j, den), Fraction(den + sn * (j + 1), den))
 
 
 def test_search_hi_sign_is_taken_only_from_the_top(monkeypatch):
@@ -250,6 +321,19 @@ def test_a_search_hi_at_or_below_the_root_still_raises_no_sign_change():
         message = f"p(search_hi) <= 0 at search_hi={search_hi}; enlarge search_hi"
         with pytest.raises(NoSignChange, match=re.escape(message)):
             largest_root(p, search_hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 200), st.integers(6, 30), st.integers(1, 9), st.booleans())
+def test_largest_root_width_test_equals_plain_bisection(s, t, digits, lead, on_a_cell):
+    # widths from 1e-6 to 1e-30, and widths met with equality by a cell of
+    # bisection, where the cross-multiplied test must stop as hi - lo <= w * lo
+    p, search_hi = build_T(s, t), 3
+    width = Fraction(lead, 10**digits)
+    if on_a_cell:
+        cell = _bisected(p, search_hi, width)
+        width = (cell.hi - cell.lo) / cell.lo
+    assert largest_root(p, search_hi, width) == _bisected(p, search_hi, width)
 
 
 def test_steered_bracket_equals_plain_bisection_on_a_stride_to_2000():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dillab.enclosures import log_enclosure
+from dillab.enclosures import log_enclosure, log_interval
 from dillab.errors import DomainError, ValidationFailed
 from dillab.families import (
     TorusMatrixSpec,
@@ -177,6 +177,16 @@ def test_cover_upper_bound_certificate_chain():
     assert rep.log_root.hi <= rep.closed_form_m.lo
     assert rep.log_root.hi <= rep.closed_form_n.lo
     assert rep.log_root.hi > 0
+
+
+def test_cover_log_root_is_log_interval_of_the_root():
+    # the report takes log_interval's two ends straight from the root's
+    # integers; the public route on root.interval must agree exactly
+    for g in (2, 3, 4, 7):
+        for n in [*range(cover_threshold(g), cover_threshold(g) + 2 * (2 * g + 1)), *range(200, 20001, 997)]:
+            rep = cover_upper_bound(g, n)
+            assert rep.log_root == log_interval(rep.root.interval), (g, n)
+            assert type(rep.log_root.lo) is Fraction and type(rep.log_root.hi) is Fraction
 
 
 def test_cover_upper_bound_shrinks_with_n():
