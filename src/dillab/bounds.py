@@ -16,20 +16,6 @@ from .enclosures import RatInterval, _log2_ints, _log_end, _log_ints, _require_i
 from .errors import AlphaOutOfRange, DomainError, ValidationFailed
 from .families import cover_index, cover_threshold, cover_upper_bound
 
-__all__ = [
-    "BoundRow",
-    "OmegaConstants",
-    "KappaReport",
-    "SandwichReport",
-    "theta",
-    "count_sl2_z3",
-    "thm34_lower",
-    "omega_constants",
-    "kappa_upper_constant",
-    "log_uniform_sample",
-    "sandwich_table",
-]
-
 
 def theta(g: int) -> int:
     """Order of the symplectic group over the field with three elements,

@@ -48,8 +48,6 @@ from .lefschetz import HomologyClass, multitwist_action
 from .suites import SUITES, run_suite, shared_pool
 from .transgraph import dilatation_limit_check, path_count_series, subdivide_out_edge
 
-__all__ = ["main"]
-
 COVER_CSV_HEADER = ("g", "n", "m", "c", "certified_log_root_hi", "closed_form_bound")
 SANDWICH_CSV_HEADER = ("g", "n", "lower_lo", "upper_hi", "lower_source", "upper_source")
 

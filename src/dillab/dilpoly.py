@@ -59,22 +59,6 @@ from .enclosures import (
 from .errors import DomainError, NoSignChange, ValidationFailed
 from .intmatrix import IntMatrix, _cw_compare
 
-__all__ = [
-    "IntPoly",
-    "RootEnclosure",
-    "LrootReport",
-    "build_T",
-    "build_Tm",
-    "largest_root",
-    "m_cubed_root_enclosure",
-    "verify_lroot",
-    "char_poly",
-    "count_real_roots_above",
-    "isolate_largest_real_root",
-    "compare_largest_roots",
-    "mu_compare",
-]
-
 DEFAULT_ROOT_REL_WIDTH = Fraction(1, 10**10)
 _ISOLATE_WIDTH = Fraction(1, 2**80)
 # the finest cell a float root steers to: about 256 ulps, so that a float

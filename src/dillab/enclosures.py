@@ -18,15 +18,6 @@ from math import gcd, lcm, ldexp
 from ._record import record
 from .errors import DomainError
 
-__all__ = [
-    "RatInterval",
-    "inth_root",
-    "nth_root_enclosure",
-    "log_enclosure",
-    "log_interval",
-    "interval_gap",
-]
-
 _DEFAULT_LOG_WIDTH = Fraction(1, 10**12)
 
 

@@ -20,17 +20,6 @@ from .enclosures import RatInterval, _log_end, _log_ints, _require_int, _require
 from .errors import DomainError, ValidationFailed
 from .intmatrix import IntMatrix, is_irreducible
 
-__all__ = [
-    "CoverBoundReport",
-    "TorusMatrixSpec",
-    "TorusBoundsReport",
-    "cover_index",
-    "cover_threshold",
-    "cover_upper_bound",
-    "torus_matrix",
-    "verify_torus_bounds",
-]
-
 
 def cover_threshold(g: int) -> int:
     """Smallest n the branched-cover family accepts at genus g: the n whose
@@ -67,11 +56,11 @@ def cover_upper_bound(g: int, n: int) -> CoverBoundReport:
     """Certified upper bound on the least log-dilatation with g handles and
     n marked points, from the balanced polynomial of index m.
 
-    The certificate chain: the largest root of T_m sits below m**(3/m)
-    (checked exactly), so log of the root enclosure upper-bounds the family's
-    log-dilatation, and that in turn must fall under both closed forms
-    3 log(m)/m and 3 log(q)/q, q = (n-4g-3)/(2g+1). Both comparisons are
-    asserted endpoint-to-endpoint before the report is returned.
+    The certificate chain: log of the root enclosure of T_m upper-bounds the
+    family's log-dilatation, and its hi end must fall under both closed forms
+    3 log(m)/m and 3 log(q)/q, q = (n-4g-3)/(2g+1), each asserted
+    endpoint-to-endpoint before the report is returned; the first,
+    log_root.hi <= lo(3 log(m)/m), checks that the root lies below m**(3/m).
     """
     _require_int("cover_upper_bound", "g", g, 2)
     _require_int("cover_upper_bound", "n", n)

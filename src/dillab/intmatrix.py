@@ -26,21 +26,6 @@ from ._record import record
 from .enclosures import _finite_fraction, _require_int, _require_type
 from .errors import DomainError, NoDiagonalEntry, NotIrreducible
 
-__all__ = [
-    "IntMatrix",
-    "PFEnclosure",
-    "DiagonalBoundReport",
-    "is_irreducible",
-    "is_positive",
-    "pf_enclosure",
-    "verify_diagonal_bound",
-    "parse_matrix_text",
-    "render_matrix_text",
-    "parse_matrix_json",
-    "render_matrix_json",
-    "load_matrix",
-]
-
 DEFAULT_REL_WIDTH = Fraction(1, 10**9)
 DEFAULT_MAX_ITERS = 10**6
 

@@ -19,18 +19,6 @@ from .errors import (
     NotPairwiseOrthogonal,
 )
 
-__all__ = [
-    "HomologyClass",
-    "SympAction",
-    "LinearPlaneMap",
-    "symp_form",
-    "transvection",
-    "multitwist_action",
-    "multitwist_lefschetz",
-    "local_index",
-    "linear_index_oracle",
-]
-
 
 @record
 class HomologyClass:

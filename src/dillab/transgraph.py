@@ -16,16 +16,6 @@ from .enclosures import RatInterval, _finite_fraction, _require_int, _require_ty
 from .errors import DegreePreconditionViolated, DomainError, NotIrreducible, VertexOutOfRange
 from .intmatrix import IntMatrix, is_irreducible, pf_enclosure
 
-__all__ = [
-    "LimitCheckReport",
-    "from_matrix",
-    "to_matrix",
-    "path_count",
-    "path_count_series",
-    "dilatation_limit_check",
-    "subdivide_out_edge",
-]
-
 
 @record
 class LimitCheckReport:

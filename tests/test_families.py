@@ -70,14 +70,21 @@ def _dense(rows) -> bytearray:
 
 
 def test_torus_rows_are_valid_sparse_rows():
-    # torus_matrix builds its rows unchecked; the checked constructor must
-    # rebuild them unchanged from the dense view, which an unsorted,
-    # repeated, out-of-range or zero entry would change, and they must
-    # spell out the documented layout
+    # torus_matrix builds its rows unchecked, so each row must hold strictly
+    # increasing columns in range and positive int entries, which an
+    # unsorted, repeated, out-of-range or zero entry breaks; the rows must
+    # spell out the documented layout, and the checked constructor must
+    # rebuild them unchanged from the dense view
     for n in range(5, 401):
         m = torus_matrix(n).matrix
-        assert m == IntMatrix(m.entries)
+        k = 2 * n
+        for row in m.rows:
+            columns = [c for c, _ in row]
+            assert columns == sorted(set(columns)) and 0 <= columns[0] and columns[-1] < k, n
+            assert all(type(v) is int and v >= 1 for _, v in row), n
         assert _dense(m.rows) == _torus_layout(n), n
+        if n <= 40 or n == 400:
+            assert m == IntMatrix(m.entries), n
 
 
 def test_torus_bounds_contract():

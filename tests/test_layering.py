@@ -408,6 +408,25 @@ def test_the_namespace_behaves_like_a_module():
     assert set(star) - {"__builtins__"} == set(dillab.__all__)
 
 
+def _assigns_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+
+
+def test_the_package_lists_its_public_names_once():
+    # `_EXPORTS` in `__init__` is the one list of public names; a submodule's
+    # other names are reached as dillab.<module>.<name>
+    sample = "__all__ = []\n__all__ += ['x']\ndef f():\n    __all__: list = []\nprint(__all__)"
+    assert list(_scopes(ast.parse(sample), _assigns_all)) == ["", "", "f"]
+    assert _package_scopes(_assigns_all) == {("__init__", "")}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_the_version_is_declared_once():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    config = pyprojecttoml.read_configuration(Path(__file__).resolve().parents[1] / "pyproject.toml")
+    assert config["project"]["version"] == dillab.__version__
+
+
 def _imports_dataclasses(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
