@@ -228,18 +228,26 @@ def _require_type(kind, **values) -> None:
             raise DomainError(f"{name} must be of type {kinds}, got {type(value).__name__}")
 
 
+_MAX_ROOT_SHIFT_BITS = 1 << 30
+
+
 def nth_root_enclosure(q, n: int, bits: int = 48) -> RatInterval:
     """Rational [a, b] with a**n <= q <= b**n and b - a <= 2**-bits.
 
     For irrational roots both bounds are strict; if q is an exact n-th power
     of a dyadic rational the interval degenerates to the exact point. q must
-    be a finite number (_finite_fraction), n and bits of type int.
+    be a finite number (_finite_fraction), n and bits of type int. The root
+    is read from q * 2**(n * bits); n * bits above the budget of 2**30 bits
+    (a 128 MiB radicand, room for cover-bound at n = 10**8, which shifts by
+    about 9.6e8 bits) is refused with DomainError before that is built.
     """
     q = _finite_fraction("q", q)
     if q < 0:
         raise DomainError("nth_root_enclosure requires q >= 0")
     _require_int("nth_root_enclosure", "n", n, 1)
     _require_int("nth_root_enclosure", "bits", bits, 0)
+    if n * bits > _MAX_ROOT_SHIFT_BITS:
+        raise DomainError(f"nth_root_enclosure: n * bits = {n * bits} exceeds the budget of {_MAX_ROOT_SHIFT_BITS} bits")
     scaled = q.numerator << (n * bits)
     # dividing a long integer by 1 still costs a pass over it
     y = scaled if q.denominator == 1 else scaled // q.denominator

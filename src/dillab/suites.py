@@ -4,7 +4,13 @@ Every suite is a pure function of (seed, cases): the per-case generator is
 `random.Random(f"{suite}:{seed}:{case}")`, so case c is the same stream no
 matter how many cases run, in what order, or across how many worker
 processes. Reports carry no timestamps or timings, which keeps repeated runs
-byte-identical. Fractions are rendered as "p/q" strings.
+byte-identical.
+
+A runner maps its cases through `_map_cases`, and every case function
+returns one shape, (failure lines, value): the lines in case order make the
+report's failures and the values feed its extra fields. Runners keep those
+fields exact (`Fraction` or None); `run_suite` alone renders each `Fraction`
+as a "p/q" string.
 
 Two suites are sweeps rather than random samples (root-bound over m,
 torus-family over n); for those the `cases` knob is the top of the sweep
@@ -52,7 +58,6 @@ def _case_rng(suite: str, seed: int, case: int) -> random.Random:
 
 
 def _frs(x: Fraction) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -101,6 +106,18 @@ def parallel_map(fn: Callable, args: list) -> list:
     return list(_pool.map(fn, args, chunksize=chunk))
 
 
+def _seeded(name: str, seed: int, count: int) -> list:
+    """The (name, seed, idx) arguments of a seeded suite's first count cases."""
+    return [(name, seed, idx) for idx in range(count)]
+
+
+def _map_cases(case: Callable, args: list) -> tuple:
+    """Map a case function over args; every case returns (failure lines,
+    value). Returns all failure lines in case order, and the values."""
+    results = parallel_map(case, args)
+    return [line for lines, _ in results for line in lines], [value for _, value in results]
+
+
 def random_irreducible_rows(
     rng: random.Random,
     k: int,
@@ -132,23 +149,20 @@ def random_irreducible_rows(
 # ---------------------------------------------------------------------------
 
 
-def _diag_power_case(arg: tuple) -> str | None:
+def _diag_power_case(arg: tuple) -> tuple:
     name, seed, idx = arg
     rng = _case_rng(name, seed, idx)
     k = rng.randint(2, 12)
     rows = random_irreducible_rows(rng, k, 4, extra_prob=0.2, force_diagonal=True)
     rep = verify_diagonal_bound(IntMatrix(rows))
     if rep.positive_power and rep.mu_bound_holds:
-        return None
-    return (
-        f"case {idx}: k={k} positive_power={rep.positive_power} "
-        f"mu_bound_holds={rep.mu_bound_holds}"
-    )
+        return [], None
+    line = f"case {idx}: k={k} positive_power={rep.positive_power} mu_bound_holds={rep.mu_bound_holds}"
+    return [line], None
 
 
 def _run_diag_power(seed: int, cases: int) -> tuple:
-    args = [("diag-power", seed, i) for i in range(cases)]
-    failures = [f for f in parallel_map(_diag_power_case, args) if f]
+    failures, _ = _map_cases(_diag_power_case, _seeded("diag-power", seed, cases))
     return (cases, failures, {})
 
 
@@ -177,16 +191,13 @@ def _path_growth_case(arg: tuple) -> tuple:
     for i, rep in enumerate(reports, 1):
         worst = max(worst, rep.last_gap)
         if not rep.converged:
-            fails.append(f"case {idx}: vertex {i} gap {_frs(rep.last_gap)} exceeds 1/20")
+            fails.append(f"case {idx}: vertex {i} gap {_frs(rep.last_gap)} exceeds {_frs(_PATH_GROWTH_TOL)}")
     return (fails, worst)
 
 
 def _run_path_growth(seed: int, cases: int) -> tuple:
-    args = [("path-growth", seed, i) for i in range(cases)]
-    results = parallel_map(_path_growth_case, args)
-    failures = [f for fails, _ in results for f in fails]
-    worst = max((w for _, w in results), default=Fraction(0))
-    extra = {"d": _PATH_GROWTH_D, "tolerance": _frs(_PATH_GROWTH_TOL), "max_gap": _frs(worst)}
+    failures, worsts = _map_cases(_path_growth_case, _seeded("path-growth", seed, cases))
+    extra = {"d": _PATH_GROWTH_D, "tolerance": _PATH_GROWTH_TOL, "max_gap": max(worsts)}
     return (cases, failures, extra)
 
 
@@ -200,7 +211,7 @@ def _random_lagrangian_class(rng: random.Random, g: int) -> HomologyClass:
     return HomologyClass(tuple(rng.randint(-3, 3) for _ in range(g)) + (0,) * g)
 
 
-def _multitwist_case(arg: tuple) -> str | None:
+def _multitwist_case(arg: tuple) -> tuple:
     name, seed, idx = arg
     rng = _case_rng(name, seed, idx)
     g = rng.randint(1, 6)
@@ -220,15 +231,15 @@ def _multitwist_case(arg: tuple) -> str | None:
     try:
         action = multitwist_action(twists, g)
     except DillabError as exc:
-        return f"case {idx}: g={g} rejected valid system: {exc}"
+        return [f"case {idx}: g={g} rejected valid system: {exc}"], None
     if action.trace != 2 * g:
-        return f"case {idx}: g={g} trace {action.trace} != {2 * g}"
+        return [f"case {idx}: g={g} trace {action.trace} != {2 * g}"], None
     lef = action.lefschetz_number
     if lef != 2 - 2 * g:
-        return f"case {idx}: g={g} Lefschetz {lef} != {2 - 2 * g}"
+        return [f"case {idx}: g={g} Lefschetz {lef} != {2 - 2 * g}"], None
     shuffled = rng.sample(twists, len(twists))
     if multitwist_action(shuffled, g).matrix != action.matrix:
-        return f"case {idx}: g={g} product depends on twist order"
+        return [f"case {idx}: g={g} product depends on twist order"], None
     if idx % 10 == 0:
         # negative control: a crossing pair must be rejected
         bad = [(HomologyClass.alpha(1, g), 1), (HomologyClass.beta(1, g), 1)]
@@ -237,13 +248,12 @@ def _multitwist_case(arg: tuple) -> str | None:
         except NotPairwiseOrthogonal:
             pass
         else:
-            return f"case {idx}: g={g} crossing pair was not rejected"
-    return None
+            return [f"case {idx}: g={g} crossing pair was not rejected"], None
+    return [], None
 
 
 def _run_multitwist(seed: int, cases: int) -> tuple:
-    args = [("multitwist", seed, i) for i in range(cases)]
-    failures = [f for f in parallel_map(_multitwist_case, args) if f]
+    failures, _ = _map_cases(_multitwist_case, _seeded("multitwist", seed, cases))
     return (cases, failures, {})
 
 
@@ -269,27 +279,19 @@ def _root_bound_case(arg: tuple) -> tuple:
     hi = rep.root.hi
     if hi**m > m**3:
         fails.append(f"m={m}: root.hi^m exceeds m^3")
-    return (fails, hi, hi - rep.root.lo)
+    return (fails, (hi, hi - rep.root.lo))
 
 
 def _run_root_bound(seed: int, cases: int) -> tuple:
     m_hi = max(cases, 5)
     args = [(m,) for m in range(5, m_hi + 1)]
-    results = parallel_map(_root_bound_case, args)
-    failures = [f for fails, _, _ in results for f in fails]
+    failures, roots = _map_cases(_root_bound_case, args)
+    his = [hi for hi, _ in roots]
     slack = Fraction(1, 10**6)
-    prev = None
-    for (m,), (_, hi, _) in zip(args, results):
-        if prev is not None and hi >= prev * (1 + slack):
+    for m, prev, hi in zip(range(6, m_hi + 1), his, his[1:]):
+        if hi >= prev * (1 + slack):
             failures.append(f"m={m}: root bound failed to decay")
-        prev = hi
-    max_width = max((width for _, _, width in results), default=Fraction(0))
-    extra = {
-        "m_lo": 5,
-        "m_hi": m_hi,
-        "max_root_width": _frs(max_width),
-        "last_root_hi": _frs(prev) if prev is not None else None,
-    }
+    extra = {"m_lo": 5, "m_hi": m_hi, "max_root_width": max(width for _, width in roots), "last_root_hi": his[-1]}
     return (len(args), failures, extra)
 
 
@@ -323,12 +325,7 @@ def _run_quartic_root(seed: int, cases: int) -> tuple:
         pass
     else:
         failures.append("p(1) > 0 was not rejected")
-    extra = {
-        "enclosure_lo": _frs(enc.lo),
-        "enclosure_hi": _frs(enc.hi),
-        "oracle_lo": _frs(oracle.lo),
-        "oracle_hi": _frs(oracle.hi),
-    }
+    extra = {"enclosure_lo": enc.lo, "enclosure_hi": enc.hi, "oracle_lo": oracle.lo, "oracle_hi": oracle.hi}
     return (1, failures, extra)
 
 
@@ -369,15 +366,9 @@ def _torus_family_case(arg: tuple) -> tuple:
 def _run_torus_family(seed: int, cases: int) -> tuple:
     n_hi = max(cases, 5)
     args = [(n,) for n in range(5, n_hi + 1)]
-    results = parallel_map(_torus_family_case, args)
-    failures = [f for fails, _ in results for f in fails]
-    margins = [margin for _, margin in results if margin is not None]
-    min_margin = min(margins, default=None)
-    extra = {
-        "n_lo": 5,
-        "n_hi": n_hi,
-        "min_direct_margin_below_9": _frs(min_margin) if min_margin is not None else None,
-    }
+    failures, margins = _map_cases(_torus_family_case, args)
+    min_margin = min((margin for margin in margins if margin is not None), default=None)
+    extra = {"n_lo": 5, "n_hi": n_hi, "min_direct_margin_below_9": min_margin}
     return (len(args), failures, extra)
 
 
@@ -408,7 +399,10 @@ def _run_congruence_index(seed: int, cases: int) -> tuple:
 _SHIFT_D_MAX = 20
 
 
-def _subdivision_case(arg: tuple) -> dict:
+def _subdivision_case(arg: tuple) -> tuple:
+    """(interval failure lines, shift): shift is None while the literal
+    path-shift law holds up to _SHIFT_D_MAX, else its failure line and a
+    witness naming the graph and the first d where it broke."""
     name, seed, idx = arg
     rng = _case_rng(name, seed, idx)
     base_k = rng.randint(2, 7)
@@ -426,49 +420,41 @@ def _subdivision_case(arg: tuple) -> dict:
     i = k
     sub = subdivide_out_edge(graph, i)
 
-    out: dict = {"fails": [], "shift_bad_d": None, "witness": None}
+    shift = None
     base_counts = path_count_series(graph, i, _SHIFT_D_MAX)
     sub_counts = path_count_series(sub, i, _SHIFT_D_MAX + 1)
     for d in range(_SHIFT_D_MAX + 1):
         if sub_counts[d + 1] != base_counts[d]:
-            out["shift_bad_d"] = d
-            out["witness"] = (
+            shift = (
+                f"case {idx}: path-shift law broke first at d={d}",
                 f"case {idx}: rows={grid} vertex={i} "
-                f"P(i,{d})={base_counts[d]} vs subdivided P(i,{d + 1})={sub_counts[d + 1]}"
+                f"P(i,{d})={base_counts[d]} vs subdivided P(i,{d + 1})={sub_counts[d + 1]}",
             )
             break
 
+    fails = []
     mu = pf_enclosure(graph)
     mu1 = pf_enclosure(sub)
     if mu1.hi > mu.hi:
-        out["fails"].append(
-            f"case {idx}: hi(mu) rose after subdivision ({_frs(mu1.hi)} > {_frs(mu.hi)})"
-        )
+        fails.append(f"case {idx}: hi(mu) rose after subdivision ({_frs(mu1.hi)} > {_frs(mu.hi)})")
     if mu1.lo > mu.hi:
-        out["fails"].append(f"case {idx}: intervals ordered the wrong way around")
+        fails.append(f"case {idx}: intervals ordered the wrong way around")
     if mu_compare(sub, graph) > 0:
-        out["fails"].append(f"case {idx}: exact spectral comparison says mu grew")
-    return out
+        fails.append(f"case {idx}: exact spectral comparison says mu grew")
+    return (fails, shift)
 
 
 def _run_subdivision(seed: int, cases: int) -> tuple:
-    args = [("subdivision", seed, i) for i in range(cases)]
-    results = parallel_map(_subdivision_case, args)
-    interval_failures = [f for r in results for f in r["fails"]]
-    shift_failures = [
-        f"case {a[2]}: path-shift law broke first at d={r['shift_bad_d']}"
-        for a, r in zip(args, results)
-        if r["shift_bad_d"] is not None
-    ]
-    witness = next((r["witness"] for r in results if r["witness"]), None)
+    interval_failures, shifts = _map_cases(_subdivision_case, _seeded("subdivision", seed, cases))
+    shifts = [shift for shift in shifts if shift is not None]
     extra = {
         "interval_failure_count": len(interval_failures),
-        "shift_failure_count": len(shift_failures),
-        "shift_law_holds": not shift_failures,
-        "shift_counterexample": witness,
+        "shift_failure_count": len(shifts),
+        "shift_law_holds": not shifts,
+        "shift_counterexample": next((witness for _, witness in shifts), None),
         "shift_d_max": _SHIFT_D_MAX,
     }
-    return (cases, interval_failures + shift_failures, extra)
+    return (cases, interval_failures + [line for line, _ in shifts], extra)
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +469,16 @@ _INDEX_BATTERY = (
 )
 
 
-def _local_index_case(arg: tuple) -> str | None:
+def _local_index_case(arg: tuple) -> tuple:
     name, seed, idx = arg
     if idx == 0:
         for model, expected in _INDEX_BATTERY:
             got = local_index(model)
             if got != expected:
-                return f"battery: {model}: index {got} != {expected}"
+                return [f"battery: {model}: index {got} != {expected}"], None
             if got != linear_index_oracle(model):
-                return f"battery: {model} disagrees with the determinant oracle"
-        return None
+                return [f"battery: {model} disagrees with the determinant oracle"], None
+        return [], None
     rng = _case_rng(name, seed, idx)
     while True:
         a, b, c, d = (rng.uniform(-3.0, 3.0) for _ in range(4))
@@ -502,15 +488,13 @@ def _local_index_case(arg: tuple) -> str | None:
     got = local_index(model)
     want = linear_index_oracle(model)
     if got != want:
-        return f"case {idx}: {model}: winding {got} != oracle {want}"
-    return None
+        return [f"case {idx}: {model}: winding {got} != oracle {want}"], None
+    return [], None
 
 
 def _run_local_index(seed: int, cases: int) -> tuple:
-    args = [("local-index", seed, i) for i in range(cases + 1)]
-    failures = [f for f in parallel_map(_local_index_case, args) if f]
-    extra = {"battery_models": len(_INDEX_BATTERY)}
-    return (len(args), failures, extra)
+    failures, _ = _map_cases(_local_index_case, _seeded("local-index", seed, cases + 1))
+    return (cases + 1, failures, {"battery_models": len(_INDEX_BATTERY)})
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +532,8 @@ def _run_sandwich(seed: int, cases: int) -> tuple:
         "rows": len(rows),
         "first_n": rows[0].n if rows else None,
         "last_n": rows[-1].n if rows else None,
-        "omega_hi": _frs(rep.omega.hi),
-        "kappa_prime": _frs(rep.kappa_prime) if rep.kappa_prime is not None else None,
+        "omega_hi": rep.omega.hi,
+        "kappa_prime": rep.kappa_prime,
     }
     return (len(rows), failures, extra)
 
@@ -561,7 +545,9 @@ def _run_sandwich(seed: int, cases: int) -> tuple:
 
 @record
 class SuiteSpec:
-    # runner(seed, cases) -> (cases run, failures, extra report fields)
+    # runner(seed, cases) -> (cases run, failure lines, extra report fields);
+    # it maps its cases through _map_cases, each returning (failure lines,
+    # value), and keeps the fields exact: run_suite renders each Fraction "p/q"
     runner: Callable
     default_cases: int
     cases_meaning: str
@@ -648,5 +634,5 @@ def run_suite(name: str, seed: int = 7, cases: int | None = None) -> dict:
         "failure_count": len(failures),
         "failures": failures[:MAX_FAILURE_DETAILS],
         "passed": not failures,
-        **extra,
+        **{key: _frs(value) if isinstance(value, Fraction) else value for key, value in extra.items()},
     }

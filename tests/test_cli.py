@@ -127,6 +127,18 @@ def test_paths_check_sweeps_once(capsys, monkeypatch, tmp_path):
     assert len(products) == 40 + iterations
 
 
+def test_roots_too_large_to_hold_exit_1(capsys):
+    # both once ended in a MemoryError traceback while shifting m**3 left by
+    # 48 m bits; the refusal comes before the shift
+    for argv, shift in (
+        (("hk-root", "--m", str(10**11)), 48 * 10**11),
+        (("cover-bound", "--g", "2", "--n", str(10**12)), 9599999999904),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err == f"error: nth_root_enclosure: n * bits = {shift} exceeds the budget of 1073741824 bits\n"
+
+
 def test_pf_non_int_matrix_file_exit_1(capsys, tmp_path):
     # 1.7 and true used to be read as 1, so pf certified mu = 2 for a matrix
     # the file does not hold

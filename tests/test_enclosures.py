@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,24 @@ def test_enclosure_preconditions_raise_domain_error():
             call()
     # the least valid values are answered
     assert inth_root(0, 5) == 0 and inth_root(7, 1) == 7
+
+
+def test_nth_root_refuses_an_oversized_radicand_before_building_it():
+    # hk-root --m 10**11 asks for the m-th root of m**3 at 48 bits, read
+    # from m**3 << 4.8e12: a 600 GB integer, refused before any of it exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="exceeds the budget of 1073741824 bits"):
+            nth_root_enclosure(10**33, 10**11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # n * bits = 2**30 is answered, one more bit is not; q = 0 keeps the
+    # shifted radicand empty
+    assert nth_root_enclosure(0, 1 << 24, bits=64) == RatInterval.point(0)
+    with pytest.raises(DomainError):
+        nth_root_enclosure(0, (1 << 24) + 1, bits=64)
 
 
 def _dyadic_holds(a, x: Fraction) -> bool:

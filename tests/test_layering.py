@@ -153,6 +153,18 @@ def _writes_dict(node: ast.AST) -> bool:
     )
 
 
+def _calls_parallel_map(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "parallel_map"
+
+
+def test_only_the_case_driver_maps_cases():
+    # every suite maps its cases through suites._map_cases, the one reader
+    # of the (failure lines, value) pairs its case functions return
+    sample = "def f(args):\n    return parallel_map(g, args), suites.parallel_map(g, args)"
+    assert list(_scopes(ast.parse(sample), _calls_parallel_map)) == ["f"] * 2
+    assert _package_scopes(_calls_parallel_map) == {("suites", "_map_cases")}
+
+
 def test_only_intmatrix_writes_a_matrix_dict():
     # the cached product, irreducibility and the count slot live in a
     # matrix's __dict__; only intmatrix may fill them

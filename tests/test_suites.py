@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 import pytest
 
@@ -62,6 +63,34 @@ def test_report_shape_and_pass():
     assert rep["failures"] == []
 
 
+def test_every_case_returns_failure_lines_and_a_value():
+    cases = {
+        "diag-power": suites._diag_power_case,
+        "path-growth": suites._path_growth_case,
+        "multitwist": suites._multitwist_case,
+        "root-bound": suites._root_bound_case,
+        "torus-family": suites._torus_family_case,
+        "subdivision": suites._subdivision_case,
+        "local-index": suites._local_index_case,
+    }
+    sweeps = {"root-bound": [(5,), (6,)], "torus-family": [(5,), (6,)]}
+    for name, case in cases.items():
+        for arg in sweeps.get(name, [(name, 7, 0), (name, 7, 1)]):
+            result = case(arg)
+            assert isinstance(result, tuple) and len(result) == 2, (name, arg)
+            lines, _ = result
+            assert isinstance(lines, list) and all(isinstance(line, str) for line in lines), (name, arg)
+
+
+def test_reports_hold_rendered_fractions_only():
+    # runners keep exact values; run_suite renders every Fraction as "p/q"
+    reports = {name: run_suite(name, seed=7, cases=6) for name in SUITES}
+    for name, rep in reports.items():
+        assert not [key for key, value in rep.items() if isinstance(value, Fraction)], name
+    assert reports["sandwich"]["kappa_prime"] == "15/1"
+    assert reports["path-growth"]["tolerance"] == "1/20"
+
+
 def test_same_seed_same_report():
     a = run_suite("multitwist", seed=3, cases=25)
     b = run_suite("multitwist", seed=3, cases=25)
@@ -83,7 +112,7 @@ def test_multitwist_case_checks_each_product_once(monkeypatch):
     monkeypatch.setattr(SympAction, "__post_init__", counting)
     for idx in range(20):  # idx 0 and 10 add the crossing-pair control
         checks.clear()
-        assert suites._multitwist_case(("multitwist", 7, idx)) is None
+        assert suites._multitwist_case(("multitwist", 7, idx)) == ([], None)
         assert len(checks) == 2, idx
 
 
@@ -135,7 +164,7 @@ def test_diag_power_and_torus_family_certify_from_the_lemmas(monkeypatch):
     for module in (intmatrix, suites):
         monkeypatch.setattr(module, "pf_enclosure", pf_enclosure)
     for i in range(20):
-        assert suites._diag_power_case(("diag-power", 7, i)) is None
+        assert suites._diag_power_case(("diag-power", 7, i)) == ([], None)
     assert calls == []
     for n in (5, 40, 41, 80):
         assert suites._torus_family_case((n,))[0] == []
