@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 # each exported name, grouped by the submodule that defines it
 _EXPORTS = {
-    "enclosures": ("RatInterval", "interval_gap", "log_enclosure", "log_interval", "nth_root_enclosure"),
+    "enclosures": ("RatInterval", "interval_gap", "log_enclosure", "nth_root_enclosure"),
     "errors": (
         "AlphaOutOfRange", "DegreePreconditionViolated", "DillabError", "DomainError", "FixedPointOnCircle",
         "GenusMismatch", "NoDiagonalEntry", "NoSignChange", "NotIrreducible", "NotPairwiseOrthogonal",
@@ -54,7 +54,7 @@ _EXPORTS = {
     ),
     "lefschetz": (
         "HomologyClass", "LinearPlaneMap", "SympAction", "linear_index_oracle", "local_index",
-        "multitwist_action", "multitwist_lefschetz", "symp_form", "transvection",
+        "multitwist_action", "symp_form",
     ),
     "suites": ("SUITES", "run_suite"),
 }

@@ -162,21 +162,22 @@ def log_uniform_sample(n_lo: int, n_hi: int, count: int) -> tuple[int, ...]:
     span = n_hi - n_lo + 1
     if count > span:
         raise DomainError(f"cannot pick {count} distinct integers from {span}")
-    if n_lo == n_hi:
-        return (n_lo,)
     t = max(count, 2)
-    while True:
-        if t >= 4 * span:
-            return tuple(range(n_lo, n_hi + 1))
-        ratio = nth_root_enclosure(Fraction(n_hi, n_lo), t - 1, bits=32).hi
+    # a count equal to the span can only be the whole range
+    while count < span and t < 4 * span:
+        # the root's ends are dyadic, ratio = a / 2**s, so the k-th point
+        # floor(n_lo * ratio**k) is (n_lo * a**k) >> (s * k) in integers
+        a, den = nth_root_enclosure(Fraction(n_hi, n_lo), t - 1, bits=32).hi.as_integer_ratio()
+        s = den.bit_length() - 1
         points = {n_lo, n_hi}
-        x = Fraction(n_lo)
-        for _ in range(t - 1):
-            x *= ratio
-            points.add(min(int(x), n_hi))
+        p = n_lo
+        for k in range(1, t):
+            p *= a
+            points.add(min(p >> (s * k), n_hi))
         if len(points) >= count:
             return tuple(sorted(points))
         t *= 2
+    return tuple(range(n_lo, n_hi + 1))
 
 
 def sandwich_table(

@@ -178,10 +178,6 @@ class RootEnclosure:
     sign_lo: int
     sign_hi: int
 
-    @property
-    def interval(self) -> RatInterval:
-        return RatInterval(self.lo, self.hi)
-
 
 @record
 class LrootReport:

@@ -39,10 +39,6 @@ class RatInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x) -> bool:
-        x = _finite_fraction("x", x)
-        return self.lo <= x <= self.hi
-
     @staticmethod
     def point(x) -> "RatInterval":
         x = _finite_fraction("x", x)
@@ -353,22 +349,6 @@ def log_enclosure(q, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
         raise DomainError("log_enclosure requires width > 0")
     lo_n, hi_n, common = _log_ints(q.numerator, q.denominator, width)
     return RatInterval(Fraction(lo_n, common), Fraction(hi_n, common))
-
-
-def log_interval(iv: RatInterval, width=_DEFAULT_LOG_WIDTH) -> RatInterval:
-    """Enclosure of {log x : x in iv} for a positive rational interval: the
-    lower end of log(iv.lo) and the upper end of log(iv.hi), each computed
-    alone (_log_end)."""
-    _require_type(RatInterval, iv=iv)
-    if iv.lo <= 0:
-        raise DomainError("log_interval requires a positive interval")
-    width = _finite_fraction("width", width)
-    if width <= 0:
-        raise DomainError("log_interval requires width > 0")
-    lo, hi = iv.lo, iv.hi
-    return RatInterval(
-        _log_end(lo.numerator, lo.denominator, False, width), _log_end(hi.numerator, hi.denominator, True, width)
-    )
 
 
 def interval_gap(a: RatInterval, b: RatInterval) -> Fraction:

@@ -122,11 +122,15 @@ class SympAction:
     @property
     def lefschetz_number(self) -> int:
         """The Lefschetz number of a surface map acting so on H_1: degrees
-        0 and 2 contribute a trace of 1 each, degree 1 minus this trace."""
+        0 and 2 contribute a trace of 1 each, degree 1 minus this trace. A
+        multitwist (multitwist_action) has trace 2g, so this is 2 - 2g."""
         return 2 - self.trace
 
     def twist(self, gamma: HomologyClass, power: int) -> "SympAction":
-        """The product self * transvection(gamma, power), as a rank-one update.
+        """The product of self and the transvection (twist action)
+        v -> v + power * <v, gamma> * gamma, as a rank-one update; from
+        SympAction.identity it is that transvection, symplectic for every
+        power, and the identity for the zero class or power 0.
 
         The transvection is I + power * gamma w^T with w^T v = <v, gamma>,
         so the product is A + power * (A gamma) w^T: one matrix-vector
@@ -155,16 +159,6 @@ class SympAction:
         )
 
 
-def transvection(gamma: HomologyClass, power: int) -> SympAction:
-    """The twist action v -> v + power * <v, gamma> * gamma.
-
-    Symplectic for every integer power; the zero class and power 0 both give
-    the identity.
-    """
-    _require_type(HomologyClass, gamma=gamma)
-    return SympAction.identity(gamma.g).twist(gamma, power)
-
-
 def multitwist_action(twists, g: int) -> SympAction:
     """Product of the transvections of a pairwise-orthogonal twist system,
     each applied as a rank-one update (SympAction.twist, which checks its
@@ -188,16 +182,6 @@ def multitwist_action(twists, g: int) -> SympAction:
                 raise NotPairwiseOrthogonal(f"classes {a} and {idx} pair to {x} != 0")
         classes.append(gamma)
     return SympAction(g, action.matrix)
-
-
-def multitwist_lefschetz(twists, g: int) -> int:
-    """Lefschetz number of a multitwist on the closed genus-g surface: the
-    lefschetz_number of its action, 2 - trace of the product of
-    transvections. Under the pairwise-orthogonality hypothesis that trace is
-    2g and the result is the Euler characteristic 2 - 2g; the hypothesis is
-    enforced, not assumed.
-    """
-    return multitwist_action(twists, g).lefschetz_number
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dillab.bounds import (
     theta,
     thm34_lower,
 )
-from dillab.enclosures import RatInterval, log_enclosure
+from dillab.enclosures import RatInterval, log_enclosure, nth_root_enclosure
 from dillab.errors import AlphaOutOfRange, DomainError, ValidationFailed
 from dillab.families import cover_index, cover_threshold, cover_upper_bound
 
@@ -179,6 +179,39 @@ def test_log_uniform_sample_properties():
 
 def test_log_uniform_sample_deterministic():
     assert log_uniform_sample(31, 10 ** 4, 50) == log_uniform_sample(31, 10 ** 4, 50)
+
+
+def _fraction_log_uniform_sample(n_lo, n_hi, count):
+    # the reference: each point floor(n_lo * ratio**k), with x carried as a
+    # Fraction through x *= ratio
+    span = n_hi - n_lo + 1
+    t = max(count, 2)
+    while t < 4 * span:
+        ratio = nth_root_enclosure(Fraction(n_hi, n_lo), t - 1, bits=32).hi
+        points, x = {n_lo, n_hi}, Fraction(n_lo)
+        for _ in range(t - 1):
+            x *= ratio
+            points.add(min(int(x), n_hi))
+        if len(points) >= count:
+            return tuple(sorted(points))
+        t *= 2
+    return tuple(range(n_lo, n_hi + 1))
+
+
+@pytest.mark.parametrize(
+    "n_lo, n_hi, count",
+    [(31, 10**4, 50), (31, 10**4, 6), (31, 400, 9), (5, 8, 4), (7, 7, 1), (31, 100, 70), (3, 300, 297), (2, 10**6, 400)],
+)
+def test_log_uniform_sample_equals_the_fraction_formula(n_lo, n_hi, count):
+    assert log_uniform_sample(n_lo, n_hi, count) == _fraction_log_uniform_sample(n_lo, n_hi, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5000), st.integers(0, 10**5), st.integers(1, 300))
+def test_log_uniform_sample_equals_the_fraction_formula_on_random_ranges(n_lo, extra, count):
+    n_hi = n_lo + extra
+    count = min(count, extra + 1)
+    assert log_uniform_sample(n_lo, n_hi, count) == _fraction_log_uniform_sample(n_lo, n_hi, count)
 
 
 def test_sandwich_table_dense_small():

@@ -12,6 +12,7 @@ from dillab.enclosures import (
     RatInterval,
     _exact_root,
     _float_named_root,
+    _log_end,
     dyadic_enclosure,
     dyadic_mul,
     dyadic_pow,
@@ -19,7 +20,6 @@ from dillab.enclosures import (
     inth_root,
     interval_gap,
     log_enclosure,
-    log_interval,
     nth_root_enclosure,
 )
 from dillab.errors import DomainError
@@ -28,9 +28,6 @@ from dillab.errors import DomainError
 def test_interval_basics():
     iv = RatInterval(Fraction(1, 3), Fraction(1, 2))
     assert iv.width == Fraction(1, 6)
-    assert iv.contains(Fraction(2, 5))
-    assert not iv.contains(Fraction(2, 3))
-    assert iv.contains(0.5) and not iv.contains(1)
     assert RatInterval.point(Fraction(7)).width == 0
     with pytest.raises(ValueError):
         RatInterval(Fraction(1), Fraction(0))
@@ -82,10 +79,10 @@ def test_log_enclosure_known_values():
     assert half.lo <= -two.lo and half.hi >= -two.hi
 
 
-def test_log_interval_monotone():
-    iv = log_interval(RatInterval(Fraction(2), Fraction(10)))
-    assert iv.lo < Fraction(6932, 10 ** 4)
-    assert iv.hi > Fraction(23025, 10 ** 4)
+def test_log_enclosure_ends_enclose_the_log_of_an_interval():
+    # {log x : x in [2, 10]} lies between the lower end at 2 and the upper at 10
+    assert log_enclosure(2).lo < Fraction(6932, 10 ** 4)
+    assert log_enclosure(10).hi > Fraction(23025, 10 ** 4)
 
 
 @given(st.integers(min_value=2, max_value=10 ** 6), st.integers(min_value=2, max_value=12))
@@ -221,11 +218,9 @@ def test_log_enclosure_matches_reference(q, width):
 
 
 def test_enclosure_preconditions_raise_domain_error():
-    unit = RatInterval(Fraction(1), Fraction(2))
     for call in (
         lambda: log_enclosure(2, 0),
         lambda: log_enclosure(2, Fraction(-1, 10)),
-        lambda: log_interval(unit, 0),
         lambda: nth_root_enclosure(2, 0),
         lambda: nth_root_enclosure(2, -3),
         lambda: nth_root_enclosure(2, 2, bits=-1),
@@ -379,12 +374,6 @@ def test_rat_interval_reads_ints_fractions_and_finite_floats_exactly():
     assert RatInterval.point(0.25) == RatInterval(Fraction(1, 4), Fraction(1, 4))
 
 
-def test_log_interval_refuses_a_width_that_is_not_a_finite_number():
-    for width in (True, "1/1000", math.nan, None):
-        with pytest.raises(DomainError, match="must be a finite number"):
-            log_interval(RatInterval(Fraction(1), Fraction(2)), width)
-
-
 def test_log_enclosure_reads_ints_fractions_and_finite_floats_exactly():
     assert log_enclosure(3) == log_enclosure(Fraction(3)) == log_enclosure(3.0)
     assert log_enclosure(0.1, 1e-9) == log_enclosure(Fraction(0.1), Fraction(1e-9))
@@ -399,12 +388,13 @@ def test_nth_root_enclosure_refuses_n_and_bits_not_of_type_int(n, bits):
 _positive_fractions = st.fractions(min_value=Fraction(1, 10**9), max_value=10**9).filter(lambda x: x > 0)
 
 
-@given(_positive_fractions, st.one_of(st.just(Fraction(0)), _positive_fractions), _widths)
+@given(_positive_fractions, _widths)
 @settings(max_examples=200, deadline=None)
-def test_log_interval_is_the_outer_ends_of_two_enclosures(lo, delta, width):
-    iv = RatInterval(lo, lo + delta)
-    expected = RatInterval(log_enclosure(iv.lo, width).lo, log_enclosure(iv.hi, width).hi)
-    assert log_interval(iv, width) == expected
+def test_log_end_is_one_end_of_log_enclosure(q, width):
+    # the cover report and the lower bound take one end alone (_log_end)
+    enc = log_enclosure(q, width)
+    assert _log_end(*q.as_integer_ratio(), False, width) == enc.lo
+    assert _log_end(*q.as_integer_ratio(), True, width) == enc.hi
 
 
 _PIN_WIDTHS = (Fraction(1, 10**3), Fraction(1, 10**12), Fraction(1, 10**40))
@@ -413,7 +403,8 @@ _PIN_WIDTHS = (Fraction(1, 10**3), Fraction(1, 10**12), Fraction(1, 10**40))
 def _log_pin_digest() -> str:
     """sha256 of both ends of log_enclosure over the ints 1..3000, the cover
     family's q = (n - 4g - 3)/(2g + 1) for g = 2..4, and j/3001 (k <= 0),
-    and of log_interval over the T_m brackets for m = 5..400, at each width."""
+    and of the outer ends (log_enclosure of lo, and of hi) of the T_m brackets
+    for m = 5..400, at each width."""
     from dillab.dilpoly import build_Tm, largest_root, m_cubed_root_enclosure
     from dillab.families import cover_threshold
 
@@ -421,7 +412,7 @@ def _log_pin_digest() -> str:
     args += [Fraction(n - 4 * g - 3, 2 * g + 1) for g in (2, 3, 4) for n in range(cover_threshold(g), 2001, 3)]
     args += [Fraction(j, 3001) for j in range(1, 3001)]
     brackets = [
-        largest_root(build_Tm(m), m_cubed_root_enclosure(m).hi + 1).interval for m in range(5, 401)
+        largest_root(build_Tm(m), m_cubed_root_enclosure(m).hi + 1) for m in range(5, 401)
     ]
     digest = hashlib.sha256()
     for width in _PIN_WIDTHS:
@@ -429,8 +420,8 @@ def _log_pin_digest() -> str:
             enc = log_enclosure(q, width)
             digest.update(f"{q} {enc.lo} {enc.hi}\n".encode())
         for iv in brackets:
-            enc = log_interval(iv, width)
-            digest.update(f"{iv.lo} {iv.hi} {enc.lo} {enc.hi}\n".encode())
+            lo, hi = log_enclosure(iv.lo, width).lo, log_enclosure(iv.hi, width).hi
+            digest.update(f"{iv.lo} {iv.hi} {lo} {hi}\n".encode())
     return digest.hexdigest()
 
 

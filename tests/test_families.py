@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dillab.enclosures import log_enclosure, log_interval
+from dillab.enclosures import RatInterval, log_enclosure
 from dillab.errors import DomainError, ValidationFailed
 from dillab.families import (
     TorusMatrixSpec,
@@ -186,13 +186,13 @@ def test_cover_upper_bound_certificate_chain():
     assert rep.log_root.hi > 0
 
 
-def test_cover_log_root_is_log_interval_of_the_root():
-    # the report takes log_interval's two ends straight from the root's
-    # integers; the public route on root.interval must agree exactly
+def test_cover_log_root_is_the_outer_log_ends_of_the_root():
+    # the report takes its two log ends straight from the root's integers;
+    # the public route, log_enclosure of each end, must agree exactly
     for g in (2, 3, 4, 7):
         for n in [*range(cover_threshold(g), cover_threshold(g) + 2 * (2 * g + 1)), *range(200, 20001, 997)]:
             rep = cover_upper_bound(g, n)
-            assert rep.log_root == log_interval(rep.root.interval), (g, n)
+            assert rep.log_root == RatInterval(log_enclosure(rep.root.lo).lo, log_enclosure(rep.root.hi).hi), (g, n)
             assert type(rep.log_root.lo) is Fraction and type(rep.log_root.hi) is Fraction
 
 

@@ -18,9 +18,7 @@ from dillab.lefschetz import (
     linear_index_oracle,
     local_index,
     multitwist_action,
-    multitwist_lefschetz,
     symp_form,
-    transvection,
 )
 
 
@@ -79,7 +77,7 @@ def test_symp_action_refuses_bool_entries():
 def test_transvection_hand_computed():
     # twist about a_1 to the power 3 at genus 2: b_1 -> b_1 - 3 a_1,
     # everything else fixed
-    t = transvection(HomologyClass.alpha(1, 2), 3)
+    t = SympAction.identity(2).twist(HomologyClass.alpha(1, 2), 3)
     a1 = HomologyClass.alpha(1, 2)
     b1 = HomologyClass.beta(1, 2)
     assert t.apply(a1) == a1
@@ -90,15 +88,15 @@ def test_transvection_hand_computed():
 
 
 def test_transvection_zero_class_and_power():
-    z = transvection(HomologyClass.zero(2), 5)
+    z = SympAction.identity(2).twist(HomologyClass.zero(2), 5)
     assert z.matrix == SympAction.identity(2).matrix
-    p0 = transvection(HomologyClass.alpha(1, 2), 0)
+    p0 = SympAction.identity(2).twist(HomologyClass.alpha(1, 2), 0)
     assert p0.matrix == SympAction.identity(2).matrix
 
 
 def test_transvection_inverse():
     gamma = HomologyClass((1, 2, 0, -1))
-    prod = symp_mul(transvection(gamma, 4), transvection(gamma, -4))
+    prod = symp_mul(SympAction.identity(2).twist(gamma, 4), SympAction.identity(2).twist(gamma, -4))
     assert prod.matrix == SympAction.identity(2).matrix
 
 
@@ -111,10 +109,9 @@ def test_multitwist_trace_and_lefschetz():
     action = multitwist_action(twists, g)
     assert action.trace == 2 * g
     assert action.lefschetz_number == 2 - 2 * g
-    assert multitwist_lefschetz(twists, g) == 2 - 2 * g
     # zero class in the system changes nothing
     with_zero = twists + [(HomologyClass.zero(g), 7)]
-    assert multitwist_lefschetz(with_zero, g) == 2 - 2 * g
+    assert multitwist_action(with_zero, g).lefschetz_number == 2 - 2 * g
 
 
 def test_multitwist_refuses_a_non_symplectic_product(monkeypatch):
@@ -166,7 +163,7 @@ def test_rank_one_multitwist_equals_the_dense_chain(system):
     g, twists = system
     dense = SympAction.identity(g)
     for gamma, power in twists:
-        assert transvection(gamma, power) == _dense_transvection(gamma, power)
+        assert SympAction.identity(g).twist(gamma, power) == _dense_transvection(gamma, power)
         assert dense.twist(gamma, power) == symp_mul(dense, _dense_transvection(gamma, power))
         dense = symp_mul(dense, _dense_transvection(gamma, power))
     assert multitwist_action(twists, g) == dense
@@ -237,7 +234,7 @@ def test_multitwist_reports_the_first_fault_its_one_pass_meets():
 
 def test_multitwist_refuses_a_bool_power():
     alpha = HomologyClass.alpha(1, 1)
-    assert multitwist_action([(alpha, 1)], 1).matrix == transvection(alpha, 1).matrix
+    assert multitwist_action([(alpha, 1)], 1).matrix == SympAction.identity(1).twist(alpha, 1).matrix
     assert multitwist_action([], 1).matrix == SympAction.identity(1).matrix == ((1, 0), (0, 1))
     with pytest.raises(DomainError):
         multitwist_action([(alpha, True)], 1)
@@ -270,11 +267,10 @@ def test_linear_plane_map_reads_ints_fractions_and_floats_exactly():
         (SympAction.identity, (True,)),
         (multitwist_action, ([(HomologyClass.alpha(1, 1), 1)], True)),
         (multitwist_action, ([(HomologyClass.alpha(1, 1), 1)], 1.0)),
-        (multitwist_lefschetz, ([(HomologyClass.alpha(1, 1), 1)], True)),
         # a twist by a power that is not an int is no integer matrix
-        (transvection, (HomologyClass((1, 0)), 1.5)),
-        (transvection, (HomologyClass((1, 0)), True)),
-        (transvection, (HomologyClass((1, 0)), "2")),
+        (SympAction.identity(1).twist, (HomologyClass((1, 0)), 1.5)),
+        (SympAction.identity(1).twist, (HomologyClass((1, 0)), True)),
+        (SympAction.identity(1).twist, (HomologyClass((1, 0)), "2")),
         (SympAction.identity(1).twist, (HomologyClass((1, 0)), 1.0)),
     ],
 )
@@ -359,9 +355,9 @@ coords4 = st.tuples(*[st.integers(min_value=-4, max_value=4)] * 4)
 @given(coords4, st.integers(min_value=-5, max_value=5).filter(lambda p: p != 0))
 @settings(max_examples=80, deadline=None)
 def test_transvection_always_symplectic(coords, power):
-    # transvection builds unchecked; the public constructor verifies
+    # twist builds unchecked; the public constructor verifies
     # A^T J A = J and raises otherwise
-    t = transvection(HomologyClass(coords), power)
+    t = SympAction.identity(2).twist(HomologyClass(coords), power)
     assert SympAction(t.g, t.matrix) == t
 
 
@@ -369,6 +365,6 @@ def test_transvection_always_symplectic(coords, power):
 @settings(max_examples=60, deadline=None)
 def test_transvection_preserves_form(u, v):
     gamma = HomologyClass((1, -2, 3, 0))
-    t = transvection(gamma, 2)
+    t = SympAction.identity(2).twist(gamma, 2)
     hu, hv = HomologyClass(u), HomologyClass(v)
     assert symp_form(t.apply(hu), t.apply(hv)) == symp_form(hu, hv)

@@ -69,7 +69,6 @@ TABLE = {
     "RatInterval": {"lo": ("rational", 1), "hi": ("rational", 2)},
     "interval_gap": {"a": ("class", IV), "b": ("class", IV)},
     "log_enclosure": {"q": ("rational", 3), "width": ("rational", Fraction(1, 10**6))},
-    "log_interval": {"iv": ("class", IV), "width": ("rational", Fraction(1, 10**6))},
     "nth_root_enclosure": {"q": ("rational", 2), "n": ("int", 3, 1), "bits": ("int", 8, 0)},
     # intmatrix
     "IntMatrix": {"entries": ("sequence", ((1, 1), (1, 0)))},
@@ -143,9 +142,7 @@ TABLE = {
     "linear_index_oracle": {"model": ("class", PLANE)},
     "local_index": {"model": ("class", PLANE)},
     "multitwist_action": {"twists": ("twist list", [(A1, 1)]), "g": ("int", 1, 1)},
-    "multitwist_lefschetz": {"twists": ("twist list", [(A1, 1)]), "g": ("int", 1, 1)},
     "symp_form": {"u": ("class", A1), "v": ("class", A1)},
-    "transvection": {"gamma": ("class", A1), "power": ("int", 1, None)},
     # suites
     "run_suite": {"name": ("suite name", "quartic-root"), "seed": ("int", 7, None), "cases": ("int or None", 1, 1)},
 }
@@ -171,7 +168,7 @@ def _exported_callables() -> set:
 
 def test_every_exported_callable_is_in_the_table():
     exported = _exported_callables()
-    assert len(exported) == 54
+    assert len(exported) == 51
     assert exported == set(TABLE) | set(UNCHECKED)
     assert not set(TABLE) & set(UNCHECKED)
     assert set(spec[0] for params in TABLE.values() for spec in params.values()) == set(BAD)
@@ -236,8 +233,6 @@ NESTED = {
     "SympAction.identity(1).apply(True)": lambda: SympAction.identity(1).apply(True),
     "SympAction(1, ((1, 0), None))": lambda: SympAction(1, ((1, 0), None)),
     "parse_matrix_json(DEEP_JSON)": lambda: parse_matrix_json(DEEP_JSON),
-    "RatInterval(1, 2).contains(None)": lambda: RatInterval(1, 2).contains(None),
-    "RatInterval(1, 2).contains('1/2')": lambda: RatInterval(1, 2).contains("1/2"),
     # a genus below 1 is no symplectic action, and below 2 no cover family
     "SympAction.identity(0)": lambda: SympAction.identity(0),
     "SympAction.identity(-1)": lambda: SympAction.identity(-1),

@@ -206,6 +206,15 @@ def test_sandwich_suite_small():
     assert rep["rows"] >= 8
 
 
+def test_sandwich_suite_caps_its_sample_at_the_range(monkeypatch):
+    # more cases than the range holds n certify every n once
+    monkeypatch.setattr(suites, "_SANDWICH_N_HI", 100)
+    rep = run_suite("sandwich", seed=7, cases=1000)
+    assert rep["passed"] is True
+    assert rep["cases"] == rep["rows"] == 70
+    assert (rep["first_n"], rep["last_n"]) == (31, 100)
+
+
 def _square(x):
     return x * x
 
