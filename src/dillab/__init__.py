@@ -42,8 +42,8 @@ _EXPORTS = {
         "to_matrix",
     ),
     "dilpoly": (
-        "IntPoly", "RootEnclosure", "build_T", "build_Tm", "char_poly", "compare_largest_roots",
-        "count_real_roots_above", "isolate_largest_real_root", "largest_root", "mu_compare", "verify_lroot",
+        "IntPoly", "build_T", "build_Tm", "char_poly", "compare_largest_roots", "count_real_roots_above",
+        "isolate_largest_real_root", "largest_root", "mu_compare", "verify_lroot",
     ),
     "families": (
         "CoverBoundReport", "TorusMatrixSpec", "cover_upper_bound", "torus_matrix", "verify_torus_bounds",

@@ -133,7 +133,9 @@ def _enclosure_json(lo: Fraction, hi: Fraction, **extra) -> dict:
 
 
 def _root_json(root) -> dict:
-    return _enclosure_json(root.lo, root.hi, sign_lo=root.sign_lo, sign_hi=root.sign_hi)
+    """A largest_root bracket, with the signs of p at its ends that
+    largest_root guarantees: p(lo) < 0 < p(hi)."""
+    return _enclosure_json(root.lo, root.hi, sign_lo=-1, sign_hi=1)
 
 
 def _sandwich_row(row) -> tuple:
@@ -311,19 +313,22 @@ def _append_csv_row(path: str, header, row) -> None:
 
     The header check and the single O_APPEND write both run under an
     exclusive flock, so concurrent appenders neither lose rows nor repeat
-    the header. Closing the descriptor releases the lock."""
-    header_line = _csv_line(header)
+    the header. Only the header's length from the start and the last byte
+    are read, whatever the file's size. Closing the descriptor releases the
+    lock."""
+    header_line = _csv_line(header).encode()
     fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o666)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
-        existing = os.read(fd, os.fstat(fd).st_size).decode(errors="replace")
-        if not existing:
+        size = os.fstat(fd).st_size
+        head = os.pread(fd, len(header_line), 0)
+        if not size:
             prefix = header_line
-        elif existing.partition("\n")[0] == header_line.rstrip("\n"):
-            prefix = "" if existing.endswith("\n") else "\n"
+        elif head == header_line or (head == header_line[:-1] and size == len(head)):
+            prefix = b"" if os.pread(fd, 1, size - 1) == b"\n" else b"\n"
         else:
             raise DillabError(f"{path} exists with a different header")
-        data = (prefix + _csv_line(row)).encode()
+        data = prefix + _csv_line(row).encode()
         if os.write(fd, data) != len(data):
             raise OSError(f"short write appending to {path}")
     finally:

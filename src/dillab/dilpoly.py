@@ -169,24 +169,13 @@ class IntPoly:
 
 
 @record
-class RootEnclosure:
-    """Bracket lo < root < hi around the largest real root, with the exact
-    signs of p at both endpoints."""
-
-    lo: Fraction
-    hi: Fraction
-    sign_lo: int
-    sign_hi: int
-
-
-@record
 class LrootReport:
     m: int
     bound_holds: bool
     ineq1: bool
     ineq2: bool
     ineq3: bool
-    root: RootEnclosure
+    root: RatInterval  # largest_root's bracket of T_m's largest root
     m_power_enclosure: RatInterval  # certified enclosure of m**(3/m)
 
 
@@ -337,8 +326,9 @@ def _steered_cell(p: IntPoly, search_hi: Fraction, rel_width: Fraction):
     return Fraction(1), search_hi
 
 
-def largest_root(p: IntPoly, search_hi, rel_width: Fraction = DEFAULT_ROOT_REL_WIDTH) -> RootEnclosure:
-    """Bracket for the largest real root of p, which lies in (1, search_hi).
+def largest_root(p: IntPoly, search_hi, rel_width: Fraction = DEFAULT_ROOT_REL_WIDTH) -> RatInterval:
+    """Bracket [lo, hi] for the largest real root of p, which lies in
+    (1, search_hi), with p(lo) < 0 < p(hi) exactly.
 
     Preconditions: rel_width > 0, search_hi > 1, a positive leading
     coefficient, at most two sign variations in p's coefficients and
@@ -371,7 +361,7 @@ def largest_root(p: IntPoly, search_hi, rel_width: Fraction = DEFAULT_ROOT_REL_W
     while hi.numerator * lo.denominator * wd > lo.numerator * hi.denominator * (wd + wn):
         lo, hi, _ = _bisect(p, lo, hi, None)
     # p < 0 on (1, root) and p > 0 above it
-    return RootEnclosure(lo, hi, -1, 1)
+    return RatInterval._of(lo, hi)
 
 
 def m_cubed_root_enclosure(m: int) -> RatInterval:

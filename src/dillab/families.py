@@ -15,7 +15,7 @@ import functools
 from fractions import Fraction
 
 from ._record import record
-from .dilpoly import RootEnclosure, build_Tm, largest_root, m_cubed_root_enclosure
+from .dilpoly import build_Tm, largest_root, m_cubed_root_enclosure
 from .enclosures import RatInterval, _log_end, _log_ints, _require_int, _require_type, log_enclosure
 from .errors import DomainError, ValidationFailed
 from .intmatrix import IntMatrix, is_irreducible
@@ -46,7 +46,7 @@ class CoverBoundReport:
     n: int
     m: int
     c: int
-    root: RootEnclosure
+    root: RatInterval
     log_root: RatInterval
     closed_form_m: RatInterval  # 3 log(m) / m
     closed_form_n: RatInterval  # 3 log(q) / q at q = (n - 4g - 3)/(2g + 1)

@@ -24,7 +24,7 @@ from operator import add, itemgetter, mul, or_
 
 from ._record import record
 from .enclosures import _finite_fraction, _require_int, _require_type
-from .errors import DomainError, NoDiagonalEntry, NotIrreducible
+from .errors import DomainError, NoDiagonalEntry, NotIrreducible, ValidationFailed
 
 DEFAULT_REL_WIDTH = Fraction(1, 10**9)
 DEFAULT_MAX_ITERS = 10**6
@@ -178,17 +178,6 @@ class PFEnclosure:
     @property
     def rel_width(self) -> Fraction:
         return (self.hi - self.lo) / self.lo
-
-
-@record
-class DiagonalBoundReport:
-    """For irreducible k x k M with a nonzero diagonal entry: M^(2k) > 0,
-    which Holladay-Varga (Proc. AMS 9, 1958) prove, so only a code bug gives
-    False; and M^(2k) 1 >= k, which proves mu(M)^(2k) = mu(M^(2k)) >= k, as a
-    least row sum bounds a spectral radius below (Collatz-Wielandt, v = 1)."""
-
-    positive_power: bool
-    mu_bound_holds: bool
 
 
 def _gather(indices: list):
@@ -631,17 +620,22 @@ def pf_enclosure(
     )
 
 
-def verify_diagonal_bound(matrix: IntMatrix) -> DiagonalBoundReport:
-    """Both facts of DiagonalBoundReport, exact, with no enclosure."""
+def verify_diagonal_bound(matrix: IntMatrix) -> None:
+    """Check two facts of an irreducible k x k M with a nonzero diagonal
+    entry, exactly and with no enclosure: M^(2k) > 0, which Holladay-Varga
+    (Proc. AMS 9, 1958) prove; and M^(2k) 1 >= k, which proves
+    mu(M)^(2k) = mu(M^(2k)) >= k, as a least row sum bounds a spectral
+    radius below (Collatz-Wielandt, v = 1). Only a code bug fails either,
+    and a failed fact raises ValidationFailed naming it."""
     if not is_irreducible(matrix):
         raise NotIrreducible("verify_diagonal_bound requires an irreducible matrix")
     k = matrix.k
     if not any([j == i for i, row in enumerate(matrix.rows) for j, _ in row]):
         raise NoDiagonalEntry("verify_diagonal_bound requires a nonzero diagonal entry")
-    return DiagonalBoundReport(
-        positive_power=_power_pattern(matrix, 2 * k) == [(1 << k) - 1] * k,
-        mu_bound_holds=min(matrix._counts(2 * k)) >= k,
-    )
+    if _power_pattern(matrix, 2 * k) != [(1 << k) - 1] * k:
+        raise ValidationFailed(f"M^{2 * k} is not positive")
+    if min(matrix._counts(2 * k)) < k:
+        raise ValidationFailed(f"a row sum of M^{2 * k} is below k={k}")
 
 
 def parse_matrix_text(text: str) -> IntMatrix:
@@ -709,9 +703,10 @@ def render_matrix_json(matrix: IntMatrix) -> dict:
 
 
 def load_matrix(path: str) -> IntMatrix:
-    """Load either format from UTF-8 text; JSON is detected by a leading '{' or '['."""
+    """Load either format from UTF-8 text, a leading byte-order mark
+    skipped; JSON is detected by a leading '{' or '['."""
     _require_type((str, os.PathLike), path=path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

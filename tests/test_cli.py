@@ -454,6 +454,44 @@ def test_cover_bound_csv_refuses_a_header_that_only_starts_with_its_own(capsys, 
     assert csv_path.read_bytes() == data
 
 
+def test_cover_bound_csv_ends_an_unterminated_last_line_first(capsys, tmp_path):
+    # a header alone, or a last row, without its newline gets one before the row
+    header = b"g,n,m,c,certified_log_root_hi,closed_form_bound"
+    csv_path = tmp_path / "bounds.csv"
+    for data in (header, header + b"\n2,31,5,0,1,2"):
+        csv_path.write_bytes(data)
+        code, _, err = run(capsys, "cover-bound", "--g", "2", "--n", "32", "--csv", str(csv_path))
+        assert code == 0, err
+        written = csv_path.read_bytes()
+        assert written.startswith(data + b"\n2,32,") and written.count(b"\n") == data.count(b"\n") + 2
+
+
+def test_cover_bound_csv_append_reads_a_bounded_number_of_bytes(capsys, monkeypatch, tmp_path):
+    # the header check reads the header's length from the start and the last
+    # byte, not the whole file, while it holds the lock
+    header = b"g,n,m,c,certified_log_root_hi,closed_form_bound\n"
+    csv_path = tmp_path / "bounds.csv"
+    csv_path.write_bytes(header + b"2,31,5,0,1,2\n" * 10_000)
+    read = []
+
+    def counted(real):
+        def call(*args):
+            data = real(*args)
+            read.append(len(data))
+            return data
+
+        return call
+
+    monkeypatch.setattr(os, "read", counted(os.read))
+    monkeypatch.setattr(os, "pread", counted(os.pread))
+    code, _, err = run(capsys, "cover-bound", "--g", "2", "--n", "32", "--csv", str(csv_path))
+    assert code == 0, err
+    assert sum(read) < 2 * len(header)
+    lines = csv_path.read_bytes().split(b"\n")
+    assert len(lines) == 10_003 and lines[-1] == b""
+    assert lines[-3] == b"2,31,5,0,1,2" and lines[-2].startswith(b"2,32,5,1,")
+
+
 def test_bounds_table_row_count(capsys):
     code, out, _ = run(capsys, "bounds", "table", "--g", "2", "--n", "31:100")
     assert code == 0

@@ -14,7 +14,6 @@ from dense_reference import faddeev_leverrier_rows, identity
 from dillab import dilpoly, enclosures, suites
 from dillab.dilpoly import (
     IntPoly,
-    RootEnclosure,
     _bisect,
     _float_root,
     _steered_cell,
@@ -29,6 +28,7 @@ from dillab.dilpoly import (
     mu_compare,
     verify_lroot,
 )
+from dillab.enclosures import RatInterval
 from dillab.errors import DomainError, NoSignChange
 from dillab.families import cover_upper_bound
 from dillab.intmatrix import IntMatrix, _cw_compare, _scaled_plan
@@ -105,7 +105,8 @@ def test_build_Tm_balanced_split():
 def test_largest_root_quartic_silver_mean():
     # largest root of T_{1,1} = (x^2 - 3x + 1)(x + 1)^2 is (3 + sqrt 5)/2
     enc = largest_root(build_T(1, 1), search_hi=4, rel_width=Fraction(1, 10 ** 12))
-    assert enc.sign_lo == -1 and enc.sign_hi == 1
+    assert type(enc) is RatInterval
+    assert build_T(1, 1).sign_at(enc.lo) == -1 and build_T(1, 1).sign_at(enc.hi) == 1
     # exact membership test against x^2 - 3x + 1
     q = IntPoly.from_dict({0: 1, 1: -3, 2: 1})
     assert q(enc.lo) < 0 < q(enc.hi)
@@ -134,13 +135,13 @@ def test_largest_root_preconditions():
             largest_root(IntPoly.from_dict({2: 2, 1: -6, 0: 3}), search_hi=search_hi)
 
 
-def _bisected(p: IntPoly, search_hi, rel_width) -> RootEnclosure:
+def _bisected(p: IntPoly, search_hi, rel_width) -> RatInterval:
     """Plain sign-change bisection of (1, search_hi), one level at a time:
     the bracket largest_root must reproduce on the Descartes route."""
     lo, hi = Fraction(1), Fraction(search_hi)
     while hi - lo > rel_width * lo:
         lo, hi, _ = _bisect(p, lo, hi, None)
-    return RootEnclosure(lo=lo, hi=hi, sign_lo=-1, sign_hi=1)
+    return RatInterval(lo, hi)
 
 
 def _production_search_hi(m: int) -> Fraction:

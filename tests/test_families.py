@@ -246,15 +246,19 @@ def test_cover_index_refuses_parameters_not_of_type_int(g, n):
 
 
 def _cover_pin_digest() -> str:
-    """sha256 of the reports' repr over a fixed (g, n) grid, m = 5..2000."""
+    """sha256 of the reports' exact values over a fixed (g, n) grid,
+    m = 5..2000: g, n, m, c and both ends of each of the four intervals."""
     digest = hashlib.sha256()
     for g in (2, 3, 4):
         for n in range(cover_threshold(g), (2 * g + 1) * 2001 + 1, 97):
-            digest.update(f"{cover_upper_bound(g, n)!r}\n".encode())
+            rep = cover_upper_bound(g, n)
+            ivs = (rep.root, rep.log_root, rep.closed_form_m, rep.closed_form_n)
+            values = (rep.g, rep.n, rep.m, rep.c, *[end for iv in ivs for end in (iv.lo, iv.hi)])
+            digest.update(f"{' '.join(map(str, values))}\n".encode())
     return digest.hexdigest()
 
 
 def test_cover_upper_bound_bytes_pinned():
     # recorded on the interval-arithmetic certificate: every endpoint built
     # from the kernels' integers must be the same Fraction
-    assert _cover_pin_digest() == "c8e8fc131084e0557835689928841fe57c69c9293331d5c0430319cb4f8d9a6a"
+    assert _cover_pin_digest() == "197e9a9bf6b8e416fec0145c8ec5b343ce0a5e0936d67da21458b74661858dcf"

@@ -15,11 +15,10 @@ from dense_reference import identity, mat_mul, mat_power
 from dillab import intmatrix
 from dillab.cli import main
 from dillab.dilpoly import IntPoly, char_poly, count_real_roots_above, isolate_largest_real_root
-from dillab.errors import DomainError, NoDiagonalEntry, NotIrreducible
+from dillab.errors import DomainError, NoDiagonalEntry, NotIrreducible, ValidationFailed
 from dillab.families import torus_matrix
 from dillab.suites import random_irreducible_rows
 from dillab.intmatrix import (
-    DiagonalBoundReport,
     IntMatrix,
     _multiplier,
     _power_pattern,
@@ -28,6 +27,7 @@ from dillab.intmatrix import (
     _steer_at,
     is_irreducible,
     is_positive,
+    load_matrix,
     parse_matrix_json,
     parse_matrix_text,
     pf_enclosure,
@@ -80,6 +80,15 @@ def test_json_round_trip():
     assert parse_matrix_json('{"k": 1, "rows": [[5]]}') == IntMatrix(((5,),))
     with pytest.raises(ValueError):
         parse_matrix_json({"k": 3, "rows": [[1]]})
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    # a BOM once reached both parsers as the character U+FEFF
+    for name, text in (("fib.txt", render_matrix_text(FIB)), ("fib.json", '{"k": 2, "rows": [[0,1],[1,1]]}')):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_matrix(str(marked)) == load_matrix(str(plain)) == FIB
 
 
 @pytest.mark.parametrize("k", [True, 1.0, "1", None, [1]])
@@ -538,9 +547,9 @@ def test_pf_enclosure_bit_cap_keeps_soundness():
 
 def test_verify_diagonal_bound():
     m = IntMatrix(((1, 1, 0), (0, 1, 1), (1, 0, 1)))
-    rep = verify_diagonal_bound(m)
-    assert rep.positive_power
-    assert rep.mu_bound_holds
+    assert verify_diagonal_bound(m) is None
+    power = mat_power(m, 6)
+    assert is_positive(power) and min(power.row_sums()) >= 3
     with pytest.raises(NoDiagonalEntry):
         verify_diagonal_bound(IntMatrix(((0, 1), (1, 0))))
     with pytest.raises(NotIrreducible):
@@ -549,8 +558,9 @@ def test_verify_diagonal_bound():
 
 def test_verify_diagonal_bound_single_loop():
     m = IntMatrix(((4, 3, 0, 0), (0, 0, 4, 0), (0, 0, 0, 2), (3, 0, 0, 0)))
-    rep = verify_diagonal_bound(m)
-    assert rep.positive_power and rep.mu_bound_holds
+    assert verify_diagonal_bound(m) is None
+    power = mat_power(m, 8)
+    assert is_positive(power) and min(power.row_sums()) >= 4
 
 
 def test_diagonal_bound_matches_the_dense_definitions():
@@ -563,10 +573,21 @@ def test_diagonal_bound_matches_the_dense_definitions():
                 random_irreducible_rows(rng, k, 4, extra_prob=extra_prob, force_diagonal=True)
             )
             power = mat_power(m, 2 * k)
-            assert verify_diagonal_bound(m) == DiagonalBoundReport(
-                positive_power=is_positive(power),
-                mu_bound_holds=min(power.row_sums()) >= k,
-            )
+            assert verify_diagonal_bound(m) is None
+            assert is_positive(power) and min(power.row_sums()) >= k
+
+
+def test_verify_diagonal_bound_raises_on_a_wrong_positivity_fact(monkeypatch):
+    # only a code bug leaves a zero in M^(2k); the check names the fact
+    monkeypatch.setattr(intmatrix, "_power_pattern", lambda matrix, r: [1] * matrix.k)
+    with pytest.raises(ValidationFailed, match=r"^M\^6 is not positive$"):
+        verify_diagonal_bound(IntMatrix(((1, 1, 0), (0, 1, 1), (1, 0, 1))))
+
+
+def test_verify_diagonal_bound_raises_on_a_wrong_row_sum_fact(monkeypatch):
+    monkeypatch.setattr(IntMatrix, "_counts", lambda self, d: [2] * self.k)
+    with pytest.raises(ValidationFailed, match=r"^a row sum of M\^6 is below k=3$"):
+        verify_diagonal_bound(IntMatrix(((1, 1, 0), (0, 1, 1), (1, 0, 1))))
 
 
 def test_pf_json_exact_fields(tmp_path, capsys):

@@ -360,7 +360,6 @@ EXPORTS = {
     ),
     "dilpoly": (
         "IntPoly",
-        "RootEnclosure",
         "build_T",
         "build_Tm",
         "char_poly",
@@ -395,7 +394,7 @@ EXPORTS = {
 
 def test_all_lists_the_exported_names_once():
     pinned = [name for names in EXPORTS.values() for name in names]
-    assert len(pinned) == len(set(pinned)) == 64
+    assert len(pinned) == len(set(pinned)) == 63
     assert sorted(dillab.__all__) == sorted(pinned)
     assert "annotations" not in dillab.__all__
     assert not set(dillab.__all__) & {path.stem for path in PACKAGE.glob("*.py")}
@@ -620,3 +619,43 @@ def test_only_record_builds_a_value_unchecked():
     assert sorted(_unchecked_doors(ast.parse(sample))) == ["C.__reduce__", "C._of", "object.__new__", "object.__new__"]
     doors = {(path.stem, door) for path in sorted(PACKAGE.glob("*.py")) for door in _unchecked_doors(ast.parse(path.read_text()))}
     assert doors == {("_record", "object.__new__")}
+
+
+def _records() -> dict:
+    """Every @record class of the package, by name: its fields and the
+    source text of their annotations."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list
+            ):
+                fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+                out[node.name] = {stmt.target.id: ast.unparse(stmt.annotation) for stmt in fields}
+    return out
+
+
+def test_a_bracket_is_a_rat_interval():
+    # a root bracket, a log, a closed form: each is a RatInterval; a Perron
+    # enclosure also carries the iteration that produced it
+    records = _records()
+    assert {name for name, fields in records.items() if {"lo", "hi"} <= fields.keys()} == {"RatInterval", "PFEnclosure"}
+    assert len(records) == 17
+
+
+# the only record fields that hold a bool; a failed check raises ValidationFailed instead
+BOOL_FIELDS = {
+    ("PFEnclosure", "steered"),  # route metadata: whether a float guess steered the iteration
+    ("LimitCheckReport", "converged"),  # a measurement, not a certificate (ROADMAP item 4)
+    # perfbench reads these; they go once it no longer does (ROADMAP item 13)
+    ("LrootReport", "bound_holds"),
+    ("LrootReport", "ineq1"),
+    ("LrootReport", "ineq2"),
+    ("LrootReport", "ineq3"),
+    ("TorusBoundsReport", "irreducible"),
+}
+
+
+def test_a_failed_certificate_raises_instead_of_returning_a_flag():
+    flags = {(name, field) for name, fields in _records().items() for field, ann in fields.items() if ann == "bool"}
+    assert flags == BOOL_FIELDS

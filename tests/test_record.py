@@ -1,4 +1,4 @@
-"""The package's 19 record types behave as `dataclass(frozen=True)` would:
+"""The package's 17 record types behave as `dataclass(frozen=True)` would:
 the same repr, equality and hash as a frozen dataclass holding the same
 values, refused assignment and deletion, TypeError for a bad constructor
 call, and pickle and deepcopy round trips. Each also has the generated
@@ -14,16 +14,16 @@ import pytest
 
 from dillab._record import record
 from dillab.bounds import BoundRow, KappaReport, OmegaConstants, SandwichReport
-from dillab.dilpoly import IntPoly, LrootReport, RootEnclosure
+from dillab.dilpoly import IntPoly, LrootReport
 from dillab.enclosures import RatInterval
 from dillab.families import CoverBoundReport, TorusBoundsReport, TorusMatrixSpec, torus_matrix
-from dillab.intmatrix import DiagonalBoundReport, IntMatrix, PFEnclosure
+from dillab.intmatrix import IntMatrix, PFEnclosure
 from dillab.lefschetz import HomologyClass, LinearPlaneMap, SympAction
 from dillab.suites import SUITES, SuiteSpec
 from dillab.transgraph import LimitCheckReport
 
 IV = RatInterval(Fraction(1, 3), Fraction(1, 2))
-ROOT = RootEnclosure(Fraction(1), Fraction(2), -1, 1)
+ROOT = RatInterval(Fraction(1), Fraction(2))
 ROW = BoundRow(2, 31, Fraction(1, 100), None)
 SPEC = SUITES["quartic-root"]
 
@@ -34,7 +34,6 @@ SAMPLES = [
     (BoundRow, (2, 31, Fraction(1, 100), Fraction(1, 10))),
     (SandwichReport, (2, 51840, (ROW,), IV, None)),
     (IntPoly, (((0, -1), (2, 1)),)),
-    (RootEnclosure, (Fraction(1), Fraction(2), -1, 1)),
     (LrootReport, (5, True, True, True, True, ROOT, IV)),
     (RatInterval, (Fraction(1, 3), Fraction(1, 2))),
     (CoverBoundReport, (2, 31, 5, 0, ROOT, IV, IV, IV)),
@@ -42,7 +41,6 @@ SAMPLES = [
     (TorusBoundsReport, (5, 3, 3, True, Fraction(1, 2), Fraction(2, 5))),
     (IntMatrix, (IntMatrix(((1, 1), (1, 0))).rows,)),
     (PFEnclosure, (Fraction(3, 2), Fraction(8, 5), 12, "converged", False)),
-    (DiagonalBoundReport, (True, False)),
     (HomologyClass, ((1, 0, 0, 1),)),
     (SympAction, (1, ((1, 1), (0, 1)))),
     (LinearPlaneMap, (Fraction(2), Fraction(0), Fraction(1, 3), Fraction(3))),
@@ -73,7 +71,7 @@ def _reference(cls, values):
 
 
 def test_every_record_type_is_sampled():
-    assert len(SAMPLES) == 19 and len(set(IDS)) == 19
+    assert len(SAMPLES) == 17 and len(set(IDS)) == 17
     for cls, values in SAMPLES:
         assert len(_names(cls)) == len(values), cls
 

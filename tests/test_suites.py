@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import random
+import re
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -169,6 +170,15 @@ def test_diag_power_and_torus_family_certify_from_the_lemmas(monkeypatch):
     for n in (5, 40, 41, 80):
         assert suites._torus_family_case((n,))[0] == []
     assert calls == [("pf_enclosure", False)] * 3  # the direct route at n = 5, 40, 80
+
+
+def test_a_failed_diagonal_fact_is_a_failure_line_of_its_case(monkeypatch):
+    from dillab import intmatrix
+
+    monkeypatch.setattr(intmatrix, "_power_pattern", lambda matrix, r: [0] * matrix.k)
+    lines, value = suites._diag_power_case(("diag-power", 7, 3))
+    assert value is None and len(lines) == 1
+    assert re.fullmatch(r"case 3: k=\d+ M\^\d+ is not positive", lines[0]), lines
 
 
 def test_root_bound_suite_small():
