@@ -9,6 +9,7 @@ so rounding error can only make published claims weaker, never wrong.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from ._record import record
@@ -27,6 +28,13 @@ def theta(g: int) -> int:
     enumeration by count_sl2_z3.
     """
     _require_int("theta", "g", g, 1)
+    return _theta(g)
+
+
+@functools.lru_cache(maxsize=1)
+def _theta(g: int) -> int:
+    """theta's product for the latest g: every row of a table asks for it in
+    thm34_lower's range check, and theta(400) has 507,822 bits."""
     out = 3 ** (g * g)
     for i in range(1, g + 1):
         out *= 3 ** (2 * i) - 1
@@ -70,22 +78,13 @@ def _branch1_lo(g: int, alpha: int) -> Fraction:
     return Fraction(lo_n, common * alpha * (12 * g - 12))
 
 
-@record
-class OmegaConstants:
-    g: int
-    alpha: int
-    omega_prime: RatInterval
-    omega: RatInterval
-
-
-def omega_constants(g: int, alpha: int) -> OmegaConstants:
-    """The two calibration constants for the lower half of the sandwich.
-
-    omega_prime = alpha*(12g-12) * log(3) / (3*log(2)); omega is the interval
-    maximum of omega_prime, 48*alpha, and
-    48*alpha*(g-1)*log(3)/(3*log(24*(g-1))). Every term is linear in alpha.
-    Each end of c*log(3)/(3*log(y)) comes from the integer log ends
-    (_log_ints) with one Fraction: lo(log 3) over hi(log y), and hi over lo.
+def omega_constants(g: int, alpha: int) -> RatInterval:
+    """omega, the calibration constant for the lower half of the sandwich:
+    the interval maximum of omega' = alpha*(12g-12) * log(3) / (3*log(2)),
+    48*alpha, and 48*alpha*(g-1)*log(3)/(3*log(24*(g-1))). Every term is
+    linear in alpha. Each end of c*log(3)/(3*log(y)) comes from the integer
+    log ends (_log_ints) with one Fraction: lo(log 3) over hi(log y), and hi
+    over lo.
     """
     _require_int("omega_constants", "g", g, 2)
     _require_int("omega_constants", "alpha", alpha, 1)
@@ -99,18 +98,10 @@ def omega_constants(g: int, alpha: int) -> OmegaConstants:
     omega_prime = log3_over(alpha * (12 * g - 12), 2)
     term2 = Fraction(48 * alpha)
     term3 = log3_over(48 * alpha * (g - 1), 24 * (g - 1))
-    omega = RatInterval(max(omega_prime.lo, term2, term3.lo), max(omega_prime.hi, term2, term3.hi))
-    return OmegaConstants(g=g, alpha=alpha, omega_prime=omega_prime, omega=omega)
+    return RatInterval(max(omega_prime.lo, term2, term3.lo), max(omega_prime.hi, term2, term3.hi))
 
 
-@record
-class KappaReport:
-    g: int
-    kappa_prime: Fraction
-    witness_n: int
-
-
-def kappa_upper_constant(g: int) -> KappaReport:
+def kappa_upper_constant(g: int) -> Fraction:
     """kappa' = 3(2g+1), proved to satisfy 3*log(m(n))/m(n) <= kappa' * log(n)/n
     for every n >= cover_threshold(g); the certified cover value sits below
     that closed form (the root lemma verify_lroot checks), and sandwich_table
@@ -120,7 +111,7 @@ def kappa_upper_constant(g: int) -> KappaReport:
     once n >= 5q. log(x)/x is proved decreasing for x >= e, so
     3 log(m)/m <= 3q log(x)/(n-2q) <= 3q log(n)/n whenever q**n >= n**(2q).
     n log q - 2q log n is proved increasing for n >= 2q, so both conditions
-    hold for every n >= witness_n = cover_threshold(g) once two exact integer
+    hold for every n >= cover_threshold(g) once two exact integer
     comparisons hold there; if either fails, ValidationFailed. No monotonicity
     is assumed and no log is evaluated."""
     _require_int("kappa_upper_constant", "g", g, 2)
@@ -128,7 +119,7 @@ def kappa_upper_constant(g: int) -> KappaReport:
     q = 2 * g + 1
     if not (threshold >= 5 * q and q**threshold >= threshold ** (2 * q)):
         raise ValidationFailed(f"g={g}: q**n >= n**(2q) with n >= 5q fails at n={threshold}")
-    return KappaReport(g=g, kappa_prime=Fraction(3 * q), witness_n=threshold)
+    return Fraction(3 * q)
 
 
 @record
@@ -144,8 +135,6 @@ class BoundRow:
 
 @record
 class SandwichReport:
-    g: int
-    alpha: int
     rows: tuple[BoundRow, ...]
     omega: RatInterval
     kappa_prime: Fraction | None
@@ -196,8 +185,8 @@ def sandwich_table(
     and upper <= kappa' * hi(log n)/n; a failure raises ValidationFailed
     naming n. It collects the rows of _sandwich_rows.
     """
-    alpha, omega, kappa, rows = _sandwich_rows(g, n_lo, n_hi, sample)
-    return SandwichReport(g=g, alpha=alpha, rows=tuple(rows), omega=omega, kappa_prime=kappa)
+    _, omega, kappa, rows = _sandwich_rows(g, n_lo, n_hi, sample)
+    return SandwichReport(rows=tuple(rows), omega=omega, kappa_prime=kappa)
 
 
 def _sandwich_rows(g: int, n_lo: int, n_hi: int, sample: int | None):
@@ -215,8 +204,8 @@ def _sandwich_rows(g: int, n_lo: int, n_hi: int, sample: int | None):
     alpha = theta(g)
     threshold = cover_threshold(g)
     ns = range(n_lo, n_hi + 1) if sample is None else log_uniform_sample(n_lo, n_hi, sample)
-    omega = omega_constants(g, alpha).omega
-    kappa = kappa_upper_constant(g).kappa_prime if n_hi >= threshold else None
+    omega = omega_constants(g, alpha)
+    kappa = kappa_upper_constant(g) if n_hi >= threshold else None
 
     def rows():
         cover = None  # (m, report) of the latest row: m never falls along the ascending ns

@@ -386,10 +386,7 @@ def _parse_twists(spec_text: str, g: int):
         if name == "0":
             cls = HomologyClass.zero(g)
         elif name[:1] in ("a", "b") and name[1:].isdecimal():
-            try:
-                index = int(name[1:])
-            except ValueError:  # more digits than int() reads, so above g
-                index = 0
+            index = int(name[1:])
             if not 1 <= index <= g:
                 raise UsageError(f"twist {token!r}: index outside 1..{g}")
             maker = HomologyClass.alpha if name[0] == "a" else HomologyClass.beta
@@ -549,6 +546,11 @@ def main(argv=None) -> int:
     if not hasattr(ns, "func"):
         sys.stderr.write("error: missing subcommand (try --help)\n")
         return 2
+    # a certified integer may pass Python's 4,300-digit str(int) limit: lift
+    # it for this command and give an in-process caller back its own
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return int(ns.func(ns) or 0)
     except UsageError as exc:
@@ -560,6 +562,9 @@ def main(argv=None) -> int:
     except DillabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

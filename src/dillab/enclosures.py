@@ -35,15 +35,6 @@ class RatInterval:
         if self.lo > self.hi:
             raise DomainError(f"empty interval: {self.lo} > {self.hi}")
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @staticmethod
-    def point(x) -> "RatInterval":
-        x = _finite_fraction("x", x)
-        return RatInterval(x, x)
-
 
 # Outward dyadic intervals. A triple (lo, hi, e) of integers 0 <= lo <= hi
 # stands for [lo * 2**e, hi * 2**e]. Every product is cut back to
@@ -254,7 +245,8 @@ def nth_root_enclosure(q, n: int, bits: int = 48) -> RatInterval:
     if t is None:
         t = _exact_root(y, n)
         if t**n * q.denominator == scaled:
-            return RatInterval.point(Fraction(t, den))
+            point = Fraction(t, den)
+            return RatInterval._of(point, point)
     return RatInterval(Fraction(t, den), Fraction(t + 1, den))
 
 

@@ -175,10 +175,6 @@ class PFEnclosure:
     stop: str
     steered: bool
 
-    @property
-    def rel_width(self) -> Fraction:
-        return (self.hi - self.lo) / self.lo
-
 
 def _gather(indices: list):
     """v -> a sequence holding v[i] for each i of indices. itemgetter of one
@@ -646,7 +642,9 @@ def parse_matrix_text(text: str) -> IntMatrix:
     for number, line in enumerate(text.splitlines(), 1):
         try:
             row = [int(tok) for tok in line.split()]
-        except ValueError:
+        except ValueError as exc:
+            if str(exc).startswith("Exceeds the limit"):  # a valid integer past Python's digit limit
+                raise DomainError(f"line {number}: {exc}") from None
             raise DomainError(f"line {number}: expected integers, got {line.strip()!r}") from None
         if row:
             lines.append(row)

@@ -1,6 +1,6 @@
 import hashlib
+import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +32,20 @@ def test_theta_values():
 def test_theta_against_enumeration():
     assert count_sl2_z3() == 24
     assert theta(1) == count_sl2_z3()
+
+
+def test_theta_refuses_a_bool_or_float_after_the_int_is_cached():
+    assert theta(1) == 24
+    for g in (True, 1.0):
+        with pytest.raises(DomainError):
+            theta(g)
+
+
+def test_a_table_evaluates_thetas_product_once():
+    # every row's range check in thm34_lower asks for theta(g)
+    bounds._theta.cache_clear()
+    assert len(sandwich_table(3, 31, 130).rows) == 100
+    assert bounds._theta.cache_info().misses == 1
 
 
 def test_thm34_lower_exact_alpha_scaling():
@@ -68,64 +82,60 @@ def test_thm34_lower_refuses_a_bool_alpha():
 
 
 def test_omega_constants_g2():
-    oc = omega_constants(2, 1)
-    # omega' = 12 log3 / (3 log2) = 4 log3/log2 = 6.339...
-    assert oc.omega_prime.lo < Fraction(634, 100) < oc.omega_prime.hi * 2
-    assert float(oc.omega_prime.lo) == pytest.approx(6.33985, abs=1e-3)
+    omega = omega_constants(2, 1)
     # the 48-alpha term dominates at alpha = 1
-    assert oc.omega.lo >= 48
-    assert oc.omega.hi < 49
+    assert omega.lo >= 48
+    assert omega.hi < 49
     # exact linearity in alpha
-    oc7 = omega_constants(2, 7)
-    assert oc7.omega.hi == oc.omega.hi * 7
+    assert omega_constants(2, 7).hi == omega.hi * 7
+    # from g = 9 on omega' = alpha (12g - 12) log 3 / (3 log 2) wins:
+    # 32 log2(3) = 50.71... at g = 9
+    assert float(omega_constants(9, 1).lo) == pytest.approx(32 * math.log2(3), abs=1e-9)
     with pytest.raises(DomainError):
         omega_constants(1, 1)
 
 
 def test_omega_full_alpha_is_48_theta():
     # at g = 2 the max term is 48 alpha exactly for every alpha
-    oc = omega_constants(2, theta(2))
-    assert oc.omega.lo == 48 * 51840 == 2488320
+    assert omega_constants(2, theta(2)).lo == 48 * 51840 == 2488320
 
 
 def test_omega_constants_bytes_pinned():
-    # digests of the reprs that RatInterval arithmetic on log_enclosure gave;
-    # the integer log ends must give the same bytes
-    reprs = [repr(omega_constants(g, a)) for g in range(2, 9) for a in (1, 2, 3, 48, theta(g))]
-    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
-    assert digest == "8e088c8c77969223f854ef11d469e43aa49037a706f1fa23c61098144a8f2b2e"
+    # the digest of omega's exact ends, from g = 2, where 48 alpha wins, to
+    # g = 12, past g = 9, where omega' takes over
+    ends = [omega_constants(g, a) for g in range(2, 13) for a in (1, 2, 3, 48, theta(g))]
+    digest = hashlib.sha256("\n".join(f"{iv.lo} {iv.hi}" for iv in ends).encode()).hexdigest()
+    assert digest == "8bd52890bf4cb18dc29b2d2d027bbf6644647b18322e6be65eedac2821e17d99"
     branch1 = [repr(bounds._branch1_lo(g, a)) for g in range(2, 9) for a in (1, 2, 3, 48, theta(g))]
     digest = hashlib.sha256("\n".join(branch1).encode()).hexdigest()
     assert digest == "ac39fbecb09a9c9b0abc958f4b7a222b47aca4dd1d16494036c2c7e42e1e7242"
 
 
 def test_omega_constants_refuses_a_bool_alpha():
-    assert omega_constants(2, 1).alpha == 1
+    assert omega_constants(2, 1).lo == 48
     with pytest.raises(DomainError):
         omega_constants(2, True)
 
 
 def test_kappa_upper_constant_small_range():
-    rep = kappa_upper_constant(2)
-    assert rep.kappa_prime == 15
+    kappa = kappa_upper_constant(2)
+    assert kappa == 15
     # the bound it certifies: 3 log m / m <= kappa' log n / n at n = 31, m = 5
     lhs = log_enclosure(5).hi * 3 / 5
-    rhs = rep.kappa_prime * log_enclosure(31).lo / 31
+    rhs = kappa * log_enclosure(31).lo / 31
     assert lhs <= rhs
     with pytest.raises(DomainError):
         kappa_upper_constant(1)
 
 
-def test_kappa_prime_is_the_closed_form_with_its_witness(monkeypatch):
+def test_kappa_prime_is_the_closed_form_proved_on_integers(monkeypatch):
     def refuse(n):
         raise AssertionError("log_enclosure called")
 
     # the proof compares integers only
     monkeypatch.setattr(bounds, "log_enclosure", refuse)
     for g in (2, 3, 4, 5, 8):
-        rep = kappa_upper_constant(g)
-        assert (rep.g, rep.kappa_prime) == (g, 3 * (2 * g + 1))
-        assert rep.witness_n == cover_threshold(g)
+        assert kappa_upper_constant(g) == 3 * (2 * g + 1)
 
 
 def test_kappa_refuses_a_threshold_where_the_integer_inequality_fails(monkeypatch):
@@ -216,7 +226,7 @@ def test_log_uniform_sample_equals_the_fraction_formula_on_random_ranges(n_lo, e
 
 def test_sandwich_table_dense_small():
     rep = sandwich_table(2, 28, 35)
-    assert rep.alpha == 51840
+    assert rep.omega == omega_constants(2, 51840)
     assert [row.n for row in rep.rows] == list(range(28, 36))
     for row in rep.rows:
         assert row.lower > 0
@@ -302,7 +312,8 @@ def test_sandwich_rows_certify_each_row_as_it_is_taken(monkeypatch):
     # sandwich_table is the same rows, collected, with the same constants
     report = sandwich_table(2, 28, 32)
     assert report.rows == tuple(taken)
-    assert (report.alpha, report.omega, report.kappa_prime) == (alpha, omega, kappa)
+    assert alpha == theta(2)
+    assert (report.omega, report.kappa_prime) == (omega, kappa)
     # the arguments are refused before any row is asked for
     with pytest.raises(DomainError):
         bounds._sandwich_rows(2, 40, 39, None)
@@ -318,8 +329,8 @@ def test_sandwich_table_validation():
 
 
 def test_sandwich_calibration_failure_raises_validation_failed(monkeypatch):
-    tiny = RatInterval.point(Fraction(1, 10**12))
-    monkeypatch.setattr(bounds, "omega_constants", lambda g, alpha: SimpleNamespace(omega=tiny))
+    tiny = Fraction(1, 10**12)
+    monkeypatch.setattr(bounds, "omega_constants", lambda g, alpha: RatInterval(tiny, tiny))
     with pytest.raises(ValidationFailed, match="n=31"):
         sandwich_table(2, 31, 40)
 

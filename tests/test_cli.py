@@ -14,7 +14,7 @@ import dillab
 from dillab import bounds, cli
 from dillab.cli import main
 from dillab.errors import DomainError
-from dillab.intmatrix import IntMatrix, pf_enclosure
+from dillab.intmatrix import IntMatrix, parse_matrix_text, pf_enclosure
 
 
 @pytest.fixture
@@ -207,6 +207,60 @@ def test_a_matrix_file_that_does_not_read_exit_1(capsys, tmp_path, data, message
     assert code == 1 and out == "", err
     assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
     assert message in err, err
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default 4,300-digit limit on str(int) and int(str), set for
+    the test and restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no integer string limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "argv, digits",
+    [
+        # [[10**100]]: the count at d is 10**(100 d), 4,201 digits at d = 42
+        (["paths", "{big}", "-i", "1", "-d", "42"], 4201),
+        (["paths", "{big}", "-i", "1", "-d", "43"], 4301),
+        # the JSON field alpha = theta(g) passes 4,300 digits from g = 67 on
+        (["bounds", "table", "--g", "66", "--n", "3000:3001", "--format", "json"], 4189),
+        (["bounds", "table", "--g", "67", "--n", "3000:3001", "--format", "json"], 4316),
+        (["pf", "{wide}"], 4400),
+    ],
+    ids=["paths-d42", "paths-d43", "table-g66", "table-g67", "pf-4400-digits"],
+)
+def test_integers_past_the_digit_limit_print(capsys, tmp_path, digit_limit, argv, digits):
+    # every one of these values is certified; at the limit only printing it
+    # failed, with a ValueError traceback
+    (tmp_path / "big.txt").write_text(f"1\n{10**100}\n")
+    (tmp_path / "wide.txt").write_text("1\n" + "7" * 4400 + "\n")
+    argv = [arg.format(big=tmp_path / "big.txt", wide=tmp_path / "wide.txt") for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == digit_limit
+    sys.set_int_max_str_digits(0)
+    payload = json.loads(out)
+    longest = {
+        "paths": lambda: payload["counts"][-1],
+        "bounds": lambda: str(payload["alpha"]),
+        "pf": lambda: payload["enclosure"]["lo_num"],
+    }[argv[0]]()
+    assert len(longest) == digits
+
+
+def test_a_text_matrix_past_the_digit_limit_names_it(digit_limit):
+    # from Python, where the limit holds, the message names it and does not
+    # echo the line; any other bad token keeps its message
+    with pytest.raises(DomainError, match=r"^line 2: Exceeds the limit \(4300 digits\)") as info:
+        parse_matrix_text("1\n" + "7" * 4400 + "\n")
+    assert "7777" not in str(info.value)
+    with pytest.raises(DomainError, match=r"^line 2: expected integers, got '1 x'$"):
+        parse_matrix_text("2\n1 x\n1 1\n")
 
 
 @pytest.mark.parametrize("bug", [TypeError, ValueError, KeyError, AssertionError])
@@ -576,8 +630,8 @@ def test_lefschetz_grammar_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "lefschetz", "--g", "2", "--twists", "a1:zero")
     assert code == 2
-    # "²" is a digit that int() does not read, and int() reads no index of
-    # 5,000 digits
+    # "²" is a digit that int() does not read, and an index of 5,000 digits
+    # is above g
     for twists in ("a\u00b2:1", "a" + "1" * 5000 + ":1"):
         code, _, err = run(capsys, "lefschetz", "--g", "2", "--twists", twists)
         assert code == 2 and err.startswith("usage error: "), err

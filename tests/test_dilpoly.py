@@ -659,7 +659,7 @@ def test_isolate_largest_real_root():
     p = IntPoly.from_dict({2: 1, 0: -2})
     iv = isolate_largest_real_root(p, hi_bound=Fraction(2))
     assert iv.lo ** 2 < 2 < iv.hi ** 2
-    assert iv.width <= Fraction(1, 2 ** 80)
+    assert iv.hi - iv.lo <= Fraction(1, 2 ** 80)
     with pytest.raises(DomainError):
         isolate_largest_real_root(p, hi_bound=Fraction(1))
 

@@ -27,8 +27,8 @@ from dillab.errors import DomainError
 
 def test_interval_basics():
     iv = RatInterval(Fraction(1, 3), Fraction(1, 2))
-    assert iv.width == Fraction(1, 6)
-    assert RatInterval.point(Fraction(7)).width == 0
+    assert iv.hi - iv.lo == Fraction(1, 6)
+    assert RatInterval(7, 7) == RatInterval(Fraction(7), Fraction(7))
     with pytest.raises(ValueError):
         RatInterval(Fraction(1), Fraction(0))
 
@@ -58,7 +58,7 @@ def test_nth_root_enclosure_exact_power():
 def test_nth_root_enclosure_sqrt2():
     iv = nth_root_enclosure(Fraction(2), 2, bits=48)
     assert iv.lo ** 2 < 2 < iv.hi ** 2
-    assert iv.width <= Fraction(1, 2 ** 47)
+    assert iv.hi - iv.lo <= Fraction(1, 2 ** 47)
 
 
 def test_log_enclosure_log2():
@@ -246,7 +246,7 @@ def test_nth_root_refuses_an_oversized_radicand_before_building_it():
     assert peak < 1 << 20
     # n * bits = 2**30 is answered, one more bit is not; q = 0 keeps the
     # shifted radicand empty
-    assert nth_root_enclosure(0, 1 << 24, bits=64) == RatInterval.point(0)
+    assert nth_root_enclosure(0, 1 << 24, bits=64) == RatInterval(0, 0)
     with pytest.raises(DomainError):
         nth_root_enclosure(0, (1 << 24) + 1, bits=64)
 
@@ -307,7 +307,7 @@ def test_perfect_power_falls_back_to_the_exact_point(a, k, n):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enclosures, "_exact_root", lambda x, n: calls.append(n) or exact_root(x, n))
         iv = nth_root_enclosure(Fraction(a**n, 2 ** (k * n)), n)
-    assert iv == RatInterval.point(Fraction(a, 2**k))
+    assert iv == RatInterval(Fraction(a, 2**k), Fraction(a, 2**k))
     assert calls == [n]
 
 
@@ -319,15 +319,15 @@ def test_an_exact_power_makes_one_float_attempt(q, n, point):
     named = enclosures._float_named_root
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enclosures, "_float_named_root", lambda x, n: calls.append(n) or named(x, n))
-        assert nth_root_enclosure(q, n) == RatInterval.point(Fraction(point))
+        assert nth_root_enclosure(q, n) == RatInterval(point, point)
     assert calls == [n]
 
 
 def test_the_exact_route_takes_zero_one_and_the_first_root():
     assert [_exact_root(x, 5) for x in (0, 1)] == [0, 1]
     assert _exact_root(10**40 + 3, 1) == 10**40 + 3
-    assert nth_root_enclosure(0, 3) == RatInterval.point(0)
-    assert nth_root_enclosure(Fraction(3, 4), 1, bits=2) == RatInterval.point(Fraction(3, 4))
+    assert nth_root_enclosure(0, 3) == RatInterval(0, 0)
+    assert nth_root_enclosure(Fraction(3, 4), 1, bits=2) == RatInterval(Fraction(3, 4), Fraction(3, 4))
 
 
 def test_m_cubed_radicands_are_decided_in_intervals():
@@ -366,12 +366,12 @@ def test_rat_interval_refuses_ends_that_are_not_finite_numbers(lo, hi):
 @pytest.mark.parametrize("x", ["2", True, math.nan, None])
 def test_rat_interval_point_refuses_what_is_not_a_finite_number(x):
     with pytest.raises(DomainError, match="must be a finite number"):
-        RatInterval.point(x)
+        RatInterval(x, x)
 
 
 def test_rat_interval_reads_ints_fractions_and_finite_floats_exactly():
     assert RatInterval(1, 0.5 + 1) == RatInterval(Fraction(1), Fraction(3, 2))
-    assert RatInterval.point(0.25) == RatInterval(Fraction(1, 4), Fraction(1, 4))
+    assert RatInterval(0.25, 0.25) == RatInterval(Fraction(1, 4), Fraction(1, 4))
 
 
 def test_log_enclosure_reads_ints_fractions_and_finite_floats_exactly():
